@@ -68,13 +68,7 @@ def _apply_variant(instance, variant):
 
 def cmd_solve(args) -> int:
     instance = _apply_variant(statespace.load_instance(args.file), args.variant)
-    kind = instance.objective.kind
-    if kind == "budgeted":
-        lp = relaxations.build_budgeted_lp(instance)
-    elif kind == "lagrangean":
-        lp = relaxations.build_lagrangean_lp(instance)
-    else:
-        lp = relaxations.build_concave_lp(instance, args.epsilon)
+    lp, grid = relaxations.build_relaxation(instance, args.epsilon)
     if args.dump_lp:
         with open(args.dump_lp, "w") as fh:
             fh.write(format_lp(lp))
@@ -82,17 +76,7 @@ def cmd_solve(args) -> int:
     if raw.status != "optimal":
         _emit({"status": raw.status})
         return 1
-    solution = relaxations.RelaxationSolution.from_raw(
-        instance,
-        raw,
-        kind,
-        grid=None
-        if kind != "concave"
-        else statespace.concave_grid_size(
-            len(instance.arms),
-            args.epsilon if args.epsilon is not None else instance.objective.concave.epsilon,
-        ),
-    )
+    solution = relaxations.RelaxationSolution.from_raw(instance, raw, instance.objective.kind, grid)
     _emit(
         {
             "status": raw.status,

@@ -1,24 +1,36 @@
 """Sequential rounding of single-arm policies and their evaluation.
 
 The greedy plans order arms by a bang-per-buck ratio of the single-arm
-statistics and then run each arm's randomized stopping policy to completion,
-never revisiting an abandoned arm.  Four executors share the machinery:
+statistics, then explore the arms one at a time in that order: each arm's
+randomized stopping policy runs to its end and the arm is never revisited.
+A rounded policy is therefore a plan order plus one per-arm step, described
+once per state by the step table `_Step`: draw q uniformly in [0, w]; play if
+q <= z; otherwise exploit at the smallest level l with q <= cuts[l], where
+level 0 (or q past the last cut) is a dead stop.  The cuts are (z, z + x) for
+plain solutions, so level 1 is the plain exploit, and z + x_0,
+z + x_0 + x_1, ... on the concave weight grid.  The table also holds the
+exact probabilities pz, px (per level) and pn of those outcomes, the charge
+of a play and the child distribution.
 
-* greedy order    - checks the remaining budget before every play; an
-                    unaffordable play stops exploration and exploits the
-                    current arm where it stands,
-* greedy violate  - the analysis twin; plays each arm's policy to completion
-                    and only then checks the budget (may overshoot by the
-                    cost of one arm),
-* lagrangean      - no budget; stops at the first exploit event; pays for
-                    everything it played,
-* concave         - assigns grid weights instead of a single exploit pick,
-                    then halves all weights to restore packing feasibility.
+Every consumer reads that one table:
 
-Exact expectations come from a forward pass over arms in plan order,
-convolving each arm's per-budget outcome distribution; Monte-Carlo runs use
-counter-based Philox streams keyed by (seed, replication) so results are
-reproducible regardless of scheduling.
+* `_walk_arm` samples one arm's run; the three runners add only what happens
+  between arms:
+  - budgeted, rule "order": an unaffordable play stops exploration and
+    exploits the current arm where it stands;
+  - budgeted, rule "violate" (the analysis twin): the budget is checked only
+    after an arm's policy ends, so a run may overshoot by one arm's cost;
+  - lagrangean: no budget; stops at the first exploit and pays for every play;
+  - concave: takes the exploit level as the arm's grid weight, moves on until
+    the weights fill the packing capacity, then halves all weights.
+* `_arm_outcome_dist` is the walk's exact twin, the distribution of its
+  (state, level, spent); the exact forward pass convolves it over the arms in
+  plan order.
+* `GreedyOrderProcess` branches on pz, px and pn at each joint state for the
+  statistics oracle.
+
+Monte-Carlo runs use counter-based Philox streams keyed by (seed,
+replication), so results are reproducible regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -26,8 +38,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import product as iter_product
-from typing import Mapping, Sequence
+from itertools import accumulate, product as iter_product
+from typing import Sequence
 
 import numpy as np
 
@@ -125,59 +137,58 @@ def make_greedy_plan(
 # Execution tables and RNG streams
 
 
-class _StateExec:
-    __slots__ = ("sid", "w", "z", "zx", "cum_grid", "children", "cum_probs", "cost", "reward", "leaf")
+class _Step:
+    """One state's step: its thresholds and the exact outcome probabilities.
 
-    def __init__(self, sid, w, z, zx, cum_grid, children, cum_probs, cost, reward, leaf):
-        self.sid = sid
+    `cuts[l]` is z plus the exploit masses of levels 0..l, so a draw q > z
+    lands on the smallest level l with q <= cuts[l] (a dead stop past the last
+    cut).  pz, px[l - 1] and pn are the probabilities of a play, an exploit at
+    level l >= 1 and a dead stop; the mass of level 0 is part of pn.
+    `charge` is the cost of playing here, the switch cost included at the root.
+    """
+
+    __slots__ = ("w", "z", "cuts", "pz", "px", "pn", "cost", "charge", "reward", "children", "probs", "cum_probs")
+
+    def __init__(self, st, w: float, z: float, masses: Sequence[float], switch: float):
         self.w = w
         self.z = z
-        self.zx = zx
-        self.cum_grid = cum_grid
-        self.children = children
-        self.cum_probs = cum_probs
-        self.cost = cost
-        self.reward = reward
-        self.leaf = leaf
+        self.cuts = tuple(accumulate(masses, initial=z))[1:]
+        if w < UNREACHABLE_W:
+            self.pz, self.px, self.pn = 0.0, (0.0,) * (len(masses) - 1), 1.0
+        else:
+            self.pz = z / w
+            self.px = tuple(max((hi - lo) / w, 0.0) for lo, hi in zip(self.cuts, self.cuts[1:]))
+            self.pn = max(1.0 - self.pz - sum(self.px), 0.0)
+        self.cost = st.play_cost
+        self.charge = st.play_cost + switch
+        self.reward = st.reward
+        self.children = tuple(c for c, p in st.transitions if p > 0.0)
+        self.probs = tuple(p for _, p in st.transitions if p > 0.0)
+        self.cum_probs = tuple(accumulate(self.probs))
 
 
-class _ArmExec:
-    __slots__ = ("arm_id", "h", "root", "root_reward", "states", "topo")
+class _ArmExec(dict):
+    """One arm's step table, state id -> `_Step`, each step built on first
+    use: a trace visits one path of the arm's DAG, not all of it."""
+
+    __slots__ = ("arm", "arm_id", "h", "root", "solution")
 
     def __init__(self, arm: ArmStateSpace, solution: RelaxationSolution):
+        super().__init__()
+        self.arm = arm
         self.arm_id = arm.arm_id
         self.h = arm.switch_cost
         self.root = arm.root
-        self.root_reward = arm.states[arm.root].reward
-        self.topo = arm.topo_order()
-        self.states = {}
-        for sid in self.topo:
-            st = arm.states[sid]
-            key = (arm.arm_id, sid)
-            w = solution.w[key]
-            z = 0.0 if st.is_leaf else solution.z[key]
-            grid = solution.x_grid.get(key)
-            if grid is None:
-                zx = z + solution.x.get(key, 0.0)
-                cum_grid = None
-            else:
-                acc = z
-                cum_grid = []
-                for v in grid:
-                    acc += v
-                    cum_grid.append(acc)
-                zx = acc
-                cum_grid = tuple(cum_grid)
-            children = tuple(c for c, p in st.transitions if p > 0.0)
-            cum = []
-            acc_p = 0.0
-            for c, p in st.transitions:
-                if p > 0.0:
-                    acc_p += p
-                    cum.append(acc_p)
-            self.states[sid] = _StateExec(
-                sid, w, z, zx, cum_grid, children, tuple(cum), st.play_cost, st.reward, st.is_leaf
-            )
+        self.solution = solution
+
+    def __missing__(self, sid: str) -> _Step:
+        st = self.arm.states[sid]
+        key = (self.arm_id, sid)
+        z = 0.0 if st.is_leaf else self.solution.z[key]
+        # a plain solution is the one-level grid with no mass at level 0
+        masses = self.solution.x_grid.get(key, (0.0, self.solution.x.get(key, 0.0)))
+        step = self[sid] = _Step(st, self.solution.w[key], z, masses, self.h if sid == self.root else 0.0)
+        return step
 
 
 def _tables(instance: BanditInstance, solution: RelaxationSolution) -> dict[str, _ArmExec]:
@@ -241,7 +252,7 @@ class _StreamPool:
         return _DrawStream(self._gen)
 
 
-def _sample_child(se: _StateExec, rng: "_DrawStream") -> str:
+def _sample_child(se: _Step, rng: "_DrawStream") -> str:
     u = rng.random()
     cum = se.cum_probs
     for i in range(len(cum) - 1):
@@ -341,14 +352,41 @@ class _Run:
             self.events.append(TraceEvent(arm, state, action, cost, q))
 
 
-def _run_budgeted(
-    instance: BanditInstance,
-    plan: GreedyPlan,
-    tables: Mapping[str, _ArmExec],
-    rule: str,
-    rng: "_DrawStream",
-    record: bool,
-):
+def _walk_arm(ax: _ArmExec, rng: "_DrawStream", run: _Run, avail: float | None):
+    """Run one arm's stopping policy to its end; returns (state, level).
+
+    level is the exploit level where the policy stopped (0 for a dead stop,
+    1 for a plain exploit, l on the concave grid), or None when a play would
+    take the run's total spend past avail (None: no budget check).
+    """
+    run.visited.append(ax.arm_id)
+    state = ax.root
+    while True:
+        se = ax[state]
+        if se.w < UNREACHABLE_W:
+            run.event(ax.arm_id, state, "stop-null", 0.0, None)
+            return state, 0
+        q = rng.random() * se.w
+        if q > se.z:
+            level = 0  # also past the last cut
+            for l, cut in enumerate(se.cuts):
+                if q <= cut:
+                    level = l
+                    break
+            run.event(ax.arm_id, state, "stop-exploit" if level else "stop-null", 0.0, q)
+            return state, level
+        if avail is not None and run.spent + se.charge > avail:
+            run.event(ax.arm_id, state, "budget-stop", 0.0, q)
+            return state, None
+        if state == ax.root:
+            run.event(ax.arm_id, state, "switch", ax.h, None)
+            run.switches[ax.arm_id] = run.switches.get(ax.arm_id, 0) + 1
+        run.event(ax.arm_id, state, "play", se.cost, q)
+        run.spent += se.charge
+        state = _sample_child(se, rng)
+
+
+def _run_budgeted(instance, plan, tables, rule, rng, record):
     budget = plan.budget
     run = _Run(record)
     if not _affordable_first_play(instance, budget):
@@ -358,43 +396,14 @@ def _run_budgeted(
     terminal: dict[str, str] = {}
     for ra in plan.order:
         ax = tables[ra.arm_id]
-        run.visited.append(ax.arm_id)
-        state = ax.root
-        played = False
-        while True:
-            se = ax.states[state]
-            if se.w < UNREACHABLE_W:
-                run.event(ax.arm_id, state, "stop-null", 0.0, None)
-                terminal[ax.arm_id] = state
-                break
-            q = rng.random() * se.w
-            if q <= se.z:
-                cost = se.cost + (ax.h if not played else 0.0)
-                if rule == "order" and run.spent + cost > budget:
-                    run.event(ax.arm_id, state, "budget-stop", 0.0, q)
-                    exploited = (ax.arm_id, state)
-                    break
-                if not played:
-                    run.event(ax.arm_id, state, "switch", ax.h, None)
-                    run.switches[ax.arm_id] = run.switches.get(ax.arm_id, 0) + 1
-                    played = True
-                run.event(ax.arm_id, state, "play", se.cost, q)
-                run.spent += cost
-                state = _sample_child(se, rng)
-            elif q <= se.zx:
-                run.event(ax.arm_id, state, "stop-exploit", 0.0, q)
-                exploited = (ax.arm_id, state)
-                break
-            else:
-                run.event(ax.arm_id, state, "stop-null", 0.0, q)
-                terminal[ax.arm_id] = state
-                break
-        if exploited is not None:
-            break
-        if rule == "violate" and run.spent > budget:
-            run.event(ax.arm_id, terminal[ax.arm_id], "budget-stop", 0.0, None)
-            exploited = (ax.arm_id, terminal[ax.arm_id])
-            break
+        state, level = _walk_arm(ax, rng, run, budget if rule == "order" else None)
+        if level == 0 and rule == "violate" and run.spent > budget:
+            run.event(ax.arm_id, state, "budget-stop", 0.0, None)
+        elif level == 0:
+            terminal[ax.arm_id] = state
+            continue
+        exploited = (ax.arm_id, state)  # an exploit, a budget stop or an overshoot
+        break
     if exploited is None:
         # Every policy stopped dead: exploit the best terminal state anywhere.
         best_arm, best_state, best_r = None, None, -1.0
@@ -405,147 +414,71 @@ def _run_budgeted(
                 best_arm, best_state, best_r = arm.arm_id, sid, r
         exploited = (best_arm, best_state)
     arm_id, sid = exploited
-    value = instance.arm(arm_id).states[sid].reward
-    return run, exploited, value, None
+    return run, exploited, instance.arm(arm_id).states[sid].reward, None
 
 
-def _run_lagrangean(
-    instance: BanditInstance,
-    plan: GreedyPlan,
-    tables: Mapping[str, _ArmExec],
-    rng: "_DrawStream",
-    record: bool,
-):
+def _run_lagrangean(instance, plan, tables, rule, rng, record):
     run = _Run(record)
     exploited = None
+    reward = 0.0
     for ra in plan.order:
         ax = tables[ra.arm_id]
-        run.visited.append(ax.arm_id)
-        state = ax.root
-        played = False
-        while True:
-            se = ax.states[state]
-            if se.w < UNREACHABLE_W:
-                run.event(ax.arm_id, state, "stop-null", 0.0, None)
-                break
-            q = rng.random() * se.w
-            if q <= se.z:
-                cost = se.cost + (ax.h if not played else 0.0)
-                if not played:
-                    run.event(ax.arm_id, state, "switch", ax.h, None)
-                    run.switches[ax.arm_id] = run.switches.get(ax.arm_id, 0) + 1
-                    played = True
-                run.event(ax.arm_id, state, "play", se.cost, q)
-                run.spent += cost
-                state = _sample_child(se, rng)
-            elif q <= se.zx:
-                run.event(ax.arm_id, state, "stop-exploit", 0.0, q)
-                exploited = (ax.arm_id, state)
-                break
-            else:
-                run.event(ax.arm_id, state, "stop-null", 0.0, q)
-                break
-        if exploited is not None:
+        state, level = _walk_arm(ax, rng, run, None)
+        if level:
+            exploited = (ax.arm_id, state)
+            reward = ax[state].reward
             break
-    reward = 0.0
-    if exploited is not None:
-        reward = instance.arm(exploited[0]).states[exploited[1]].reward
-    value = reward - run.spent
-    return run, exploited, value, None
+    return run, exploited, reward - run.spent, None
 
 
-def _run_concave(
-    instance: BanditInstance,
-    plan: GreedyPlan,
-    tables: Mapping[str, _ArmExec],
-    rng: "_DrawStream",
-    record: bool,
-):
+def _run_concave(instance, plan, tables, rule, rng, record):
     prob = instance.objective.concave
     run = _Run(record)
-    budget = plan.budget
-    L = _solution_grid(tables)
-    sigmas = prob.sigmas
-    numerators: dict[str, int] = {}
-    final_state: dict[str, str] = {a.arm_id: a.root for a in instance.arms}
+    L = next(iter(tables.values())).solution.grid
+    if L is None:
+        raise ValueError("concave execution needs a solution with grid exploit masses")
+    numerators = {a.arm_id: 0 for a in instance.arms}
+    final_state = {a.arm_id: a.root for a in instance.arms}
     acc_units = 0.0  # sum sigma_i * eps_i in units of 1/L
     cap_units = prob.capacity * L
-    stop_all = False
     for ra in plan.order:
         if acc_units >= cap_units:
             break
         ax = tables[ra.arm_id]
-        run.visited.append(ax.arm_id)
-        state = ax.root
-        played = False
-        while True:
-            se = ax.states[state]
-            if se.w < UNREACHABLE_W:
-                run.event(ax.arm_id, state, "stop-null", 0.0, None)
-                numerators[ax.arm_id] = 0
-                final_state[ax.arm_id] = state
-                break
-            q = rng.random() * se.w
-            if q <= se.z:
-                cost = se.cost + (ax.h if not played else 0.0)
-                if run.spent + cost > budget:
-                    run.event(ax.arm_id, state, "budget-stop", 0.0, q)
-                    numerators[ax.arm_id] = L  # eps forced to 1
-                    final_state[ax.arm_id] = state
-                    acc_units += sigmas[ax.arm_id] * L
-                    stop_all = True
-                    break
-                if not played:
-                    run.event(ax.arm_id, state, "switch", ax.h, None)
-                    run.switches[ax.arm_id] = run.switches.get(ax.arm_id, 0) + 1
-                    played = True
-                run.event(ax.arm_id, state, "play", se.cost, q)
-                run.spent += cost
-                state = _sample_child(se, rng)
-            else:
-                level = _smallest_level(se, q)
-                numerators[ax.arm_id] = level
-                final_state[ax.arm_id] = state
-                acc_units += sigmas[ax.arm_id] * level
-                run.event(
-                    ax.arm_id, state, "stop-exploit" if level > 0 else "stop-null", 0.0, q
-                )
-                break
-        if stop_all:
+        state, level = _walk_arm(ax, rng, run, plan.budget)
+        final_state[ax.arm_id] = state
+        numerators[ax.arm_id] = L if level is None else level  # a budget stop forces eps = 1
+        acc_units += prob.sigmas[ax.arm_id] * numerators[ax.arm_id]
+        if level is None:
             break
     weights = {}
     value = 0.0
     for arm in instance.arms:
-        num = numerators.get(arm.arm_id, 0)
-        y = num / (2 * L)
+        y = numerators[arm.arm_id] / (2 * L)
         weights[arm.arm_id] = y
         value += prob.value_at(arm.arm_id, final_state[arm.arm_id], y)
-    numerators_full = {a.arm_id: numerators.get(a.arm_id, 0) for a in instance.arms}
-    return run, None, value, (weights, numerators_full, L)
+    return run, None, value, (weights, numerators, L)
 
 
-def _solution_grid(tables: Mapping[str, _ArmExec]) -> int:
-    for ax in tables.values():
-        for se in ax.states.values():
-            if se.cum_grid is not None:
-                return len(se.cum_grid) - 1
-    raise ValueError("concave execution needs a solution with grid exploit masses")
+# Every runner takes (instance, plan, tables, rule, rng, record) and returns
+# (run, exploited, value, concave extra); only the budgeted one reads rule.
+_RUNNERS = {"budgeted": _run_budgeted, "lagrangean": _run_lagrangean, "concave": _run_concave}
 
 
-def _smallest_level(se: _StateExec, q: float) -> int:
-    cum = se.cum_grid
-    if cum is None:
-        raise ValueError("state has no grid thresholds; was the solution concave?")
-    for l, threshold in enumerate(cum):
-        if q <= threshold:
-            return l
-    return 0  # slack past z + sum_l x_l: stop with weight 0
+def _check_rule(plan: GreedyPlan, rule: str) -> None:
+    if rule not in ("order", "violate"):
+        raise ValueError(f"unknown budget rule {rule!r}; expected 'order' or 'violate'")
+    if rule == "violate" and plan.variant == "budgeted" and plan.alpha != 1.0:
+        raise ValueError("the violate rule applies to plain budgeted plans only")
 
 
-def _finish_trace(run: _Run, variant, seed, exploited, value, extra) -> ExecutionTrace:
+def _execute(instance, plan, solution, rng_seed, rule="order") -> ExecutionTrace:
+    run, exploited, value, extra = _RUNNERS[plan.variant](
+        instance, plan, _tables(instance, solution), rule, rng_stream(rng_seed, 0), True
+    )
     trace = ExecutionTrace(
-        variant=variant,
-        seed=seed,
+        variant=plan.variant,
+        seed=rng_seed,
         events=run.events,
         exploited=exploited,
         total_cost=run.spent,
@@ -554,10 +487,7 @@ def _finish_trace(run: _Run, variant, seed, exploited, value, extra) -> Executio
         switches=run.switches,
     )
     if extra is not None:
-        weights, numerators, grid = extra
-        trace.weights = weights
-        trace.weight_numerators = numerators
-        trace.grid = grid
+        trace.weights, trace.weight_numerators, trace.grid = extra
     return trace
 
 
@@ -567,11 +497,7 @@ def execute_greedy_order(
     """One sampled run of the budget-respecting greedy policy."""
     if plan.variant != "budgeted":
         raise ValueError("execute_greedy_order needs a budgeted (or bicriteria) plan")
-    tables = _tables(instance, solution)
-    run, exploited, value, extra = _run_budgeted(
-        instance, plan, tables, "order", rng_stream(rng_seed, 0), record=True
-    )
-    return _finish_trace(run, "budgeted", rng_seed, exploited, value, extra)
+    return _execute(instance, plan, solution, rng_seed, "order")
 
 
 def execute_greedy_violate(
@@ -580,11 +506,7 @@ def execute_greedy_violate(
     """One sampled run of the analysis twin that checks the budget only between arms."""
     if plan.variant != "budgeted" or plan.alpha != 1.0:
         raise ValueError("execute_greedy_violate needs a plain budgeted plan")
-    tables = _tables(instance, solution)
-    run, exploited, value, extra = _run_budgeted(
-        instance, plan, tables, "violate", rng_stream(rng_seed, 0), record=True
-    )
-    return _finish_trace(run, "budgeted", rng_seed, exploited, value, extra)
+    return _execute(instance, plan, solution, rng_seed, "violate")
 
 
 def execute_lagrangean_greedy(
@@ -592,11 +514,7 @@ def execute_lagrangean_greedy(
 ) -> ExecutionTrace:
     if plan.variant != "lagrangean":
         raise ValueError("execute_lagrangean_greedy needs a lagrangean plan")
-    tables = _tables(instance, solution)
-    run, exploited, value, extra = _run_lagrangean(
-        instance, plan, tables, rng_stream(rng_seed, 0), record=True
-    )
-    return _finish_trace(run, "lagrangean", rng_seed, exploited, value, extra)
+    return _execute(instance, plan, solution, rng_seed)
 
 
 def execute_concave_greedy(
@@ -604,11 +522,7 @@ def execute_concave_greedy(
 ) -> ExecutionTrace:
     if plan.variant != "concave":
         raise ValueError("execute_concave_greedy needs a concave plan")
-    tables = _tables(instance, solution)
-    run, exploited, value, extra = _run_concave(
-        instance, plan, tables, rng_stream(rng_seed, 0), record=True
-    )
-    return _finish_trace(run, "concave", rng_seed, exploited, value, extra)
+    return _execute(instance, plan, solution, rng_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -619,6 +533,7 @@ def verify_trace(
     trace: ExecutionTrace, instance: BanditInstance, plan: GreedyPlan, rule: str = "order"
 ) -> list[str]:
     """Event-level invariant audit; returns human-readable violations."""
+    _check_rule(plan, rule)
     out: list[str] = []
     blocks: list[str] = []
     for e in trace.events:
@@ -685,6 +600,10 @@ def monte_carlo_evaluate(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    _check_rule(plan, rule)
+    runner = _RUNNERS.get(plan.variant)
+    if runner is None:
+        raise ValueError(f"unknown plan variant {plan.variant!r}")
     tables = _tables(instance, solution)
     values = np.empty(reps)
     max_cost = 0.0
@@ -703,15 +622,7 @@ def monte_carlo_evaluate(
 
     pool = _StreamPool(seed)
     for k in range(reps):
-        rng = pool.stream(k)
-        if plan.variant == "budgeted":
-            run, exploited, value, extra = _run_budgeted(instance, plan, tables, rule, rng, False)
-        elif plan.variant == "lagrangean":
-            run, exploited, value, extra = _run_lagrangean(instance, plan, tables, rng, False)
-        elif plan.variant == "concave":
-            run, exploited, value, extra = _run_concave(instance, plan, tables, rng, False)
-        else:
-            raise ValueError(f"unknown plan variant {plan.variant!r}")
+        run, exploited, value, extra = runner(instance, plan, tables, rule, pool.stream(k), False)
         values[k] = value
         max_cost = max(max_cost, run.spent)
         total_cost += run.spent
@@ -750,54 +661,39 @@ def _require_integer_budgeted(instance: BanditInstance, budget: float) -> None:
         raise ValueError("exact evaluation of budgeted plans requires an integer budget")
 
 
-def _arm_outcome_dist(ax: _ArmExec, avail: float | None) -> dict[tuple[str, str, float], float]:
-    """Outcome distribution of running one arm's stopping policy.
+def _arm_outcome_dist(ax: _ArmExec, avail: float | None) -> dict[tuple[str, int | None, float], float]:
+    """Exact twin of `_walk_arm`: the distribution of its (state, level, spent).
 
-    Keys are (mode, state, spent) with mode 'exploit' (eps = 1), 'null'
-    (eps = 0), or 'stop' (an unaffordable play; only when avail is given).
-    Integer-valued costs stay exact in float arithmetic.
+    spent is the arm's own spend, switch included; level None marks a play
+    that would take spent past avail (never when avail is None).  Integer-
+    valued costs stay exact in float arithmetic.
     """
-    out: dict[tuple[str, str, float], float] = {}
+    out: dict[tuple[str, int | None, float], float] = {}
 
     def add(key, p):
         out[key] = out.get(key, 0.0) + p
 
-    masses: dict[str, dict[tuple[float, bool], float]] = {ax.root: {(0.0, False): 1.0}}
-    for sid in ax.topo:
+    masses: dict[str, dict[float, float]] = {ax.root: {0.0: 1.0}}
+    for sid in ax.arm.topo_order():
         cur = masses.pop(sid, None)
         if not cur:
             continue
-        se = ax.states[sid]
-        for (spent, played), pr in cur.items():
-            if se.w < UNREACHABLE_W:
-                add(("null", sid, spent), pr)
-                continue
-            pz = se.z / se.w
-            px = max((se.zx - se.z) / se.w, 0.0)
-            pn = max(1.0 - pz - px, 0.0)
-            if px > 0.0:
-                add(("exploit", sid, spent), pr * px)
-            if pn > 0.0:
-                add(("null", sid, spent), pr * pn)
-            if pz > 0.0:
-                cost = se.cost + (ax.h if not played else 0.0)
-                if avail is not None and spent + cost > avail:
-                    add(("stop", sid, spent), pr * pz)
-                else:
-                    for child, p_child in zip(se.children, _probs_from_cum(se.cum_probs)):
-                        bucket = masses.setdefault(child, {})
-                        key = (spent + cost, True)
-                        bucket[key] = bucket.get(key, 0.0) + pr * pz * p_child
+        se = ax[sid]
+        for spent, pr in cur.items():
+            for level, p in enumerate(se.px, 1):
+                if p > 0.0:
+                    add((sid, level, spent), pr * p)
+            if se.pn > 0.0:
+                add((sid, 0, spent), pr * se.pn)
+            if se.pz > 0.0:
+                if avail is not None and spent + se.charge > avail:
+                    add((sid, None, spent), pr * se.pz)
+                    continue
+                for child, p_child in zip(se.children, se.probs):
+                    bucket = masses.setdefault(child, {})
+                    key = spent + se.charge
+                    bucket[key] = bucket.get(key, 0.0) + pr * se.pz * p_child
     return out
-
-
-def _probs_from_cum(cum: tuple[float, ...]) -> list[float]:
-    probs = []
-    prev = 0.0
-    for c in cum:
-        probs.append(c - prev)
-        prev = c
-    return probs
 
 
 def evaluate_plan_exact(
@@ -813,6 +709,7 @@ def evaluate_plan_exact(
     form over independent per-arm runs and accept any costs.  Concave plans
     are evaluated by Monte-Carlo only.
     """
+    _check_rule(plan, rule)
     tables = _tables(instance, solution)
     order = [tables[ra.arm_id] for ra in plan.order]
 
@@ -821,10 +718,8 @@ def evaluate_plan_exact(
         value = cost = 0.0
         for ax in order:
             dist = _arm_outcome_dist(ax, None)
-            p_exploit = sum(p for (mode, _, _), p in dist.items() if mode == "exploit")
-            exp_reward = sum(
-                p * ax.states[sid].reward for (mode, sid, _), p in dist.items() if mode == "exploit"
-            )
+            p_exploit = sum(p for (_, level, _), p in dist.items() if level)
+            exp_reward = sum(p * ax[sid].reward for (sid, level, _), p in dist.items() if level)
             exp_cost = sum(p * spent for (_, _, spent), p in dist.items())
             value += reach * (exp_reward - exp_cost)
             cost += reach * exp_cost
@@ -836,8 +731,6 @@ def evaluate_plan_exact(
 
     if plan.variant != "budgeted":
         raise ValueError(f"unknown plan variant {plan.variant!r}")
-    if rule == "violate" and plan.alpha != 1.0:
-        raise ValueError("the violate rule applies to plain budgeted plans only")
     _require_integer_budgeted(instance, plan.budget)
     budget = float(plan.budget)
 
@@ -862,12 +755,12 @@ def evaluate_plan_exact(
         nxt: dict[tuple[int, float], float] = {}
         for (avail, m), pr in frontier.items():
             dist = outcomes(ax, avail if rule == "order" else None)
-            for (mode, sid, spent), p in dist.items():
+            for (sid, level, spent), p in dist.items():
                 mass = pr * p
-                r = ax.states[sid].reward
+                r = ax[sid].reward
                 cost += mass * spent
-                if mode in ("exploit", "stop"):
-                    value += mass * r
+                if level != 0:
+                    value += mass * r  # an exploit or a budget stop
                 elif rule == "violate" and spent > avail:
                     value += mass * r  # budget overshot: exploit this arm where it stopped
                 else:
@@ -888,10 +781,10 @@ class GreedyOrderProcess:
 
     Implements the `branches` protocol of
     ``oracle.enumerate_policy_statistics``: at each decision point the active
-    arm's uniform draw splits into play / exploit / dead branches, with the
-    budget gate and the argmax fallback mirrored from the executor.  The aux
-    value is the index of the active arm in plan order (or "pre" before the
-    affordability pre-check resolves).
+    arm's step splits into play / exploit / dead branches with the step
+    table's pz, px and pn, with the budget gate and the argmax fallback
+    mirrored from the executor.  The aux value is the index of the active arm
+    in plan order (or "pre" before the affordability pre-check resolves).
     """
 
     def __init__(self, instance: BanditInstance, plan: GreedyPlan, solution: RelaxationSolution):
@@ -923,24 +816,20 @@ class GreedyOrderProcess:
         if aux >= len(self.order):
             return [(1.0, self._fallback(joint), None)]
         ax = self.order[aux]
-        i = self.arm_index[ax.arm_id]
-        se = ax.states[joint.states[i]]
-        if se.w < UNREACHABLE_W:
-            return [(1.0, ("noop",), aux + 1)]
-        pz = se.z / se.w
-        px = max((se.zx - se.z) / se.w, 0.0)
-        pn = max(1.0 - pz - px, 0.0)
+        se = ax[joint.states[self.arm_index[ax.arm_id]]]
         out = []
-        if pz > 0.0:
-            cost = se.cost + (ax.h if joint.last != i else 0.0)
-            if cost > joint.budget:
-                out.append((pz, ("stop", ax.arm_id), None))  # budget-stop: exploit in place
+        if se.pz > 0.0:
+            # the active arm is never left and re-entered, so charge holds the
+            # switch cost exactly when the last play was on another arm
+            if se.charge > joint.budget:
+                out.append((se.pz, ("stop", ax.arm_id), None))  # budget-stop: exploit in place
             else:
-                out.append((pz, ("play", ax.arm_id), aux))
-        if px > 0.0:
-            out.append((px, ("stop", ax.arm_id), None))
-        if pn > 0.0:
-            out.append((pn, ("noop",), aux + 1))
+                out.append((se.pz, ("play", ax.arm_id), aux))
+        for p in se.px:
+            if p > 0.0:
+                out.append((p, ("stop", ax.arm_id), None))
+        if se.pn > 0.0:
+            out.append((se.pn, ("noop",), aux + 1))
         return out
 
 

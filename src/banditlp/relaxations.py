@@ -23,20 +23,11 @@ from .lp import LinearConstraint, LinearProgram, LPSolutionRaw, solve_lp
 from .statespace import ArmStateSpace, BanditInstance, ConcaveProblem, concave_grid_size
 
 CLEANUP_SLACK = 1e-6
-UNREACHABLE_W = 1e-9
 
 
 def var_name(kind: str, arm_id: str, state_id: str, level: int | None = None) -> str:
     base = f"{kind}|{arm_id}|{state_id}"
     return base if level is None else f"{base}|{level}"
-
-
-def decode_var(name: str) -> tuple[str, str, str, int | None]:
-    parts = name.split("|")
-    if len(parts) == 3:
-        return parts[0], parts[1], parts[2], None
-    kind, arm, state, level = parts
-    return kind, arm, state, int(level)
 
 
 def _check_ids(instance: BanditInstance) -> None:
@@ -327,27 +318,29 @@ class RelaxationSolution:
         return out
 
 
+def build_relaxation(instance: BanditInstance, epsilon: float | None = None) -> tuple[LinearProgram, int | None]:
+    """The variant LP for the instance and its concave grid size (None otherwise)."""
+    kind = instance.objective.kind
+    if kind == "budgeted":
+        return build_budgeted_lp(instance), None
+    if kind == "lagrangean":
+        return build_lagrangean_lp(instance), None
+    if kind == "concave":
+        lp = build_concave_lp(instance, epsilon)
+        eps = instance.objective.concave.epsilon if epsilon is None else epsilon
+        return lp, concave_grid_size(len(instance.arms), eps)
+    raise ValueError(f"unknown objective kind {kind!r}")
+
+
 def solve_relaxation(
     instance: BanditInstance, epsilon: float | None = None, tol: float | None = None
 ) -> RelaxationSolution:
     """Build the variant LP for the instance, solve it, and clean the optimum."""
-    kind = instance.objective.kind
-    if kind == "budgeted":
-        lp = build_budgeted_lp(instance)
-        grid = None
-    elif kind == "lagrangean":
-        lp = build_lagrangean_lp(instance)
-        grid = None
-    elif kind == "concave":
-        lp = build_concave_lp(instance, epsilon)
-        eps = instance.objective.concave.epsilon if epsilon is None else epsilon
-        grid = concave_grid_size(len(instance.arms), eps)
-    else:
-        raise ValueError(f"unknown objective kind {kind!r}")
+    lp, grid = build_relaxation(instance, epsilon)
     raw = solve_lp(lp, tol)
     if raw.status != "optimal":
         raise ValueError(f"relaxation LP is {raw.status}")
-    return RelaxationSolution.from_raw(instance, raw, kind, grid)
+    return RelaxationSolution.from_raw(instance, raw, instance.objective.kind, grid)
 
 
 @dataclass(frozen=True)

@@ -395,31 +395,62 @@ def _brute_force_evaluation(inst, plan, sol, rule):
 
 
 def test_arm_outcome_distribution_reproduces_lp_statistics():
-    # running one arm's stopping policy to completion exploits with
-    # probability P(phi), earns R(phi), and spends C(phi) in expectation:
-    # the per-arm outcome DP must reproduce the LP statistics identically
+    # running one arm's stopping policy to completion exploits at level l with
+    # the LP's mass there: E[level]/L is P(phi), the exploit value R(phi) and
+    # the spend C(phi) in expectation (a plain solution is the grid L = 1).
+    # The per-arm outcome DP over (state, level, spent) must reproduce the LP
+    # statistics identically, the concave exploit-level masses included.
     from banditlp.policies import _arm_outcome_dist, _tables
 
     suite = gen_random_suite(GeneratorSpec(family="random-two-level", count=5, seed=81, budget_cap=5))
     suite += gen_random_suite(GeneratorSpec(family="random-beta", count=5, seed=82, budget_cap=5))
+    suite += [as_concave(inst, capacity=1.0 + i % 2, epsilon=0.25) for i, inst in enumerate(suite)]
     for inst in suite:
         sol = solve_relaxation(inst)
         pols = extract_single_arm_policies(sol, inst)
         tables = _tables(inst, sol)
+        L = sol.grid or 1
+        prob = inst.objective.concave
         for pol, arm in zip(pols, inst.arms):
             dist = _arm_outcome_dist(tables[arm.arm_id], None)
-            p = sum(pr for (mode, _, _), pr in dist.items() if mode == "exploit")
-            r = sum(
-                pr * arm.states[sid].reward
-                for (mode, sid, _), pr in dist.items()
-                if mode == "exploit"
-            )
+
+            def value(sid, level):
+                if prob is None:
+                    return arm.states[sid].reward * level
+                return prob.table(arm.arm_id, sid)[level]
+
+            assert all(0 <= level <= L for (_, level, _) in dist)
+            p = sum(pr * level for (_, level, _), pr in dist.items()) / L
+            r = sum(pr * value(sid, level) for (sid, level, _), pr in dist.items())
             c = sum(pr * spent for (_, _, spent), pr in dist.items())
             assert p == pytest.approx(pol.explore_prob, abs=1e-9)
             assert r == pytest.approx(pol.reward, abs=1e-9)
             assert c == pytest.approx(pol.cost, abs=1e-9)
             total = sum(dist.values())
             assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "entry, rule, alpha",
+    [
+        ("exact", "Order", 1.0),
+        ("mc", "Order", 1.0),
+        ("verify", "Order", 1.0),
+        ("mc", "violate", 1.5),
+    ],
+)
+def test_unknown_budget_rule_rejected(entry, rule, alpha):
+    # a misspelt rule used to run with no budget rule at all (here MC
+    # max_cost 2 on budget 1, exact value 0.7545 against 0.75 for both rules)
+    inst = gen_random_suite(GeneratorSpec("random-beta", count=30, seed=5, budget_cap=3))[0]
+    sol, plan = _pipeline(inst, alpha=alpha)
+    with pytest.raises(ValueError):
+        if entry == "exact":
+            evaluate_plan_exact(inst, plan, sol, rule=rule)
+        elif entry == "mc":
+            monte_carlo_evaluate(inst, plan, sol, reps=10, seed=0, rule=rule)
+        else:
+            verify_trace(execute_greedy_order(inst, plan, sol, rng_seed=0), inst, plan, rule=rule)
 
 
 def test_exact_evaluator_matches_brute_force():
