@@ -73,14 +73,16 @@ def cmd_solve(args) -> int:
         with open(args.dump_lp, "w") as fh:
             fh.write(format_lp(lp))
     raw = solve_lp(lp)
+    counts = {"pivots": raw.pivots, "bland_pivots": raw.bland_pivots}
     if raw.status != "optimal":
-        _emit({"status": raw.status})
+        _emit({"status": raw.status, **counts})
         return 1
     solution = relaxations.RelaxationSolution.from_raw(instance, raw, instance.objective.kind, grid)
     _emit(
         {
             "status": raw.status,
             "gamma_star": solution.gamma_star,
+            **counts,
             "values": raw.values,
         }
     )

@@ -5,6 +5,37 @@ Dantzig's rule until a streak of degenerate pivots, then Bland's rule until
 the objective moves again, which guarantees termination on the highly
 degenerate relaxations this package produces.  Everything is deterministic
 for a fixed input.
+
+Each Gauss-Jordan elimination touches only the rows whose entry in the
+entering column is nonzero.  The relaxations' flow and cap rows involve a
+handful of states each, so a pivot on a per-arm DAG updates a few dozen of
+several hundred rows.  A skipped row would only have had +-0.0 subtracted,
+which can change the sign of a zero entry but no magnitude, so every
+comparison, pivot and returned value is what a full-tableau update gives.
+The artificial columns and the phase-1 cost row are dropped once phase 1
+ends.
+
+Tolerances:
+
+==========================  =====  ==========================================
+name                        value  guards
+==========================  =====  ==========================================
+``DEFAULT_TOL``             1e-7   feasibility of the returned point (bounds;
+                                   rows scaled by ``1 + |rhs|``); overridable
+                                   by ``BANDITLP_TOL`` or the ``tol`` argument
+``_PIVOT_EPS``              1e-10  smallest usable pivot in the ratio test and
+                                   in the post-phase-1 basis repair; a step
+                                   no longer than this counts as degenerate
+``_OPT_EPS``                1e-9   reduced cost below ``-_OPT_EPS`` enters
+``_TIE_EPS``                1e-12  ratios within this of the minimum tie;
+                                   the smallest basic index leaves
+``_INFEASIBLE_EPS``         1e-8   phase-1 optimum above this, scaled by
+                                   ``1 + max|b|``, means infeasible
+``_SNAP_EPS``               1e-9   a value this close to a bound snaps to it
+                                   (capped by the feasibility tolerance)
+``_DEGENERATE_STREAK``      30     degenerate pivots in a row before Bland's
+                                   rule takes over
+==========================  =====  ==========================================
 """
 
 from __future__ import annotations
@@ -19,6 +50,9 @@ import numpy as np
 DEFAULT_TOL = 1e-7
 _PIVOT_EPS = 1e-10
 _OPT_EPS = 1e-9
+_TIE_EPS = 1e-12
+_INFEASIBLE_EPS = 1e-8
+_SNAP_EPS = 1e-9
 _DEGENERATE_STREAK = 30
 
 
@@ -68,6 +102,8 @@ class LPSolutionRaw:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: dict[str, float]
     objective_value: float | None
+    pivots: int = 0  # every pivot, both phases and the basis repair between them
+    bland_pivots: int = 0  # pivots whose entering column Bland's rule chose
 
 
 def default_tolerance() -> float:
@@ -117,7 +153,7 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
     index = {n: i for i, n in enumerate(names)}
     n_all = len(names)
 
-    fixed = np.isclose(ub - lb, 0.0, atol=0.0)  # lb == ub exactly
+    fixed = lb == ub
     free_idx = [i for i in range(n_all) if not fixed[i]]
     col_of = {i: j for j, i in enumerate(free_idx)}
     n = len(free_idx)
@@ -192,27 +228,31 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
     for r in art_rows:
         c1 -= T[r]
 
+    costs = [c1, c2]  # cost rows kept in step with T
     max_iter = 50_000
-    iters = 0
+    pivots = 0
+    bland_pivots = 0
 
     def pivot(r: int, j: int) -> None:
-        nonlocal iters
+        nonlocal pivots
         T[r] /= T[r, j]
         col = T[:, j].copy()
         col[r] = 0.0
-        T[:] -= np.outer(col, T[r])
-        for crow in (c1, c2):
+        nz = col.nonzero()[0]  # the other rows would only lose +-0.0
+        T[nz] -= np.multiply.outer(col[nz], T[r])
+        for crow in costs:
             if abs(crow[j]) > 0:
                 crow -= crow[j] * T[r]
         basis[r] = j
-        iters += 1
+        pivots += 1
 
     def run(cost: np.ndarray, allowed: int) -> str:
         """Pivot to optimality of `cost` over columns [0, allowed). Returns status."""
+        nonlocal bland_pivots
         degenerate = 0
         bland = False
         while True:
-            if iters > max_iter:
+            if pivots > max_iter:
                 raise LPSolverError("simplex did not converge (iteration limit)")
             red = cost[:allowed]
             if bland:
@@ -231,8 +271,10 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
             ratios = np.full(m, np.inf)
             ratios[mask] = T[mask, -1] / colvals[mask]
             best = ratios.min()
-            ties = np.nonzero(ratios <= best + 1e-12)[0]
+            ties = np.nonzero(ratios <= best + _TIE_EPS)[0]
             r = int(min(ties, key=lambda i: basis[i]))
+            if bland:
+                bland_pivots += 1
             if best <= _PIVOT_EPS:
                 degenerate += 1
                 if degenerate >= _DEGENERATE_STREAK:
@@ -246,8 +288,16 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
     if n_art:
         status = run(c1, total)
         phase1 = -c1[-1]
-        if status != "optimal" or phase1 > 1e-8 * (1.0 + float(np.abs(b).max(initial=0.0))):
-            return LPSolutionRaw("infeasible", {}, None)
+        if status != "optimal" or phase1 > _INFEASIBLE_EPS * (1.0 + float(np.abs(b).max(initial=0.0))):
+            return LPSolutionRaw("infeasible", {}, None, pivots, bland_pivots)
+        # Phase 2 never prices the artificials or reads c1: move the right-hand
+        # side into the first artificial column and stop carrying the rest.
+        k = n + n_slack
+        T[:, k] = T[:, -1]
+        T = T[:, : k + 1]
+        c2[k] = c2[-1]
+        c2 = c2[: k + 1]
+        costs = [c2]
         drop: list[int] = []
         for r in range(m):
             if basis[r] >= n + n_slack:
@@ -265,14 +315,14 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
 
     status = run(c2, n + n_slack)
     if status == "unbounded":
-        return LPSolutionRaw("unbounded", {}, None)
+        return LPSolutionRaw("unbounded", {}, None, pivots, bland_pivots)
 
-    y = np.zeros(total)
+    y = np.zeros(n + n_slack)
     for r in range(m):
         y[basis[r]] = T[r, -1]
 
     values: dict[str, float] = {}
-    snap = min(tol, 1e-9)
+    snap = min(tol, _SNAP_EPS)
     for i, name in enumerate(names):
         if fixed[i]:
             v = lb[i]
@@ -289,7 +339,7 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
     if bad:
         worst = max(bad, key=lambda kv: kv[1])
         raise LPSolverError(f"solver returned an infeasible point: {worst[0]} by {worst[1]:.3g}")
-    return LPSolutionRaw("optimal", values, objective_value(lp, values))
+    return LPSolutionRaw("optimal", values, objective_value(lp, values), pivots, bland_pivots)
 
 
 def format_lp(lp: LinearProgram) -> str:

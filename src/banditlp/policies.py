@@ -560,6 +560,8 @@ def verify_trace(
             cap = plan.budget + instance.max_single_arm_cost()
             if trace.total_cost > cap + 1e-9:
                 out.append("greedy-violate trace exceeds budget + c_max")
+    if plan.variant == "concave" and trace.total_cost > plan.budget + 1e-9:
+        out.append("concave trace exceeds the budget")
     if plan.variant == "concave" and trace.weight_numerators is not None:
         prob = instance.objective.concave
         L = trace.grid

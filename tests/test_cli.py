@@ -29,6 +29,7 @@ def test_gen_validate_solve_plan_run_oracle(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "optimal"
     assert abs(doc["gamma_star"] - 1.0) < 1e-6
+    assert (doc["pivots"], doc["bland_pivots"]) == (17, 0)  # the gap-4 LP's pivot path
     text = open(dump).read()
     assert text.startswith("Maximize") and "Subject To" in text
 

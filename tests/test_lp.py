@@ -162,6 +162,30 @@ def test_matches_scipy_on_concave_lps():
         assert check_feasibility(lp, sol.values, 1e-7) == []
 
 
+def test_matches_scipy_on_midsize_ladder_relaxations():
+    # the 10x4 Beta-Bernoulli ladder (450 columns, 292 rows) and its twins:
+    # large enough that most rows of each elimination are skipped
+    from banditlp.bench import as_concave, as_lagrangean
+    from banditlp.relaxations import build_relaxation
+    from banditlp.statespace import BanditInstance, Objective, build_beta_bernoulli_arm
+
+    arms = tuple(
+        build_beta_bernoulli_arm(1 + i % 3, 1 + (i * 7) % 3, 4, play_cost=1, switch_cost=i % 2, arm_id=f"a{i}")
+        for i in range(10)
+    )
+    ladder = BanditInstance(arms=arms, budget=20.0, objective=Objective("budgeted"))
+    small = BanditInstance(arms=arms[:3], budget=6.0, objective=Objective("budgeted"))
+    for inst in (ladder, as_lagrangean(ladder), as_concave(small, capacity=1.0, epsilon=0.25)):
+        lp, _ = build_relaxation(inst)
+        sol = solve_lp(lp)
+        assert sol.status == "optimal"
+        ref = scipy_optimum(lp)
+        assert sol.objective_value == pytest.approx(ref, rel=1e-6)
+        assert check_feasibility(lp, sol.values) == []
+        again = solve_lp(lp)
+        assert again.values == sol.values
+
+
 def test_feasibility_tolerances():
     lp = build_budgeted_lp(gen_integrality_gap(8))
     sol = solve_lp(lp, tol=1e-7)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -537,6 +538,22 @@ def test_concave_executor_top1_halving():
         assert total <= Fraction(int(prob.capacity))
         # value recomputable from the final weights
         assert trace.value >= 0.0
+
+
+def test_verify_trace_audits_concave_cost_against_budget():
+    inst = as_concave(
+        gen_random_suite(GeneratorSpec(family="random-beta", count=30, seed=5, budget_cap=3))[0],
+        capacity=1.0,
+        epsilon=0.25,
+    )
+    sol, plan = _pipeline(inst)
+    trace = execute_concave_greedy(inst, plan, sol, rng_seed=0)
+    assert trace.total_cost == inst.budget == 1.0
+    assert verify_trace(trace, inst, plan) == []
+    events = [dataclasses.replace(e, cost=e.cost + 50.0) if e.cost > 0 else e for e in trace.events]
+    raised = dataclasses.replace(trace, events=events, total_cost=sum(e.cost for e in events))
+    assert raised.total_cost == 51.0
+    assert verify_trace(raised, inst, plan) == ["concave trace exceeds the budget"]
 
 
 def test_concave_all_arms_reach_half_weight():
