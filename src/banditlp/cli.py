@@ -1,8 +1,6 @@
 """Command-line interface: generate, validate, solve, plan, run, oracle, suite.
 
-All output is machine-readable JSON unless asked for CSV.  The LP feasibility
-tolerance can be overridden globally with the BANDITLP_TOL environment
-variable.
+All output is machine-readable JSON unless asked for CSV.
 """
 
 from __future__ import annotations
@@ -77,7 +75,7 @@ def cmd_solve(args) -> int:
     if raw.status != "optimal":
         _emit({"status": raw.status, **counts})
         return 1
-    solution = relaxations.RelaxationSolution.from_raw(instance, raw, instance.objective.kind, grid)
+    solution = relaxations.RelaxationSolution.from_raw(instance, raw, grid)
     _emit(
         {
             "status": raw.status,

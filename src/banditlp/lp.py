@@ -22,7 +22,7 @@ name                        value  guards
 ==========================  =====  ==========================================
 ``DEFAULT_TOL``             1e-7   feasibility of the returned point (bounds;
                                    rows scaled by ``1 + |rhs|``); overridable
-                                   by ``BANDITLP_TOL`` or the ``tol`` argument
+                                   by the ``tol`` argument
 ``_PIVOT_EPS``              1e-10  smallest usable pivot in the ratio test and
                                    in the post-phase-1 basis repair; a step
                                    no longer than this counts as degenerate
@@ -41,7 +41,6 @@ name                        value  guards
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -106,19 +105,11 @@ class LPSolutionRaw:
     bland_pivots: int = 0  # pivots whose entering column Bland's rule chose
 
 
-def default_tolerance() -> float:
-    """Feasibility tolerance, overridable via the BANDITLP_TOL environment variable."""
-    raw = os.environ.get("BANDITLP_TOL")
-    if raw:
-        return float(raw)
-    return DEFAULT_TOL
-
-
 def check_feasibility(
     lp: LinearProgram, values: Mapping[str, float], tol: float | None = None
 ) -> list[tuple[str, float]]:
     """Violations of constraints/bounds beyond tol, as (description, amount)."""
-    tol = default_tolerance() if tol is None else tol
+    tol = DEFAULT_TOL if tol is None else tol
     out: list[tuple[str, float]] = []
     for name, lb, ub in lp.variables:
         v = values.get(name, 0.0)
@@ -144,7 +135,7 @@ def objective_value(lp: LinearProgram, values: Mapping[str, float]) -> float:
 
 def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
     """Solve a small LP to optimality with a deterministic two-phase simplex."""
-    tol = default_tolerance() if tol is None else tol
+    tol = DEFAULT_TOL if tol is None else tol
     lp.check_well_formed()
 
     names = [v[0] for v in lp.variables]

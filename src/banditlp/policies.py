@@ -6,11 +6,11 @@ randomized stopping policy runs to its end and the arm is never revisited.
 A rounded policy is therefore a plan order plus one per-arm step, described
 once per state by the step table `_Step`: draw q uniformly in [0, w]; play if
 q <= z; otherwise exploit at the smallest level l with q <= cuts[l], where
-level 0 (or q past the last cut) is a dead stop.  The cuts are (z, z + x) for
-plain solutions, so level 1 is the plain exploit, and z + x_0,
-z + x_0 + x_1, ... on the concave weight grid.  The table also holds the
-exact probabilities pz, px (per level) and pn of those outcomes, the charge
-of a play and the child distribution.
+level 0 (or q past the last cut) is a dead stop.  The cuts are z + x_0,
+z + x_0 + x_1, ... over the solution's exploit masses at levels 0..L; a plain
+solution is the one-level grid (0, x), so its level 1 is the plain exploit.
+The table also holds the exact probabilities pz, px (per level) and pn of
+those outcomes, the charge of a play and the child distribution.
 
 Every consumer reads that one table:
 
@@ -149,7 +149,7 @@ class _Step:
 
     __slots__ = ("w", "z", "cuts", "pz", "px", "pn", "cost", "charge", "reward", "children", "probs", "cum_probs")
 
-    def __init__(self, st, w: float, z: float, masses: Sequence[float], switch: float):
+    def __init__(self, st, w: float, z: float, masses: Sequence[float], charge: float):
         self.w = w
         self.z = z
         self.cuts = tuple(accumulate(masses, initial=z))[1:]
@@ -160,7 +160,7 @@ class _Step:
             self.px = tuple(max((hi - lo) / w, 0.0) for lo, hi in zip(self.cuts, self.cuts[1:]))
             self.pn = max(1.0 - self.pz - sum(self.px), 0.0)
         self.cost = st.play_cost
-        self.charge = st.play_cost + switch
+        self.charge = charge
         self.reward = st.reward
         self.children = tuple(c for c, p in st.transitions if p > 0.0)
         self.probs = tuple(p for _, p in st.transitions if p > 0.0)
@@ -185,20 +185,12 @@ class _ArmExec(dict):
         st = self.arm.states[sid]
         key = (self.arm_id, sid)
         z = 0.0 if st.is_leaf else self.solution.z[key]
-        # a plain solution is the one-level grid with no mass at level 0
-        masses = self.solution.x_grid.get(key, (0.0, self.solution.x.get(key, 0.0)))
-        step = self[sid] = _Step(st, self.solution.w[key], z, masses, self.h if sid == self.root else 0.0)
+        step = self[sid] = _Step(st, self.solution.w[key], z, self.solution.x[key], self.arm.play_charge(sid))
         return step
 
 
 def _tables(instance: BanditInstance, solution: RelaxationSolution) -> dict[str, _ArmExec]:
     return {arm.arm_id: _ArmExec(arm, solution) for arm in instance.arms}
-
-
-def rng_stream(seed: int, rep: int) -> "_DrawStream":
-    """Counter-based uniform stream keyed by (seed, replication)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, rep & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return _DrawStream(np.random.Generator(np.random.Philox(key=key)))
 
 
 class _DrawStream:
@@ -223,11 +215,11 @@ class _DrawStream:
 
 
 class _StreamPool:
-    """Re-keys one Philox generator per replication; streams match rng_stream.
+    """Counter-based uniform streams keyed by (seed, replication).
 
-    Rebuilding the bit-generator state in place avoids the construction cost
-    that dominates tight Monte-Carlo loops while producing bit-identical
-    draws.
+    Stream k draws what a fresh ``Philox(key=[seed, k])`` generator draws.
+    Re-keying one generator in place avoids the construction cost that
+    dominates tight Monte-Carlo loops.
     """
 
     __slots__ = ("_bg", "_gen", "_seed")
@@ -474,7 +466,7 @@ def _check_rule(plan: GreedyPlan, rule: str) -> None:
 
 def _execute(instance, plan, solution, rng_seed, rule="order") -> ExecutionTrace:
     run, exploited, value, extra = _RUNNERS[plan.variant](
-        instance, plan, _tables(instance, solution), rule, rng_stream(rng_seed, 0), True
+        instance, plan, _tables(instance, solution), rule, _StreamPool(rng_seed).stream(0), True
     )
     trace = ExecutionTrace(
         variant=plan.variant,
@@ -876,7 +868,7 @@ def nonadaptive_two_level(
     gamma = solution.gamma_star
 
     root_mass = sum(
-        arm.states[arm.root].reward * solution.x[(arm.arm_id, arm.root)] for arm in instance.arms
+        arm.states[arm.root].reward * sum(solution.x[(arm.arm_id, arm.root)]) for arm in instance.arms
     )
     if root_mass >= gamma / 7.0 - 1e-12:
         arm_id, _, r = _argmax_root(instance)
@@ -891,16 +883,16 @@ def nonadaptive_two_level(
     raw = solve_lp(lp)
     if raw.status != "optimal":
         raise RuntimeError(f"restricted LP is {raw.status}")
-    restricted = RelaxationSolution.from_raw(instance, raw, "budgeted")
+    restricted = RelaxationSolution.from_raw(instance, raw)
 
     items = []
     for arm in instance.arms:
         z_i = restricted.z[(arm.arm_id, arm.root)]
         leaf_mass = sum(
-            restricted.x[(arm.arm_id, sid)] for sid in arm.states if sid != arm.root
+            sum(restricted.x[(arm.arm_id, sid)]) for sid in arm.states if sid != arm.root
         )
         leaf_value = sum(
-            restricted.x[(arm.arm_id, sid)] * arm.states[sid].reward
+            sum(restricted.x[(arm.arm_id, sid)]) * arm.states[sid].reward
             for sid in arm.states
             if sid != arm.root
         )
@@ -909,7 +901,7 @@ def nonadaptive_two_level(
             R_i = leaf_value / z_i
         else:
             X_i = R_i = 0.0
-        c_i = arm.switch_cost + arm.states[arm.root].play_cost
+        c_i = arm.play_charge(arm.root)
         if C > 0:
             m_i = c_i / C + X_i
         else:

@@ -2,10 +2,15 @@
 
 Three relaxations share one variable scheme per arm state u: w_u is the
 probability the state is ever reached, z_u the probability the arm is played
-there, x_u (or the grid family x_{u,l}) the probability the arm is exploited
-there.  The optimal LP solution decomposes into one randomized single-arm
-policy per arm; its statistics (exploit probability P, exploit reward R,
-exploration cost C) drive the greedy rounding in `policies`.
+there, and x_{u,l} the probability the arm is exploited there at weight level
+l of the grid {0..L}/L.  The concave relaxation has the whole grid; the
+budgeted and Lagrangean ones are the one-level grid L = 1 (exploit or not),
+whose only variable x_u is level 1 and whose level 0, a dead stop, carries no
+mass.  `_exploit_levels` is the one place that tells the two apart; a
+solution stores every state's masses at levels 0..L, (0.0, x_u) when plain.
+The optimal LP solution decomposes into one randomized single-arm policy per
+arm; its statistics (exploit probability P, exploit reward R, exploration
+cost C) drive the greedy rounding in `policies`.
 
 w at each root is pinned to 1 (not exploring and not exploiting is always
 allowed by x + z <= w, so nothing is lost) and z is pinned to 0 at leaves
@@ -17,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 from .lp import LinearConstraint, LinearProgram, LPSolutionRaw, solve_lp
 from .statespace import ArmStateSpace, BanditInstance, ConcaveProblem, concave_grid_size
@@ -28,6 +32,21 @@ CLEANUP_SLACK = 1e-6
 def var_name(kind: str, arm_id: str, state_id: str, level: int | None = None) -> str:
     base = f"{kind}|{arm_id}|{state_id}"
     return base if level is None else f"{base}|{level}"
+
+
+def _exploit_levels(
+    instance: BanditInstance, arm: ArmStateSpace, sid: str, grid: int | None
+) -> tuple[tuple[int, str, float], ...]:
+    """A state's exploit levels as (level l, LP variable, value zeta(l)).
+
+    Plain (grid None): the one variable x|a|s at level 1, worth the state's
+    reward.  Concave grid: x|a|s|l for l = 0..L, worth the value table's
+    entry l.
+    """
+    if grid is None:
+        return ((1, var_name("x", arm.arm_id, sid), arm.states[sid].reward),)
+    zeta = instance.objective.concave.table(arm.arm_id, sid)
+    return tuple((l, var_name("x", arm.arm_id, sid, l), zeta[l]) for l in range(grid + 1))
 
 
 def _check_ids(instance: BanditInstance) -> None:
@@ -55,11 +74,8 @@ def _core_rows(instance: BanditInstance, lp_vars, constraints, grid: int | None)
             is_root = sid == arm.root
             lp_vars.append((var_name("w", arm.arm_id, sid), 1.0 if is_root else 0.0, 1.0))
             lp_vars.append((var_name("z", arm.arm_id, sid), 0.0, 0.0 if st.is_leaf else 1.0))
-            if grid is None:
-                lp_vars.append((var_name("x", arm.arm_id, sid), 0.0, 1.0))
-            else:
-                for l in range(grid + 1):
-                    lp_vars.append((var_name("x", arm.arm_id, sid, l), 0.0, 1.0))
+            for _, name, _ in _exploit_levels(instance, arm, sid, grid):
+                lp_vars.append((name, 0.0, 1.0))
         for sid in order:
             if sid != arm.root:
                 coeffs: dict[str, float] = {var_name("w", arm.arm_id, sid): 1.0}
@@ -75,11 +91,8 @@ def _core_rows(instance: BanditInstance, lp_vars, constraints, grid: int | None)
                 var_name("z", arm.arm_id, sid): 1.0,
                 var_name("w", arm.arm_id, sid): -1.0,
             }
-            if grid is None:
-                coeffs[var_name("x", arm.arm_id, sid)] = 1.0
-            else:
-                for l in range(grid + 1):
-                    coeffs[var_name("x", arm.arm_id, sid, l)] = 1.0
+            for _, name, _ in _exploit_levels(instance, arm, sid, grid):
+                coeffs[name] = 1.0
             constraints.append(LinearConstraint(coeffs, "<=", 0.0, name=f"cap|{arm.arm_id}|{sid}"))
 
 
@@ -87,13 +100,17 @@ def _cost_row(instance: BanditInstance) -> dict[str, float]:
     coeffs: dict[str, float] = {}
     for arm in instance.arms:
         for sid in arm.topo_order():
-            st = arm.states[sid]
-            if st.is_leaf:
+            if arm.states[sid].is_leaf:
                 continue
-            c = st.play_cost + (arm.switch_cost if sid == arm.root else 0.0)
+            c = arm.play_charge(sid)
             if c != 0.0:
                 coeffs[var_name("z", arm.arm_id, sid)] = c
     return coeffs
+
+
+def _unit_mass_row(instance: BanditInstance) -> LinearConstraint:
+    mass = {var_name("x", a.arm_id, sid): 1.0 for a in instance.arms for sid in a.topo_order()}
+    return LinearConstraint(mass, "<=", 1.0, name="exploit-mass")
 
 
 def build_budgeted_lp(instance: BanditInstance) -> LinearProgram:
@@ -108,10 +125,7 @@ def build_budgeted_lp(instance: BanditInstance) -> LinearProgram:
     constraints: list[LinearConstraint] = []
     _core_rows(instance, lp_vars, constraints, grid=None)
     constraints.insert(0, LinearConstraint(_cost_row(instance), "<=", float(instance.budget), name="cost"))
-    mass = {
-        var_name("x", a.arm_id, sid): 1.0 for a in instance.arms for sid in a.topo_order()
-    }
-    constraints.insert(1, LinearConstraint(mass, "<=", 1.0, name="exploit-mass"))
+    constraints.insert(1, _unit_mass_row(instance))
     objective = {}
     for arm in instance.arms:
         for sid in arm.topo_order():
@@ -130,10 +144,7 @@ def build_lagrangean_lp(instance: BanditInstance) -> LinearProgram:
     lp_vars: list[tuple[str, float, float]] = []
     constraints: list[LinearConstraint] = []
     _core_rows(instance, lp_vars, constraints, grid=None)
-    mass = {
-        var_name("x", a.arm_id, sid): 1.0 for a in instance.arms for sid in a.topo_order()
-    }
-    constraints.insert(0, LinearConstraint(mass, "<=", 1.0, name="exploit-mass"))
+    constraints.insert(0, _unit_mass_row(instance))
     objective: dict[str, float] = {}
     for arm in instance.arms:
         for sid in arm.topo_order():
@@ -141,7 +152,7 @@ def build_lagrangean_lp(instance: BanditInstance) -> LinearProgram:
             if st.reward != 0.0:
                 objective[var_name("x", arm.arm_id, sid)] = st.reward
             if not st.is_leaf:
-                c = st.play_cost + (arm.switch_cost if sid == arm.root else 0.0)
+                c = arm.play_charge(sid)
                 if c != 0.0:
                     objective[var_name("z", arm.arm_id, sid)] = -c
     return LinearProgram(lp_vars, constraints, objective)
@@ -206,13 +217,11 @@ def build_concave_lp(instance: BanditInstance, epsilon: float | None = None) -> 
     for arm in instance.arms:
         sigma = prob.sigmas[arm.arm_id]
         for sid in arm.topo_order():
-            zeta = prob.table(arm.arm_id, sid)
-            for l in range(grid + 1):
-                name = var_name("x", arm.arm_id, sid, l)
+            for l, name, value in _exploit_levels(instance, arm, sid, grid):
                 if sigma * l != 0.0:
                     packing[name] = sigma * l
-                if zeta[l] != 0.0:
-                    objective[name] = zeta[l]
+                if value != 0.0:
+                    objective[name] = value
     constraints.insert(
         1,
         LinearConstraint(packing, "<=", prob.capacity * grid * (1.0 + eps), name="weight-packing"),
@@ -226,14 +235,16 @@ def build_concave_lp(instance: BanditInstance, epsilon: float | None = None) -> 
 
 @dataclass
 class RelaxationSolution:
-    """Cleaned per-state LP values plus the LP objective gamma*."""
+    """Cleaned per-state LP values plus the LP objective gamma*.
 
-    variant: str
+    x maps each state to its exploit masses at the levels 0..L of its weight
+    grid; a plain solution (grid None) is the one-level grid (0.0, x_u).
+    """
+
     gamma_star: float
     w: dict[tuple[str, str], float]
-    x: dict[tuple[str, str], float]
+    x: dict[tuple[str, str], tuple[float, ...]]
     z: dict[tuple[str, str], float]
-    x_grid: dict[tuple[str, str], tuple[float, ...]]
     grid: int | None = None
 
     @classmethod
@@ -241,61 +252,49 @@ class RelaxationSolution:
         cls,
         instance: BanditInstance,
         raw: LPSolutionRaw,
-        variant: str,
         grid: int | None = None,
     ) -> "RelaxationSolution":
         """Clamp and rescale an optimal LP point into executable thresholds.
 
         Variables are clamped into [0, w_u]; if z + exploit mass overshoots
-        w_u by at most 1e-6 the pair is rescaled proportionally; a larger
-        overshoot means the point was not feasible and is rejected.
+        w_u by at most 1e-6 the state's values are rescaled proportionally; a
+        larger overshoot means the point was not feasible and is rejected.  A
+        variable missing from the point (a grid that does not match the LP)
+        is rejected too.
         """
         if raw.status != "optimal":
             raise ValueError(f"cannot extract a policy from a {raw.status} LP solution")
+
+        def value(name: str) -> float:
+            try:
+                return raw.values[name]
+            except KeyError:
+                raise ValueError(f"the LP solution has no variable {name!r}; does the grid match the LP?") from None
+
         w: dict[tuple[str, str], float] = {}
-        x: dict[tuple[str, str], float] = {}
+        x: dict[tuple[str, str], tuple[float, ...]] = {}
         z: dict[tuple[str, str], float] = {}
-        xg: dict[tuple[str, str], tuple[float, ...]] = {}
         for arm in instance.arms:
             for sid in arm.topo_order():
                 key = (arm.arm_id, sid)
-                wv = 1.0 if sid == arm.root else raw.values.get(var_name("w", *key), 0.0)
+                wv = 1.0 if sid == arm.root else value(var_name("w", *key))
                 wv = min(max(wv, 0.0), 1.0)
-                zv = min(max(raw.values.get(var_name("z", *key), 0.0), 0.0), wv)
-                if grid is None:
-                    xv = min(max(raw.values.get(var_name("x", *key), 0.0), 0.0), wv)
-                    total = zv + xv
-                    if total > wv:
-                        if total - wv > CLEANUP_SLACK:
-                            raise ValueError(f"x+z exceeds w at {key} by {total - wv:.3g}")
-                        scale = wv / total
-                        zv *= scale
-                        xv *= scale
-                    x[key] = xv
-                else:
-                    grid_vals = [
-                        min(max(raw.values.get(var_name("x", key[0], key[1], l), 0.0), 0.0), wv)
-                        for l in range(grid + 1)
-                    ]
-                    total = zv + sum(grid_vals)
-                    if total > wv:
-                        if total - wv > CLEANUP_SLACK:
-                            raise ValueError(f"x+z exceeds w at {key} by {total - wv:.3g}")
-                        scale = wv / total
-                        zv *= scale
-                        grid_vals = [g * scale for g in grid_vals]
-                    xg[key] = tuple(grid_vals)
+                zv = min(max(value(var_name("z", *key)), 0.0), wv)
+                levels = _exploit_levels(instance, arm, sid, grid)
+                masses = [0.0] * (levels[-1][0] + 1)  # levels 0..L; plain has no level-0 variable
+                for l, name, _ in levels:
+                    masses[l] = min(max(value(name), 0.0), wv)
+                total = zv + sum(masses)
+                if total > wv:
+                    if total - wv > CLEANUP_SLACK:
+                        raise ValueError(f"x+z exceeds w at {key} by {total - wv:.3g}")
+                    scale = wv / total
+                    zv *= scale
+                    masses = [m * scale for m in masses]
                 w[key] = wv
+                x[key] = tuple(masses)
                 z[key] = zv
-        return cls(
-            variant=variant,
-            gamma_star=float(raw.objective_value),
-            w=w,
-            x=x,
-            z=z,
-            x_grid=xg,
-            grid=grid,
-        )
+        return cls(gamma_star=float(raw.objective_value), w=w, x=x, z=z, grid=grid)
 
     def check_invariants(self, instance: BanditInstance, tol: float = 1e-6) -> list[str]:
         """Flow/disjointness violations beyond tol (empty for a clean solution)."""
@@ -305,8 +304,7 @@ class RelaxationSolution:
             parents = _parents(arm, order)
             for sid in order:
                 key = (arm.arm_id, sid)
-                mass = self.x.get(key, 0.0) + sum(self.x_grid.get(key, ()))
-                if self.z[key] + mass > self.w[key] + tol:
+                if self.z[key] + sum(self.x[key]) > self.w[key] + tol:
                     out.append(f"x+z > w at {key}")
                 if sid == arm.root:
                     if self.w[key] != 1.0:
@@ -332,78 +330,43 @@ def build_relaxation(instance: BanditInstance, epsilon: float | None = None) -> 
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
-def solve_relaxation(
-    instance: BanditInstance, epsilon: float | None = None, tol: float | None = None
-) -> RelaxationSolution:
+def solve_relaxation(instance: BanditInstance, epsilon: float | None = None) -> RelaxationSolution:
     """Build the variant LP for the instance, solve it, and clean the optimum."""
     lp, grid = build_relaxation(instance, epsilon)
-    raw = solve_lp(lp, tol)
+    raw = solve_lp(lp)
     if raw.status != "optimal":
         raise ValueError(f"relaxation LP is {raw.status}")
-    return RelaxationSolution.from_raw(instance, raw, instance.objective.kind, grid)
-
-
-@dataclass(frozen=True)
-class StatePolicy:
-    """Uniform-draw thresholds at one state: draw q in [0,w]; play if q <= z,
-    exploit if q <= z + exploit mass, otherwise stop dead."""
-
-    w: float
-    z: float
-    x: float = 0.0
-    x_grid: tuple[float, ...] | None = None
-
-    @property
-    def exploit_mass(self) -> float:
-        return self.x if self.x_grid is None else sum(self.x_grid)
+    return RelaxationSolution.from_raw(instance, raw, grid)
 
 
 @dataclass(frozen=True)
 class SingleArmPolicy:
-    """One arm's randomized stopping policy plus its summary statistics."""
+    """One arm's randomized stopping policy, summarized by its statistics.
+
+    The policy itself is the solution's thresholds at the arm's states: draw
+    q uniformly in [0, w]; play if q <= z, else exploit at the level whose
+    mass q falls in, else stop dead (see `policies._Step`).
+    """
 
     arm_id: str
-    states: Mapping[str, StatePolicy]
-    explore_prob: float  # P(phi): exploit probability (expected weight for concave)
-    reward: float  # R(phi): expected exploit reward/value
+    explore_prob: float  # P(phi): expected exploit weight E[l]/L (the exploit probability when plain)
+    reward: float  # R(phi): expected exploit value E[zeta(l)]
     cost: float  # C(phi): expected switch + play cost
-
-    def recompute_stats(self, arm: ArmStateSpace, grid: int | None, concave: ConcaveProblem | None):
-        """Recompute (P, R, C) from the thresholds; used by invariant tests."""
-        p = r = c = 0.0
-        for sid, sp in self.states.items():
-            st = arm.states[sid]
-            cost = st.play_cost + (arm.switch_cost if sid == arm.root else 0.0)
-            c += cost * sp.z
-            if grid is None:
-                p += sp.x
-                r += sp.x * st.reward
-            else:
-                zeta = concave.table(arm.arm_id, sid)
-                p += sum(l * v for l, v in enumerate(sp.x_grid)) / grid
-                r += sum(v * zeta[l] for l, v in enumerate(sp.x_grid))
-        return p, r, c
 
 
 def extract_single_arm_policies(
     solution: RelaxationSolution, instance: BanditInstance
 ) -> list[SingleArmPolicy]:
     """One randomized stopping policy per arm, in instance order."""
-    concave = instance.objective.concave
     out: list[SingleArmPolicy] = []
     for arm in instance.arms:
-        states: dict[str, StatePolicy] = {}
+        p = r = c = 0.0
         for sid in arm.topo_order():
             key = (arm.arm_id, sid)
-            states[sid] = StatePolicy(
-                w=solution.w[key],
-                z=solution.z[key],
-                x=solution.x.get(key, 0.0),
-                x_grid=solution.x_grid.get(key),
-            )
-        policy = SingleArmPolicy(arm_id=arm.arm_id, states=states, explore_prob=0.0, reward=0.0, cost=0.0)
-        p, r, c = policy.recompute_stats(arm, solution.grid, concave)
-        out.append(
-            SingleArmPolicy(arm_id=arm.arm_id, states=states, explore_prob=p, reward=r, cost=c)
-        )
+            masses = solution.x[key]
+            levels = _exploit_levels(instance, arm, sid, solution.grid)
+            p += sum(l * masses[l] for l, _, _ in levels) / (len(masses) - 1)
+            r += sum(masses[l] * value for l, _, value in levels)
+            c += arm.play_charge(sid) * solution.z[key]
+        out.append(SingleArmPolicy(arm_id=arm.arm_id, explore_prob=p, reward=r, cost=c))
     return out

@@ -97,12 +97,15 @@ class ArmStateSpace:
                 best[sid] = st.play_cost + max(best.get(c, 0.0) for c, _ in st.transitions)
         return self.switch_cost + best.get(self.root, 0.0)
 
+    def play_charge(self, state_id: str) -> float:
+        """Cost of playing at a state, the switch cost included at the root."""
+        return self.states[state_id].play_cost + (self.switch_cost if state_id == self.root else 0.0)
+
     def first_play_cost(self) -> float | None:
         """Cost of the first possible play (switch + root play); None if the root is a leaf."""
-        root = self.states[self.root]
-        if root.is_leaf:
+        if self.states[self.root].is_leaf:
             return None
-        return self.switch_cost + root.play_cost
+        return self.play_charge(self.root)
 
     def is_two_level(self) -> bool:
         """True when the arm is a depth-1 star: root plays once, all children are leaves."""

@@ -102,12 +102,3 @@ def test_suite_and_report_round_trip(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("instance")
     assert len(lines) == 4
-
-
-def test_tolerance_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BANDITLP_TOL", "1e-6")
-    from banditlp.lp import default_tolerance
-
-    assert default_tolerance() == 1e-6
-    monkeypatch.delenv("BANDITLP_TOL")
-    assert default_tolerance() == 1e-7

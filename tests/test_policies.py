@@ -40,7 +40,7 @@ from banditlp.statespace import (
 
 
 def _policy(arm_id, P, R, C):
-    return SingleArmPolicy(arm_id=arm_id, states={}, explore_prob=P, reward=R, cost=C)
+    return SingleArmPolicy(arm_id=arm_id, explore_prob=P, reward=R, cost=C)
 
 
 def _pipeline(instance, variant=None, alpha=1.0):
@@ -168,13 +168,11 @@ def _manual_beta_solution(inst, always_play=True):
             w[key] = sum(z[(arm.arm_id, p)] * pr for p, pr in parents)
         if st.is_leaf:
             z[key] = 0.0
-            x[key] = w[key]
+            x[key] = (0.0, w[key])
         else:
             z[key] = w[key] if always_play else 0.0
-            x[key] = 0.0
-    return RelaxationSolution(
-        variant="budgeted", gamma_star=0.0, w=w, x=x, z=z, x_grid={}, grid=None
-    )
+            x[key] = (0.0, 0.0)
+    return RelaxationSolution(gamma_star=0.0, w=w, x=x, z=z, grid=None)
 
 
 def test_order_forced_single_play_path():
@@ -307,7 +305,7 @@ def _brute_force_evaluation(inst, plan, sol, rule):
 
     def thresholds(arm, sid):
         key = (arm.arm_id, sid)
-        return sol.w[key], sol.z[key], sol.x.get(key, 0.0)
+        return sol.w[key], sol.z[key], sol.x[key][1]
 
     def next_arm(j, spent, maxnull):
         if j == len(order):

@@ -7,6 +7,7 @@ from banditlp.relaxations import (
     build_budgeted_lp,
     build_concave_lp,
     build_lagrangean_lp,
+    build_relaxation,
     extract_single_arm_policies,
     solve_relaxation,
 )
@@ -32,8 +33,8 @@ def test_gap_lp_value_and_extraction():
     # at every reward-1 leaf (each x is capped by w = z/4)
     pols = extract_single_arm_policies(sol, inst)
     for pol in pols:
-        assert pol.states["root"].z == pytest.approx(1.0, abs=1e-6)
-        assert pol.states["v1"].x == pytest.approx(0.25, abs=1e-6)
+        assert sol.z[(pol.arm_id, "root")] == pytest.approx(1.0, abs=1e-6)
+        assert sol.x[(pol.arm_id, "v1")] == pytest.approx((0.0, 0.25), abs=1e-6)
         assert pol.explore_prob == pytest.approx(0.25, abs=1e-6)
         assert pol.reward == pytest.approx(0.25, abs=1e-6)
         assert pol.cost == pytest.approx(1.0, abs=1e-6)
@@ -85,7 +86,7 @@ def test_lagrangean_single_symmetric_arm_never_plays():
         sol = solve_relaxation(inst)
         assert sol.gamma_star == pytest.approx(0.5, abs=1e-7)
         assert sol.z[("A", "root")] == pytest.approx(0.0, abs=1e-7)
-        assert sol.x[("A", "root")] == pytest.approx(1.0, abs=1e-6)
+        assert sol.x[("A", "root")] == pytest.approx((0.0, 1.0), abs=1e-6)
 
 
 def test_lagrangean_two_arm_exploration_pays():
@@ -205,12 +206,6 @@ def test_solution_invariants_on_random_suite():
         assert sum(p.reward for p in pols) == pytest.approx(sol.gamma_star, abs=1e-6)
         assert sum(p.explore_prob for p in pols) <= 1 + 1e-6
         assert sum(p.cost for p in pols) <= inst.budget + 1e-6
-        # stats are recomputable from the stored thresholds
-        for pol, arm in zip(pols, inst.arms):
-            p, r, c = pol.recompute_stats(arm, sol.grid, None)
-            assert p == pytest.approx(pol.explore_prob, abs=1e-9)
-            assert r == pytest.approx(pol.reward, abs=1e-9)
-            assert c == pytest.approx(pol.cost, abs=1e-9)
 
 
 def test_extraction_requires_optimal():
@@ -219,4 +214,18 @@ def test_extraction_requires_optimal():
     raw = solve_lp(lp)
     raw.status = "infeasible"
     with pytest.raises(ValueError):
-        RelaxationSolution.from_raw(inst, raw, "budgeted")
+        RelaxationSolution.from_raw(inst, raw)
+
+
+def test_from_raw_rejects_a_grid_that_does_not_match_the_lp():
+    # reading a concave optimum as plain, or a budgeted optimum on the grid,
+    # must not zero every exploit mass: the missing variable is named
+    conc = as_concave(gen_integrality_gap(3), 1.0, 0.5)
+    lp, grid = build_relaxation(conc)
+    concave_raw = solve_lp(lp)
+    budgeted_raw = solve_lp(build_budgeted_lp(gen_integrality_gap(3)))
+    assert RelaxationSolution.from_raw(conc, concave_raw, grid).check_invariants(conc) == []
+    with pytest.raises(ValueError, match=r"no variable 'x\|a0\|root'"):
+        RelaxationSolution.from_raw(conc, concave_raw)
+    with pytest.raises(ValueError, match=r"no variable 'x\|a0\|root\|0'"):
+        RelaxationSolution.from_raw(conc, budgeted_raw, grid)
