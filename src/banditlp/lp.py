@@ -15,6 +15,18 @@ comparison, pivot and returned value is what a full-tableau update gives.
 The artificial columns and the phase-1 cost row are dropped once phase 1
 ends.
 
+Upper bounds stay out of the tableau, which holds only the constraint rows
+(the upper-bounding idea of Dantzig, Econometrica 23(2), 1955).  The
+relaxations' occupation probabilities are at most 1 by their flow and cap
+rows already, so their ``<= 1`` bounds never bind, and a bound row would
+only add a row and a slack column.  A bound still snaps, clamps and is
+checked in the returned point.  The LP is solved again with one ``<=`` row
+per finite upper bound, appended after the constraints in variable order,
+when the bound-free optimum puts a variable past its upper bound by more
+than the snap tolerance, or when the bound-free LP is unbounded while
+finite bounds were left out.  That second attempt is the full formulation,
+and it is the answer.
+
 Tolerances:
 
 ==========================  =====  ==========================================
@@ -42,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -76,6 +89,10 @@ class LinearProgram:
     objective: dict[str, float] = field(default_factory=dict)
 
     def check_well_formed(self) -> None:
+        """Raise ValueError naming a malformed variable, row or term.
+
+        Every number must be finite, except that an upper bound may be +inf.
+        """
         names = set()
         for name, lb, ub in self.variables:
             if name in names:
@@ -83,6 +100,8 @@ class LinearProgram:
             names.add(name)
             if not math.isfinite(lb):
                 raise ValueError(f"variable {name!r} needs a finite lower bound")
+            if math.isnan(ub):
+                raise ValueError(f"variable {name!r} has a NaN upper bound")
             if lb > ub:
                 raise ValueError(f"variable {name!r} has lower bound {lb} > upper bound {ub}")
         for con in self.constraints:
@@ -94,6 +113,22 @@ class LinearProgram:
         for v in self.objective:
             if v not in names:
                 raise ValueError(f"objective references undeclared variable {v!r}")
+        # A non-finite term makes the sum non-finite (NaN stays NaN, inf stays
+        # inf or meets -inf in a NaN); the loops run only to name the culprit,
+        # and find none when a sum of finite terms merely overflowed.
+        total = sum(chain.from_iterable(con.coeffs.values() for con in self.constraints))
+        total += sum(con.rhs for con in self.constraints) + sum(self.objective.values())
+        if not math.isfinite(total):
+            for idx, con in enumerate(self.constraints):
+                label = con.name or f"c{idx}"
+                if not math.isfinite(con.rhs):
+                    raise ValueError(f"constraint {label!r} has a non-finite right-hand side {con.rhs}")
+                for v, c in con.coeffs.items():
+                    if not math.isfinite(c):
+                        raise ValueError(f"constraint {label!r} has a non-finite coefficient {c} on {v!r}")
+            for v, c in self.objective.items():
+                if not math.isfinite(c):
+                    raise ValueError(f"objective has a non-finite coefficient {c} on {v!r}")
 
 
 @dataclass
@@ -101,6 +136,8 @@ class LPSolutionRaw:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: dict[str, float]
     objective_value: float | None
+    # Both counts cover every attempt: with the bound-row re-solve, the
+    # pivots of the bound-free attempt plus those of the re-solve.
     pivots: int = 0  # every pivot, both phases and the basis repair between them
     bland_pivots: int = 0  # pivots whose entering column Bland's rule chose
 
@@ -134,7 +171,13 @@ def objective_value(lp: LinearProgram, values: Mapping[str, float]) -> float:
 
 
 def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
-    """Solve a small LP to optimality with a deterministic two-phase simplex."""
+    """Solve a small LP to optimality with a deterministic two-phase simplex.
+
+    The first attempt leaves the upper bounds out of the tableau.  If its
+    optimum puts a variable past its upper bound by more than the snap
+    tolerance, or it is unbounded while finite bounds were left out, the LP
+    is solved again with one bound row per finite upper bound.
+    """
     tol = DEFAULT_TOL if tol is None else tol
     lp.check_well_formed()
 
@@ -164,14 +207,68 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
         rows.append(a)
         rhs.append(b)
         rels.append(con.relation)
-    for i in free_idx:
-        width = ub[i] - lb[i]
-        if math.isfinite(width):
-            a = np.zeros(n)
-            a[col_of[i]] = 1.0
-            rows.append(a)
-            rhs.append(width)
-            rels.append("<=")
+    cost = np.zeros(n)
+    for name, c in lp.objective.items():
+        i = index[name]
+        if not fixed[i]:
+            cost[col_of[i]] = -c  # maximize c.x  ==  minimize -c.y (constants aside)
+    width = ub[free_idx] - lb[free_idx]
+
+    status, y, pivots, bland_pivots = _simplex(rows, rhs, rels, cost, width, bound_rows=False)
+    snap = min(tol, _SNAP_EPS)
+    if (status == "unbounded" and np.isfinite(width).any()) or (
+        status == "optimal" and (lb[free_idx] + y - ub[free_idx] > snap).any()
+    ):
+        status, y, more, more_bland = _simplex(rows, rhs, rels, cost, width, bound_rows=True)
+        pivots += more
+        bland_pivots += more_bland
+    if status != "optimal":
+        return LPSolutionRaw(status, {}, None, pivots, bland_pivots)
+
+    values: dict[str, float] = {}
+    for i, name in enumerate(names):
+        if fixed[i]:
+            v = lb[i]
+        else:
+            v = lb[i] + y[col_of[i]]
+            if abs(v - lb[i]) <= snap:
+                v = lb[i]
+            elif math.isfinite(ub[i]) and abs(v - ub[i]) <= snap:
+                v = ub[i]
+            v = min(max(v, lb[i]), ub[i]) if math.isfinite(ub[i]) else max(v, lb[i])
+        values[name] = float(v)
+
+    bad = check_feasibility(lp, values, tol)
+    if bad:
+        worst = max(bad, key=lambda kv: kv[1])
+        raise LPSolverError(f"solver returned an infeasible point: {worst[0]} by {worst[1]:.3g}")
+    return LPSolutionRaw("optimal", values, objective_value(lp, values), pivots, bland_pivots)
+
+
+def _simplex(
+    rows: list[np.ndarray],
+    rhs: list[float],
+    rels: list[str],
+    cost: np.ndarray,
+    width: np.ndarray,
+    bound_rows: bool,
+) -> tuple[str, np.ndarray, int, int]:
+    """Minimize cost . y over the rows, y >= 0; bound rows y_j <= width_j if asked.
+
+    Returns the status, y (zeros unless optimal), the pivot count and the
+    Bland pivot count.  The phase-1 infeasibility scale counts the finite
+    widths whether or not their rows are in the tableau, so both attempts
+    judge feasibility alike.
+    """
+    n = cost.size
+    bounded = np.flatnonzero(np.isfinite(width))
+    b_scale = 1.0 + max(float(np.abs(rhs).max(initial=0.0)), float(width[bounded].max(initial=0.0)))
+    if bound_rows:
+        unit = np.zeros((bounded.size, n))
+        unit[np.arange(bounded.size), bounded] = 1.0
+        rows = rows + list(unit)
+        rhs = rhs + width[bounded].tolist()
+        rels = rels + ["<="] * bounded.size
 
     m = len(rows)
     n_slack = sum(1 for r in rels if r == "<=")
@@ -210,10 +307,7 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
 
     # Cost rows (minimization form), with the negated objective in the last slot.
     c2 = np.zeros(total + 1)
-    for name, c in lp.objective.items():
-        i = index[name]
-        if not fixed[i]:
-            c2[col_of[i]] = -c  # maximize c.x  ==  minimize -c.y (constants aside)
+    c2[:n] = cost
     c1 = np.zeros(total + 1)
     c1[n + n_slack : n + n_slack + n_art] = 1.0
     for r in art_rows:
@@ -275,12 +369,13 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
                 bland = False
             pivot(r, j)
 
+    y = np.zeros(n + n_slack)
     # Phase 1: drive out artificials.
     if n_art:
         status = run(c1, total)
         phase1 = -c1[-1]
-        if status != "optimal" or phase1 > _INFEASIBLE_EPS * (1.0 + float(np.abs(b).max(initial=0.0))):
-            return LPSolutionRaw("infeasible", {}, None, pivots, bland_pivots)
+        if status != "optimal" or phase1 > _INFEASIBLE_EPS * b_scale:
+            return "infeasible", y[:n], pivots, bland_pivots
         # Phase 2 never prices the artificials or reads c1: move the right-hand
         # side into the first artificial column and stop carrying the rest.
         k = n + n_slack
@@ -305,32 +400,10 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
             m = len(keep)
 
     status = run(c2, n + n_slack)
-    if status == "unbounded":
-        return LPSolutionRaw("unbounded", {}, None, pivots, bland_pivots)
-
-    y = np.zeros(n + n_slack)
-    for r in range(m):
-        y[basis[r]] = T[r, -1]
-
-    values: dict[str, float] = {}
-    snap = min(tol, _SNAP_EPS)
-    for i, name in enumerate(names):
-        if fixed[i]:
-            v = lb[i]
-        else:
-            v = lb[i] + y[col_of[i]]
-            if abs(v - lb[i]) <= snap:
-                v = lb[i]
-            elif math.isfinite(ub[i]) and abs(v - ub[i]) <= snap:
-                v = ub[i]
-            v = min(max(v, lb[i]), ub[i]) if math.isfinite(ub[i]) else max(v, lb[i])
-        values[name] = float(v)
-
-    bad = check_feasibility(lp, values, tol)
-    if bad:
-        worst = max(bad, key=lambda kv: kv[1])
-        raise LPSolverError(f"solver returned an infeasible point: {worst[0]} by {worst[1]:.3g}")
-    return LPSolutionRaw("optimal", values, objective_value(lp, values), pivots, bland_pivots)
+    if status == "optimal":
+        for r in range(m):
+            y[basis[r]] = T[r, -1]
+    return status, y[:n], pivots, bland_pivots
 
 
 def format_lp(lp: LinearProgram) -> str:

@@ -6,8 +6,9 @@ there, and x_{u,l} the probability the arm is exploited there at weight level
 l of the grid {0..L}/L.  The concave relaxation has the whole grid; the
 budgeted and Lagrangean ones are the one-level grid L = 1 (exploit or not),
 whose only variable x_u is level 1 and whose level 0, a dead stop, carries no
-mass.  `_exploit_levels` is the one place that tells the two apart; a
-solution stores every state's masses at levels 0..L, (0.0, x_u) when plain.
+mass.  `_exploit_vars` and `_exploit_levels` (the same levels with their
+values) are the only places that tell the two apart; a solution stores
+every state's masses at levels 0..L, (0.0, x_u) when plain.
 The optimal LP solution decomposes into one randomized single-arm policy per
 arm; its statistics (exploit probability P, exploit reward R, exploration
 cost C) drive the greedy rounding in `policies`.
@@ -34,15 +35,22 @@ def var_name(kind: str, arm_id: str, state_id: str, level: int | None = None) ->
     return base if level is None else f"{base}|{level}"
 
 
+def _exploit_vars(arm: ArmStateSpace, sid: str, grid: int | None) -> tuple[tuple[int, str], ...]:
+    """A state's exploit levels as (level l, LP variable).
+
+    Plain (grid None): the one variable x|a|s at level 1.  Concave grid:
+    x|a|s|l for l = 0..L.
+    """
+    if grid is None:
+        return ((1, var_name("x", arm.arm_id, sid)),)
+    return tuple((l, var_name("x", arm.arm_id, sid, l)) for l in range(grid + 1))
+
+
 def _exploit_levels(
     instance: BanditInstance, arm: ArmStateSpace, sid: str, grid: int | None
 ) -> tuple[tuple[int, str, float], ...]:
-    """A state's exploit levels as (level l, LP variable, value zeta(l)).
-
-    Plain (grid None): the one variable x|a|s at level 1, worth the state's
-    reward.  Concave grid: x|a|s|l for l = 0..L, worth the value table's
-    entry l.
-    """
+    """`_exploit_vars` with each level's value zeta(l): the state's reward
+    when plain, the value table's entry l on the concave grid."""
     if grid is None:
         return ((1, var_name("x", arm.arm_id, sid), arm.states[sid].reward),)
     zeta = instance.objective.concave.table(arm.arm_id, sid)
@@ -74,7 +82,7 @@ def _core_rows(instance: BanditInstance, lp_vars, constraints, grid: int | None)
             is_root = sid == arm.root
             lp_vars.append((var_name("w", arm.arm_id, sid), 1.0 if is_root else 0.0, 1.0))
             lp_vars.append((var_name("z", arm.arm_id, sid), 0.0, 0.0 if st.is_leaf else 1.0))
-            for _, name, _ in _exploit_levels(instance, arm, sid, grid):
+            for _, name in _exploit_vars(arm, sid, grid):
                 lp_vars.append((name, 0.0, 1.0))
         for sid in order:
             if sid != arm.root:
@@ -91,7 +99,7 @@ def _core_rows(instance: BanditInstance, lp_vars, constraints, grid: int | None)
                 var_name("z", arm.arm_id, sid): 1.0,
                 var_name("w", arm.arm_id, sid): -1.0,
             }
-            for _, name, _ in _exploit_levels(instance, arm, sid, grid):
+            for _, name in _exploit_vars(arm, sid, grid):
                 coeffs[name] = 1.0
             constraints.append(LinearConstraint(coeffs, "<=", 0.0, name=f"cap|{arm.arm_id}|{sid}"))
 
@@ -246,6 +254,8 @@ class RelaxationSolution:
     x: dict[tuple[str, str], tuple[float, ...]]
     z: dict[tuple[str, str], float]
     grid: int | None = None
+    pivots: int = 0  # the solver's work, copied from LPSolutionRaw
+    bland_pivots: int = 0
 
     @classmethod
     def from_raw(
@@ -280,9 +290,9 @@ class RelaxationSolution:
                 wv = 1.0 if sid == arm.root else value(var_name("w", *key))
                 wv = min(max(wv, 0.0), 1.0)
                 zv = min(max(value(var_name("z", *key)), 0.0), wv)
-                levels = _exploit_levels(instance, arm, sid, grid)
+                levels = _exploit_vars(arm, sid, grid)
                 masses = [0.0] * (levels[-1][0] + 1)  # levels 0..L; plain has no level-0 variable
-                for l, name, _ in levels:
+                for l, name in levels:
                     masses[l] = min(max(value(name), 0.0), wv)
                 total = zv + sum(masses)
                 if total > wv:
@@ -294,7 +304,15 @@ class RelaxationSolution:
                 w[key] = wv
                 x[key] = tuple(masses)
                 z[key] = zv
-        return cls(gamma_star=float(raw.objective_value), w=w, x=x, z=z, grid=grid)
+        return cls(
+            gamma_star=float(raw.objective_value),
+            w=w,
+            x=x,
+            z=z,
+            grid=grid,
+            pivots=raw.pivots,
+            bland_pivots=raw.bland_pivots,
+        )
 
     def check_invariants(self, instance: BanditInstance, tol: float = 1e-6) -> list[str]:
         """Flow/disjointness violations beyond tol (empty for a clean solution)."""

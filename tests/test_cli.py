@@ -4,6 +4,7 @@ import pytest
 
 from banditlp.cli import main
 from banditlp.bench import gen_integrality_gap, as_lagrangean
+from banditlp.relaxations import solve_relaxation
 from banditlp.statespace import save_instance
 
 
@@ -30,6 +31,8 @@ def test_gen_validate_solve_plan_run_oracle(tmp_path, capsys):
     assert doc["status"] == "optimal"
     assert abs(doc["gamma_star"] - 1.0) < 1e-6
     assert (doc["pivots"], doc["bland_pivots"]) == (17, 0)  # the gap-4 LP's pivot path
+    sol = solve_relaxation(gen_integrality_gap(4))
+    assert (sol.pivots, sol.bland_pivots) == (17, 0)  # the same solve, seen from the library
     text = open(dump).read()
     assert text.startswith("Maximize") and "Subject To" in text
 

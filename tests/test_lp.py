@@ -50,11 +50,26 @@ def scipy_optimum(lp: LinearProgram) -> float:
 
 
 def test_single_variable_box():
+    # no constraint row: the bound-free attempt is unbounded, the bound rows answer
     lp = LinearProgram(variables=[("x", 0.0, 1.0)], objective={"x": 1.0})
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.values["x"] == 1.0
     assert sol.objective_value == 1.0
+
+
+def test_binding_bound_alongside_a_constraint():
+    # x <= 1 binds at the optimum x = 1, y = 1/2 together with the sum row
+    lp = LinearProgram(
+        variables=[("x", 0.0, 1.0), ("y", 0.0, 1.0)],
+        constraints=[LinearConstraint({"x": 1.0, "y": 1.0}, "<=", 1.5)],
+        objective={"x": 2.0, "y": 1.0},
+    )
+    sol = solve_lp(lp)
+    assert (sol.status, sol.values, sol.objective_value) == ("optimal", {"x": 1.0, "y": 0.5}, 2.5)
+    explicit = solve_lp(_with_bound_rows(lp))
+    assert explicit.values == sol.values
+    assert sol.pivots > explicit.pivots  # the bound-free attempt's pivots are counted too
 
 
 def test_infeasible():
@@ -68,6 +83,9 @@ def test_infeasible():
 
 def test_unbounded():
     lp = LinearProgram(variables=[("x", 0.0, INF)], objective={"x": 1.0})
+    assert solve_lp(lp).status == "unbounded"
+    # a bounded variable beside it does not make it bounded on the re-solve
+    lp = LinearProgram(variables=[("x", 0.0, 1.0), ("y", 0.0, INF)], objective={"x": 1.0, "y": 1.0})
     assert solve_lp(lp).status == "unbounded"
 
 
@@ -186,6 +204,40 @@ def test_matches_scipy_on_midsize_ladder_relaxations():
         assert again.values == sol.values
 
 
+def _with_bound_rows(lp: LinearProgram) -> LinearProgram:
+    """The LP plus an explicit <= row for every non-fixed finite upper bound.
+
+    The rows follow the constraints in variable order, which is the tableau
+    the solver builds when it does put the bounds in.
+    """
+    rows = [
+        LinearConstraint({name: 1.0}, "<=", ub, name=f"ub|{name}")
+        for name, lb, ub in lp.variables
+        if lb != ub and math.isfinite(ub)
+    ]
+    return LinearProgram(lp.variables, lp.constraints + rows, dict(lp.objective))
+
+
+def test_bound_free_tableau_matches_explicit_bound_rows_on_relaxations():
+    # the <= 1 bounds of the relaxations never bind, so leaving them out of
+    # the tableau must not change a single pivot or bit
+    from banditlp.bench import as_concave, as_lagrangean
+    from banditlp.relaxations import build_relaxation
+
+    suite = gen_random_suite(GeneratorSpec(family="random-two-level", count=6, seed=31, budget_cap=5))
+    suite += gen_random_suite(GeneratorSpec(family="random-beta", count=6, seed=32, budget_cap=5))
+    twins = [as_lagrangean(inst) for inst in suite]
+    twins += [as_concave(inst, capacity=1.0 + k % 2, epsilon=0.25) for k, inst in enumerate(suite[:4])]
+    for inst in suite + twins:
+        lp, _ = build_relaxation(inst)
+        sol = solve_lp(lp)
+        ref = solve_lp(_with_bound_rows(lp))
+        assert sol.status == ref.status == "optimal"
+        assert {k: v.hex() for k, v in sol.values.items()} == {k: v.hex() for k, v in ref.values.items()}
+        assert sol.objective_value.hex() == ref.objective_value.hex()
+        assert (sol.pivots, sol.bland_pivots) == (ref.pivots, ref.bland_pivots)
+
+
 def test_feasibility_tolerances():
     lp = build_budgeted_lp(gen_integrality_gap(8))
     sol = solve_lp(lp, tol=1e-7)
@@ -234,6 +286,32 @@ def test_well_formedness_errors():
         LinearProgram([("x", 1.0, 0.0)], [], {}).check_well_formed()
     with pytest.raises(ValueError):
         LinearProgram([("x", 0.0, 1.0)], [LinearConstraint({"y": 1.0}, "<=", 0.0)], {}).check_well_formed()
+
+
+def test_non_finite_data_rejected():
+    nan = float("nan")
+    x = [("x", 0.0, 5.0)]
+    cases = [
+        (LinearProgram([("x", 0.0, nan)], [], {"x": 1.0}), r"variable 'x' has a NaN upper bound"),
+        (
+            LinearProgram(x, [LinearConstraint({"x": nan}, "<=", 1.0, name="row")], {"x": 1.0}),
+            r"constraint 'row' has a non-finite coefficient nan on 'x'",
+        ),
+        (
+            LinearProgram(x, [LinearConstraint({"x": 1.0}, "<=", nan)], {"x": 1.0}),
+            r"constraint 'c0' has a non-finite right-hand side",
+        ),
+        (LinearProgram(x, [], {"x": nan}), r"objective has a non-finite coefficient nan on 'x'"),
+    ]
+    for lp, message in cases:
+        with pytest.raises(ValueError, match=message):
+            solve_lp(lp)
+    # finite terms whose sum overflows are well formed
+    big = LinearConstraint({"x": 1e308, "y": 1e308}, "<=", 1e308)
+    LinearProgram([("x", 0.0, 1.0), ("y", 0.0, 1.0)], [big], {"x": 1e308}).check_well_formed()
+    # an infinite upper bound is no bound
+    lp = LinearProgram([("x", 0.0, INF)], [LinearConstraint({"x": 1.0}, "<=", 2.0)], {"x": 1.0})
+    assert solve_lp(lp).values == {"x": 2.0}
 
 
 def test_format_lp_dump():

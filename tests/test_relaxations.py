@@ -229,3 +229,6 @@ def test_from_raw_rejects_a_grid_that_does_not_match_the_lp():
         RelaxationSolution.from_raw(conc, concave_raw)
     with pytest.raises(ValueError, match=r"no variable 'x\|a0\|root\|0'"):
         RelaxationSolution.from_raw(conc, budgeted_raw, grid)
+    # a grid on an instance that has no value tables is the same mismatch
+    with pytest.raises(ValueError, match=r"no variable 'x\|a0\|root\|0'"):
+        RelaxationSolution.from_raw(gen_integrality_gap(3), budgeted_raw, 4)
