@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .oracle import OracleGuardError, dp_optimal
-from .policies import evaluate_plan_exact, make_greedy_plan, monte_carlo_evaluate
+from .policies import evaluate_plan_exact, make_greedy_plan
 from .relaxations import extract_single_arm_policies, solve_relaxation
 from .statespace import (
     ArmStateSpace,
@@ -244,8 +244,6 @@ def corrupt_instance(
 class SuiteOptions:
     alpha: float = 1.0
     rule: str = "order"
-    reps: int = 20_000  # Monte-Carlo replications for the concave variant
-    seed: int = 0
     use_oracle: bool = True
     oracle_limit: int = 2_000_000
     epsilon: float | None = None  # concave grid override
@@ -329,14 +327,15 @@ class EvaluationReport:
         return buf.getvalue()
 
 
-def _bound_factor(variant: str, options: SuiteOptions, epsilon: float | None) -> float:
+def _bound_factor(variant: str, options: SuiteOptions, instance: BanditInstance) -> float:
     if variant == "budgeted":
         a = options.alpha
         return a / (2.0 * (1.0 + a)) if a > 1.0 else 0.25
     if variant == "lagrangean":
         return 0.5
     if variant == "concave":
-        return (1.0 - (epsilon or 0.0)) / 8.0
+        eps = options.epsilon if options.epsilon is not None else instance.objective.concave.epsilon
+        return (1.0 - eps) / 8.0
     raise ValueError(variant)
 
 
@@ -345,10 +344,10 @@ def run_guarantee_suite(
 ) -> EvaluationReport:
     """Per-instance guarantee-bound verification table.
 
-    Each row reports gamma*, the rounded policy's exact (or Monte-Carlo)
-    value, the variant's guarantee threshold, the DP optimum where the oracle
-    fits, and any invariant flags.  A row fails when the policy value drops
-    below its bound or gamma* falls below OPT.
+    Each row reports gamma*, the rounded policy's exact value and cost, the
+    variant's guarantee threshold, the DP optimum where the oracle fits, and
+    any invariant flags.  A row fails when the policy value drops below its
+    bound or gamma* falls below OPT.
     """
     options = options or SuiteOptions()
     rows: list[SuiteRow] = []
@@ -361,24 +360,15 @@ def run_guarantee_suite(
         flags: list[str] = []
         solution = solve_relaxation(instance, epsilon=options.epsilon)
         policies = extract_single_arm_policies(solution, instance)
-        eps = None
-        if variant == "concave":
-            eps = options.epsilon if options.epsilon is not None else instance.objective.concave.epsilon
         plan = make_greedy_plan(policies, instance, variant, alpha=options.alpha)
-        bound = _bound_factor(variant, options, eps) * solution.gamma_star - options.tolerance
+        bound = _bound_factor(variant, options, instance) * solution.gamma_star - options.tolerance
 
         if variant == "lagrangean":
             for pol in policies:
                 if pol.reward - pol.cost < -1e-7:
                     flags.append(f"arm {pol.arm_id}: R - C = {pol.reward - pol.cost:.3g} < 0")
 
-        if variant == "concave":
-            mc = monte_carlo_evaluate(instance, plan, solution, options.reps, options.seed)
-            value, cost = mc.mean, mc.mean_cost
-            bound -= 3.0 * mc.stderr
-            flags.extend(mc.violations)
-        else:
-            value, cost = evaluate_plan_exact(instance, plan, solution, rule=options.rule)
+        value, cost = evaluate_plan_exact(instance, plan, solution, rule=options.rule)
 
         opt = None
         if options.use_oracle and variant in ("budgeted", "lagrangean") and options.alpha == 1.0:

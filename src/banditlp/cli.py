@@ -1,6 +1,8 @@
 """Command-line interface: generate, validate, solve, plan, run, oracle, suite.
 
-All output is machine-readable JSON unless asked for CSV.
+All output is machine-readable JSON unless asked for CSV.  A library
+ValueError (bad input, an unsupported variant) is reported as one JSON
+object {"error": message} with exit code 2.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _apply_variant(instance, variant):
         return instance
     if variant == "lagrangean":
         return bench.as_lagrangean(instance)
-    raise SystemExit(f"cannot reinterpret a {instance.objective.kind} instance as {variant}")
+    raise ValueError(f"cannot reinterpret a {instance.objective.kind} instance as {variant}")
 
 
 def cmd_solve(args) -> int:
@@ -149,8 +151,8 @@ def cmd_run(args) -> int:
 
 def cmd_oracle(args) -> int:
     instance = _apply_variant(statespace.load_instance(args.file), args.variant)
-    solution = _solve(instance)
     opt, _ = oracle.dp_optimal(instance, limits=args.limit)
+    solution = _solve(instance)
     _emit(
         {
             "opt": opt,
@@ -161,10 +163,19 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _reject_unknown(doc: dict, known: set[str], what: str) -> None:
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r} in the {what}; expected one of {sorted(known)}")
+
+
 def cmd_suite(args) -> int:
     with open(args.spec) as fh:
         doc = json.load(fh)
     spec_fields = {f.name for f in dataclasses.fields(bench.GeneratorSpec)}
+    opt_fields = {f.name for f in dataclasses.fields(bench.SuiteOptions)}
+    _reject_unknown(doc, spec_fields | {"variant", "B", "epsilon", "options"}, "suite spec")
+    _reject_unknown(doc.get("options", {}), opt_fields, "suite options")
     spec = bench.GeneratorSpec(**{k: v for k, v in doc.items() if k in spec_fields})
     suite = bench.gen_random_suite(spec)
     variant = doc.get("variant", "budgeted")
@@ -174,8 +185,7 @@ def cmd_suite(args) -> int:
         suite = [
             bench.as_concave(i, doc.get("B", 1.0), doc.get("epsilon", 0.25)) for i in suite
         ]
-    opt_fields = {f.name for f in dataclasses.fields(bench.SuiteOptions)}
-    options = bench.SuiteOptions(**{k: v for k, v in doc.get("options", {}).items() if k in opt_fields})
+    options = bench.SuiteOptions(**doc.get("options", {}))
     report = bench.run_guarantee_suite(suite, variant, options)
     doc_out = report.to_json()
     if args.output:
@@ -269,7 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        _emit({"error": str(exc)})
+        return 2
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ Every consumer reads that one table:
   - concave: takes the exploit level as the arm's grid weight, moves on until
     the weights fill the packing capacity, then halves all weights.
 * `_arm_outcome_dist` is the walk's exact twin, the distribution of its
-  (state, level, spent); the exact forward pass convolves it over the arms in
-  plan order.
+  (state, level, spent).  One exact forward pass convolves it over the plan
+  order for all three variants; each pass adds its runner's rule between arms.
 * `GreedyOrderProcess` branches on pz, px and pn at each joint state for the
   statistics oracle.
 
@@ -52,7 +52,13 @@ from .relaxations import (
 from .statespace import ArmStateSpace, BanditInstance
 from .lp import solve_lp
 
+# A state with occupancy w below UNREACHABLE_W is never entered: its step is a
+# dead stop.  AUDIT_TOL is the slack of every float comparison in the audits of
+# verify_trace, monte_carlo_evaluate and the concave exact pass: spend against
+# a budget or cap, event costs against the trace cost, and packed units
+# against 2 * capacity * L.
 UNREACHABLE_W = 1e-9
+AUDIT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +196,8 @@ class _ArmExec(dict):
 
 
 def _tables(instance: BanditInstance, solution: RelaxationSolution) -> dict[str, _ArmExec]:
+    if instance.objective.kind == "concave" and solution.grid is None:
+        raise ValueError("concave plans need a solution with grid exploit masses")
     return {arm.arm_id: _ArmExec(arm, solution) for arm in instance.arms}
 
 
@@ -427,8 +435,6 @@ def _run_concave(instance, plan, tables, rule, rng, record):
     prob = instance.objective.concave
     run = _Run(record)
     L = next(iter(tables.values())).solution.grid
-    if L is None:
-        raise ValueError("concave execution needs a solution with grid exploit masses")
     numerators = {a.arm_id: 0 for a in instance.arms}
     final_state = {a.arm_id: a.root for a in instance.arms}
     acc_units = 0.0  # sum sigma_i * eps_i in units of 1/L
@@ -457,10 +463,17 @@ def _run_concave(instance, plan, tables, rule, rng, record):
 _RUNNERS = {"budgeted": _run_budgeted, "lagrangean": _run_lagrangean, "concave": _run_concave}
 
 
+def _spend_cap(instance: BanditInstance, plan: GreedyPlan, rule: str) -> float | None:
+    """A run's largest legal spend: the budget (None for lagrangean plans), plus c_max under violate."""
+    return plan.budget + instance.max_single_arm_cost() if rule == "violate" else plan.budget
+
+
 def _check_rule(plan: GreedyPlan, rule: str) -> None:
+    if plan.variant not in _RUNNERS:
+        raise ValueError(f"unknown plan variant {plan.variant!r}")
     if rule not in ("order", "violate"):
         raise ValueError(f"unknown budget rule {rule!r}; expected 'order' or 'violate'")
-    if rule == "violate" and plan.variant == "budgeted" and plan.alpha != 1.0:
+    if rule == "violate" and (plan.variant != "budgeted" or plan.alpha != 1.0):
         raise ValueError("the violate rule applies to plain budgeted plans only")
 
 
@@ -543,22 +556,16 @@ def verify_trace(
     if any(c > 1 for c in switch_counts.values()):
         out.append("an arm is switched into more than once")
     event_cost = sum(e.cost for e in trace.events)
-    if abs(event_cost - trace.total_cost) > 1e-9:
+    if abs(event_cost - trace.total_cost) > AUDIT_TOL:
         out.append("event costs do not add up to the trace cost")
-    if plan.variant == "budgeted":
-        if rule == "order" and trace.total_cost > plan.budget + 1e-9:
-            out.append("greedy-order trace exceeds the budget")
-        if rule == "violate":
-            cap = plan.budget + instance.max_single_arm_cost()
-            if trace.total_cost > cap + 1e-9:
-                out.append("greedy-violate trace exceeds budget + c_max")
-    if plan.variant == "concave" and trace.total_cost > plan.budget + 1e-9:
-        out.append("concave trace exceeds the budget")
+    cap = _spend_cap(instance, plan, rule)
+    if cap is not None and trace.total_cost > cap + AUDIT_TOL:
+        out.append(f"{plan.variant} trace exceeds the budget" + (" + c_max" if rule == "violate" else ""))
     if plan.variant == "concave" and trace.weight_numerators is not None:
         prob = instance.objective.concave
         L = trace.grid
         units = sum(prob.sigmas[a] * n for a, n in trace.weight_numerators.items())
-        if units > 2 * prob.capacity * L + 1e-9:
+        if units > 2 * prob.capacity * L + AUDIT_TOL:
             out.append("pre-scaling weights exceed twice the packing capacity")
     return out
 
@@ -595,20 +602,14 @@ def monte_carlo_evaluate(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     _check_rule(plan, rule)
-    runner = _RUNNERS.get(plan.variant)
-    if runner is None:
-        raise ValueError(f"unknown plan variant {plan.variant!r}")
+    runner = _RUNNERS[plan.variant]
     tables = _tables(instance, solution)
     values = np.empty(reps)
     max_cost = 0.0
     total_cost = 0.0
     violations: dict[str, int] = {}
     plan_ids = [ra.arm_id for ra in plan.order]
-    cap = None
-    if plan.variant == "budgeted":
-        cap = plan.budget if rule == "order" else plan.budget + instance.max_single_arm_cost()
-    elif plan.variant == "concave":
-        cap = plan.budget
+    cap = _spend_cap(instance, plan, rule)
     prob = instance.objective.concave
 
     def note(msg: str) -> None:
@@ -620,7 +621,7 @@ def monte_carlo_evaluate(
         values[k] = value
         max_cost = max(max_cost, run.spent)
         total_cost += run.spent
-        if cap is not None and run.spent > cap + 1e-9:
+        if cap is not None and run.spent > cap + AUDIT_TOL:
             note("trace cost exceeds the allowed cap")
         if run.visited != plan_ids[: len(run.visited)]:
             note("visited arms do not form a plan-order prefix")
@@ -629,7 +630,7 @@ def monte_carlo_evaluate(
         if extra is not None:
             _, numerators, L = extra
             units = sum(prob.sigmas[a] * n for a, n in numerators.items())
-            if units > 2 * prob.capacity * L + 1e-9:
+            if units > 2 * prob.capacity * L + AUDIT_TOL:
                 note("pre-scaling weights exceed 2B")
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
@@ -646,13 +647,6 @@ def monte_carlo_evaluate(
 
 # ---------------------------------------------------------------------------
 # Exact evaluation
-
-
-def _require_integer_budgeted(instance: BanditInstance, budget: float) -> None:
-    if not instance.has_integer_costs():
-        raise ValueError("exact evaluation of budgeted plans requires integer costs")
-    if not float(budget).is_integer():
-        raise ValueError("exact evaluation of budgeted plans requires an integer budget")
 
 
 def _arm_outcome_dist(ax: _ArmExec, avail: float | None) -> dict[tuple[str, int | None, float], float]:
@@ -690,79 +684,95 @@ def _arm_outcome_dist(ax: _ArmExec, avail: float | None) -> dict[tuple[str, int 
     return out
 
 
+def _budgeted_pass(instance, plan, solution, rule):
+    """Key (remaining budget, best dead-stop reward so far)."""
+    if not _affordable_first_play(instance, plan.budget):
+        return _argmax_root(instance)[2], {}, False, None, None
+
+    def after(ax, key, sid, level, spent):
+        r = ax[sid].reward
+        if level != 0 or spent > key[0]:
+            return r, None  # an exploit, a budget stop or a violate overshoot: exploit here
+        return 0.0, (key[0] - spent, max(key[1], r))
+
+    return 0.0, {(float(plan.budget), -1.0): 1.0}, rule == "order", after, lambda key: max(key[1], 0.0)
+
+
+def _lagrangean_pass(instance, plan, solution, rule):
+    """One key: every play is paid for and the run stops at the first exploit."""
+
+    def after(ax, key, sid, level, spent):
+        return (ax[sid].reward - spent, None) if level else (-spent, key)
+
+    return 0.0, {(None,): 1.0}, False, after, lambda key: 0.0
+
+
+def _concave_pass(instance, plan, solution, rule):
+    """Key (remaining budget, packed units sum sigma_i * numerator_i).  The value
+    adds over arms: the base has every arm at its root with weight 0."""
+    prob, L = instance.objective.concave, solution.grid
+    cap = prob.capacity * L
+
+    def after(ax, key, sid, level, spent):
+        n = L if level is None else level  # a budget stop packs L units and ends the run
+        units = key[1] + prob.sigmas[ax.arm_id] * n
+        if spent > key[0] + AUDIT_TOL:
+            raise RuntimeError(f"a concave run spends past the budget on arm {ax.arm_id!r}")
+        if units > 2 * cap + AUDIT_TOL:
+            raise RuntimeError(f"pre-scaling weights exceed 2B after arm {ax.arm_id!r}")
+        gain = prob.value_at(ax.arm_id, sid, n / (2 * L)) - prob.value_at(ax.arm_id, ax.root, 0.0)
+        return gain, None if level is None or units >= cap else (key[0] - spent, units)
+
+    base = sum(prob.value_at(a.arm_id, a.root, 0.0) for a in instance.arms)
+    return base, {(float(plan.budget), 0.0): 1.0}, True, after, lambda key: 0.0
+
+
+# The exact twins of `_RUNNERS`: each returns (base value, start frontier,
+# whether key[0] caps an arm's spend, after, finish).  after(ax, key, sid,
+# level, spent) gives an arm outcome's value and next key (None: the run
+# ends); finish(key) values a key that outlives the plan.
+_PASSES = {"budgeted": _budgeted_pass, "lagrangean": _lagrangean_pass, "concave": _concave_pass}
+
+
 def evaluate_plan_exact(
     instance: BanditInstance,
     plan: GreedyPlan,
     solution: RelaxationSolution,
     rule: str = "order",
 ) -> tuple[float, float]:
-    """Exact expected (value, exploration cost) of a rounded plan.
+    """Exact expected (value, exploration cost) of a rounded plan, all variants.
 
-    Budgeted/bicriteria plans need integer costs and budget (the remaining
-    budget is a state of the forward pass); lagrangean plans use the closed
-    form over independent per-arm runs and accept any costs.  Concave plans
-    are evaluated by Monte-Carlo only.
+    One forward pass convolves each arm's outcome distribution, in plan order,
+    with a frontier of run states.  Plans with a budget (budgeted, bicriteria,
+    concave) need integer costs and budget, which is part of the state;
+    lagrangean plans accept any costs.  The concave pass raises RuntimeError
+    if a reachable run breaks the budget or packs more than 2B before halving.
     """
     _check_rule(plan, rule)
+    if plan.budget is not None and not (instance.has_integer_costs() and float(plan.budget).is_integer()):
+        raise ValueError("exact evaluation under a budget requires integer costs and budget")
     tables = _tables(instance, solution)
-    order = [tables[ra.arm_id] for ra in plan.order]
-
-    if plan.variant == "lagrangean":
-        reach = 1.0
-        value = cost = 0.0
-        for ax in order:
-            dist = _arm_outcome_dist(ax, None)
-            p_exploit = sum(p for (_, level, _), p in dist.items() if level)
-            exp_reward = sum(p * ax[sid].reward for (sid, level, _), p in dist.items() if level)
-            exp_cost = sum(p * spent for (_, _, spent), p in dist.items())
-            value += reach * (exp_reward - exp_cost)
-            cost += reach * exp_cost
-            reach *= 1.0 - p_exploit
-        return value, cost
-
-    if plan.variant == "concave":
-        raise ValueError("exact evaluation is not available for concave plans; use monte_carlo_evaluate")
-
-    if plan.variant != "budgeted":
-        raise ValueError(f"unknown plan variant {plan.variant!r}")
-    _require_integer_budgeted(instance, plan.budget)
-    budget = float(plan.budget)
-
-    if not _affordable_first_play(instance, budget):
-        _, _, r = _argmax_root(instance)
-        return r, 0.0
-
-    value = cost = 0.0
-    dist_cache: dict[tuple[str, float | None], dict] = {}
-
-    def outcomes(ax: _ArmExec, avail: float | None):
-        key = (ax.arm_id, avail)
-        d = dist_cache.get(key)
-        if d is None:
-            d = _arm_outcome_dist(ax, avail)
-            dist_cache[key] = d
-        return d
-
-    # forward state: (remaining budget, best null-terminal reward so far)
-    frontier: dict[tuple[float, float], float] = {(budget, -1.0): 1.0}
-    for ax in order:
-        nxt: dict[tuple[int, float], float] = {}
-        for (avail, m), pr in frontier.items():
-            dist = outcomes(ax, avail if rule == "order" else None)
+    value, frontier, capped, after, finish = _PASSES[plan.variant](instance, plan, solution, rule)
+    cost = 0.0
+    dists: dict[tuple[str, float | None], dict] = {}
+    for ra in plan.order:
+        ax = tables[ra.arm_id]
+        nxt: dict = {}
+        for key, pr in frontier.items():
+            avail = key[0] if capped else None
+            dist = dists.get((ax.arm_id, avail))
+            if dist is None:
+                dist = dists[ax.arm_id, avail] = _arm_outcome_dist(ax, avail)
             for (sid, level, spent), p in dist.items():
                 mass = pr * p
-                r = ax[sid].reward
                 cost += mass * spent
-                if level != 0:
-                    value += mass * r  # an exploit or a budget stop
-                elif rule == "violate" and spent > avail:
-                    value += mass * r  # budget overshot: exploit this arm where it stopped
-                else:
-                    key = (avail - spent, max(m, r))
-                    nxt[key] = nxt.get(key, 0.0) + mass
+                v, nkey = after(ax, key, sid, level, spent)
+                value += mass * v
+                if nkey is not None:
+                    nxt[nkey] = nxt.get(nkey, 0.0) + mass
         frontier = nxt
-    for (_, m), pr in frontier.items():
-        value += pr * max(m, 0.0)
+    for key, pr in frontier.items():
+        value += pr * finish(key)
     return value, cost
 
 

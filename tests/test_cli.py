@@ -3,7 +3,7 @@ import json
 import pytest
 
 from banditlp.cli import main
-from banditlp.bench import gen_integrality_gap, as_lagrangean
+from banditlp.bench import as_concave, as_lagrangean, gen_integrality_gap
 from banditlp.relaxations import solve_relaxation
 from banditlp.statespace import save_instance
 
@@ -89,7 +89,6 @@ def test_suite_and_report_round_trip(tmp_path, capsys):
         "seed": 5,
         "budget_cap": 5,
         "variant": "budgeted",
-        "options": {"reps": 500},
     }
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -105,3 +104,37 @@ def test_suite_and_report_round_trip(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("instance")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"family": "random-two-level", "budgetcap": 1}, "budgetcap"),
+        ({"family": "random-two-level", "options": {"aplha": 4}}, "aplha"),
+        ({"family": "random-two-level", "options": {"rul": "violate"}}, "rul"),
+    ],
+)
+def test_suite_rejects_unknown_keys(tmp_path, capsys, spec, key):
+    # misspelt keys used to be dropped: the suite ran at its defaults and
+    # reported all_ok
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"count": 2, "seed": 5, **spec}))
+    code, out = run_cli(capsys, "suite", "--spec", str(spec_path))
+    assert code == 2
+    assert repr(key) in json.loads(out)["error"]
+
+
+def test_library_errors_are_one_json_object(tmp_path, capsys):
+    path = str(tmp_path / "concave.json")
+    save_instance(as_concave(gen_integrality_gap(2), capacity=1.0, epsilon=0.25), path)
+    code, out = run_cli(capsys, "oracle", path)
+    assert code == 2
+    assert set(json.loads(out)) == {"error"}
+    lag = str(tmp_path / "lag.json")
+    save_instance(as_lagrangean(gen_integrality_gap(2)), lag)
+    code, out = run_cli(capsys, "run", lag, "--seed", "1", "--reps", "10", "--rule", "violate")
+    assert code == 2
+    assert "violate" in json.loads(out)["error"]
+    code, out = run_cli(capsys, "solve", lag, "--variant", "concave")
+    assert code == 2
+    assert "cannot reinterpret" in json.loads(out)["error"]

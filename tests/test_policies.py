@@ -8,6 +8,7 @@ import pytest
 from banditlp.bench import (
     GeneratorSpec,
     as_concave,
+    as_lagrangean,
     gen_integrality_gap,
     gen_random_suite,
 )
@@ -298,10 +299,13 @@ def _brute_force_evaluation(inst, plan, sol, rule):
     Follows the executor semantics step by step (independent of the
     production evaluator's per-arm convolution): at each state the uniform
     draw splits into play/exploit/dead branches, plays branch over children,
-    and the budget rules are applied exactly as the runners do.
+    and the budget rules are applied exactly as the runners do.  rule is
+    "order", "violate", "lagrangean" or "concave".
     """
     order = [inst.arm(r.arm_id) for r in plan.order]
     C = plan.budget
+    if rule == "concave":
+        return _brute_force_concave(inst, order, sol, C)
 
     def thresholds(arm, sid):
         key = (arm.arm_id, sid)
@@ -393,6 +397,59 @@ def _brute_force_evaluation(inst, plan, sol, rule):
     return reward - cost, cost
 
 
+def _brute_force_concave(inst, order, sol, C):
+    # each arm's exploit level is its weight numerator; the run moves to the
+    # next arm until the packed units reach capacity * L, and an unaffordable
+    # play packs numerator L and ends it.  The value is every arm's table value
+    # at its final state and halved weight, an unreached arm at its root with 0.
+    prob, L = inst.objective.concave, sol.grid
+
+    def run_value(final):
+        total = 0.0
+        for a in inst.arms:
+            sid, n = final.get(a.arm_id, (a.root, 0))
+            total += prob.value_at(a.arm_id, sid, n / (2 * L))
+        return total
+
+    def next_arm(j, spent, units, final):
+        if j == len(order) or units >= prob.capacity * L:
+            return run_value(final), 0.0
+        return state_step(j, order[j].root, spent, False, units, final)
+
+    def arm_done(j, sid, n, spent, units, final):
+        arm_id = order[j].arm_id
+        return next_arm(j + 1, spent, units + prob.sigmas[arm_id] * n, {**final, arm_id: (sid, n)})
+
+    def state_step(j, sid, spent, played, units, final):
+        arm = order[j]
+        st = arm.states[sid]
+        key = (arm.arm_id, sid)
+        w, masses = sol.w[key], sol.x[key]
+        z = 0.0 if st.is_leaf else sol.z[key]
+        if w < 1e-9:
+            return arm_done(j, sid, 0, spent, units, final)
+        value = cost = 0.0
+        p_dead = max(1.0 - z / w - sum(masses[1:]) / w, 0.0)
+        for n, p in [(n, masses[n] / w) for n in range(1, L + 1)] + [(0, p_dead)]:
+            if p > 0:
+                v, c = arm_done(j, sid, n, spent, units, final)
+                value += p * v
+                cost += p * c
+        if z > 0:
+            kappa = st.play_cost + (arm.switch_cost if not played else 0.0)
+            if spent + kappa > C:  # unaffordable play: weight 1 here, run ends
+                value += z / w * run_value({**final, arm.arm_id: (sid, L)})
+            else:
+                cost += z / w * kappa
+                for child, p in st.transitions:
+                    cv, cc = state_step(j, child, spent + kappa, True, units, final)
+                    value += z / w * p * cv
+                    cost += z / w * p * cc
+        return value, cost
+
+    return next_arm(0, 0.0, 0.0, {})
+
+
 def test_arm_outcome_distribution_reproduces_lp_statistics():
     # running one arm's stopping policy to completion exploits at level l with
     # the LP's mass there: E[level]/L is P(phi), the exploit value R(phi) and
@@ -429,19 +486,37 @@ def test_arm_outcome_distribution_reproduces_lp_statistics():
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
+_EXECUTORS = {
+    "budgeted": execute_greedy_order,
+    "lagrangean": execute_lagrangean_greedy,
+    "concave": execute_concave_greedy,
+}
+
+
 @pytest.mark.parametrize(
-    "entry, rule, alpha",
+    "entry, rule, alpha, variant",
     [
-        ("exact", "Order", 1.0),
-        ("mc", "Order", 1.0),
-        ("verify", "Order", 1.0),
-        ("mc", "violate", 1.5),
+        *[
+            pytest.param(entry, rule, alpha, "budgeted", id=f"{entry}-{rule}-{alpha}")
+            for entry, rule, alpha in [
+                ("exact", "Order", 1.0),
+                ("mc", "Order", 1.0),
+                ("verify", "Order", 1.0),
+                ("mc", "violate", 1.5),
+            ]
+        ],
+        *[(entry, "violate", 1.0, v) for entry in ("exact", "mc", "verify") for v in ("lagrangean", "concave")],
     ],
 )
-def test_unknown_budget_rule_rejected(entry, rule, alpha):
+def test_unknown_budget_rule_rejected(entry, rule, alpha, variant):
     # a misspelt rule used to run with no budget rule at all (here MC
-    # max_cost 2 on budget 1, exact value 0.7545 against 0.75 for both rules)
+    # max_cost 2 on budget 1, exact value 0.7545 against 0.75 for both rules);
+    # "violate" used to be ignored silently on lagrangean and concave plans
     inst = gen_random_suite(GeneratorSpec("random-beta", count=30, seed=5, budget_cap=3))[0]
+    if variant == "lagrangean":
+        inst = as_lagrangean(inst)
+    elif variant == "concave":
+        inst = as_concave(inst, capacity=1.0, epsilon=0.25)
     sol, plan = _pipeline(inst, alpha=alpha)
     with pytest.raises(ValueError):
         if entry == "exact":
@@ -449,7 +524,7 @@ def test_unknown_budget_rule_rejected(entry, rule, alpha):
         elif entry == "mc":
             monte_carlo_evaluate(inst, plan, sol, reps=10, seed=0, rule=rule)
         else:
-            verify_trace(execute_greedy_order(inst, plan, sol, rng_seed=0), inst, plan, rule=rule)
+            verify_trace(_EXECUTORS[variant](inst, plan, sol, rng_seed=0), inst, plan, rule=rule)
 
 
 def test_exact_evaluator_matches_brute_force():
@@ -466,14 +541,19 @@ def test_exact_evaluator_matches_brute_force():
             bf_value, bf_cost = _brute_force_evaluation(inst, plan, sol, rule)
             assert value == pytest.approx(bf_value, abs=1e-12), rule
             assert cost == pytest.approx(bf_cost, abs=1e-12), rule
-        from banditlp.bench import as_lagrangean
-
         lag = as_lagrangean(inst)
         lsol, lplan = _pipeline(lag)
         lvalue, lcost = evaluate_plan_exact(lag, lplan, lsol)
         bf_lvalue, bf_lcost = _brute_force_evaluation(lag, lplan, lsol, "lagrangean")
         assert lvalue == pytest.approx(bf_lvalue, abs=1e-12)
         assert lcost == pytest.approx(bf_lcost, abs=1e-12)
+        for capacity in (1.0, 2.0):
+            conc = as_concave(inst, capacity=capacity, epsilon=0.25)
+            csol, cplan = _pipeline(conc)
+            cvalue, ccost = evaluate_plan_exact(conc, cplan, csol)
+            bf_cvalue, bf_ccost = _brute_force_evaluation(conc, cplan, csol, "concave")
+            assert cvalue == pytest.approx(bf_cvalue, abs=1e-12), capacity
+            assert ccost == pytest.approx(bf_ccost, abs=1e-12), capacity
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +716,32 @@ def test_concave_prescale_weights_below_2b_stress():
         units = sum(prob.sigmas[a] * n for a, n in trace.weight_numerators.items())
         worst = max(worst, units)
     assert worst <= 2 * prob.capacity * L
+
+
+def test_concave_plans_need_a_grid_solution():
+    base = gen_integrality_gap(3)
+    inst = as_concave(base, capacity=1.0, epsilon=0.25)
+    _, plan = _pipeline(inst)
+    plain = solve_relaxation(base)  # exploit masses on the one-level grid only
+    with pytest.raises(ValueError, match="grid"):
+        evaluate_plan_exact(inst, plan, plain)
+    with pytest.raises(ValueError, match="grid"):
+        execute_concave_greedy(inst, plan, plain, rng_seed=0)
+
+
+def test_concave_exact_matches_monte_carlo():
+    # the 50 instances of acceptance criterion 8: Monte-Carlo agrees with the
+    # exact pass within 4 standard errors; where every run earns the same value
+    # the standard error is 0 up to float noise and the two agree within 1e-12
+    suite = gen_random_suite(GeneratorSpec(family="random-two-level", count=25, seed=101, budget_cap=5))
+    suite += gen_random_suite(GeneratorSpec(family="random-beta", count=25, seed=202, budget_cap=5))
+    for i, base in enumerate(suite):
+        inst = as_concave(base, capacity=1.0 if i % 2 == 0 else 2.0, epsilon=0.25)
+        sol, plan = _pipeline(inst)
+        value, _ = evaluate_plan_exact(inst, plan, sol)
+        mc = monte_carlo_evaluate(inst, plan, sol, reps=2_000, seed=17)
+        assert mc.violations == []
+        assert abs(mc.mean - value) <= max(4.0 * mc.stderr, 1e-12), i
 
 
 # ---------------------------------------------------------------------------
