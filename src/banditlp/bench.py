@@ -246,7 +246,6 @@ class SuiteOptions:
     rule: str = "order"
     use_oracle: bool = True
     oracle_limit: int = 2_000_000
-    epsilon: float | None = None  # concave grid override
     tolerance: float = 1e-6
 
 
@@ -334,8 +333,7 @@ def _bound_factor(variant: str, options: SuiteOptions, instance: BanditInstance)
     if variant == "lagrangean":
         return 0.5
     if variant == "concave":
-        eps = options.epsilon if options.epsilon is not None else instance.objective.concave.epsilon
-        return (1.0 - eps) / 8.0
+        return (1.0 - instance.objective.concave.epsilon) / 8.0
     raise ValueError(variant)
 
 
@@ -358,7 +356,7 @@ def run_guarantee_suite(
         if instance.objective.kind != variant:
             raise ValueError(f"instance {idx} has objective {instance.objective.kind!r}, expected {variant!r}")
         flags: list[str] = []
-        solution = solve_relaxation(instance, epsilon=options.epsilon)
+        solution = solve_relaxation(instance)
         policies = extract_single_arm_policies(solution, instance)
         plan = make_greedy_plan(policies, instance, variant, alpha=options.alpha)
         bound = _bound_factor(variant, options, instance) * solution.gamma_star - options.tolerance

@@ -1,8 +1,9 @@
 """Command-line interface: generate, validate, solve, plan, run, oracle, suite.
 
 All output is machine-readable JSON unless asked for CSV.  A library
-ValueError (bad input, an unsupported variant) is reported as one JSON
-object {"error": message} with exit code 2.
+ValueError (bad input, an unsupported variant) or an instance over the
+oracle's guard is reported as one JSON object {"error": message} with exit
+code 2.
 """
 
 from __future__ import annotations
@@ -21,12 +22,8 @@ def _emit(doc) -> None:
     sys.stdout.write("\n")
 
 
-def _solve(instance, epsilon=None):
-    return relaxations.solve_relaxation(instance, epsilon=epsilon)
-
-
-def _pipeline(instance, alpha: float, epsilon=None):
-    solution = _solve(instance, epsilon)
+def _pipeline(instance, alpha: float):
+    solution = relaxations.solve_relaxation(instance)
     pols = relaxations.extract_single_arm_policies(solution, instance)
     plan = policies.make_greedy_plan(pols, instance, instance.objective.kind, alpha=alpha)
     return solution, pols, plan
@@ -68,7 +65,7 @@ def _apply_variant(instance, variant):
 
 def cmd_solve(args) -> int:
     instance = _apply_variant(statespace.load_instance(args.file), args.variant)
-    lp, grid = relaxations.build_relaxation(instance, args.epsilon)
+    lp, grid = relaxations.build_relaxation(instance)
     if args.dump_lp:
         with open(args.dump_lp, "w") as fh:
             fh.write(format_lp(lp))
@@ -97,7 +94,7 @@ def _effective_alpha(args, instance) -> float:
 
 def cmd_plan(args) -> int:
     instance = _apply_variant(statespace.load_instance(args.file), args.variant)
-    solution, pols, plan = _pipeline(instance, _effective_alpha(args, instance), args.epsilon)
+    solution, pols, plan = _pipeline(instance, _effective_alpha(args, instance))
     _emit(
         {
             "variant": plan.variant,
@@ -118,7 +115,7 @@ def cmd_plan(args) -> int:
 
 def cmd_run(args) -> int:
     instance = _apply_variant(statespace.load_instance(args.file), args.variant)
-    solution, _, plan = _pipeline(instance, _effective_alpha(args, instance), args.epsilon)
+    solution, _, plan = _pipeline(instance, _effective_alpha(args, instance))
     kind = instance.objective.kind
     if args.reps:
         report = policies.monte_carlo_evaluate(
@@ -152,7 +149,7 @@ def cmd_run(args) -> int:
 def cmd_oracle(args) -> int:
     instance = _apply_variant(statespace.load_instance(args.file), args.variant)
     opt, _ = oracle.dp_optimal(instance, limits=args.limit)
-    solution = _solve(instance)
+    solution = relaxations.solve_relaxation(instance)
     _emit(
         {
             "opt": opt,
@@ -236,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve the instance's LP relaxation")
     p.add_argument("file")
     p.add_argument("--variant", choices=["budgeted", "lagrangean", "concave"], default=None)
-    p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--dump-lp", default=None, help="write the LP in text interchange format")
     p.set_defaults(func=cmd_solve)
 
@@ -244,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--variant", choices=["budgeted", "lagrangean", "concave"], default=None)
     p.add_argument("--alpha", type=float, default=None, help="bicriteria budget factor (defaults to the instance file's alpha)")
-    p.add_argument("--epsilon", type=float, default=None)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("run", help="execute the rounded policy (trace or Monte-Carlo)")
@@ -254,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=0)
     p.add_argument("--alpha", type=float, default=None, help="bicriteria budget factor (defaults to the instance file's alpha)")
     p.add_argument("--rule", choices=["order", "violate"], default="order")
-    p.add_argument("--epsilon", type=float, default=None)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("oracle", help="exact DP optimum vs gamma*")
@@ -281,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, oracle.OracleGuardError) as exc:
         _emit({"error": str(exc)})
         return 2
 

@@ -12,10 +12,12 @@ solution is the one-level grid (0, x), so its level 1 is the plain exploit.
 The table also holds the exact probabilities pz, px (per level) and pn of
 those outcomes, the charge of a play and the child distribution.
 
-Every consumer reads that one table:
+Every consumer reads that one table, and every run, sampled or exact, applies
+one rule between arms per variant, defined once in `_RULES`:
 
-* `_walk_arm` samples one arm's run; the three runners add only what happens
-  between arms:
+* `_walk_arm` samples one arm's run; one driver, `_sample_run`, walks the plan's
+  arms with it for Monte-Carlo runs and recorded traces alike and applies the
+  variant's rule after each arm:
   - budgeted, rule "order": an unaffordable play stops exploration and
     exploits the current arm where it stands;
   - budgeted, rule "violate" (the analysis twin): the budget is checked only
@@ -25,7 +27,8 @@ Every consumer reads that one table:
     the weights fill the packing capacity, then halves all weights.
 * `_arm_outcome_dist` is the walk's exact twin, the distribution of its
   (state, level, spent).  One exact forward pass convolves it over the plan
-  order for all three variants; each pass adds its runner's rule between arms.
+  order for all three variants and applies the same rules to a frontier of
+  run states.
 * `GreedyOrderProcess` branches on pz, px and pn at each joint state for the
   statistics oracle.
 
@@ -386,81 +389,66 @@ def _walk_arm(ax: _ArmExec, rng: "_DrawStream", run: _Run, avail: float | None):
         state = _sample_child(se, rng)
 
 
-def _run_budgeted(instance, plan, tables, rule, rng, record):
-    budget = plan.budget
-    run = _Run(record)
-    if not _affordable_first_play(instance, budget):
-        arm_id, root, r = _argmax_root(instance)
-        return run, (arm_id, root), r, None
-    exploited = None
-    terminal: dict[str, str] = {}
-    for ra in plan.order:
-        ax = tables[ra.arm_id]
-        state, level = _walk_arm(ax, rng, run, budget if rule == "order" else None)
-        if level == 0 and rule == "violate" and run.spent > budget:
-            run.event(ax.arm_id, state, "budget-stop", 0.0, None)
-        elif level == 0:
-            terminal[ax.arm_id] = state
-            continue
-        exploited = (ax.arm_id, state)  # an exploit, a budget stop or an overshoot
-        break
-    if exploited is None:
-        # Every policy stopped dead: exploit the best terminal state anywhere.
-        best_arm, best_state, best_r = None, None, -1.0
-        for arm in instance.arms:
-            sid = terminal.get(arm.arm_id, arm.root)
-            r = arm.states[sid].reward
-            if r > best_r:
-                best_arm, best_state, best_r = arm.arm_id, sid, r
-        exploited = (best_arm, best_state)
-    arm_id, sid = exploited
-    return run, exploited, instance.arm(arm_id).states[sid].reward, None
+# ---------------------------------------------------------------------------
+# Rules between arms
 
 
-def _run_lagrangean(instance, plan, tables, rule, rng, record):
-    run = _Run(record)
-    exploited = None
-    reward = 0.0
-    for ra in plan.order:
-        ax = tables[ra.arm_id]
-        state, level = _walk_arm(ax, rng, run, None)
-        if level:
-            exploited = (ax.arm_id, state)
-            reward = ax[state].reward
-            break
-    return run, exploited, reward - run.spent, None
+def _budgeted_rule(instance, plan, solution, rule):
+    """Key (remaining budget, best dead-stop reward so far)."""
+    if not _affordable_first_play(instance, plan.budget):
+        return _argmax_root(instance)[2], {}, False, None, None
+
+    # Under "order" the walk itself keeps a run within the budget; testing
+    # the remainder there too would let fractional costs, rounded per arm,
+    # end a run that the walk's running total keeps going.
+    violate = rule == "violate"
+
+    def after(ax, key, sid, level, spent):
+        r = ax[sid].reward
+        if level != 0 or violate and spent > key[0]:
+            return r, None  # an exploit, a budget stop or a violate overshoot: exploit here
+        return 0.0, (key[0] - spent, r if r > key[1] else key[1])
+
+    return 0.0, {(float(plan.budget), -1.0): 1.0}, not violate, after, lambda key: max(key[1], 0.0)
 
 
-def _run_concave(instance, plan, tables, rule, rng, record):
-    prob = instance.objective.concave
-    run = _Run(record)
-    L = next(iter(tables.values())).solution.grid
-    numerators = {a.arm_id: 0 for a in instance.arms}
-    final_state = {a.arm_id: a.root for a in instance.arms}
-    acc_units = 0.0  # sum sigma_i * eps_i in units of 1/L
-    cap_units = prob.capacity * L
-    for ra in plan.order:
-        if acc_units >= cap_units:
-            break
-        ax = tables[ra.arm_id]
-        state, level = _walk_arm(ax, rng, run, plan.budget)
-        final_state[ax.arm_id] = state
-        numerators[ax.arm_id] = L if level is None else level  # a budget stop forces eps = 1
-        acc_units += prob.sigmas[ax.arm_id] * numerators[ax.arm_id]
-        if level is None:
-            break
-    weights = {}
-    value = 0.0
-    for arm in instance.arms:
-        y = numerators[arm.arm_id] / (2 * L)
-        weights[arm.arm_id] = y
-        value += prob.value_at(arm.arm_id, final_state[arm.arm_id], y)
-    return run, None, value, (weights, numerators, L)
+def _lagrangean_rule(instance, plan, solution, rule):
+    """One key: every play is paid for and the run stops at the first exploit."""
+
+    def after(ax, key, sid, level, spent):
+        return (ax[sid].reward - spent, None) if level else (-spent, key)
+
+    return 0.0, {(None,): 1.0}, False, after, lambda key: 0.0
 
 
-# Every runner takes (instance, plan, tables, rule, rng, record) and returns
-# (run, exploited, value, concave extra); only the budgeted one reads rule.
-_RUNNERS = {"budgeted": _run_budgeted, "lagrangean": _run_lagrangean, "concave": _run_concave}
+def _concave_rule(instance, plan, solution, rule):
+    """Key (remaining budget, packed units sum sigma_i * numerator_i).  The value
+    adds over arms: the base has every arm at its root with weight 0."""
+    prob, L = instance.objective.concave, solution.grid
+    cap = prob.capacity * L
+
+    def after(ax, key, sid, level, spent):
+        n = L if level is None else level  # a budget stop packs L units and ends the run
+        units = key[1] + prob.sigmas[ax.arm_id] * n
+        if spent > key[0] + AUDIT_TOL:
+            raise RuntimeError(f"a concave run spends past the budget on arm {ax.arm_id!r}")
+        if units > 2 * cap + AUDIT_TOL:
+            raise RuntimeError(f"pre-scaling weights exceed 2B after arm {ax.arm_id!r}")
+        gain = prob.value_at(ax.arm_id, sid, n / (2 * L)) - prob.value_at(ax.arm_id, ax.root, 0.0)
+        return gain, None if level is None or units >= cap else (key[0] - spent, units)
+
+    base = sum(prob.value_at(a.arm_id, a.root, 0.0) for a in instance.arms)
+    return base, {(float(plan.budget), 0.0): 1.0}, True, after, lambda key: 0.0
+
+
+# The one definition of each variant's rule between arms, read by the sampled
+# runs and by the exact pass.  Each returns (base value, start keys, whether
+# the budget caps an arm's spend, after, finish).  A run starts from its start
+# key (no key: the run ends before any arm, worth the base value).
+# after(ax, key, sid, level, spent) gives the value of an arm's outcome, with
+# spent the arm's own spend, and the next key (None: the run ends); finish(key)
+# values a key that outlives the plan.
+_RULES = {"budgeted": _budgeted_rule, "lagrangean": _lagrangean_rule, "concave": _concave_rule}
 
 
 def _spend_cap(instance: BanditInstance, plan: GreedyPlan, rule: str) -> float | None:
@@ -469,7 +457,7 @@ def _spend_cap(instance: BanditInstance, plan: GreedyPlan, rule: str) -> float |
 
 
 def _check_rule(plan: GreedyPlan, rule: str) -> None:
-    if plan.variant not in _RUNNERS:
+    if plan.variant not in _RULES:
         raise ValueError(f"unknown plan variant {plan.variant!r}")
     if rule not in ("order", "violate"):
         raise ValueError(f"unknown budget rule {rule!r}; expected 'order' or 'violate'")
@@ -477,22 +465,68 @@ def _check_rule(plan: GreedyPlan, rule: str) -> None:
         raise ValueError("the violate rule applies to plain budgeted plans only")
 
 
+# ---------------------------------------------------------------------------
+# Sampled runs
+
+
+def _sample_run(plan, tables, rules, rng, run: _Run, walked: list | None = None) -> tuple[float, bool]:
+    """One sampled run: walk the plan's arms in order, applying the variant's rule
+    (`_RULES`) after each.  Returns the run's value and whether the rule ended
+    it; walked, if given, collects each walked arm's (table, state, level).
+
+    The walk tests a play against the budget with the run's running total, the
+    trace's own cost; the rule sees the arm's own spend.
+    """
+    value, start, capped, after, finish = rules
+    if not start:
+        return value, False
+    (key,) = start
+    avail = plan.budget if capped else None
+    for ra in plan.order:
+        ax = tables[ra.arm_id]
+        before = run.spent
+        state, level = _walk_arm(ax, rng, run, avail)
+        if walked is not None:
+            walked.append((ax, state, level))
+        v, key = after(ax, key, state, level, run.spent - before)
+        value += v
+        if key is None:
+            return value, True
+    return value + finish(key), False
+
+
 def _execute(instance, plan, solution, rng_seed, rule="order") -> ExecutionTrace:
-    run, exploited, value, extra = _RUNNERS[plan.variant](
-        instance, plan, _tables(instance, solution), rule, _StreamPool(rng_seed).stream(0), True
-    )
+    tables = _tables(instance, solution)
+    run, walked = _Run(True), []
+    rules = _RULES[plan.variant](instance, plan, solution, rule)
+    value, ended = _sample_run(plan, tables, rules, _StreamPool(rng_seed).stream(0), run, walked)
     trace = ExecutionTrace(
         variant=plan.variant,
         seed=rng_seed,
         events=run.events,
-        exploited=exploited,
+        exploited=None,
         total_cost=run.spent,
         value=value,
         visited=run.visited,
         switches=run.switches,
     )
-    if extra is not None:
-        trace.weights, trace.weight_numerators, trace.grid = extra
+    if plan.variant == "concave":
+        L = solution.grid
+        numerators = {a.arm_id: 0 for a in instance.arms}
+        numerators.update((ax.arm_id, L if level is None else level) for ax, _, level in walked)
+        trace.weights = {a: n / (2 * L) for a, n in numerators.items()}
+        trace.weight_numerators, trace.grid = numerators, L
+    elif ended:
+        ax, state, level = walked[-1]
+        trace.exploited = (ax.arm_id, state)
+        if level == 0:  # only a violate overshoot ends a run at a dead stop
+            run.event(ax.arm_id, state, "budget-stop", 0.0, None)
+    elif plan.variant == "budgeted":
+        # Out of arms (or none affordable): exploit the best final state, the
+        # first arm in instance order on a tie.
+        final = {ax.arm_id: state for ax, state, _ in walked}
+        arm = max(instance.arms, key=lambda a: a.states[final.get(a.arm_id, a.root)].reward)
+        trace.exploited = (arm.arm_id, final.get(arm.arm_id, arm.root))
     return trace
 
 
@@ -602,23 +636,22 @@ def monte_carlo_evaluate(
     if reps < 1:
         raise ValueError("reps must be >= 1")
     _check_rule(plan, rule)
-    runner = _RUNNERS[plan.variant]
     tables = _tables(instance, solution)
+    rules = _RULES[plan.variant](instance, plan, solution, rule)
     values = np.empty(reps)
     max_cost = 0.0
     total_cost = 0.0
     violations: dict[str, int] = {}
     plan_ids = [ra.arm_id for ra in plan.order]
     cap = _spend_cap(instance, plan, rule)
-    prob = instance.objective.concave
 
     def note(msg: str) -> None:
         violations[msg] = violations.get(msg, 0) + 1
 
     pool = _StreamPool(seed)
     for k in range(reps):
-        run, exploited, value, extra = runner(instance, plan, tables, rule, pool.stream(k), False)
-        values[k] = value
+        run = _Run(False)
+        values[k], _ = _sample_run(plan, tables, rules, pool.stream(k), run)
         max_cost = max(max_cost, run.spent)
         total_cost += run.spent
         if cap is not None and run.spent > cap + AUDIT_TOL:
@@ -627,13 +660,9 @@ def monte_carlo_evaluate(
             note("visited arms do not form a plan-order prefix")
         if any(c > 1 for c in run.switches.values()):
             note("multiple switch charges on one arm")
-        if extra is not None:
-            _, numerators, L = extra
-            units = sum(prob.sigmas[a] * n for a, n in numerators.items())
-            if units > 2 * prob.capacity * L + AUDIT_TOL:
-                note("pre-scaling weights exceed 2B")
     mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+    # equal values have no spread; np.std would report the mean's rounding error
+    stderr = float(values.std(ddof=1) / math.sqrt(reps)) if values.min() < values.max() else 0.0
     return MonteCarloReport(
         mean=mean,
         stderr=stderr,
@@ -684,56 +713,6 @@ def _arm_outcome_dist(ax: _ArmExec, avail: float | None) -> dict[tuple[str, int 
     return out
 
 
-def _budgeted_pass(instance, plan, solution, rule):
-    """Key (remaining budget, best dead-stop reward so far)."""
-    if not _affordable_first_play(instance, plan.budget):
-        return _argmax_root(instance)[2], {}, False, None, None
-
-    def after(ax, key, sid, level, spent):
-        r = ax[sid].reward
-        if level != 0 or spent > key[0]:
-            return r, None  # an exploit, a budget stop or a violate overshoot: exploit here
-        return 0.0, (key[0] - spent, max(key[1], r))
-
-    return 0.0, {(float(plan.budget), -1.0): 1.0}, rule == "order", after, lambda key: max(key[1], 0.0)
-
-
-def _lagrangean_pass(instance, plan, solution, rule):
-    """One key: every play is paid for and the run stops at the first exploit."""
-
-    def after(ax, key, sid, level, spent):
-        return (ax[sid].reward - spent, None) if level else (-spent, key)
-
-    return 0.0, {(None,): 1.0}, False, after, lambda key: 0.0
-
-
-def _concave_pass(instance, plan, solution, rule):
-    """Key (remaining budget, packed units sum sigma_i * numerator_i).  The value
-    adds over arms: the base has every arm at its root with weight 0."""
-    prob, L = instance.objective.concave, solution.grid
-    cap = prob.capacity * L
-
-    def after(ax, key, sid, level, spent):
-        n = L if level is None else level  # a budget stop packs L units and ends the run
-        units = key[1] + prob.sigmas[ax.arm_id] * n
-        if spent > key[0] + AUDIT_TOL:
-            raise RuntimeError(f"a concave run spends past the budget on arm {ax.arm_id!r}")
-        if units > 2 * cap + AUDIT_TOL:
-            raise RuntimeError(f"pre-scaling weights exceed 2B after arm {ax.arm_id!r}")
-        gain = prob.value_at(ax.arm_id, sid, n / (2 * L)) - prob.value_at(ax.arm_id, ax.root, 0.0)
-        return gain, None if level is None or units >= cap else (key[0] - spent, units)
-
-    base = sum(prob.value_at(a.arm_id, a.root, 0.0) for a in instance.arms)
-    return base, {(float(plan.budget), 0.0): 1.0}, True, after, lambda key: 0.0
-
-
-# The exact twins of `_RUNNERS`: each returns (base value, start frontier,
-# whether key[0] caps an arm's spend, after, finish).  after(ax, key, sid,
-# level, spent) gives an arm outcome's value and next key (None: the run
-# ends); finish(key) values a key that outlives the plan.
-_PASSES = {"budgeted": _budgeted_pass, "lagrangean": _lagrangean_pass, "concave": _concave_pass}
-
-
 def evaluate_plan_exact(
     instance: BanditInstance,
     plan: GreedyPlan,
@@ -752,7 +731,7 @@ def evaluate_plan_exact(
     if plan.budget is not None and not (instance.has_integer_costs() and float(plan.budget).is_integer()):
         raise ValueError("exact evaluation under a budget requires integer costs and budget")
     tables = _tables(instance, solution)
-    value, frontier, capped, after, finish = _PASSES[plan.variant](instance, plan, solution, rule)
+    value, frontier, capped, after, finish = _RULES[plan.variant](instance, plan, solution, rule)
     cost = 0.0
     dists: dict[tuple[str, float | None], dict] = {}
     for ra in plan.order:

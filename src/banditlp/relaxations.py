@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .lp import LinearConstraint, LinearProgram, LPSolutionRaw, solve_lp
-from .statespace import ArmStateSpace, BanditInstance, ConcaveProblem, concave_grid_size
+from .statespace import ArmStateSpace, BanditInstance, ConcaveProblem
 
 CLEANUP_SLACK = 1e-6
 
@@ -202,7 +202,7 @@ def _validate_tables(instance: BanditInstance, prob: ConcaveProblem, grid: int) 
                     )
 
 
-def build_concave_lp(instance: BanditInstance, epsilon: float | None = None) -> LinearProgram:
+def build_concave_lp(instance: BanditInstance) -> LinearProgram:
     """Discretized concave-utility relaxation over the weight grid {0..L}/L."""
     if instance.objective.kind != "concave":
         raise ValueError(f"expected a concave instance, got {instance.objective.kind!r}")
@@ -212,8 +212,7 @@ def build_concave_lp(instance: BanditInstance, epsilon: float | None = None) -> 
     if instance.budget is None or not math.isfinite(instance.budget):
         raise ValueError("concave relaxation needs a finite budget")
     _check_ids(instance)
-    eps = prob.epsilon if epsilon is None else float(epsilon)
-    grid = concave_grid_size(len(instance.arms), eps)
+    grid = prob.grid
     _validate_tables(instance, prob, grid)
 
     lp_vars: list[tuple[str, float, float]] = []
@@ -232,7 +231,7 @@ def build_concave_lp(instance: BanditInstance, epsilon: float | None = None) -> 
                     objective[name] = value
     constraints.insert(
         1,
-        LinearConstraint(packing, "<=", prob.capacity * grid * (1.0 + eps), name="weight-packing"),
+        LinearConstraint(packing, "<=", prob.capacity * grid * (1.0 + prob.epsilon), name="weight-packing"),
     )
     return LinearProgram(lp_vars, constraints, objective)
 
@@ -334,7 +333,7 @@ class RelaxationSolution:
         return out
 
 
-def build_relaxation(instance: BanditInstance, epsilon: float | None = None) -> tuple[LinearProgram, int | None]:
+def build_relaxation(instance: BanditInstance) -> tuple[LinearProgram, int | None]:
     """The variant LP for the instance and its concave grid size (None otherwise)."""
     kind = instance.objective.kind
     if kind == "budgeted":
@@ -342,15 +341,13 @@ def build_relaxation(instance: BanditInstance, epsilon: float | None = None) -> 
     if kind == "lagrangean":
         return build_lagrangean_lp(instance), None
     if kind == "concave":
-        lp = build_concave_lp(instance, epsilon)
-        eps = instance.objective.concave.epsilon if epsilon is None else epsilon
-        return lp, concave_grid_size(len(instance.arms), eps)
+        return build_concave_lp(instance), instance.objective.concave.grid
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
-def solve_relaxation(instance: BanditInstance, epsilon: float | None = None) -> RelaxationSolution:
+def solve_relaxation(instance: BanditInstance) -> RelaxationSolution:
     """Build the variant LP for the instance, solve it, and clean the optimum."""
-    lp, grid = build_relaxation(instance, epsilon)
+    lp, grid = build_relaxation(instance)
     raw = solve_lp(lp)
     if raw.status != "optimal":
         raise ValueError(f"relaxation LP is {raw.status}")

@@ -138,3 +138,14 @@ def test_library_errors_are_one_json_object(tmp_path, capsys):
     code, out = run_cli(capsys, "solve", lag, "--variant", "concave")
     assert code == 2
     assert "cannot reinterpret" in json.loads(out)["error"]
+
+
+def test_oracle_guard_is_one_json_object(tmp_path, capsys):
+    # an instance over the oracle's guard used to end in a traceback
+    path = str(tmp_path / "gap6.json")
+    save_instance(gen_integrality_gap(6), path)
+    code, out = run_cli(capsys, "oracle", path, "--limit", "3")
+    assert code == 2
+    doc = json.loads(out)
+    assert set(doc) == {"error"}
+    assert "exceeds the limit 3" in doc["error"]

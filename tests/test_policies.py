@@ -33,6 +33,7 @@ from banditlp.relaxations import (
     solve_relaxation,
 )
 from banditlp.statespace import (
+    ArmStateSpace,
     BanditInstance,
     Objective,
     build_beta_bernoulli_arm,
@@ -205,6 +206,41 @@ def test_violate_cost_bound_three_play_arm():
         assert trace.total_cost <= 2.0 + c_max
         assert verify_trace(trace, inst, plan, rule="violate") == []
         assert trace.exploited[0] == "b"
+        assert all(e.action != "budget-stop" for e in trace.events)  # the leaf exploit ends the run
+    # with dead stops at the leaves, the overshoot itself ends the run
+    dead = dataclasses.replace(sol, x={key: (0.0, 0.0) for key in sol.x})
+    for seed in range(10):
+        trace = execute_greedy_violate(inst, plan, dead, rng_seed=seed)
+        assert trace.total_cost == 3.0
+        assert [e.action for e in trace.events][-2:] == ["stop-null", "budget-stop"]
+        assert sum(e.action == "budget-stop" for e in trace.events) == 1
+        assert trace.exploited == ("b", trace.events[-1].state)
+        assert verify_trace(trace, inst, plan, rule="violate") == []
+
+
+def test_order_all_dead_stops_exploit_best_final_state():
+    # every arm plays its root once and stops dead at its single leaf; the
+    # run then exploits the best final state, and of the tied leaves of a0 and
+    # a2 it takes a0, the first in instance order, although a2 ran first
+    arms = tuple(
+        build_two_level_arm([r], [1.0], play_cost=1, arm_id=f"a{i}") for i, r in enumerate((0.6, 0.3, 0.6))
+    )
+    inst = BanditInstance(arms=arms, budget=3.0, objective=Objective("budgeted"))
+    w, x, z = {}, {}, {}
+    for arm in arms:
+        for sid in arm.states:
+            key = (arm.arm_id, sid)
+            w[key], x[key], z[key] = 1.0, (0.0, 0.0), 1.0 if sid == arm.root else 0.0
+    sol = RelaxationSolution(gamma_star=0.0, w=w, x=x, z=z, grid=None)
+    plan = GreedyPlan("budgeted", tuple(RankedArm(a, 1.0, 1.0, 1.0) for a in ("a2", "a1", "a0")), budget=3.0)
+    for seed in range(5):
+        trace = execute_greedy_order(inst, plan, sol, rng_seed=seed)
+        assert [e.action for e in trace.events] == ["switch", "play", "stop-null"] * 3
+        assert trace.visited == ["a2", "a1", "a0"]
+        assert trace.exploited == ("a0", "v0")
+        assert trace.value == 0.6 and trace.total_cost == 3.0
+        assert verify_trace(trace, inst, plan) == []
+    assert evaluate_plan_exact(inst, plan, sol) == (0.6, 3.0)
 
 
 def test_order_and_violate_identical_without_budget_pressure():
@@ -757,12 +793,85 @@ def test_mc_single_rep_equals_execute():
     assert mc.max_cost == trace.total_cost
 
 
+def test_mc_stderr_is_zero_when_every_run_earns_the_same():
+    # no play is affordable, so every run exploits the best prior, 1/3; the
+    # standard error used to be the rounding error of the mean, 1.76e-18
+    gap = gen_integrality_gap(3)
+    inst = BanditInstance(gap.arms, budget=0.0, objective=gap.objective)
+    sol, plan = _pipeline(inst)
+    mc = monte_carlo_evaluate(inst, plan, sol, reps=1000, seed=0)
+    assert np.all(mc.values == mc.values[0])
+    assert mc.stderr == 0.0
+
+
 def test_mc_prefix_stability_when_doubling_reps():
     inst = gen_integrality_gap(3)
     sol, plan = _pipeline(inst)
     short = monte_carlo_evaluate(inst, plan, sol, reps=500, seed=42)
     long = monte_carlo_evaluate(inst, plan, sol, reps=1000, seed=42)
     assert np.array_equal(short.values, long.values[:500])
+
+
+def _scaled_costs(inst, factor):
+    """The instance with every play cost, switch cost and the budget times factor."""
+    arms = tuple(
+        ArmStateSpace(
+            arm.arm_id,
+            arm.root,
+            {sid: dataclasses.replace(st, play_cost=st.play_cost * factor) for sid, st in arm.states.items()},
+            arm.switch_cost * factor,
+        )
+        for arm in inst.arms
+    )
+    return BanditInstance(arms, None if inst.budget is None else inst.budget * factor, inst.objective)
+
+
+def _sqrt_twin(inst, capacity, rng):
+    """A concave twin with tables r * sqrt(l / L) and fractional sigmas."""
+    from banditlp.statespace import concave_grid_size, make_concave_problem
+
+    L = concave_grid_size(len(inst.arms), 0.25)
+    sigmas = {a.arm_id: float(rng.uniform(0.2, capacity)) for a in inst.arms}
+    tables = {
+        a.arm_id: {s.id: tuple(s.reward * math.sqrt(l / L) for l in range(L + 1)) for s in a.states.values()}
+        for a in inst.arms
+    }
+    prob = make_concave_problem(inst.arms, capacity, 0.25, sigmas, tables)
+    return BanditInstance(inst.arms, inst.budget, Objective("concave", concave=prob))
+
+
+def test_sampled_outputs_digest():
+    # The bytes of every sampled output over a small fixed corpus, as one
+    # SHA-256: each trace's JSONL and each Monte-Carlo run's values.  A change
+    # that keeps the sampled runs must keep this digest; a change that moves
+    # them on purpose records the new one and says why.
+    import hashlib
+
+    rng = np.random.default_rng(5)
+    beta = gen_random_suite(GeneratorSpec(family="random-beta", count=3, seed=202, budget_cap=5))
+    two_level = gen_random_suite(GeneratorSpec(family="random-two-level", count=3, seed=101, budget_cap=5))
+    runs = []
+    for inst in beta + two_level + [gen_integrality_gap(4)]:
+        sol = solve_relaxation(inst)
+        pols = extract_single_arm_policies(sol, inst)
+        plan = make_greedy_plan(pols, inst, "budgeted")
+        runs += [(inst, sol, plan, "order"), (inst, sol, plan, "violate")]
+        runs.append((inst, sol, make_greedy_plan(pols, inst, "budgeted", alpha=2.0), "order"))
+    for inst, factor in [(gen_integrality_gap(4), 0.07), (beta[0], 0.1), (two_level[1], 0.3)]:
+        runs.append((_scaled_costs(as_lagrangean(inst), factor), None, None, "order"))
+    for k, inst in enumerate(beta + two_level):
+        runs.append((as_concave(inst, capacity=1.0 + k % 2, epsilon=0.25), None, None, "order"))
+        runs.append((_sqrt_twin(inst, 1.0 + k % 2, rng), None, None, "order"))
+    h = hashlib.sha256()
+    for inst, sol, plan, rule in runs:
+        if sol is None:
+            sol, plan = _pipeline(inst)
+        execute = execute_greedy_violate if rule == "violate" else _EXECUTORS[plan.variant]
+        for seed in range(5):
+            h.update(trace_to_jsonl(execute(inst, plan, sol, rng_seed=seed)).encode())
+        h.update(monte_carlo_evaluate(inst, plan, sol, reps=200, seed=3, rule=rule).values.tobytes())
+    assert len(runs) == 36
+    assert h.hexdigest() == "924637b75e5ec411a3ae1ab8b9d7cc56e3319873b2c245076ab08d88c02c8f85"
 
 
 # ---------------------------------------------------------------------------
