@@ -15,17 +15,11 @@ comparison, pivot and returned value is what a full-tableau update gives.
 The artificial columns and the phase-1 cost row are dropped once phase 1
 ends.
 
-Upper bounds stay out of the tableau, which holds only the constraint rows
-(the upper-bounding idea of Dantzig, Econometrica 23(2), 1955).  The
-relaxations' occupation probabilities are at most 1 by their flow and cap
-rows already, so their ``<= 1`` bounds never bind, and a bound row would
-only add a row and a slack column.  A bound still snaps, clamps and is
-checked in the returned point.  The LP is solved again with one ``<=`` row
-per finite upper bound, appended after the constraints in variable order,
-when the bound-free optimum puts a variable past its upper bound by more
-than the snap tolerance, or when the bound-free LP is unbounded while
-finite bounds were left out.  That second attempt is the full formulation,
-and it is the answer.
+Each finite upper bound on a free variable is one ``<=`` row after the
+constraints, in variable order, and the LP is solved in one attempt.  Models
+declare only the bounds that can bind: the relaxations' occupation
+probabilities are at most 1 by their flow and cap rows already, so they are
+declared ``[0, inf)`` and the tableau holds only the constraint rows.
 
 Tolerances:
 
@@ -136,8 +130,6 @@ class LPSolutionRaw:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: dict[str, float]
     objective_value: float | None
-    # Both counts cover every attempt: with the bound-row re-solve, the
-    # pivots of the bound-free attempt plus those of the re-solve.
     pivots: int = 0  # every pivot, both phases and the basis repair between them
     bland_pivots: int = 0  # pivots whose entering column Bland's rule chose
 
@@ -171,13 +163,7 @@ def objective_value(lp: LinearProgram, values: Mapping[str, float]) -> float:
 
 
 def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
-    """Solve a small LP to optimality with a deterministic two-phase simplex.
-
-    The first attempt leaves the upper bounds out of the tableau.  If its
-    optimum puts a variable past its upper bound by more than the snap
-    tolerance, or it is unbounded while finite bounds were left out, the LP
-    is solved again with one bound row per finite upper bound.
-    """
+    """Solve a small LP to optimality with a deterministic two-phase simplex."""
     tol = DEFAULT_TOL if tol is None else tol
     lp.check_well_formed()
 
@@ -192,7 +178,7 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
     col_of = {i: j for j, i in enumerate(free_idx)}
     n = len(free_idx)
 
-    # Rows over shifted variables y = x - lb >= 0.
+    # Rows over shifted variables y = x - lb >= 0, then y_j <= ub_j - lb_j.
     rows: list[np.ndarray] = []
     rhs: list[float] = []
     rels: list[str] = []
@@ -207,24 +193,24 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
         rows.append(a)
         rhs.append(b)
         rels.append(con.relation)
+    for j, i in enumerate(free_idx):
+        if math.isfinite(ub[i]):
+            a = np.zeros(n)
+            a[j] = 1.0
+            rows.append(a)
+            rhs.append(ub[i] - lb[i])
+            rels.append("<=")
     cost = np.zeros(n)
     for name, c in lp.objective.items():
         i = index[name]
         if not fixed[i]:
             cost[col_of[i]] = -c  # maximize c.x  ==  minimize -c.y (constants aside)
-    width = ub[free_idx] - lb[free_idx]
 
-    status, y, pivots, bland_pivots = _simplex(rows, rhs, rels, cost, width, bound_rows=False)
-    snap = min(tol, _SNAP_EPS)
-    if (status == "unbounded" and np.isfinite(width).any()) or (
-        status == "optimal" and (lb[free_idx] + y - ub[free_idx] > snap).any()
-    ):
-        status, y, more, more_bland = _simplex(rows, rhs, rels, cost, width, bound_rows=True)
-        pivots += more
-        bland_pivots += more_bland
+    status, y, pivots, bland_pivots = _simplex(rows, rhs, rels, cost)
     if status != "optimal":
         return LPSolutionRaw(status, {}, None, pivots, bland_pivots)
 
+    snap = min(tol, _SNAP_EPS)
     values: dict[str, float] = {}
     for i, name in enumerate(names):
         if fixed[i]:
@@ -233,9 +219,9 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
             v = lb[i] + y[col_of[i]]
             if abs(v - lb[i]) <= snap:
                 v = lb[i]
-            elif math.isfinite(ub[i]) and abs(v - ub[i]) <= snap:
+            elif abs(v - ub[i]) <= snap:
                 v = ub[i]
-            v = min(max(v, lb[i]), ub[i]) if math.isfinite(ub[i]) else max(v, lb[i])
+            v = min(max(v, lb[i]), ub[i])
         values[name] = float(v)
 
     bad = check_feasibility(lp, values, tol)
@@ -246,29 +232,15 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
 
 
 def _simplex(
-    rows: list[np.ndarray],
-    rhs: list[float],
-    rels: list[str],
-    cost: np.ndarray,
-    width: np.ndarray,
-    bound_rows: bool,
+    rows: list[np.ndarray], rhs: list[float], rels: list[str], cost: np.ndarray
 ) -> tuple[str, np.ndarray, int, int]:
-    """Minimize cost . y over the rows, y >= 0; bound rows y_j <= width_j if asked.
+    """Minimize cost . y over the rows, y >= 0.
 
     Returns the status, y (zeros unless optimal), the pivot count and the
-    Bland pivot count.  The phase-1 infeasibility scale counts the finite
-    widths whether or not their rows are in the tableau, so both attempts
-    judge feasibility alike.
+    Bland pivot count.
     """
     n = cost.size
-    bounded = np.flatnonzero(np.isfinite(width))
-    b_scale = 1.0 + max(float(np.abs(rhs).max(initial=0.0)), float(width[bounded].max(initial=0.0)))
-    if bound_rows:
-        unit = np.zeros((bounded.size, n))
-        unit[np.arange(bounded.size), bounded] = 1.0
-        rows = rows + list(unit)
-        rhs = rhs + width[bounded].tolist()
-        rels = rels + ["<="] * bounded.size
+    b_scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
 
     m = len(rows)
     n_slack = sum(1 for r in rels if r == "<=")

@@ -33,17 +33,6 @@ class JointState(NamedTuple):
     last: int | None  # index of the last-played arm, for switch-cost accounting
 
 
-def _require_integer_costs(instance: BanditInstance, with_budget: bool) -> None:
-    # integrality matters only when the remaining budget is a DP dimension
-    if not with_budget:
-        return
-    if not instance.has_integer_costs():
-        raise ValueError("the DP oracle requires integer play and switch costs")
-    b = instance.budget
-    if b is None or not float(b).is_integer() or b < 0:
-        raise ValueError(f"the DP oracle requires a non-negative integer budget, got {b!r}")
-
-
 def _arm_classes(instance: BanditInstance) -> list[int]:
     seen: dict[tuple, int] = {}
     classes = []
@@ -51,6 +40,12 @@ def _arm_classes(instance: BanditInstance) -> list[int]:
         key = arm.structural_key()
         classes.append(seen.setdefault(key, len(seen)))
     return classes
+
+
+def _canon(classes: list[int], states: tuple[str, ...], budget: int | None, last: int | None) -> tuple:
+    """Memo key of a joint state, invariant under permuting interchangeable arms."""
+    last_entry = None if last is None else (classes[last], states[last])
+    return (budget, last_entry, tuple(sorted(zip(classes, states))))
 
 
 def _multiset_count(n_items: int, n_kinds: int) -> int:
@@ -75,6 +70,22 @@ def estimate_joint_states(instance: BanditInstance, with_budget: bool) -> int:
     return count
 
 
+def _check_joint_space(instance: BanditInstance, with_budget: bool, limits: int) -> None:
+    """Reject what the joint-state walk cannot represent or afford.
+
+    Integrality matters only when the remaining budget is a DP dimension.
+    """
+    if with_budget:
+        if not instance.has_integer_costs():
+            raise ValueError("the DP oracle requires integer play and switch costs")
+        b = instance.budget
+        if b is None or not float(b).is_integer() or b < 0:
+            raise ValueError(f"the DP oracle requires a non-negative integer budget, got {b!r}")
+    est = estimate_joint_states(instance, with_budget)
+    if est > limits:
+        raise OracleGuardError(f"estimated joint-state count {est} exceeds the limit {limits}")
+
+
 class DecisionTable:
     """Optimal policy produced by dp_optimal.
 
@@ -88,14 +99,9 @@ class DecisionTable:
         self._classes = classes
         self._track_last = track_last
 
-    def _canon(self, joint: JointState):
-        last = joint.last if self._track_last else None
-        last_entry = None if last is None else (self._classes[last], joint.states[last])
-        entries = tuple(sorted(zip(self._classes, joint.states)))
-        return (joint.budget, last_entry, entries)
-
     def decide(self, joint: JointState) -> tuple:
-        action = self._memo[self._canon(joint)][1]
+        last = joint.last if self._track_last else None
+        action = self._memo[_canon(self._classes, joint.states, joint.budget, last)][1]
         if action[0] == "stop":
             return ("stop",)
         _, cls, sid, is_last = action
@@ -121,10 +127,7 @@ def dp_optimal(
     if kind not in ("budgeted", "lagrangean"):
         raise ValueError(f"the DP oracle handles budgeted/lagrangean objectives, not {kind!r}")
     with_budget = kind == "budgeted"
-    _require_integer_costs(instance, with_budget)
-    est = estimate_joint_states(instance, with_budget)
-    if est > limits:
-        raise OracleGuardError(f"estimated joint-state count {est} exceeds the limit {limits}")
+    _check_joint_space(instance, with_budget, limits)
 
     arms = instance.arms
     n = len(arms)
@@ -135,12 +138,8 @@ def dp_optimal(
     depth_bound = sum(len(a.states) for a in arms) + 10
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * depth_bound + 1000))
 
-    def canon(states, budget, last):
-        last_entry = None if last is None else (classes[last], states[last])
-        return (budget, last_entry, tuple(sorted(zip(classes, states))))
-
     def value(states: tuple[str, ...], budget: int | None, last: int | None) -> float:
-        key = canon(states, budget, last if track_last else None)
+        key = _canon(classes, states, budget, last if track_last else None)
         hit = memo.get(key)
         if hit is not None:
             return hit[0]
@@ -217,11 +216,7 @@ def enumerate_policy_statistics(
     """
     kind = instance.objective.kind
     with_budget = kind == "budgeted"
-    if with_budget:
-        _require_integer_costs(instance, True)
-    est = estimate_joint_states(instance, with_budget)
-    if est > limits:
-        raise OracleGuardError(f"estimated joint-state count {est} exceeds the limit {limits}")
+    _check_joint_space(instance, with_budget, limits)
 
     arms = instance.arms
     n = len(arms)

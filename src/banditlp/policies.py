@@ -56,10 +56,13 @@ from .statespace import ArmStateSpace, BanditInstance
 from .lp import solve_lp
 
 # A state with occupancy w below UNREACHABLE_W is never entered: its step is a
-# dead stop.  AUDIT_TOL is the slack of every float comparison in the audits of
-# verify_trace, monte_carlo_evaluate and the concave exact pass: spend against
-# a budget or cap, event costs against the trace cost, and packed units
-# against 2 * capacity * L.
+# dead stop.  AUDIT_TOL is the slack of every float comparison of a spend with
+# a budget, so that fractional costs are not decided by rounding: the first-play
+# test, the walk's affordability test and its exact twin, the violate overshoot,
+# and the audits
+# of verify_trace, monte_carlo_evaluate and the concave exact pass (spend
+# against a budget or cap, event costs against the trace cost, and packed
+# units against 2 * capacity * L).
 UNREACHABLE_W = 1e-9
 AUDIT_TOL = 1e-9
 
@@ -267,7 +270,7 @@ def _sample_child(se: _Step, rng: "_DrawStream") -> str:
 def _affordable_first_play(instance: BanditInstance, budget: float) -> bool:
     for arm in instance.arms:
         first = arm.first_play_cost()
-        if first is not None and first <= budget:
+        if first is not None and first <= budget + AUDIT_TOL:
             return True
     return False
 
@@ -360,7 +363,7 @@ def _walk_arm(ax: _ArmExec, rng: "_DrawStream", run: _Run, avail: float | None):
 
     level is the exploit level where the policy stopped (0 for a dead stop,
     1 for a plain exploit, l on the concave grid), or None when a play would
-    take the run's total spend past avail (None: no budget check).
+    take the run's total spend past avail + AUDIT_TOL (None: no budget check).
     """
     run.visited.append(ax.arm_id)
     state = ax.root
@@ -378,7 +381,7 @@ def _walk_arm(ax: _ArmExec, rng: "_DrawStream", run: _Run, avail: float | None):
                     break
             run.event(ax.arm_id, state, "stop-exploit" if level else "stop-null", 0.0, q)
             return state, level
-        if avail is not None and run.spent + se.charge > avail:
+        if avail is not None and run.spent + se.charge > avail + AUDIT_TOL:
             run.event(ax.arm_id, state, "budget-stop", 0.0, q)
             return state, None
         if state == ax.root:
@@ -405,7 +408,7 @@ def _budgeted_rule(instance, plan, solution, rule):
 
     def after(ax, key, sid, level, spent):
         r = ax[sid].reward
-        if level != 0 or violate and spent > key[0]:
+        if level != 0 or violate and spent > key[0] + AUDIT_TOL:
             return r, None  # an exploit, a budget stop or a violate overshoot: exploit here
         return 0.0, (key[0] - spent, r if r > key[1] else key[1])
 
@@ -682,8 +685,8 @@ def _arm_outcome_dist(ax: _ArmExec, avail: float | None) -> dict[tuple[str, int 
     """Exact twin of `_walk_arm`: the distribution of its (state, level, spent).
 
     spent is the arm's own spend, switch included; level None marks a play
-    that would take spent past avail (never when avail is None).  Integer-
-    valued costs stay exact in float arithmetic.
+    that would take spent past avail + AUDIT_TOL (never when avail is None).
+    Integer-valued costs stay exact in float arithmetic.
     """
     out: dict[tuple[str, int | None, float], float] = {}
 
@@ -703,7 +706,7 @@ def _arm_outcome_dist(ax: _ArmExec, avail: float | None) -> dict[tuple[str, int 
             if se.pn > 0.0:
                 add((sid, 0, spent), pr * se.pn)
             if se.pz > 0.0:
-                if avail is not None and spent + se.charge > avail:
+                if avail is not None and spent + se.charge > avail + AUDIT_TOL:
                     add((sid, None, spent), pr * se.pz)
                     continue
                 for child, p_child in zip(se.children, se.probs):

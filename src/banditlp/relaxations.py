@@ -72,98 +72,78 @@ def _parents(arm: ArmStateSpace, order: list[str]) -> dict[str, list[tuple[str, 
     return par
 
 
-def _core_rows(instance: BanditInstance, lp_vars, constraints, grid: int | None) -> None:
-    """Variables plus flow and disjointness rows shared by all three LPs."""
+def _relaxation_lp(instance: BanditInstance, grid: int | None) -> LinearProgram:
+    """The relaxation of the instance's kind on its weight grid (None: plain).
+
+    Rows: the cost row (except for lagrangean plays, which pay charge * z in
+    the objective), one linking row (exploit-mass sum x <= 1 on the one-level
+    grid, weight-packing sum sigma * l * x <= B * L * (1 + eps) on the concave
+    grid), then per arm its flow and cap rows.  Only the bounds that can bind
+    are declared (root w = 1, leaf z = 0); the flow and cap rows keep every
+    other w, z and x within [0, 1].
+    """
+    kind = instance.objective.kind
+    if kind != "lagrangean" and (instance.budget is None or not math.isfinite(instance.budget)):
+        raise ValueError(f"{kind} relaxation needs a finite budget")
+    _check_ids(instance)
+    prob = instance.objective.concave
+    lp_vars: list[tuple[str, float, float]] = []
+    core: list[LinearConstraint] = []
+    cost: dict[str, float] = {}
+    link: dict[str, float] = {}
+    objective: dict[str, float] = {}
     for arm in instance.arms:
+        sigma = 1.0 if grid is None else prob.sigmas[arm.arm_id]
         order = arm.topo_order()
         parents = _parents(arm, order)
+        caps = []
         for sid in order:
             st = arm.states[sid]
-            is_root = sid == arm.root
-            lp_vars.append((var_name("w", arm.arm_id, sid), 1.0 if is_root else 0.0, 1.0))
-            lp_vars.append((var_name("z", arm.arm_id, sid), 0.0, 0.0 if st.is_leaf else 1.0))
-            for _, name in _exploit_vars(arm, sid, grid):
-                lp_vars.append((name, 0.0, 1.0))
-        for sid in order:
+            w, z = var_name("w", arm.arm_id, sid), var_name("z", arm.arm_id, sid)
+            lp_vars.append((w, 1.0, 1.0) if sid == arm.root else (w, 0.0, math.inf))
+            lp_vars.append((z, 0.0, 0.0 if st.is_leaf else math.inf))
+            cap = {z: 1.0, w: -1.0}
+            for l, name, value in _exploit_levels(instance, arm, sid, grid):
+                lp_vars.append((name, 0.0, math.inf))
+                cap[name] = 1.0
+                if sigma * l != 0.0:
+                    link[name] = sigma * l
+                if value != 0.0:
+                    objective[name] = value
+            c = 0.0 if st.is_leaf else arm.play_charge(sid)
+            if c != 0.0:
+                cost[z] = c
+                if kind == "lagrangean":
+                    objective[z] = -c
+            caps.append(LinearConstraint(cap, "<=", 0.0, name=f"cap|{arm.arm_id}|{sid}"))
             if sid != arm.root:
-                coeffs: dict[str, float] = {var_name("w", arm.arm_id, sid): 1.0}
+                flow: dict[str, float] = {w: 1.0}
                 for parent, p in parents[sid]:
                     if p != 0.0:
                         name = var_name("z", arm.arm_id, parent)
-                        coeffs[name] = coeffs.get(name, 0.0) - p
-                constraints.append(
-                    LinearConstraint(coeffs, "==", 0.0, name=f"flow|{arm.arm_id}|{sid}")
-                )
-        for sid in order:
-            coeffs = {
-                var_name("z", arm.arm_id, sid): 1.0,
-                var_name("w", arm.arm_id, sid): -1.0,
-            }
-            for _, name in _exploit_vars(arm, sid, grid):
-                coeffs[name] = 1.0
-            constraints.append(LinearConstraint(coeffs, "<=", 0.0, name=f"cap|{arm.arm_id}|{sid}"))
-
-
-def _cost_row(instance: BanditInstance) -> dict[str, float]:
-    coeffs: dict[str, float] = {}
-    for arm in instance.arms:
-        for sid in arm.topo_order():
-            if arm.states[sid].is_leaf:
-                continue
-            c = arm.play_charge(sid)
-            if c != 0.0:
-                coeffs[var_name("z", arm.arm_id, sid)] = c
-    return coeffs
-
-
-def _unit_mass_row(instance: BanditInstance) -> LinearConstraint:
-    mass = {var_name("x", a.arm_id, sid): 1.0 for a in instance.arms for sid in a.topo_order()}
-    return LinearConstraint(mass, "<=", 1.0, name="exploit-mass")
+                        flow[name] = flow.get(name, 0.0) - p
+                core.append(LinearConstraint(flow, "==", 0.0, name=f"flow|{arm.arm_id}|{sid}"))
+        core += caps
+    rows = [] if kind == "lagrangean" else [LinearConstraint(cost, "<=", float(instance.budget), name="cost")]
+    if grid is None:
+        rows.append(LinearConstraint(link, "<=", 1.0, name="exploit-mass"))
+    else:
+        rows.append(LinearConstraint(link, "<=", prob.capacity * grid * (1.0 + prob.epsilon), name="weight-packing"))
+    return LinearProgram(lp_vars, rows + core, objective)
 
 
 def build_budgeted_lp(instance: BanditInstance) -> LinearProgram:
     """Relaxation with the exploration-cost budget row and unit exploit mass."""
     if instance.objective.kind != "budgeted":
         raise ValueError(f"expected a budgeted instance, got {instance.objective.kind!r}")
-    if instance.budget is None or not math.isfinite(instance.budget):
-        raise ValueError("budgeted relaxation needs a finite budget")
-    _check_ids(instance)
-
-    lp_vars: list[tuple[str, float, float]] = []
-    constraints: list[LinearConstraint] = []
-    _core_rows(instance, lp_vars, constraints, grid=None)
-    constraints.insert(0, LinearConstraint(_cost_row(instance), "<=", float(instance.budget), name="cost"))
-    constraints.insert(1, _unit_mass_row(instance))
-    objective = {}
-    for arm in instance.arms:
-        for sid in arm.topo_order():
-            r = arm.states[sid].reward
-            if r != 0.0:
-                objective[var_name("x", arm.arm_id, sid)] = r
-    return LinearProgram(lp_vars, constraints, objective)
+    return _relaxation_lp(instance, None)
 
 
 def build_lagrangean_lp(instance: BanditInstance) -> LinearProgram:
     """Profit relaxation: exploit reward minus play and switch cost, no budget."""
     if instance.objective.kind != "lagrangean":
         raise ValueError(f"expected a lagrangean instance, got {instance.objective.kind!r}")
-    _check_ids(instance)
-
-    lp_vars: list[tuple[str, float, float]] = []
-    constraints: list[LinearConstraint] = []
-    _core_rows(instance, lp_vars, constraints, grid=None)
-    constraints.insert(0, _unit_mass_row(instance))
-    objective: dict[str, float] = {}
-    for arm in instance.arms:
-        for sid in arm.topo_order():
-            st = arm.states[sid]
-            if st.reward != 0.0:
-                objective[var_name("x", arm.arm_id, sid)] = st.reward
-            if not st.is_leaf:
-                c = arm.play_charge(sid)
-                if c != 0.0:
-                    objective[var_name("z", arm.arm_id, sid)] = -c
-    return LinearProgram(lp_vars, constraints, objective)
+    return _relaxation_lp(instance, None)
 
 
 def _validate_tables(instance: BanditInstance, prob: ConcaveProblem, grid: int) -> None:
@@ -209,31 +189,8 @@ def build_concave_lp(instance: BanditInstance) -> LinearProgram:
     prob = instance.objective.concave
     if prob is None:
         raise ValueError("concave instance lacks ConcaveProblem data")
-    if instance.budget is None or not math.isfinite(instance.budget):
-        raise ValueError("concave relaxation needs a finite budget")
-    _check_ids(instance)
-    grid = prob.grid
-    _validate_tables(instance, prob, grid)
-
-    lp_vars: list[tuple[str, float, float]] = []
-    constraints: list[LinearConstraint] = []
-    _core_rows(instance, lp_vars, constraints, grid=grid)
-    constraints.insert(0, LinearConstraint(_cost_row(instance), "<=", float(instance.budget), name="cost"))
-    packing: dict[str, float] = {}
-    objective: dict[str, float] = {}
-    for arm in instance.arms:
-        sigma = prob.sigmas[arm.arm_id]
-        for sid in arm.topo_order():
-            for l, name, value in _exploit_levels(instance, arm, sid, grid):
-                if sigma * l != 0.0:
-                    packing[name] = sigma * l
-                if value != 0.0:
-                    objective[name] = value
-    constraints.insert(
-        1,
-        LinearConstraint(packing, "<=", prob.capacity * grid * (1.0 + prob.epsilon), name="weight-packing"),
-    )
-    return LinearProgram(lp_vars, constraints, objective)
+    _validate_tables(instance, prob, prob.grid)
+    return _relaxation_lp(instance, prob.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -504,16 +504,8 @@ def instance_from_json(doc: Mapping) -> BanditInstance:
     kind = obj_doc.get("type", "budgeted")
     concave = None
     if kind == "concave":
-        tables = {
-            arm: {state: tuple(float(v) for v in tab) for state, tab in per_arm.items()}
-            for arm, per_arm in obj_doc["value_tables"].items()
-        }
-        concave = ConcaveProblem(
-            capacity=float(obj_doc["B"]),
-            epsilon=float(obj_doc["epsilon"]),
-            grid=concave_grid_size(len(arms), float(obj_doc["epsilon"])),
-            sigmas={k: float(v) for k, v in obj_doc["sigmas"].items()},
-            value_tables=tables,
+        concave = make_concave_problem(
+            arms, float(obj_doc["B"]), float(obj_doc["epsilon"]), obj_doc["sigmas"], obj_doc["value_tables"]
         )
     objective = Objective(kind=kind, alpha=float(obj_doc.get("alpha", 1.0)), concave=concave)
     budget = doc.get("budget")

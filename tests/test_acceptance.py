@@ -227,6 +227,7 @@ def test_criterion_9_optimal_policy_statistics(solved_suite):
         values = stats.as_lp_values()
         bad = check_feasibility(lp, values, tol=1e-6)
         assert bad == [], f"LP rows violated by the optimal policy: {bad[:3]}"
+        assert all(0.0 <= v <= 1.0 + 1e-6 for v in values.values()), "an occupation probability outside [0, 1]"
         assert objective_value(lp, values) <= solution.gamma_star + 1e-6
         assert stats.expected_reward == pytest.approx(opt, abs=1e-9)
     _line(9, True, "50 instances: DP-optimal statistics satisfy every LP row within 1e-6 and objective <= gamma* + 1e-6")

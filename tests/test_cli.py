@@ -149,3 +149,18 @@ def test_oracle_guard_is_one_json_object(tmp_path, capsys):
     doc = json.loads(out)
     assert set(doc) == {"error"}
     assert "exceeds the limit 3" in doc["error"]
+
+
+def test_concave_instance_file_is_checked_on_load(tmp_path, capsys):
+    # a zero capacity and zero sigmas used to load and then divide by zero
+    path = str(tmp_path / "conc.json")
+    save_instance(as_concave(gen_integrality_gap(2), capacity=1.0, epsilon=0.5), path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["objective"]["B"] = 0
+    doc["objective"]["sigmas"] = {arm: 0 for arm in doc["objective"]["sigmas"]}
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out = run_cli(capsys, "run", path, "--seed", "0")
+    assert code == 2
+    assert json.loads(out) == {"error": "capacity must be positive"}

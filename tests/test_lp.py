@@ -50,7 +50,7 @@ def scipy_optimum(lp: LinearProgram) -> float:
 
 
 def test_single_variable_box():
-    # no constraint row: the bound-free attempt is unbounded, the bound rows answer
+    # no constraint row: the bound is the tableau's only row
     lp = LinearProgram(variables=[("x", 0.0, 1.0)], objective={"x": 1.0})
     sol = solve_lp(lp)
     assert sol.status == "optimal"
@@ -69,7 +69,7 @@ def test_binding_bound_alongside_a_constraint():
     assert (sol.status, sol.values, sol.objective_value) == ("optimal", {"x": 1.0, "y": 0.5}, 2.5)
     explicit = solve_lp(_with_bound_rows(lp))
     assert explicit.values == sol.values
-    assert sol.pivots > explicit.pivots  # the bound-free attempt's pivots are counted too
+    assert sol.pivots == explicit.pivots  # one attempt: no pivot is discarded
 
 
 def test_infeasible():
@@ -84,7 +84,7 @@ def test_infeasible():
 def test_unbounded():
     lp = LinearProgram(variables=[("x", 0.0, INF)], objective={"x": 1.0})
     assert solve_lp(lp).status == "unbounded"
-    # a bounded variable beside it does not make it bounded on the re-solve
+    # a bounded variable beside it does not make it bounded
     lp = LinearProgram(variables=[("x", 0.0, 1.0), ("y", 0.0, INF)], objective={"x": 1.0, "y": 1.0})
     assert solve_lp(lp).status == "unbounded"
 
@@ -178,6 +178,7 @@ def test_matches_scipy_on_concave_lps():
         ref = scipy_optimum(lp)
         assert sol.objective_value == pytest.approx(ref, abs=1e-6 * (1 + abs(ref)))
         assert check_feasibility(lp, sol.values, 1e-7) == []
+        assert all(0.0 <= v <= 1.0 + 1e-7 for v in sol.values.values())
 
 
 def test_matches_scipy_on_midsize_ladder_relaxations():
@@ -200,27 +201,36 @@ def test_matches_scipy_on_midsize_ladder_relaxations():
         ref = scipy_optimum(lp)
         assert sol.objective_value == pytest.approx(ref, rel=1e-6)
         assert check_feasibility(lp, sol.values) == []
+        assert all(0.0 <= v <= 1.0 + 1e-7 for v in sol.values.values())
         again = solve_lp(lp)
         assert again.values == sol.values
 
 
+def _with_unit_bounds(lp: LinearProgram) -> LinearProgram:
+    """The LP with the bounds [0, 1] declared on every free variable."""
+    variables = [(name, lb, ub if lb == ub else 1.0) for name, lb, ub in lp.variables]
+    return LinearProgram(variables, lp.constraints, dict(lp.objective))
+
+
 def _with_bound_rows(lp: LinearProgram) -> LinearProgram:
-    """The LP plus an explicit <= row for every non-fixed finite upper bound.
+    """The LP with every non-fixed finite upper bound moved into a <= row.
 
     The rows follow the constraints in variable order, which is the tableau
-    the solver builds when it does put the bounds in.
+    the solver builds from the bounds.
     """
     rows = [
         LinearConstraint({name: 1.0}, "<=", ub, name=f"ub|{name}")
         for name, lb, ub in lp.variables
         if lb != ub and math.isfinite(ub)
     ]
-    return LinearProgram(lp.variables, lp.constraints + rows, dict(lp.objective))
+    variables = [(name, lb, ub if lb == ub else INF) for name, lb, ub in lp.variables]
+    return LinearProgram(variables, lp.constraints + rows, dict(lp.objective))
 
 
 def test_bound_free_tableau_matches_explicit_bound_rows_on_relaxations():
-    # the <= 1 bounds of the relaxations never bind, so leaving them out of
-    # the tableau must not change a single pivot or bit
+    # the relaxations declare only the bounds that can bind; restoring the
+    # [0, 1] bounds, which the flow and cap rows already imply, puts bound
+    # rows into the tableau without changing a pivot or gamma*
     from banditlp.bench import as_concave, as_lagrangean
     from banditlp.relaxations import build_relaxation
 
@@ -230,12 +240,14 @@ def test_bound_free_tableau_matches_explicit_bound_rows_on_relaxations():
     twins += [as_concave(inst, capacity=1.0 + k % 2, epsilon=0.25) for k, inst in enumerate(suite[:4])]
     for inst in suite + twins:
         lp, _ = build_relaxation(inst)
+        assert all(ub == INF for _, lb, ub in lp.variables if lb != ub)
         sol = solve_lp(lp)
-        ref = solve_lp(_with_bound_rows(lp))
+        ref = solve_lp(_with_unit_bounds(lp))
         assert sol.status == ref.status == "optimal"
-        assert {k: v.hex() for k, v in sol.values.items()} == {k: v.hex() for k, v in ref.values.items()}
         assert sol.objective_value.hex() == ref.objective_value.hex()
         assert (sol.pivots, sol.bland_pivots) == (ref.pivots, ref.bland_pivots)
+        assert sol.values.keys() == ref.values.keys()
+        assert max(abs(sol.values[k] - ref.values[k]) for k in sol.values) <= 1e-15
 
 
 def test_feasibility_tolerances():
@@ -244,7 +256,7 @@ def test_feasibility_tolerances():
     assert check_feasibility(lp, sol.values, 1e-7) == []
     for name, lb, ub in lp.variables:
         v = sol.values[name]
-        assert lb - 1e-7 <= v <= ub + 1e-7
+        assert lb - 1e-7 <= v <= min(ub, 1.0) + 1e-7  # occupation probabilities
 
 
 def test_objective_scaling_property():

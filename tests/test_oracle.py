@@ -123,6 +123,7 @@ def test_dp_statistics_feasible_for_lp():
     lp = build_budgeted_lp(inst)
     values = stats.as_lp_values()
     assert check_feasibility(lp, values, tol=1e-9) == []
+    assert all(0.0 <= v <= 1.0 + 1e-9 for v in values.values())
     assert objective_value(lp, values) <= sol.gamma_star + 1e-6
 
 
@@ -154,7 +155,9 @@ def test_greedy_process_statistics_match_exact_evaluation():
         assert stats.expected_reward == pytest.approx(value, abs=1e-9)
         # a budget-feasible sequential policy also satisfies the LP rows
         lp = build_budgeted_lp(inst)
-        assert check_feasibility(lp, stats.as_lp_values(), tol=1e-7) == []
+        values = stats.as_lp_values()
+        assert check_feasibility(lp, values, tol=1e-7) == []
+        assert all(0.0 <= v <= 1.0 + 1e-7 for v in values.values())
 
 
 def test_symmetry_reduction_matches_distinct_arm_encoding():

@@ -218,6 +218,40 @@ def test_violate_cost_bound_three_play_arm():
         assert verify_trace(trace, inst, plan, rule="violate") == []
 
 
+def _dead_stop_solution(arms):
+    """Thresholds of two-level arms: play each root, stop dead at every leaf."""
+    w, x, z = {}, {}, {}
+    for arm in arms:
+        for sid in arm.states:
+            key = (arm.arm_id, sid)
+            w[key], x[key], z[key] = 1.0, (0.0, 0.0), 1.0 if sid == arm.root else 0.0
+    return RelaxationSolution(gamma_star=0.0, w=w, x=x, z=z, grid=None)
+
+
+@pytest.mark.parametrize(
+    "play_cost, switch_cost, n_arms",
+    [(0.1, 0.0, 3), (0.2, 0.1, 1)],  # 0.1 + 0.1 + 0.1 > 0.3 and 0.2 + 0.1 > 0.3 in floats
+)
+def test_fractional_costs_are_not_decided_by_rounding(play_cost, switch_cost, n_arms):
+    # the plays spend the budget 0.3 exactly in real numbers: every run plays
+    # every arm once, stopping dead at its leaf, under either budget rule
+    arms = tuple(
+        build_two_level_arm([0.5], [1.0], play_cost=play_cost, switch_cost=switch_cost, arm_id=f"a{i}")
+        for i in range(n_arms)
+    )
+    inst = BanditInstance(arms=arms, budget=0.3, objective=Objective("budgeted"))
+    sol = _dead_stop_solution(arms)
+    plan = GreedyPlan("budgeted", tuple(RankedArm(a.arm_id, 1.0, 1.0, 1.0) for a in arms), budget=0.3)
+    for rule, execute in (("order", execute_greedy_order), ("violate", execute_greedy_violate)):
+        for seed in range(5):
+            trace = execute(inst, plan, sol, rng_seed=seed)
+            assert [e.action for e in trace.events if e.action in ("play", "budget-stop")] == ["play"] * n_arms
+            assert verify_trace(trace, inst, plan, rule=rule) == []
+        mc = monte_carlo_evaluate(inst, plan, sol, reps=200, seed=0, rule=rule)
+        assert mc.violations == []
+        assert mc.max_cost > 0.3 - 1e-9
+
+
 def test_order_all_dead_stops_exploit_best_final_state():
     # every arm plays its root once and stops dead at its single leaf; the
     # run then exploits the best final state, and of the tied leaves of a0 and
@@ -226,12 +260,7 @@ def test_order_all_dead_stops_exploit_best_final_state():
         build_two_level_arm([r], [1.0], play_cost=1, arm_id=f"a{i}") for i, r in enumerate((0.6, 0.3, 0.6))
     )
     inst = BanditInstance(arms=arms, budget=3.0, objective=Objective("budgeted"))
-    w, x, z = {}, {}, {}
-    for arm in arms:
-        for sid in arm.states:
-            key = (arm.arm_id, sid)
-            w[key], x[key], z[key] = 1.0, (0.0, 0.0), 1.0 if sid == arm.root else 0.0
-    sol = RelaxationSolution(gamma_star=0.0, w=w, x=x, z=z, grid=None)
+    sol = _dead_stop_solution(arms)
     plan = GreedyPlan("budgeted", tuple(RankedArm(a, 1.0, 1.0, 1.0) for a in ("a2", "a1", "a0")), budget=3.0)
     for seed in range(5):
         trace = execute_greedy_order(inst, plan, sol, rng_seed=seed)

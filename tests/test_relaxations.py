@@ -232,3 +232,32 @@ def test_from_raw_rejects_a_grid_that_does_not_match_the_lp():
     # a grid on an instance that has no value tables is the same mismatch
     with pytest.raises(ValueError, match=r"no variable 'x\|a0\|root\|0'"):
         RelaxationSolution.from_raw(gen_integrality_gap(3), budgeted_raw, 4)
+
+
+@pytest.mark.parametrize("variant", ["budgeted", "lagrangean", "concave"])
+def test_solve_relaxation_calls_the_module_builder_and_solver_once(monkeypatch, variant):
+    # traced runs wrap these module-level names to time the build and solve
+    # layers and to count LP sizes, so solve_relaxation must look them up
+    import banditlp.relaxations as relaxations
+
+    base = gen_integrality_gap(3)
+    inst = {
+        "budgeted": base,
+        "lagrangean": as_lagrangean(base),
+        "concave": as_concave(base, capacity=1.0, epsilon=0.5),
+    }[variant]
+    calls = []
+
+    def counting(name):
+        fn = getattr(relaxations, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(relaxations, name, wrapped)
+
+    for name in ("build_budgeted_lp", "build_lagrangean_lp", "build_concave_lp", "solve_lp"):
+        counting(name)
+    solve_relaxation(inst)
+    assert calls == [f"build_{variant}_lp", "solve_lp"]
