@@ -2,9 +2,10 @@
 
 Build an instance (`statespace`), solve its relaxation and split it into
 single-arm randomized policies (`relaxations`), round them into sequential
-exploration plans and evaluate those exactly or by simulation (`policies`),
-verify against exact dynamic-programming optima (`oracle`), and drive the
-canonical instance families and guarantee suites (`bench`).
+exploration plans and evaluate those exactly or by simulation (`policies`;
+large Monte-Carlo calls run batched in `batched`), verify against exact
+dynamic-programming optima (`oracle`), and drive the canonical instance
+families and guarantee suites (`bench`).
 """
 
 from .statespace import (

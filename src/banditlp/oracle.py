@@ -21,6 +21,9 @@ from typing import NamedTuple
 from .statespace import BanditInstance
 
 ORACLE_GUARD = 10_000_000
+# dp_optimal plays an arm only if its value beats the best action so far
+# (stopping first) by more than ACTION_TIE, so near-ties keep the earlier action.
+ACTION_TIE = 1e-12
 
 
 class OracleGuardError(RuntimeError):
@@ -163,7 +166,7 @@ def dp_optimal(
                 for child, p in st.transitions:
                     if p:
                         v += p * value(states[:i] + (child,) + states[i + 1 :], None, i)
-            if v > best + 1e-12:
+            if v > best + ACTION_TIE:
                 best = v
                 action = ("play", classes[i], states[i], i == last)
         memo[key] = (best, action)

@@ -33,13 +33,20 @@ one rule between arms per variant, defined once in `_RULES`:
   statistics oracle.
 
 Monte-Carlo runs use counter-based Philox streams keyed by (seed,
-replication), so results are reproducible regardless of scheduling.
+replication), so results are reproducible regardless of scheduling.  A call
+with at least `_BATCH_MIN_REPS` replications takes the batched runner
+(`banditlp.batched`): it draws the streams with a numpy Philox4x64-10 and
+walks all replications in lockstep, arm by arm, with the float operations of
+`_walk_arm` in the same order, then applies the rule once per distinct
+outcome.  Its values, costs and audits are bit-identical to the loop over
+`_sample_run`, which smaller calls keep and which drives every trace.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import accumulate, product as iter_product
 from typing import Sequence
@@ -65,6 +72,19 @@ from .lp import solve_lp
 # units against 2 * capacity * L).
 UNREACHABLE_W = 1e-9
 AUDIT_TOL = 1e-9
+# nonadaptive_two_level: slack of the gamma*/7 prior-best test; the root play
+# mass z_i below which an arm's leaf statistics count as zero; and the budget
+# share m_i up to which an arm joins the probe set for free.
+TWO_LEVEL_TIE = 1e-12
+TWO_LEVEL_MIN_Z = 1e-12
+TWO_LEVEL_FREE_SHARE = 1e-15
+
+# Monte-Carlo calls with at least this many replications take the batched
+# runner (`batched.batched_runs`), smaller ones the scalar loop.  The measured
+# crossover is about 64 replications on plans of 1-3 shallow arms and between
+# 256 and 512 on 7x4 Beta ladders, whose deeper walks cost the batched runner
+# more numpy calls per arm.
+_BATCH_MIN_REPS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +177,14 @@ class _Step:
     cut).  pz, px[l - 1] and pn are the probabilities of a play, an exploit at
     level l >= 1 and a dead stop; the mass of level 0 is part of pn.
     `charge` is the cost of playing here, the switch cost included at the root.
+    The walk's play threshold `z` is -inf at a state without children, which
+    never plays, not even on a draw of exactly 0.
     """
 
     __slots__ = ("w", "z", "cuts", "pz", "px", "pn", "cost", "charge", "reward", "children", "probs", "cum_probs")
 
     def __init__(self, st, w: float, z: float, masses: Sequence[float], charge: float):
         self.w = w
-        self.z = z
         self.cuts = tuple(accumulate(masses, initial=z))[1:]
         if w < UNREACHABLE_W:
             self.pz, self.px, self.pn = 0.0, (0.0,) * (len(masses) - 1), 1.0
@@ -177,6 +198,7 @@ class _Step:
         self.children = tuple(c for c, p in st.transitions if p > 0.0)
         self.probs = tuple(p for _, p in st.transitions if p > 0.0)
         self.cum_probs = tuple(accumulate(self.probs))
+        self.z = z if self.children else -math.inf
 
 
 class _ArmExec(dict):
@@ -228,18 +250,29 @@ class _DrawStream:
         return buf[i]
 
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _seed_key(seed) -> int:
+    """A seed's Philox key word: any integer (Python or numpy) mod 2**64.
+
+    Floats raise TypeError.
+    """
+    return operator.index(seed) & _MASK64
+
+
 class _StreamPool:
     """Counter-based uniform streams keyed by (seed, replication).
 
-    Stream k draws what a fresh ``Philox(key=[seed, k])`` generator draws.
-    Re-keying one generator in place avoids the construction cost that
-    dominates tight Monte-Carlo loops.
+    Stream k draws what a fresh ``Philox(key=np.array([seed mod 2**64, k],
+    dtype=np.uint64))`` generator draws.  Re-keying one generator in place
+    avoids the construction cost that dominates tight Monte-Carlo loops.
     """
 
     __slots__ = ("_bg", "_gen", "_seed")
 
     def __init__(self, seed: int):
-        self._seed = seed & 0xFFFFFFFFFFFFFFFF
+        self._seed = _seed_key(seed)
         self._bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
         self._gen = np.random.Generator(self._bg)
 
@@ -248,7 +281,7 @@ class _StreamPool:
             "bit_generator": "Philox",
             "state": {
                 "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([self._seed, rep & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64),
+                "key": np.array([self._seed, rep & _MASK64], dtype=np.uint64),
             },
             "buffer": np.zeros(4, dtype=np.uint64),
             "buffer_pos": 4,
@@ -450,7 +483,10 @@ def _concave_rule(instance, plan, solution, rule):
 # key (no key: the run ends before any arm, worth the base value).
 # after(ax, key, sid, level, spent) gives the value of an arm's outcome, with
 # spent the arm's own spend, and the next key (None: the run ends); finish(key)
-# values a key that outlives the plan.
+# values a key that outlives the plan.  Both must stay pure (the same result
+# for the same arguments, no state kept between calls): the exact pass calls
+# them once per frontier key and the batched Monte-Carlo runner once per
+# distinct outcome, for all the runs that share it.
 _RULES = {"budgeted": _budgeted_rule, "lagrangean": _lagrangean_rule, "concave": _concave_rule}
 
 
@@ -505,7 +541,7 @@ def _execute(instance, plan, solution, rng_seed, rule="order") -> ExecutionTrace
     value, ended = _sample_run(plan, tables, rules, _StreamPool(rng_seed).stream(0), run, walked)
     trace = ExecutionTrace(
         variant=plan.variant,
-        seed=rng_seed,
+        seed=operator.index(rng_seed),
         events=run.events,
         exploited=None,
         total_cost=run.spent,
@@ -634,35 +670,40 @@ def monte_carlo_evaluate(
 
     The stream for replication k is derived from (seed, k), so results do not
     depend on evaluation order and the first k traces of a longer run match a
-    shorter run with the same seed.
+    shorter run with the same seed.  The seed may be any integer, Python or
+    numpy; it is taken mod 2**64.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     _check_rule(plan, rule)
     tables = _tables(instance, solution)
     rules = _RULES[plan.variant](instance, plan, solution, rule)
-    values = np.empty(reps)
-    max_cost = 0.0
-    total_cost = 0.0
-    violations: dict[str, int] = {}
-    plan_ids = [ra.arm_id for ra in plan.order]
-    cap = _spend_cap(instance, plan, rule)
+    if reps >= _BATCH_MIN_REPS:
+        from .batched import batched_runs as runner  # batched imports this module
+    else:
+        runner = _scalar_runs
+    runs = runner(plan, tables, rules, _seed_key(seed), reps)
+    return _mc_report(runs, _spend_cap(instance, plan, rule))
 
-    def note(msg: str) -> None:
-        violations[msg] = violations.get(msg, 0) + 1
 
-    pool = _StreamPool(seed)
-    for k in range(reps):
-        run = _Run(False)
-        values[k], _ = _sample_run(plan, tables, rules, pool.stream(k), run)
-        max_cost = max(max_cost, run.spent)
-        total_cost += run.spent
-        if cap is not None and run.spent > cap + AUDIT_TOL:
-            note("trace cost exceeds the allowed cap")
-        if run.visited != plan_ids[: len(run.visited)]:
-            note("visited arms do not form a plan-order prefix")
-        if any(c > 1 for c in run.switches.values()):
-            note("multiple switch charges on one arm")
+# The run audits, in the order a run is checked: its spend against the cap,
+# its walked arms against the plan order, its switch charges per arm.
+_AUDITS = (
+    "trace cost exceeds the allowed cap",
+    "visited arms do not form a plan-order prefix",
+    "multiple switch charges on one arm",
+)
+
+
+def _mc_report(runs, cap: float | None) -> MonteCarloReport:
+    """Summarise (values, spend, off-plan flags, multi-switch flags) per replication."""
+    values, spent, off_plan, multi_switch = runs
+    reps = len(values)
+    over = spent > cap + AUDIT_TOL if cap is not None else np.zeros(reps, dtype=bool)
+    # each audit counts the runs that fail it; audits are listed in the order
+    # of their first failure, by replication and then in _AUDITS order
+    flags = (over, off_plan, multi_switch)
+    failed = sorted((int(bad.argmax()), i, int(bad.sum())) for i, bad in enumerate(flags) if bad.any())
     mean = float(values.mean())
     # equal values have no spread; np.std would report the mean's rounding error
     stderr = float(values.std(ddof=1) / math.sqrt(reps)) if values.min() < values.max() else 0.0
@@ -671,10 +712,29 @@ def monte_carlo_evaluate(
         stderr=stderr,
         reps=reps,
         values=values,
-        max_cost=max_cost,
-        mean_cost=total_cost / reps,
-        violations=[f"{k} (x{v})" for k, v in violations.items()],
+        max_cost=max(0.0, float(spent.max())),
+        # cumsum adds left to right, as a running total does (sum is pairwise)
+        mean_cost=float(np.cumsum(spent)[-1]) / reps,
+        violations=[f"{_AUDITS[i]} (x{count})" for _, i, count in failed],
     )
+
+
+def _scalar_runs(plan, tables, rules, seed_key: int, reps: int):
+    """Replications 0..reps-1, one `_sample_run` each: their values, spends,
+    and whether each broke the plan order or paid one arm's switch twice."""
+    values = np.empty(reps)
+    spent = np.empty(reps)
+    off_plan = np.zeros(reps, dtype=bool)
+    multi_switch = np.zeros(reps, dtype=bool)
+    plan_ids = [ra.arm_id for ra in plan.order]
+    pool = _StreamPool(seed_key)
+    for k in range(reps):
+        run = _Run(False)
+        values[k], _ = _sample_run(plan, tables, rules, pool.stream(k), run)
+        spent[k] = run.spent
+        off_plan[k] = run.visited != plan_ids[: len(run.visited)]
+        multi_switch[k] = any(c > 1 for c in run.switches.values())
+    return values, spent, off_plan, multi_switch
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +922,7 @@ def nonadaptive_two_level(
     root_mass = sum(
         arm.states[arm.root].reward * sum(solution.x[(arm.arm_id, arm.root)]) for arm in instance.arms
     )
-    if root_mass >= gamma / 7.0 - 1e-12:
+    if root_mass >= gamma / 7.0 - TWO_LEVEL_TIE:
         arm_id, _, r = _argmax_root(instance)
         return NonadaptiveResult("prior-best", (), arm_id, r, 0.0, gamma)
 
@@ -888,7 +948,7 @@ def nonadaptive_two_level(
             for sid in arm.states
             if sid != arm.root
         )
-        if z_i > 1e-12:
+        if z_i > TWO_LEVEL_MIN_Z:
             X_i = leaf_mass / z_i
             R_i = leaf_value / z_i
         else:
@@ -908,7 +968,7 @@ def nonadaptive_two_level(
     for arm_id, R_i, X_i, c_i, m_i in items:
         if math.isinf(m_i):
             continue
-        if m_i <= 1e-15:
+        if m_i <= TWO_LEVEL_FREE_SHARE:
             probe.append(arm_id)
             probe_cost += c_i
             continue

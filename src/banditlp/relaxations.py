@@ -27,7 +27,11 @@ from dataclasses import dataclass
 from .lp import LinearConstraint, LinearProgram, LPSolutionRaw, solve_lp
 from .statespace import ArmStateSpace, BanditInstance, ConcaveProblem
 
+# from_raw rescales a state's x + z down to its w when they exceed it by at
+# most CLEANUP_SLACK (more is an error).  TABLE_TOL is the slack of the concave
+# value-table checks: non-negative, non-decreasing, concave, super-martingale.
 CLEANUP_SLACK = 1e-6
+TABLE_TOL = 1e-9
 
 
 def var_name(kind: str, arm_id: str, state_id: str, level: int | None = None) -> str:
@@ -147,7 +151,6 @@ def build_lagrangean_lp(instance: BanditInstance) -> LinearProgram:
 
 
 def _validate_tables(instance: BanditInstance, prob: ConcaveProblem, grid: int) -> None:
-    tol = 1e-9
     for arm in instance.arms:
         tables = prob.value_tables.get(arm.arm_id)
         if tables is None:
@@ -162,13 +165,13 @@ def _validate_tables(instance: BanditInstance, prob: ConcaveProblem, grid: int) 
                 raise ValueError(
                     f"arm {arm.arm_id!r} state {sid!r}: value table must have {grid + 1} entries"
                 )
-            if zeta[0] < -tol:
+            if zeta[0] < -TABLE_TOL:
                 raise ValueError(f"arm {arm.arm_id!r} state {sid!r}: value table must be non-negative")
             for l in range(grid):
-                if zeta[l + 1] < zeta[l] - tol:
+                if zeta[l + 1] < zeta[l] - TABLE_TOL:
                     raise ValueError(f"arm {arm.arm_id!r} state {sid!r}: value table must be non-decreasing")
             for l in range(1, grid):
-                if zeta[l + 1] - 2 * zeta[l] + zeta[l - 1] > tol:
+                if zeta[l + 1] - 2 * zeta[l] + zeta[l - 1] > TABLE_TOL:
                     raise ValueError(f"arm {arm.arm_id!r} state {sid!r}: value table fails concavity")
         for sid in order:
             st = arm.states[sid]
@@ -176,7 +179,7 @@ def _validate_tables(instance: BanditInstance, prob: ConcaveProblem, grid: int) 
                 continue
             for l in range(grid + 1):
                 mean = sum(p * tables[c][l] for c, p in st.transitions)
-                if tables[sid][l] < mean - tol:
+                if tables[sid][l] < mean - TABLE_TOL:
                     raise ValueError(
                         f"arm {arm.arm_id!r} state {sid!r}: value table fails the super-martingale check at l={l}"
                     )

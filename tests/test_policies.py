@@ -12,6 +12,7 @@ from banditlp.bench import (
     gen_integrality_gap,
     gen_random_suite,
 )
+from banditlp import batched, policies
 from banditlp.policies import (
     GreedyPlan,
     RankedArm,
@@ -250,6 +251,26 @@ def test_fractional_costs_are_not_decided_by_rounding(play_cost, switch_cost, n_
         mc = monte_carlo_evaluate(inst, plan, sol, reps=200, seed=0, rule=rule)
         assert mc.violations == []
         assert mc.max_cost > 0.3 - 1e-9
+
+
+def test_a_leaf_never_plays_even_on_a_zero_draw():
+    # every draw is 0: the root plays (q = 0 <= z = 1), then at the leaf q = 0
+    # is not above z = 0; the walk used to play the leaf there and fail in
+    # _sample_child on its empty child list.  Both walks stop dead at the leaf.
+    class Zeros:
+        def random(self):
+            return 0.0
+
+    arm = build_two_level_arm([0.2, 0.8], [0.5, 0.5], play_cost=1, arm_id="a")
+    inst = BanditInstance((arm,), 1.0, Objective("budgeted"))
+    ax = policies._tables(inst, _dead_stop_solution((arm,)))["a"]
+    run = policies._Run(False)
+    leaf, level = policies._walk_arm(ax, Zeros(), run, None)
+    assert (leaf, level, run.spent) == (ax.arm.states[ax.root].transitions[0][0], 0, 1.0)
+    arr = batched._ArmArrays(ax)
+    ptr, spent = np.zeros(1, dtype=np.intp), np.zeros(1)
+    state, levels, _ = batched._walk_lockstep(arr, np.arange(1), np.zeros((1, arr.draws)), ptr, spent, None)
+    assert (arr.sids[state[0]], levels[0], spent[0]) == (leaf, 0, 1.0)
 
 
 def test_order_all_dead_stops_exploit_best_final_state():
@@ -869,13 +890,10 @@ def _sqrt_twin(inst, capacity, rng):
     return BanditInstance(inst.arms, inst.budget, Objective("concave", concave=prob))
 
 
-def test_sampled_outputs_digest():
-    # The bytes of every sampled output over a small fixed corpus, as one
-    # SHA-256: each trace's JSONL and each Monte-Carlo run's values.  A change
-    # that keeps the sampled runs must keep this digest; a change that moves
-    # them on purpose records the new one and says why.
-    import hashlib
-
+def _digest_corpus():
+    """36 plans as (instance, solution, plan, rule): budgeted order, violate and
+    alpha = 2 on 7 instances, three Lagrangean plans with costs times 0.07, 0.1
+    and 0.3, six linear-table and six sqrt-table concave plans."""
     rng = np.random.default_rng(5)
     beta = gen_random_suite(GeneratorSpec(family="random-beta", count=3, seed=202, budget_cap=5))
     two_level = gen_random_suite(GeneratorSpec(family="random-two-level", count=3, seed=101, budget_cap=5))
@@ -891,16 +909,155 @@ def test_sampled_outputs_digest():
     for k, inst in enumerate(beta + two_level):
         runs.append((as_concave(inst, capacity=1.0 + k % 2, epsilon=0.25), None, None, "order"))
         runs.append((_sqrt_twin(inst, 1.0 + k % 2, rng), None, None, "order"))
-    h = hashlib.sha256()
+    out = []
     for inst, sol, plan, rule in runs:
         if sol is None:
             sol, plan = _pipeline(inst)
+        out.append((inst, sol, plan, rule))
+    return out
+
+
+def test_sampled_outputs_digest():
+    # The bytes of every sampled output over a small fixed corpus, as one
+    # SHA-256: each trace's JSONL and each Monte-Carlo run's values.  A change
+    # that keeps the sampled runs must keep this digest; a change that moves
+    # them on purpose records the new one and says why.
+    import hashlib
+
+    runs = _digest_corpus()
+    h = hashlib.sha256()
+    for inst, sol, plan, rule in runs:
         execute = execute_greedy_violate if rule == "violate" else _EXECUTORS[plan.variant]
         for seed in range(5):
             h.update(trace_to_jsonl(execute(inst, plan, sol, rng_seed=seed)).encode())
         h.update(monte_carlo_evaluate(inst, plan, sol, reps=200, seed=3, rule=rule).values.tobytes())
     assert len(runs) == 36
     assert h.hexdigest() == "924637b75e5ec411a3ae1ab8b9d7cc56e3319873b2c245076ab08d88c02c8f85"
+
+
+# ---------------------------------------------------------------------------
+# Batched Monte-Carlo
+
+
+def _mc_both(inst, sol, plan, reps, seed, rule="order"):
+    """The report of the scalar loop and of the batched runner, each called directly."""
+    tables = policies._tables(inst, sol)
+    rules = policies._RULES[plan.variant](inst, plan, sol, rule)
+    cap = policies._spend_cap(inst, plan, rule)
+    key = policies._seed_key(seed)
+    return (
+        policies._mc_report(policies._scalar_runs(plan, tables, rules, key, reps), cap),
+        policies._mc_report(batched.batched_runs(plan, tables, rules, key, reps), cap),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1, -1])
+def test_philox_blocks_match_numpy_philox(seed):
+    # 72 draws per stream: past _DrawStream's first buffer of 32.  The key is
+    # a uint64 array: numpy turns a list key [seed, k] into floats, which
+    # rounds seeds above 2**53.
+    draws, streams = 72, [0, 1, 7, 4095, 2**40 + 3]
+    ks = np.repeat(streams, draws // 4)
+    blocks = np.tile(np.arange(draws // 4), len(streams))
+    got = batched.philox_blocks(policies._seed_key(seed), ks, blocks).reshape(len(streams), draws)
+    pool = policies._StreamPool(seed)
+    for row, k in zip(got, streams):
+        bg = np.random.Philox(key=np.array([seed % 2**64, k], dtype=np.uint64))
+        assert np.array_equal(row, np.random.Generator(bg).random(draws))
+        stream = pool.stream(k)
+        assert row.tolist() == [stream.random() for _ in range(draws)]
+
+
+def _diamond_arm(arm_id, hi, lo, switch_cost):
+    """Two plays to a leaf, through x (play cost 1) or y (play cost 2): runs
+    that end in the same state can have spent different amounts."""
+    from banditlp.statespace import BeliefState
+
+    mid = (hi + lo) / 2
+    states = {
+        "r": BeliefState("r", mid, 1.0, (("x", 0.5), ("y", 0.5))),
+        "x": BeliefState("x", mid, 1.0, (("h", 0.5), ("l", 0.5))),
+        "y": BeliefState("y", mid, 2.0, (("h", 0.5), ("l", 0.5))),
+        "h": BeliefState("h", hi),
+        "l": BeliefState("l", lo),
+    }
+    return ArmStateSpace(arm_id, "r", states, switch_cost)
+
+
+def test_batched_runs_equal_scalar_runs_on_digest_corpus():
+    # the digest corpus, plus budgeted plans with fractional costs (the walk's
+    # budget test with its slack) and on diamond arms (the arm's spend, not
+    # only its final state, reaches the rule)
+    corpus = _digest_corpus()
+    diamonds = tuple(_diamond_arm(f"d{i}", 0.6 + 0.15 * i, 0.3 - 0.1 * i, i % 2) for i in range(3))
+    budgeted = [BanditInstance(diamonds, 5.0, Objective("budgeted"))]
+    budgeted.append(_scaled_costs(budgeted[0], 0.3))
+    # three plays at 0.1 add up to 0.30000000000000004, past the budget 0.3 in floats
+    budgeted.append(BanditInstance(_scaled_costs(gen_integrality_gap(3), 0.1).arms, 0.3, Objective("budgeted")))
+    for inst in budgeted:
+        sol, plan = _pipeline(inst)
+        corpus += [(inst, sol, plan, "order"), (inst, sol, plan, "violate")]
+    for inst in (as_lagrangean(budgeted[0]), as_concave(budgeted[0], capacity=1.0, epsilon=0.25)):
+        corpus.append((inst, *_pipeline(inst), "order"))
+    for reps in (1, 200, 3000):
+        for i, (inst, sol, plan, rule) in enumerate(corpus):
+            scalar, batch = _mc_both(inst, sol, plan, reps, seed=3, rule=rule)
+            assert batch.values.tobytes() == scalar.values.tobytes(), (reps, i)
+            assert (batch.max_cost, batch.mean_cost, batch.stderr, batch.violations) == (
+                scalar.max_cost,
+                scalar.mean_cost,
+                scalar.stderr,
+                scalar.violations,
+            ), (reps, i)
+
+
+def test_mc_prefix_across_chunk_and_dispatch():
+    # the first k values do not depend on reps: below and at the dispatch
+    # constant, and within and past one chunk of the batched runner
+    inst = as_concave(gen_random_suite(GeneratorSpec(family="random-beta", count=1, seed=4, budget_cap=5))[0], 1.0, 0.25)
+    sol, plan = _pipeline(inst)
+    long = monte_carlo_evaluate(inst, plan, sol, reps=batched._CHUNK + 1, seed=11)
+    for k in (1, policies._BATCH_MIN_REPS - 1, policies._BATCH_MIN_REPS, batched._CHUNK):
+        short = monte_carlo_evaluate(inst, plan, sol, reps=k, seed=11)
+        assert short.values.tobytes() == long.values[:k].tobytes(), k
+
+
+def test_numpy_integer_seeds_match_python_seeds():
+    inst = gen_integrality_gap(3)
+    sol, plan = _pipeline(inst)
+    for reps in (50, policies._BATCH_MIN_REPS):
+        ref = monte_carlo_evaluate(inst, plan, sol, reps=reps, seed=5)
+        for seed in (np.int64(5), np.uint64(5)):
+            mc = monte_carlo_evaluate(inst, plan, sol, reps=reps, seed=seed)
+            assert mc.values.tobytes() == ref.values.tobytes()
+    ref = trace_to_jsonl(execute_greedy_order(inst, plan, sol, rng_seed=4))
+    for seed in (np.int64(4), np.uint64(4)):
+        assert trace_to_jsonl(execute_greedy_order(inst, plan, sol, rng_seed=seed)) == ref
+    with pytest.raises(TypeError):
+        monte_carlo_evaluate(inst, plan, sol, reps=10, seed=5.0)
+    with pytest.raises(TypeError):
+        execute_greedy_order(inst, plan, sol, rng_seed=4.0)
+
+
+def test_batched_memory_is_bounded_by_the_chunk():
+    # a 1e5-rep call on the 7x4 ladder: its outputs take 1.8 MB and one chunk
+    # of scratch about 5 MB; without chunks the peak was 118 MB
+    import tracemalloc
+
+    arms = tuple(
+        build_beta_bernoulli_arm(1 + i % 3, 1 + (i * 7) % 3, 4, play_cost=1, switch_cost=i % 2, arm_id=f"a{i}")
+        for i in range(7)
+    )
+    inst = BanditInstance(arms=arms, budget=14.0, objective=Objective("budgeted"))
+    sol, plan = _pipeline(inst)
+    tracemalloc.start()
+    try:
+        mc = monte_carlo_evaluate(inst, plan, sol, reps=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mc.violations == []
+    assert peak < 12 * 2**20
 
 
 # ---------------------------------------------------------------------------
