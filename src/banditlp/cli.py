@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import bench, oracle, policies, relaxations, statespace
-from .lp import format_lp, solve_lp
+from .lp import format_lp
 
 
 def _emit(doc) -> None:
@@ -65,22 +65,18 @@ def _apply_variant(instance, variant):
 
 def cmd_solve(args) -> int:
     instance = _apply_variant(statespace.load_instance(args.file), args.variant)
-    lp, grid = relaxations.build_relaxation(instance)
     if args.dump_lp:
+        lp, _ = relaxations.build_relaxation(instance)
         with open(args.dump_lp, "w") as fh:
             fh.write(format_lp(lp))
-    raw = solve_lp(lp)
-    counts = {"pivots": raw.pivots, "bland_pivots": raw.bland_pivots}
-    if raw.status != "optimal":
-        _emit({"status": raw.status, **counts})
-        return 1
-    solution = relaxations.RelaxationSolution.from_raw(instance, raw, grid)
+    solution = relaxations.solve_relaxation(instance)
     _emit(
         {
-            "status": raw.status,
+            "status": "optimal",
             "gamma_star": solution.gamma_star,
-            **counts,
-            "values": raw.values,
+            "cuts": solution.cuts,
+            "duality_gap": solution.duality_gap,
+            "values": solution.lp_values(instance),
         }
     )
     return 0

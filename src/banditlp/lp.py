@@ -1,5 +1,12 @@
 """Minimal self-contained linear programming: model, simplex solver, text dump.
 
+The relaxations are solved by `relaxations.solve_relaxation`'s decomposition,
+not here.  This module is its model (`--dump-lp`, the HiGHS cross-checks,
+`check_feasibility`), the tableau reference solver `solve_lp` (the test
+oracle) and the decomposition's master solver `_simplex`, which returns the
+row duals read from the final reduced costs: a ``<=`` row's dual is the
+reduced cost of its slack column.
+
 The solver is a dense two-phase tableau simplex.  Entering columns follow
 Dantzig's rule until a streak of degenerate pivots, then Bland's rule until
 the objective moves again, which guarantees termination on the highly
@@ -206,7 +213,7 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
         if not fixed[i]:
             cost[col_of[i]] = -c  # maximize c.x  ==  minimize -c.y (constants aside)
 
-    status, y, pivots, bland_pivots = _simplex(rows, rhs, rels, cost)
+    status, y, _, pivots, bland_pivots = _simplex(rows, rhs, rels, cost)
     if status != "optimal":
         return LPSolutionRaw(status, {}, None, pivots, bland_pivots)
 
@@ -233,11 +240,16 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
 
 def _simplex(
     rows: list[np.ndarray], rhs: list[float], rels: list[str], cost: np.ndarray
-) -> tuple[str, np.ndarray, int, int]:
+) -> tuple[str, np.ndarray, np.ndarray, int, int]:
     """Minimize cost . y over the rows, y >= 0.
 
-    Returns the status, y (zeros unless optimal), the pivot count and the
-    Bland pivot count.
+    Returns the status, y (zeros unless optimal), the row duals, the pivot
+    count and the Bland pivot count.  The duals are those of maximizing
+    -cost . y: a ``<=`` row's dual is the final reduced cost of its slack
+    column (non-negative at an optimum, and read the same way when the row
+    was negated for a negative right-hand side), and an ``==`` row's is NaN,
+    because its artificial column leaves the tableau after phase 1.  They are
+    NaN too unless the status is optimal.
     """
     n = cost.size
     b_scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
@@ -293,10 +305,9 @@ def _simplex(
     def pivot(r: int, j: int) -> None:
         nonlocal pivots
         T[r] /= T[r, j]
-        col = T[:, j].copy()
-        col[r] = 0.0
-        nz = col.nonzero()[0]  # the other rows would only lose +-0.0
-        T[nz] -= np.multiply.outer(col[nz], T[r])
+        nz = T[:, j].nonzero()[0]
+        nz = nz[nz != r]  # the other rows would only lose +-0.0
+        T[nz] -= np.multiply.outer(T[nz, j], T[r])
         for crow in costs:
             if abs(crow[j]) > 0:
                 crow -= crow[j] * T[r]
@@ -318,18 +329,17 @@ def _simplex(
                     return "optimal"
                 j = int(cands[0])
             else:
-                j = int(np.argmin(red))
+                j = int(red.argmin())
                 if red[j] >= -_OPT_EPS:
                     return "optimal"
             colvals = T[:, j]
-            mask = colvals > _PIVOT_EPS
-            if not mask.any():
+            rows_in = (colvals > _PIVOT_EPS).nonzero()[0]
+            if not rows_in.size:
                 return "unbounded"
-            ratios = np.full(m, np.inf)
-            ratios[mask] = T[mask, -1] / colvals[mask]
+            ratios = T[rows_in, -1] / colvals[rows_in]
             best = ratios.min()
-            ties = np.nonzero(ratios <= best + _TIE_EPS)[0]
-            r = int(min(ties, key=lambda i: basis[i]))
+            ties = rows_in[ratios <= best + _TIE_EPS].tolist()
+            r = ties[0] if len(ties) == 1 else min(ties, key=basis.__getitem__)
             if bland:
                 bland_pivots += 1
             if best <= _PIVOT_EPS:
@@ -342,12 +352,13 @@ def _simplex(
             pivot(r, j)
 
     y = np.zeros(n + n_slack)
+    duals = np.full(len(rows), np.nan)
     # Phase 1: drive out artificials.
     if n_art:
         status = run(c1, total)
         phase1 = -c1[-1]
         if status != "optimal" or phase1 > _INFEASIBLE_EPS * b_scale:
-            return "infeasible", y[:n], pivots, bland_pivots
+            return "infeasible", y[:n], duals, pivots, bland_pivots
         # Phase 2 never prices the artificials or reads c1: move the right-hand
         # side into the first artificial column and stop carrying the rest.
         k = n + n_slack
@@ -375,7 +386,9 @@ def _simplex(
     if status == "optimal":
         for r in range(m):
             y[basis[r]] = T[r, -1]
-    return status, y[:n], pivots, bland_pivots
+        slack_rows = [r for r, rel in enumerate(rels) if rel == "<="]
+        duals[slack_rows] = c2[n : n + n_slack]
+    return status, y[:n], duals, pivots, bland_pivots
 
 
 def format_lp(lp: LinearProgram) -> str:

@@ -53,14 +53,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .relaxations import (
-    RelaxationSolution,
-    SingleArmPolicy,
-    build_budgeted_lp,
-    var_name,
-)
+from .relaxations import RelaxationSolution, SingleArmPolicy, solve_relaxation
 from .statespace import ArmStateSpace, BanditInstance
-from .lp import solve_lp
 
 # A state with occupancy w below UNREACHABLE_W is never entered: its step is a
 # dead stop.  AUDIT_TOL is the slack of every float comparison of a spend with
@@ -927,15 +921,7 @@ def nonadaptive_two_level(
         return NonadaptiveResult("prior-best", (), arm_id, r, 0.0, gamma)
 
     # Re-solve with exploit mass forbidden at the roots.
-    lp = build_budgeted_lp(instance)
-    root_names = {var_name("x", a.arm_id, a.root) for a in instance.arms}
-    lp.variables = [
-        (name, lb, 0.0 if name in root_names else ub) for name, lb, ub in lp.variables
-    ]
-    raw = solve_lp(lp)
-    if raw.status != "optimal":
-        raise RuntimeError(f"restricted LP is {raw.status}")
-    restricted = RelaxationSolution.from_raw(instance, raw)
+    restricted = solve_relaxation(instance, exploit_at_roots=False)
 
     items = []
     for arm in instance.arms:

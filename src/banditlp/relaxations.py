@@ -6,7 +6,7 @@ there, and x_{u,l} the probability the arm is exploited there at weight level
 l of the grid {0..L}/L.  The concave relaxation has the whole grid; the
 budgeted and Lagrangean ones are the one-level grid L = 1 (exploit or not),
 whose only variable x_u is level 1 and whose level 0, a dead stop, carries no
-mass.  `_exploit_vars` and `_exploit_levels` (the same levels with their
+mass.  `_exploit_vars` and `_level_values` (the same levels with their
 values) are the only places that tell the two apart; a solution stores
 every state's masses at levels 0..L, (0.0, x_u) when plain.
 The optimal LP solution decomposes into one randomized single-arm policy per
@@ -17,6 +17,33 @@ w at each root is pinned to 1 (not exploring and not exploiting is always
 allowed by x + z <= w, so nothing is lost) and z is pinned to 0 at leaves
 (a leaf has no play to make), which keeps the extracted uniform-draw
 thresholds well defined.
+
+`build_relaxation` writes each relaxation as a `LinearProgram` (for
+`--dump-lp`, HiGHS and the feasibility checks; `solve_lp` and `from_raw` are
+the tableau reference path).  `solve_relaxation` never builds it: the LP is n
+single-arm flow polytopes coupled by the linking row and, unless Lagrangean,
+the cost row <= B, so it solves the Lagrangean dual
+
+    g(lambda, mu) = lambda * B + mu * rhs + sum_i V_i(root_i),
+    V_u = max(0, max_l zeta_u(l) - mu * link_l, -lambda' * c_u + sum p * V_child)
+
+where link_l is sigma_i * l (1 when plain), rhs the linking row's right-hand
+side, and lambda' = lambda, or 1 for Lagrangean plays, which pay c_u itself
+(a leaf never plays).  Its minimum is gamma*.
+
+* Pricing: one backward DP per arm gives the best deterministic policy at
+  (lambda, mu), and one forward pass its occupancies (w, z, x) and totals
+  R (the LP objective), C (cost) and P (link usage).
+* Master: max sum theta_k R_k s.t. sum theta_k <= 1, sum theta_k C_k <= B,
+  sum theta_k P_k <= rhs over the priced policies, the cuts (Kelley's cutting
+  planes on g, which is Dantzig-Wolfe column generation with an aggregated
+  master).  Doing nothing is the slack of the first row, so with B >= 0
+  every row starts feasible.  `lp._simplex` solves it and its row duals are
+  the next (lambda, mu).
+* Stop and recover: once g(lambda, mu) - master <= GAP_TOL * (1 + |master|),
+  the master's optimum is gamma* and the mixture sum theta_k occupancy_k an
+  optimal LP point, written into `RelaxationSolution` by (arm, state).  The
+  final gap is the solution's certificate, `duality_gap`.
 """
 
 from __future__ import annotations
@@ -24,14 +51,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lp import LinearConstraint, LinearProgram, LPSolutionRaw, solve_lp
+import numpy as np
+
+# solve_lp is not called here; it stays importable from this module because
+# pipebench's tracer wraps it here by name, with the builders and from_raw
+from .lp import LinearConstraint, LinearProgram, LPSolutionRaw, LPSolverError, _simplex, solve_lp  # noqa: F401
 from .statespace import ArmStateSpace, BanditInstance, ConcaveProblem
 
-# from_raw rescales a state's x + z down to its w when they exceed it by at
-# most CLEANUP_SLACK (more is an error).  TABLE_TOL is the slack of the concave
-# value-table checks: non-negative, non-decreasing, concave, super-martingale.
+# A solution's cleanup rescales a state's x + z down to its w when they exceed
+# it by at most CLEANUP_SLACK (more is an error).  TABLE_TOL is the slack of the
+# concave value-table checks: non-negative, non-decreasing, concave,
+# super-martingale.  The decomposition stops once g(lambda, mu) - gamma* is at
+# most GAP_TOL * (1 + |gamma*|), and raises LPSolverError past CUT_LIMIT cuts.
 CLEANUP_SLACK = 1e-6
 TABLE_TOL = 1e-9
+GAP_TOL = 1e-9
+CUT_LIMIT = 100
 
 
 def var_name(kind: str, arm_id: str, state_id: str, level: int | None = None) -> str:
@@ -50,15 +85,15 @@ def _exploit_vars(arm: ArmStateSpace, sid: str, grid: int | None) -> tuple[tuple
     return tuple((l, var_name("x", arm.arm_id, sid, l)) for l in range(grid + 1))
 
 
-def _exploit_levels(
+def _level_values(
     instance: BanditInstance, arm: ArmStateSpace, sid: str, grid: int | None
-) -> tuple[tuple[int, str, float], ...]:
-    """`_exploit_vars` with each level's value zeta(l): the state's reward
-    when plain, the value table's entry l on the concave grid."""
+) -> tuple[tuple[int, float], ...]:
+    """A state's exploit levels as (level l, value zeta(l)), in the order of
+    `_exploit_vars`: the state's reward at level 1 when plain, the value
+    table's entry l on the concave grid."""
     if grid is None:
-        return ((1, var_name("x", arm.arm_id, sid), arm.states[sid].reward),)
-    zeta = instance.objective.concave.table(arm.arm_id, sid)
-    return tuple((l, var_name("x", arm.arm_id, sid, l), zeta[l]) for l in range(grid + 1))
+        return ((1, arm.states[sid].reward),)
+    return tuple(enumerate(instance.objective.concave.table(arm.arm_id, sid)))
 
 
 def _check_ids(instance: BanditInstance) -> None:
@@ -76,8 +111,35 @@ def _parents(arm: ArmStateSpace, order: list[str]) -> dict[str, list[tuple[str, 
     return par
 
 
-def _relaxation_lp(instance: BanditInstance, grid: int | None) -> LinearProgram:
-    """The relaxation of the instance's kind on its weight grid (None: plain).
+def _checked_grid(instance: BanditInstance) -> int | None:
+    """Validate the instance for its relaxation and return its weight grid
+    size (None: plain)."""
+    kind = instance.objective.kind
+    if kind not in ("budgeted", "lagrangean", "concave"):
+        raise ValueError(f"unknown objective kind {kind!r}")
+    if kind != "lagrangean" and (instance.budget is None or not math.isfinite(instance.budget)):
+        raise ValueError(f"{kind} relaxation needs a finite budget")
+    _check_ids(instance)
+    if kind != "concave":
+        return None
+    prob = instance.objective.concave
+    if prob is None:
+        raise ValueError("concave instance lacks ConcaveProblem data")
+    _validate_tables(instance, prob, prob.grid)
+    return prob.grid
+
+
+def _link_rhs(instance: BanditInstance, grid: int | None) -> float:
+    """The linking row's right-hand side: unit exploit mass when plain,
+    B * L * (1 + eps) weight units on the concave grid."""
+    if grid is None:
+        return 1.0
+    prob = instance.objective.concave
+    return prob.capacity * grid * (1.0 + prob.epsilon)
+
+
+def _relaxation_lp(instance: BanditInstance) -> LinearProgram:
+    """The relaxation of the instance's kind on its weight grid.
 
     Rows: the cost row (except for lagrangean plays, which pay charge * z in
     the objective), one linking row (exploit-mass sum x <= 1 on the one-level
@@ -86,10 +148,8 @@ def _relaxation_lp(instance: BanditInstance, grid: int | None) -> LinearProgram:
     are declared (root w = 1, leaf z = 0); the flow and cap rows keep every
     other w, z and x within [0, 1].
     """
+    grid = _checked_grid(instance)
     kind = instance.objective.kind
-    if kind != "lagrangean" and (instance.budget is None or not math.isfinite(instance.budget)):
-        raise ValueError(f"{kind} relaxation needs a finite budget")
-    _check_ids(instance)
     prob = instance.objective.concave
     lp_vars: list[tuple[str, float, float]] = []
     core: list[LinearConstraint] = []
@@ -107,7 +167,8 @@ def _relaxation_lp(instance: BanditInstance, grid: int | None) -> LinearProgram:
             lp_vars.append((w, 1.0, 1.0) if sid == arm.root else (w, 0.0, math.inf))
             lp_vars.append((z, 0.0, 0.0 if st.is_leaf else math.inf))
             cap = {z: 1.0, w: -1.0}
-            for l, name, value in _exploit_levels(instance, arm, sid, grid):
+            exploits = zip(_exploit_vars(arm, sid, grid), _level_values(instance, arm, sid, grid))
+            for (l, name), (_, value) in exploits:
                 lp_vars.append((name, 0.0, math.inf))
                 cap[name] = 1.0
                 if sigma * l != 0.0:
@@ -129,10 +190,8 @@ def _relaxation_lp(instance: BanditInstance, grid: int | None) -> LinearProgram:
                 core.append(LinearConstraint(flow, "==", 0.0, name=f"flow|{arm.arm_id}|{sid}"))
         core += caps
     rows = [] if kind == "lagrangean" else [LinearConstraint(cost, "<=", float(instance.budget), name="cost")]
-    if grid is None:
-        rows.append(LinearConstraint(link, "<=", 1.0, name="exploit-mass"))
-    else:
-        rows.append(LinearConstraint(link, "<=", prob.capacity * grid * (1.0 + prob.epsilon), name="weight-packing"))
+    link_name = "exploit-mass" if grid is None else "weight-packing"
+    rows.append(LinearConstraint(link, "<=", _link_rhs(instance, grid), name=link_name))
     return LinearProgram(lp_vars, rows + core, objective)
 
 
@@ -140,14 +199,14 @@ def build_budgeted_lp(instance: BanditInstance) -> LinearProgram:
     """Relaxation with the exploration-cost budget row and unit exploit mass."""
     if instance.objective.kind != "budgeted":
         raise ValueError(f"expected a budgeted instance, got {instance.objective.kind!r}")
-    return _relaxation_lp(instance, None)
+    return _relaxation_lp(instance)
 
 
 def build_lagrangean_lp(instance: BanditInstance) -> LinearProgram:
     """Profit relaxation: exploit reward minus play and switch cost, no budget."""
     if instance.objective.kind != "lagrangean":
         raise ValueError(f"expected a lagrangean instance, got {instance.objective.kind!r}")
-    return _relaxation_lp(instance, None)
+    return _relaxation_lp(instance)
 
 
 def _validate_tables(instance: BanditInstance, prob: ConcaveProblem, grid: int) -> None:
@@ -189,15 +248,28 @@ def build_concave_lp(instance: BanditInstance) -> LinearProgram:
     """Discretized concave-utility relaxation over the weight grid {0..L}/L."""
     if instance.objective.kind != "concave":
         raise ValueError(f"expected a concave instance, got {instance.objective.kind!r}")
-    prob = instance.objective.concave
-    if prob is None:
-        raise ValueError("concave instance lacks ConcaveProblem data")
-    _validate_tables(instance, prob, prob.grid)
-    return _relaxation_lp(instance, prob.grid)
+    return _relaxation_lp(instance)
 
 
 # ---------------------------------------------------------------------------
 # Solutions and single-arm policies
+
+
+def _clean_state(
+    key: tuple[str, str], wv: float, zv: float, masses: list[float]
+) -> tuple[float, tuple[float, ...]]:
+    """Clamp z and the exploit masses into [0, w]; if their sum overshoots w
+    by at most CLEANUP_SLACK, rescale them proportionally (more is an error)."""
+    zv = min(max(zv, 0.0), wv)
+    masses = [min(max(m, 0.0), wv) for m in masses]
+    total = zv + sum(masses)
+    if total > wv:
+        if total - wv > CLEANUP_SLACK:
+            raise ValueError(f"x+z exceeds w at {key} by {total - wv:.3g}")
+        scale = wv / total
+        zv *= scale
+        masses = [m * scale for m in masses]
+    return zv, tuple(masses)
 
 
 @dataclass
@@ -213,8 +285,8 @@ class RelaxationSolution:
     x: dict[tuple[str, str], tuple[float, ...]]
     z: dict[tuple[str, str], float]
     grid: int | None = None
-    pivots: int = 0  # the solver's work, copied from LPSolutionRaw
-    bland_pivots: int = 0
+    cuts: int = 0  # policies the decomposition priced into its master
+    duality_gap: float | None = None  # g(lambda, mu) - gamma*; None when read from a tableau point
 
     @classmethod
     def from_raw(
@@ -223,8 +295,10 @@ class RelaxationSolution:
         raw: LPSolutionRaw,
         grid: int | None = None,
     ) -> "RelaxationSolution":
-        """Clamp and rescale an optimal LP point into executable thresholds.
+        """Clamp and rescale an optimal tableau point into executable thresholds.
 
+        This reads a `solve_lp` optimum of `build_relaxation`'s LP, the
+        reference path; `solve_relaxation` writes its solution directly.
         Variables are clamped into [0, w_u]; if z + exploit mass overshoots
         w_u by at most 1e-6 the state's values are rescaled proportionally; a
         larger overshoot means the point was not feasible and is rejected.  A
@@ -246,32 +320,26 @@ class RelaxationSolution:
         for arm in instance.arms:
             for sid in arm.topo_order():
                 key = (arm.arm_id, sid)
-                wv = 1.0 if sid == arm.root else value(var_name("w", *key))
-                wv = min(max(wv, 0.0), 1.0)
-                zv = min(max(value(var_name("z", *key)), 0.0), wv)
+                wv = 1.0 if sid == arm.root else min(max(value(var_name("w", *key)), 0.0), 1.0)
                 levels = _exploit_vars(arm, sid, grid)
                 masses = [0.0] * (levels[-1][0] + 1)  # levels 0..L; plain has no level-0 variable
                 for l, name in levels:
-                    masses[l] = min(max(value(name), 0.0), wv)
-                total = zv + sum(masses)
-                if total > wv:
-                    if total - wv > CLEANUP_SLACK:
-                        raise ValueError(f"x+z exceeds w at {key} by {total - wv:.3g}")
-                    scale = wv / total
-                    zv *= scale
-                    masses = [m * scale for m in masses]
+                    masses[l] = value(name)
                 w[key] = wv
-                x[key] = tuple(masses)
-                z[key] = zv
-        return cls(
-            gamma_star=float(raw.objective_value),
-            w=w,
-            x=x,
-            z=z,
-            grid=grid,
-            pivots=raw.pivots,
-            bland_pivots=raw.bland_pivots,
-        )
+                z[key], x[key] = _clean_state(key, wv, value(var_name("z", *key)), masses)
+        return cls(gamma_star=float(raw.objective_value), w=w, x=x, z=z, grid=grid)
+
+    def lp_values(self, instance: BanditInstance) -> dict[str, float]:
+        """The solution as values of the variables of `build_relaxation`'s LP."""
+        out: dict[str, float] = {}
+        for arm in instance.arms:
+            for sid in arm.topo_order():
+                key = (arm.arm_id, sid)
+                out[var_name("w", *key)] = self.w[key]
+                out[var_name("z", *key)] = self.z[key]
+                for l, name in _exploit_vars(arm, sid, self.grid):
+                    out[name] = self.x[key][l]
+        return out
 
     def check_invariants(self, instance: BanditInstance, tol: float = 1e-6) -> list[str]:
         """Flow/disjointness violations beyond tol (empty for a clean solution)."""
@@ -305,13 +373,181 @@ def build_relaxation(instance: BanditInstance) -> tuple[LinearProgram, int | Non
     raise ValueError(f"unknown objective kind {kind!r}")
 
 
-def solve_relaxation(instance: BanditInstance) -> RelaxationSolution:
-    """Build the variant LP for the instance, solve it, and clean the optimum."""
-    lp, grid = build_relaxation(instance)
-    raw = solve_lp(lp)
-    if raw.status != "optimal":
-        raise ValueError(f"relaxation LP is {raw.status}")
-    return RelaxationSolution.from_raw(instance, raw, grid)
+# ---------------------------------------------------------------------------
+# The Lagrangean-dual decomposition
+
+_STOP, _PLAY = -1, -2  # pricing actions; an exploit is the index of its option
+
+
+class _ArmStates:
+    """Every arm's states, arm by arm in topological order, for pricing.
+
+    `states[u]` is (charge, kids, options): the play charge, the (index, p)
+    of each child (none at a leaf, which never plays), and the exploit
+    options as (zeta(l), link coefficient sigma * l), with their levels l in
+    `levels[u]`; a root whose exploit is forbidden has none.  A child comes
+    after its parent, so a backward sweep is the DP and a forward one the
+    flow.
+    """
+
+    def __init__(self, instance: BanditInstance, grid: int | None, exploit_at_roots: bool):
+        prob = instance.objective.concave
+        self.keys: list[tuple[str, str]] = []
+        self.states: list[tuple[float, tuple[tuple[int, float], ...], tuple[tuple[float, float], ...]]] = []
+        self.levels: list[tuple[int, ...]] = []
+        self.roots: list[int] = []
+        for arm in instance.arms:
+            sigma = 1.0 if grid is None else prob.sigmas[arm.arm_id]
+            order = arm.topo_order()
+            index = {sid: len(self.keys) + k for k, sid in enumerate(order)}
+            self.roots.append(len(self.keys))
+            for sid in order:
+                st = arm.states[sid]
+                levels = _level_values(instance, arm, sid, grid)
+                if sid == arm.root and not exploit_at_roots:
+                    levels = ()
+                kids = tuple((index[c], p) for c, p in st.transitions if c in index)
+                options = tuple((v, sigma * l) for l, v in levels)
+                self.keys.append((arm.arm_id, sid))
+                self.states.append((arm.play_charge(sid) if kids else 0.0, kids, options))
+                self.levels.append(tuple(l for l, _ in levels))
+
+    def price(self, reward_w: float, cost_w: float, link_w: float) -> tuple[list[int], float]:
+        """Each state's best action at the weights, and sum_i V_i(root).
+
+        V_u = max(0, reward_w * zeta(l) - link_w * link_l over the options,
+        -cost_w * charge + sum p * V_child); ties keep the earlier of stop,
+        the options in level order, play.
+        """
+        states = self.states
+        value = [0.0] * len(states)
+        act = [_STOP] * len(states)
+        for u in range(len(states) - 1, -1, -1):
+            charge, kids, options = states[u]
+            best, a = 0.0, _STOP
+            for k, (zeta, link) in enumerate(options):
+                v = reward_w * zeta - link_w * link
+                if v > best:
+                    best, a = v, k
+            if kids:
+                v = -cost_w * charge
+                for c, p in kids:
+                    v += p * value[c]
+                if v > best:
+                    best, a = v, _PLAY
+            value[u] = best
+            act[u] = a
+        return act, sum(value[r] for r in self.roots)
+
+    def occupancy(self, act: list[int], play_w: float) -> tuple[list[tuple[int, float]], float, float, float]:
+        """The deterministic policy's reached states as (u, w_u) and its
+        totals R (exploit value minus play_w times the cost), C (play cost)
+        and P (link usage)."""
+        states = self.states
+        w = [0.0] * len(states)
+        for r in self.roots:
+            w[r] = 1.0
+        reached = []
+        reward = cost = link = 0.0
+        for u, wu in enumerate(w):
+            if wu == 0.0:
+                continue
+            reached.append((u, wu))
+            a = act[u]
+            charge, kids, options = states[u]
+            if a == _PLAY:
+                cost += wu * charge
+                for c, p in kids:
+                    w[c] += p * wu
+            elif a != _STOP:
+                zeta, coef = options[a]
+                reward += wu * zeta
+                link += wu * coef
+        return reached, reward - play_w * cost, cost, link
+
+
+def solve_relaxation(instance: BanditInstance, exploit_at_roots: bool = True) -> RelaxationSolution:
+    """The instance's relaxation, solved by Kelley's cutting planes on g.
+
+    Each round prices one product policy at the master's duals, the next
+    (lambda, mu), and adds it as a cut (a column of the master) until
+    g(lambda, mu) - gamma* <= GAP_TOL * (1 + |gamma*|); the solution is the
+    master's mixture of the cuts' occupancies.  `exploit_at_roots=False`
+    drops the roots' exploit options from the pricing, which is the
+    relaxation with root x fixed at 0 (`policies.nonadaptive_two_level`).
+
+    Raises ValueError("relaxation LP is infeasible") when no point meets the
+    budget, and LPSolverError when the gap is still open after CUT_LIMIT cuts.
+    """
+    grid = _checked_grid(instance)
+    arms = _ArmStates(instance, grid, exploit_at_roots)
+    lagrangean = instance.objective.kind == "lagrangean"
+    play_w = 1.0 if lagrangean else 0.0  # lagrangean plays pay their charge in the objective
+    rhs = [1.0] + ([] if lagrangean else [float(instance.budget)]) + [_link_rhs(instance, grid)]
+    cuts: list[tuple[list[int], list[tuple[int, float]], float]] = []  # (actions, reached, R)
+    columns: list[tuple[float, ...]] = []  # each cut's entries in the master's rows
+
+    def add_cut(act: list[int]) -> None:
+        reached, reward, cost, link = arms.occupancy(act, play_w)
+        cuts.append((act, reached, reward))
+        columns.append((1.0, link) if lagrangean else (1.0, cost, link))
+
+    if not lagrangean and rhs[1] < 0.0:
+        add_cut(arms.price(0.0, 1.0, 0.0)[0])  # the cheapest policy, so the master is feasible if the LP is
+    duals = np.zeros(len(rhs))  # the master's row duals: (pi_0, lambda, mu), lagrangean (pi_0, mu)
+    theta, gap = None, math.inf
+    while True:
+        act, roots_value = arms.price(1.0, play_w + (0.0 if lagrangean else duals[1]), duals[-1])
+        if theta is not None:
+            gap = float(duals[1:] @ rhs[1:]) + roots_value - gamma
+            if gap <= GAP_TOL * (1.0 + abs(gamma)):
+                break
+        if len(cuts) >= CUT_LIMIT:
+            raise LPSolverError(f"decomposition gap {gap:.3g} still open after {CUT_LIMIT} cuts")
+        add_cut(act)
+        rewards = np.array([cut[2] for cut in cuts])
+        status, theta, duals, _, _ = _simplex(list(np.array(columns).T), rhs, ["<="] * len(rhs), -rewards)
+        if status != "optimal":
+            raise ValueError(f"relaxation LP is {status}")
+        theta = np.maximum(theta, 0.0)
+        duals = np.maximum(duals, 0.0)
+        gamma = float(theta @ rewards)
+    return _recover(arms, cuts, theta.tolist(), grid, gamma, gap)
+
+
+def _recover(
+    arms: _ArmStates,
+    cuts: list[tuple[list[int], list[tuple[int, float]], float]],
+    theta: list[float],
+    grid: int | None,
+    gamma: float,
+    gap: float,
+) -> RelaxationSolution:
+    """The mixture sum_k theta_k * occupancy_k of the cuts, cleaned state by
+    state; the rest of the mass does nothing."""
+    n = len(arms.keys)
+    w = [0.0] * n
+    z = [0.0] * n
+    x = [[0.0] * ((grid or 1) + 1) for _ in range(n)]  # levels 0..L
+    for (act, reached, _), t in zip(cuts, theta):
+        if t == 0.0:
+            continue
+        for u, wu in reached:
+            mass = t * wu
+            w[u] += mass
+            a = act[u]
+            if a == _PLAY:
+                z[u] += mass
+            elif a != _STOP:
+                x[u][arms.levels[u][a]] += mass
+    roots = set(arms.roots)
+    ws: dict[tuple[str, str], float] = {}
+    xs: dict[tuple[str, str], tuple[float, ...]] = {}
+    zs: dict[tuple[str, str], float] = {}
+    for u, key in enumerate(arms.keys):
+        ws[key] = wv = 1.0 if u in roots else min(w[u], 1.0)
+        zs[key], xs[key] = _clean_state(key, wv, z[u], x[u])
+    return RelaxationSolution(gamma, ws, xs, zs, grid, cuts=len(cuts), duality_gap=gap)
 
 
 @dataclass(frozen=True)
@@ -339,9 +575,9 @@ def extract_single_arm_policies(
         for sid in arm.topo_order():
             key = (arm.arm_id, sid)
             masses = solution.x[key]
-            levels = _exploit_levels(instance, arm, sid, solution.grid)
-            p += sum(l * masses[l] for l, _, _ in levels) / (len(masses) - 1)
-            r += sum(masses[l] * value for l, _, value in levels)
+            levels = _level_values(instance, arm, sid, solution.grid)
+            p += sum(l * masses[l] for l, _ in levels) / (len(masses) - 1)
+            r += sum(masses[l] * value for l, value in levels)
             c += arm.play_charge(sid) * solution.z[key]
         out.append(SingleArmPolicy(arm_id=arm.arm_id, explore_prob=p, reward=r, cost=c))
     return out

@@ -30,11 +30,14 @@ def test_gen_validate_solve_plan_run_oracle(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["status"] == "optimal"
     assert abs(doc["gamma_star"] - 1.0) < 1e-6
-    assert (doc["pivots"], doc["bland_pivots"]) == (17, 0)  # the gap-4 LP's pivot path
+    assert doc["cuts"] == 2 and 0.0 <= doc["duality_gap"] <= 1e-9  # the gap-4 decomposition's path
     sol = solve_relaxation(gen_integrality_gap(4))
-    assert (sol.pivots, sol.bland_pivots) == (17, 0)  # the same solve, seen from the library
+    assert (sol.cuts, sol.duality_gap) == (doc["cuts"], doc["duality_gap"])  # the same solve, seen from the library
     text = open(dump).read()
     assert text.startswith("Maximize") and "Subject To" in text
+    # the values are keyed by the dumped LP's variable names
+    bounds = text[text.index("Bounds") :].splitlines()[1:-1]
+    assert sorted(doc["values"]) == sorted(line.split()[2] for line in bounds)
 
     code, out = run_cli(capsys, "plan", path)
     assert code == 0

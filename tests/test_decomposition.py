@@ -1,0 +1,212 @@
+"""The decomposition solver against the tableau and HiGHS, and its metamorphic
+relations, on random small instances of all three variants."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import banditlp.relaxations as relaxations
+from banditlp.bench import GeneratorSpec, as_concave, as_lagrangean, gen_integrality_gap, gen_random_suite
+from banditlp.lp import LPSolverError, check_feasibility, objective_value, solve_lp
+from banditlp.relaxations import (
+    GAP_TOL,
+    RelaxationSolution,
+    build_budgeted_lp,
+    build_relaxation,
+    solve_relaxation,
+    var_name,
+)
+from banditlp.statespace import ArmStateSpace, BanditInstance, Objective, concave_grid_size, make_concave_problem
+
+RTOL = 1e-9  # decomposition vs tableau, and every metamorphic relation
+HIGHS_RTOL = 1e-7  # HiGHS's own default primal and dual feasibility tolerance
+
+
+def _close(a, b, rtol=RTOL):
+    return abs(a - b) <= rtol * (1.0 + abs(b))
+
+
+def _scaled(inst, reward=1.0, cost=1.0):
+    """The instance with every reward times `reward` and every play cost,
+    switch cost and the budget times `cost`."""
+    arms = tuple(
+        ArmStateSpace(
+            arm.arm_id,
+            arm.root,
+            {
+                sid: dataclasses.replace(s, reward=s.reward * reward, play_cost=s.play_cost * cost)
+                for sid, s in arm.states.items()
+            },
+            arm.switch_cost * cost,
+        )
+        for arm in inst.arms
+    )
+    return BanditInstance(arms, None if inst.budget is None else inst.budget * cost, inst.objective)
+
+
+def _concave(base, capacity, epsilon, curve, rng):
+    """Linear tables and unit sigmas, or tables r * sqrt(l / L) and random
+    sigmas in [0.2, capacity]."""
+    if curve == "linear":
+        return as_concave(base, capacity, epsilon)
+    L = concave_grid_size(len(base.arms), epsilon)
+    sigmas = {a.arm_id: float(rng.uniform(0.2, capacity)) for a in base.arms}
+    tables = {
+        a.arm_id: {s.id: tuple(s.reward * math.sqrt(l / L) for l in range(L + 1)) for s in a.states.values()}
+        for a in base.arms
+    }
+    prob = make_concave_problem(base.arms, capacity, epsilon, sigmas, tables)
+    return BanditInstance(base.arms, base.budget, Objective("concave", concave=prob))
+
+
+@st.composite
+def bases(draw):
+    """A budgeted instance of 1-3 random two-level or Beta-Bernoulli arms."""
+    spec = GeneratorSpec(
+        family=draw(st.sampled_from(["random-two-level", "random-beta"])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        max_arms=draw(st.integers(1, 3)),
+        budget_cap=draw(st.integers(1, 6)),
+    )
+    return gen_random_suite(spec)[0]
+
+
+@st.composite
+def instances(draw, variant=None):
+    """One instance of the given variant (any, when None) on a random base:
+    Lagrangean costs scaled down so that exploring can pay, concave linear or
+    sqrt tables."""
+    base = draw(bases())
+    variant = variant or draw(st.sampled_from(["budgeted", "lagrangean", "concave"]))
+    if variant == "budgeted":
+        return base
+    if variant == "lagrangean":
+        return as_lagrangean(_scaled(base, cost=draw(st.sampled_from([0.02, 0.1, 0.3, 1.0]))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    capacity, epsilon = draw(st.sampled_from([1.0, 2.0])), draw(st.sampled_from([0.25, 0.5, 1.0]))
+    return _concave(base, capacity, epsilon, draw(st.sampled_from(["linear", "sqrt"])), rng)
+
+
+def _tableau_solution(inst):
+    lp, grid = build_relaxation(inst)
+    return RelaxationSolution.from_raw(inst, solve_lp(lp), grid)
+
+
+def _highs(lp):
+    """The LP's optimum by HiGHS (scipy, a test-only dependency)."""
+    from scipy.optimize import linprog
+
+    index = {name: i for i, (name, _, _) in enumerate(lp.variables)}
+    c = np.zeros(len(index))
+    for name, coef in lp.objective.items():
+        c[index[name]] = -coef
+    rows = {"<=": ([], []), "==": ([], [])}
+    for con in lp.constraints:
+        row = np.zeros(len(index))
+        for name, coef in con.coeffs.items():
+            row[index[name]] = coef
+        rows[con.relation][0].append(row)
+        rows[con.relation][1].append(con.rhs)
+    a_ub, b_ub = (np.array(v) if v else None for v in rows["<="])
+    a_eq, b_eq = (np.array(v) if v else None for v in rows["=="])
+    bounds = [(lb, ub if math.isfinite(ub) else None) for _, lb, ub in lp.variables]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_gamma_equals_tableau_and_highs_and_the_point_is_certified(inst):
+    sol = solve_relaxation(inst)
+    lp, _ = build_relaxation(inst)
+    assert _close(sol.gamma_star, _tableau_solution(inst).gamma_star)
+    assert _close(sol.gamma_star, _highs(lp), HIGHS_RTOL)
+    # the certificate: g(lambda, mu) - gamma* closed to the stopping tolerance
+    assert -RTOL <= sol.duality_gap <= GAP_TOL * (1.0 + abs(sol.gamma_star))
+    assert 1 <= sol.cuts <= relaxations.CUT_LIMIT
+    # the recovered point is an optimal point of the built LP
+    values = sol.lp_values(inst)
+    assert check_feasibility(lp, values, tol=1e-9) == []
+    assert sol.check_invariants(inst, tol=1e-9) == []
+    assert _close(objective_value(lp, values), sol.gamma_star)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.sampled_from([0.1, 0.5, 3.0, 7.0]))
+def test_scaling_costs_and_rewards(inst, k):
+    gamma = solve_relaxation(inst).gamma_star
+    if inst.objective.kind == "lagrangean":
+        # costs sit in the objective: only scaling both scales gamma*
+        assert _close(solve_relaxation(_scaled(inst, reward=k, cost=k)).gamma_star, k * gamma)
+        return
+    assert _close(solve_relaxation(_scaled(inst, cost=k)).gamma_star, gamma)
+    if inst.objective.kind == "budgeted":
+        assert _close(solve_relaxation(_scaled(inst, reward=k)).gamma_star, k * gamma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bases(), st.sampled_from([0.1, 0.5, 3.0, 7.0]))
+def test_scaling_rewards_scales_the_concave_gamma(base, k):
+    # linear tables follow the rewards
+    gamma = solve_relaxation(as_concave(base, 1.0, 0.5)).gamma_star
+    assert _close(solve_relaxation(as_concave(_scaled(base, reward=k), 1.0, 0.5)).gamma_star, k * gamma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.randoms(use_true_random=False))
+def test_permuting_arms_leaves_gamma(inst, rnd):
+    arms = list(inst.arms)
+    rnd.shuffle(arms)
+    permuted = BanditInstance(tuple(arms), inst.budget, inst.objective)
+    assert _close(solve_relaxation(permuted).gamma_star, solve_relaxation(inst).gamma_star)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(instances("budgeted"), instances("concave")), st.sampled_from([-1e-3, -1.0, -5.0]))
+def test_a_negative_budget_is_infeasible(inst, budget):
+    negative = dataclasses.replace(inst, budget=budget)
+    assert solve_lp(build_relaxation(negative)[0]).status == "infeasible"
+    with pytest.raises(ValueError, match="relaxation LP is infeasible"):
+        solve_relaxation(negative)
+
+
+def test_the_cut_limit_raises(monkeypatch):
+    inst = gen_integrality_gap(4)
+    assert solve_relaxation(inst).cuts == 2
+    monkeypatch.setattr(relaxations, "CUT_LIMIT", 1)
+    with pytest.raises(LPSolverError, match="after 1 cuts"):
+        solve_relaxation(inst)
+
+
+def test_restricted_gamma_equals_the_tableau_on_the_gate_two_level_instances():
+    # the restricted relaxation of nonadaptive_two_level (root exploits
+    # forbidden) against the tableau on the LP with root x fixed at 0, on the
+    # acceptance gate's instances whose arms are all two-level stars
+    suite = gen_random_suite(GeneratorSpec(family="random-two-level", count=100, seed=101, budget_cap=5))
+    suite += gen_random_suite(GeneratorSpec(family="random-beta", count=100, seed=202, budget_cap=5))
+    two_level = [inst for inst in suite if all(arm.is_two_level() for arm in inst.arms)]
+    assert len(two_level) == 128
+    for inst in two_level:
+        restricted = solve_relaxation(inst, exploit_at_roots=False)
+        lp = build_budgeted_lp(inst)
+        roots = {var_name("x", arm.arm_id, arm.root) for arm in inst.arms}
+        lp.variables = [(name, lb, 0.0 if name in roots else ub) for name, lb, ub in lp.variables]
+        assert _close(restricted.gamma_star, solve_lp(lp).objective_value)
+        assert all(restricted.x[(arm.arm_id, arm.root)] == (0.0, 0.0) for arm in inst.arms)
+
+
+def test_a_negative_budget_met_by_a_negative_switch_cost():
+    # the LP accepts a negative cost (validate_instance flags it): the
+    # cheapest policy then meets a negative budget, and the decomposition
+    # finds the tableau's optimum instead of calling the LP infeasible
+    from banditlp.statespace import build_two_level_arm
+
+    a = dataclasses.replace(build_two_level_arm([0.0, 1.0], [0.5, 0.5], play_cost=1, arm_id="a"), switch_cost=-2.0)
+    b = build_two_level_arm([0.3, 0.7], [0.5, 0.5], play_cost=2, arm_id="b")
+    inst = BanditInstance(arms=(a, b), budget=-0.5, objective=Objective("budgeted"))
+    assert _close(solve_relaxation(inst).gamma_star, _tableau_solution(inst).gamma_star)

@@ -234,30 +234,57 @@ def test_from_raw_rejects_a_grid_that_does_not_match_the_lp():
         RelaxationSolution.from_raw(gen_integrality_gap(3), budgeted_raw, 4)
 
 
-@pytest.mark.parametrize("variant", ["budgeted", "lagrangean", "concave"])
-def test_solve_relaxation_calls_the_module_builder_and_solver_once(monkeypatch, variant):
-    # traced runs wrap these module-level names to time the build and solve
-    # layers and to count LP sizes, so solve_relaxation must look them up
-    import banditlp.relaxations as relaxations
-
+def _variant(name):
     base = gen_integrality_gap(3)
-    inst = {
+    return {
         "budgeted": base,
         "lagrangean": as_lagrangean(base),
         "concave": as_concave(base, capacity=1.0, epsilon=0.5),
-    }[variant]
+    }[name]
+
+
+@pytest.mark.parametrize("variant", ["budgeted", "lagrangean", "concave"])
+def test_solve_relaxation_builds_and_tableau_solves_nothing(monkeypatch, variant):
+    # the decomposition has no hidden tableau fallback: no LP is built, no
+    # solve_lp or from_raw runs
+    import banditlp.relaxations as relaxations
+
     calls = []
 
-    def counting(name):
-        fn = getattr(relaxations, name)
-
-        def wrapped(*args, **kwargs):
+    def forbidden(name):
+        def call(*args, **kwargs):
             calls.append(name)
-            return fn(*args, **kwargs)
+            raise AssertionError(f"solve_relaxation called {name}")
 
-        monkeypatch.setattr(relaxations, name, wrapped)
+        return call
 
-    for name in ("build_budgeted_lp", "build_lagrangean_lp", "build_concave_lp", "solve_lp"):
-        counting(name)
-    solve_relaxation(inst)
-    assert calls == [f"build_{variant}_lp", "solve_lp"]
+    for name in ("build_budgeted_lp", "build_lagrangean_lp", "build_concave_lp", "build_relaxation", "solve_lp"):
+        monkeypatch.setattr(relaxations, name, forbidden(name))
+    monkeypatch.setattr(relaxations.RelaxationSolution, "from_raw", classmethod(forbidden("from_raw")))
+    sol = solve_relaxation(_variant(variant))
+    assert calls == [] and sol.cuts >= 1
+
+
+@pytest.mark.parametrize("variant", ["budgeted", "lagrangean", "concave"])
+def test_solve_relaxation_runs_inside_the_benchmark_tracer(variant):
+    # pipebench's traced runs patch relaxations.build_*_lp, relaxations.solve_lp
+    # and RelaxationSolution.from_raw by name, so those names must resolve;
+    # the tracer is loaded from its file, not edited
+    import importlib.util
+    import pathlib
+
+    import banditlp.relaxations as relaxations
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "pipebench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_pipebench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    inst = _variant(variant)
+    untraced = solve_relaxation(inst)
+    saved = relaxations.solve_lp, relaxations.RelaxationSolution.__dict__["from_raw"]
+    tracer = tracing.Tracer()
+    with tracing.traced_library(tracer):
+        sol = solve_relaxation(inst)
+    assert (relaxations.solve_lp, relaxations.RelaxationSolution.__dict__["from_raw"]) == saved
+    assert sol.gamma_star == untraced.gamma_star
+    assert tracer.spans == [] and tracer.counts["solves"] == 0  # the solve is the caller's own time
