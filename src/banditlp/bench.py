@@ -259,6 +259,9 @@ class SuiteRow:
     opt: float | None
     ok: bool
     flags: list[str] = field(default_factory=list)
+    cuts: int = 0  # the solve's statistics, as in RelaxationSolution
+    master_pivots: int = 0
+    duality_gap: float | None = None
 
     @property
     def lp_ratio(self) -> float:
@@ -300,6 +303,9 @@ class EvaluationReport:
                     "opt_ratio": (r.value / r.opt) if r.opt else None,
                     "ok": r.ok,
                     "flags": r.flags,
+                    "cuts": r.cuts,
+                    "master_pivots": r.master_pivots,
+                    "duality_gap": r.duality_gap,
                 }
                 for r in self.rows
             ],
@@ -308,7 +314,10 @@ class EvaluationReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["instance", "gamma_star", "opt", "value", "cost", "bound", "lp_ratio", "ok", "flags"])
+        writer.writerow(
+            ["instance", "gamma_star", "opt", "value", "cost", "bound", "lp_ratio", "ok", "flags",
+             "cuts", "master_pivots", "duality_gap"]
+        )
         for r in self.rows:
             writer.writerow(
                 [
@@ -321,6 +330,9 @@ class EvaluationReport:
                     r.lp_ratio if math.isfinite(r.lp_ratio) else "",
                     int(r.ok),
                     ";".join(r.flags),
+                    r.cuts,
+                    r.master_pivots,
+                    "" if r.duality_gap is None else r.duality_gap,
                 ]
             )
         return buf.getvalue()
@@ -343,9 +355,10 @@ def run_guarantee_suite(
     """Per-instance guarantee-bound verification table.
 
     Each row reports gamma*, the rounded policy's exact value and cost, the
-    variant's guarantee threshold, the DP optimum where the oracle fits, and
-    any invariant flags.  A row fails when the policy value drops below its
-    bound or gamma* falls below OPT.
+    variant's guarantee threshold, the DP optimum where the oracle fits, any
+    invariant flags, and the solve's cuts, master pivots and duality gap.  A
+    row fails when the policy value drops below its bound or gamma* falls
+    below OPT.
     """
     options = options or SuiteOptions()
     rows: list[SuiteRow] = []
@@ -388,6 +401,9 @@ def run_guarantee_suite(
                 opt=opt,
                 ok=ok,
                 flags=flags,
+                cuts=solution.cuts,
+                master_pivots=solution.master_pivots,
+                duality_gap=solution.duality_gap,
             )
         )
     return EvaluationReport(variant=variant, rows=rows, options=options)

@@ -1,9 +1,9 @@
 """Command-line interface: generate, validate, solve, plan, run, oracle, suite.
 
 All output is machine-readable JSON unless asked for CSV.  A library
-ValueError (bad input, an unsupported variant) or an instance over the
-oracle's guard is reported as one JSON object {"error": message} with exit
-code 2.
+ValueError (bad input, an unsupported variant), an instance over the
+oracle's guard or a solver failure (LPSolverError) is reported as one JSON
+object {"error": message} with exit code 2.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import bench, oracle, policies, relaxations, statespace
-from .lp import format_lp
+from .lp import LPSolverError, format_lp
 
 
 def _emit(doc) -> None:
@@ -76,6 +76,8 @@ def cmd_solve(args) -> int:
             "gamma_star": solution.gamma_star,
             "cuts": solution.cuts,
             "duality_gap": solution.duality_gap,
+            "master_pivots": solution.master_pivots,
+            "master_bland_pivots": solution.master_bland_pivots,
             "values": solution.lp_values(instance),
         }
     )
@@ -271,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, oracle.OracleGuardError) as exc:
+    except (ValueError, oracle.OracleGuardError, LPSolverError) as exc:
         _emit({"error": str(exc)})
         return 2
 

@@ -1,11 +1,13 @@
 """Minimal self-contained linear programming: model, simplex solver, text dump.
 
 The relaxations are solved by `relaxations.solve_relaxation`'s decomposition,
-not here.  This module is its model (`--dump-lp`, the HiGHS cross-checks,
-`check_feasibility`), the tableau reference solver `solve_lp` (the test
-oracle) and the decomposition's master solver `_simplex`, which returns the
-row duals read from the final reduced costs: a ``<=`` row's dual is the
-reduced cost of its slack column.
+not here, and so is its master (`relaxations._Master`, a warm-started revised
+simplex that reuses this module's pivot rules and tolerances by name).  This
+module is the model (`--dump-lp`, the HiGHS cross-checks,
+`check_feasibility`) and the tableau reference solver: `solve_lp` and its
+engine `_simplex`, the test oracle for the relaxations and for the master.
+`_simplex` also returns the row duals read from the final reduced costs: a
+``<=`` row's dual is the reduced cost of its slack column.
 
 The solver is a dense two-phase tableau simplex.  Entering columns follow
 Dantzig's rule until a streak of degenerate pivots, then Bland's rule until

@@ -37,9 +37,13 @@ side, and lambda' = lambda, or 1 for Lagrangean plays, which pay c_u itself
 * Master: max sum theta_k R_k s.t. sum theta_k <= 1, sum theta_k C_k <= B,
   sum theta_k P_k <= rhs over the priced policies, the cuts (Kelley's cutting
   planes on g, which is Dantzig-Wolfe column generation with an aggregated
-  master).  Doing nothing is the slack of the first row, so with B >= 0
-  every row starts feasible.  `lp._simplex` solves it and its row duals are
-  the next (lambda, mu).
+  master).  `_Master` is a revised simplex on at most three rows, created
+  once per solve: each cut appends one column and re-optimises from the
+  last optimal basis, which stays primal feasible, so a cut costs a pivot or
+  two on a 3x3 basis inverse.  Doing nothing is the slack of the first row,
+  so with B >= 0 the slack basis is feasible; a negative B starts the cost
+  row on an artificial, and the first cut, the cheapest policy, goes
+  through a phase 1.  Its row duals pi = c_B B^-1 are the next (lambda, mu).
 * Stop and recover: once g(lambda, mu) - master <= GAP_TOL * (1 + |master|),
   the master's optimum is gamma* and the mixture sum theta_k occupancy_k an
   optimal LP point, written into `RelaxationSolution` by (arm, state).  The
@@ -50,12 +54,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 # solve_lp is not called here; it stays importable from this module because
 # pipebench's tracer wraps it here by name, with the builders and from_raw
-from .lp import LinearConstraint, LinearProgram, LPSolutionRaw, LPSolverError, _simplex, solve_lp  # noqa: F401
+from .lp import (  # noqa: F401
+    _DEGENERATE_STREAK,
+    _INFEASIBLE_EPS,
+    _OPT_EPS,
+    _PIVOT_EPS,
+    _TIE_EPS,
+    LinearConstraint,
+    LinearProgram,
+    LPSolutionRaw,
+    LPSolverError,
+    solve_lp,
+)
 from .statespace import ArmStateSpace, BanditInstance, ConcaveProblem
 
 # A solution's cleanup rescales a state's x + z down to its w when they exceed
@@ -102,7 +116,7 @@ def _check_ids(instance: BanditInstance) -> None:
             raise ValueError("arm/state ids may not contain '|'")
 
 
-def _parents(arm: ArmStateSpace, order: list[str]) -> dict[str, list[tuple[str, float]]]:
+def _parents(arm: ArmStateSpace, order: tuple[str, ...]) -> dict[str, list[tuple[str, float]]]:
     par: dict[str, list[tuple[str, float]]] = {sid: [] for sid in order}
     for sid in order:
         for child, p in arm.states[sid].transitions:
@@ -287,6 +301,8 @@ class RelaxationSolution:
     grid: int | None = None
     cuts: int = 0  # policies the decomposition priced into its master
     duality_gap: float | None = None  # g(lambda, mu) - gamma*; None when read from a tableau point
+    master_pivots: int = 0  # the master's pivots over the solve, phase 1 and its basis repair included
+    master_bland_pivots: int = 0  # those whose entering column Bland's rule chose
 
     @classmethod
     def from_raw(
@@ -466,6 +482,140 @@ class _ArmStates:
         return reached, reward - play_w * cost, cost, link
 
 
+class _Master:
+    """The decomposition's master, max sum_k theta_k R_k s.t. sum_k theta_k
+    a_k <= b, theta >= 0, by a revised simplex whose basis is kept from one
+    cut to the next.
+
+    B^-1 is m x m plain floats (m <= 3 rows), updated by each pivot's
+    elimination with the entering column d = B^-1 a_j; the start is the
+    slack basis, with an artificial column -e_i instead of the slack in a
+    row whose b_i is negative.  The pivot rules
+    are `lp._simplex`'s, with its tolerances: Dantzig's entering rule, ties
+    to the lowest column, the smallest basic index leaving on a ratio tie,
+    and Bland's rule after `_DEGENERATE_STREAK` degenerate pivots until the
+    objective moves again.  Columns rank as in its tableau: the cuts in the
+    order they came, then the slacks, then the artificials, each by row.  A
+    basis entry is a cut's index k, or -1 - i for row i's slack and
+    -1 - m - i for its artificial, so (entry < 0, |entry|) is the rank.
+    """
+
+    def __init__(self, rhs: list[float]):
+        m = len(rhs)
+
+        def unit(i: int, v: float) -> tuple[float, ...]:
+            return tuple(v if k == i else 0.0 for k in range(m))
+
+        self.rhs = rhs
+        self.cuts: list[tuple[float, ...]] = []  # cut k's column
+        self.rewards: list[float] = []  # and its R_k
+        self.slacks = [unit(i, 1.0) for i in range(m)]
+        self.artificials = {i: unit(i, -1.0) for i, b in enumerate(rhs) if b < 0.0}
+        self.basis = [-1 - m - i if i in self.artificials else -1 - i for i in range(m)]
+        self.inv = [list(unit(i, -1.0 if i in self.artificials else 1.0)) for i in range(m)]
+        self.x = [abs(b) for b in rhs]  # the basic values, B^-1 b
+        self.duals = [0.0] * m  # pi = c_B B^-1 at the last optimum, clamped at 0
+        self.pivots = self.bland_pivots = 0
+
+    def add_cut(self, column: tuple[float, ...], reward: float) -> None:
+        """Append a cut's column and re-optimise from the current basis.
+
+        While an artificial is basic (the first cut under a negative
+        budget), phase 1 minimises the artificials, raises ValueError when
+        they stay positive and pivots any left at zero out of the basis on
+        the first column with a usable entry in its row, as `lp._simplex`
+        does.  The slack of the artificial's own row always has one.
+        """
+        self.cuts.append(column)
+        self.rewards.append(reward)
+        m = len(self.rhs)
+        if min(self.basis) < -m:
+            self._optimise(phase1=True)
+            rest = sum(v for j, v in zip(self.basis, self.x) if j < -m)
+            if rest > _INFEASIBLE_EPS * (1.0 + max(map(abs, self.rhs))):
+                raise ValueError("relaxation LP is infeasible")
+            for r in range(m):
+                if self.basis[r] < -m:
+                    row = self.inv[r]
+                    j, a = next((j, a) for j, _, a in self._priced(False) if abs(sum(map(mul, row, a))) > _PIVOT_EPS)
+                    self._pivot(r, j, self._ftran(a))
+        self._optimise(phase1=False)
+        self.duals = [max(v, 0.0) for v in self.duals]
+
+    @property
+    def theta(self) -> list[float]:
+        """The weight of every cut, read from the basic ones."""
+        theta = [0.0] * len(self.cuts)
+        for j, v in zip(self.basis, self.x):
+            if j >= 0:
+                theta[j] = max(v, 0.0)
+        return theta
+
+    @property
+    def value(self) -> float:
+        return sum(map(mul, self.theta, self.rewards))
+
+    def _priced(self, phase1: bool) -> list[tuple[int, float, tuple[float, ...]]]:
+        """The columns that may enter as (basis entry, profit, column),
+        lowest rank first: a cut's profit is its reward in phase 2, an
+        artificial's -1 in phase 1, every other 0."""
+        m = len(self.rhs)
+        cols = [(k, 0.0 if phase1 else r, a) for k, (r, a) in enumerate(zip(self.rewards, self.cuts))]
+        cols += [(-1 - i, 0.0, a) for i, a in enumerate(self.slacks)]
+        if phase1:
+            cols += [(-1 - m - i, -1.0, a) for i, a in self.artificials.items()]
+        return cols
+
+    def _ftran(self, column: tuple[float, ...]) -> list[float]:
+        return [sum(map(mul, row, column)) for row in self.inv]
+
+    def _optimise(self, phase1: bool) -> None:
+        x, basis = self.x, self.basis
+        priced = self._priced(phase1)
+        profit = {j: c for j, c, _ in priced}
+        degenerate, bland = 0, False
+        while True:
+            cb = [profit[j] for j in basis]
+            pi = [sum(map(mul, cb, col)) for col in zip(*self.inv)]
+            enter, best = None, _OPT_EPS
+            for j, c, a in priced:
+                reduced = c - sum(map(mul, pi, a))
+                if reduced > best:
+                    enter, best, column = j, reduced, a
+                    if bland:
+                        break
+            if enter is None:
+                self.duals = pi
+                return
+            d = self._ftran(column)
+            rows_in = [r for r, v in enumerate(d) if v > _PIVOT_EPS]
+            if not rows_in:
+                raise LPSolverError("the decomposition's master is unbounded")
+            step = min(x[r] / d[r] for r in rows_in)
+            ties = [r for r in rows_in if x[r] / d[r] <= step + _TIE_EPS]
+            leave = min(ties, key=lambda r: (basis[r] < 0, abs(basis[r])))
+            if bland:
+                self.bland_pivots += 1
+            if step <= _PIVOT_EPS:
+                degenerate += 1
+                bland = bland or degenerate >= _DEGENERATE_STREAK
+            else:
+                degenerate, bland = 0, False
+            self._pivot(leave, enter, d)
+
+    def _pivot(self, r: int, j: int, d: list[float]) -> None:
+        """Column j, whose B^-1 a_j is d, enters in row r."""
+        inv, x = self.inv, self.x
+        inv[r] = row = [v / d[r] for v in inv[r]]
+        x[r] = xr = x[r] / d[r]
+        for i, f in enumerate(d):
+            if i != r and f != 0.0:
+                inv[i] = [a - f * b for a, b in zip(inv[i], row)]
+                x[i] -= f * xr
+        self.basis[r] = j
+        self.pivots += 1
+
+
 def solve_relaxation(instance: BanditInstance, exploit_at_roots: bool = True) -> RelaxationSolution:
     """The instance's relaxation, solved by Kelley's cutting planes on g.
 
@@ -485,42 +635,35 @@ def solve_relaxation(instance: BanditInstance, exploit_at_roots: bool = True) ->
     play_w = 1.0 if lagrangean else 0.0  # lagrangean plays pay their charge in the objective
     rhs = [1.0] + ([] if lagrangean else [float(instance.budget)]) + [_link_rhs(instance, grid)]
     cuts: list[tuple[list[int], list[tuple[int, float]], float]] = []  # (actions, reached, R)
-    columns: list[tuple[float, ...]] = []  # each cut's entries in the master's rows
+    master = _Master(rhs)
 
     def add_cut(act: list[int]) -> None:
         reached, reward, cost, link = arms.occupancy(act, play_w)
         cuts.append((act, reached, reward))
-        columns.append((1.0, link) if lagrangean else (1.0, cost, link))
+        master.add_cut((1.0, link) if lagrangean else (1.0, cost, link), reward)
 
     if not lagrangean and rhs[1] < 0.0:
-        add_cut(arms.price(0.0, 1.0, 0.0)[0])  # the cheapest policy, so the master is feasible if the LP is
-    duals = np.zeros(len(rhs))  # the master's row duals: (pi_0, lambda, mu), lagrangean (pi_0, mu)
-    theta, gap = None, math.inf
+        add_cut(arms.price(0.0, 1.0, 0.0)[0])  # the cheapest policy: its phase 1 tells whether the LP is feasible
+    gap = math.inf
     while True:
+        duals = master.duals  # (pi_0, lambda, mu), lagrangean (pi_0, mu)
         act, roots_value = arms.price(1.0, play_w + (0.0 if lagrangean else duals[1]), duals[-1])
-        if theta is not None:
-            gap = float(duals[1:] @ rhs[1:]) + roots_value - gamma
+        if cuts:
+            gamma = master.value
+            gap = sum(map(mul, duals[1:], rhs[1:])) + roots_value - gamma
             if gap <= GAP_TOL * (1.0 + abs(gamma)):
                 break
         if len(cuts) >= CUT_LIMIT:
             raise LPSolverError(f"decomposition gap {gap:.3g} still open after {CUT_LIMIT} cuts")
         add_cut(act)
-        rewards = np.array([cut[2] for cut in cuts])
-        status, theta, duals, _, _ = _simplex(list(np.array(columns).T), rhs, ["<="] * len(rhs), -rewards)
-        if status != "optimal":
-            raise ValueError(f"relaxation LP is {status}")
-        theta = np.maximum(theta, 0.0)
-        duals = np.maximum(duals, 0.0)
-        gamma = float(theta @ rewards)
-    return _recover(arms, cuts, theta.tolist(), grid, gamma, gap)
+    return _recover(arms, cuts, master, grid, gap)
 
 
 def _recover(
     arms: _ArmStates,
     cuts: list[tuple[list[int], list[tuple[int, float]], float]],
-    theta: list[float],
+    master: _Master,
     grid: int | None,
-    gamma: float,
     gap: float,
 ) -> RelaxationSolution:
     """The mixture sum_k theta_k * occupancy_k of the cuts, cleaned state by
@@ -529,7 +672,7 @@ def _recover(
     w = [0.0] * n
     z = [0.0] * n
     x = [[0.0] * ((grid or 1) + 1) for _ in range(n)]  # levels 0..L
-    for (act, reached, _), t in zip(cuts, theta):
+    for (act, reached, _), t in zip(cuts, master.theta):
         if t == 0.0:
             continue
         for u, wu in reached:
@@ -547,7 +690,10 @@ def _recover(
     for u, key in enumerate(arms.keys):
         ws[key] = wv = 1.0 if u in roots else min(w[u], 1.0)
         zs[key], xs[key] = _clean_state(key, wv, z[u], x[u])
-    return RelaxationSolution(gamma, ws, xs, zs, grid, cuts=len(cuts), duality_gap=gap)
+    return RelaxationSolution(
+        master.value, ws, xs, zs, grid, cuts=len(cuts), duality_gap=gap,
+        master_pivots=master.pivots, master_bland_pivots=master.bland_pivots,
+    )
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ play depth).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -52,14 +53,21 @@ class ArmStateSpace:
     def state(self, state_id: str) -> BeliefState:
         return self.states[state_id]
 
-    def topo_order(self) -> list[str]:
+    def topo_order(self) -> tuple[str, ...]:
         """State ids in a topological order starting at the root.
 
         Only states reachable from the root are returned.  Raises
-        ``ValueError`` on a cycle; use ``validate_instance`` for a
-        non-throwing diagnosis.  Iterative DFS: belief DAGs can be deeper
-        than the interpreter stack (depth tracks the play budget).
+        ``ValueError`` on a cycle, on every call; use ``validate_instance``
+        for a non-throwing diagnosis.  The order is computed once per arm
+        (arms are never changed in place) and shared by every caller, hence
+        a tuple.
         """
+        return self._topo_order
+
+    @functools.cached_property
+    def _topo_order(self) -> tuple[str, ...]:
+        # Iterative DFS: belief DAGs can be deeper than the interpreter stack
+        # (depth tracks the play budget).  A raise caches nothing.
         order: list[str] = []
         mark: dict[str, int] = {}  # 1 = on the DFS path, 2 = done
         stack: list[tuple[str, bool]] = [(self.root, False)]
@@ -84,7 +92,7 @@ class ArmStateSpace:
                     if status is None:
                         stack.append((child, False))
         order.reverse()
-        return order
+        return tuple(order)
 
     def max_exploration_cost(self) -> float:
         """Switch cost plus the maximum total play cost along any root-leaf path."""

@@ -116,15 +116,22 @@ def test_guarantee_suite_budgeted_report():
     summary = report.summary()
     assert summary["instances"] == 6
     assert summary["min_lp_ratio"] >= 0.25
-    for row in report.rows:
+    for row, inst in zip(report.rows, suite):
         assert row.opt is not None
         assert row.gamma_star >= row.opt - 1e-6
         assert row.value >= row.bound
+        sol = solve_relaxation(inst)  # the row's solve statistics are the solve's
+        assert (row.cuts, row.master_pivots, row.duality_gap) == (sol.cuts, sol.master_pivots, sol.duality_gap)
+        assert row.cuts >= 1 and row.master_pivots >= 1
     # serialization round-trips
     doc = report.to_json()
     assert len(doc["rows"]) == 6
+    assert [(r["cuts"], r["master_pivots"], r["duality_gap"]) for r in doc["rows"]] == [
+        (r.cuts, r.master_pivots, r.duality_gap) for r in report.rows
+    ]
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0].startswith("instance,")
+    assert csv_text.splitlines()[0].endswith(",cuts,master_pivots,duality_gap")
     assert len(csv_text.strip().splitlines()) == 7
 
 

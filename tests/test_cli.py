@@ -31,8 +31,11 @@ def test_gen_validate_solve_plan_run_oracle(tmp_path, capsys):
     assert doc["status"] == "optimal"
     assert abs(doc["gamma_star"] - 1.0) < 1e-6
     assert doc["cuts"] == 2 and 0.0 <= doc["duality_gap"] <= 1e-9  # the gap-4 decomposition's path
+    assert doc["master_pivots"] == 2 and doc["master_bland_pivots"] == 0  # one pivot per cut
     sol = solve_relaxation(gen_integrality_gap(4))
-    assert (sol.cuts, sol.duality_gap) == (doc["cuts"], doc["duality_gap"])  # the same solve, seen from the library
+    stats = (sol.cuts, sol.duality_gap, sol.master_pivots, sol.master_bland_pivots)
+    # the same solve, seen from the library
+    assert stats == (doc["cuts"], doc["duality_gap"], doc["master_pivots"], doc["master_bland_pivots"])
     text = open(dump).read()
     assert text.startswith("Maximize") and "Subject To" in text
     # the values are keyed by the dumped LP's variable names
@@ -101,12 +104,22 @@ def test_suite_and_report_round_trip(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["summary"]["all_ok"] is True
     assert len(doc["rows"]) == 3
+    for row in doc["rows"]:  # every row carries its solve's statistics
+        assert row["cuts"] >= 1 and row["master_pivots"] >= 1
+        assert abs(row["duality_gap"]) <= 1e-9 * (1.0 + abs(row["gamma_star"]))  # may round below 0
 
     code, out = run_cli(capsys, "report", str(out_path), "--format", "csv")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0].startswith("instance")
+    assert lines[0].endswith(",cuts,master_pivots,duality_gap")
     assert len(lines) == 4
+
+    code, out = run_cli(capsys, "suite", "--spec", str(spec_path), "--format", "csv")
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    assert header == "instance,gamma_star,opt,value,cost,bound,lp_ratio,ok,flags,cuts,master_pivots,duality_gap"
+    assert [int(r.split(",")[9]) for r in rows] == [r["cuts"] for r in doc["rows"]]
 
 
 @pytest.mark.parametrize(
@@ -152,6 +165,21 @@ def test_oracle_guard_is_one_json_object(tmp_path, capsys):
     doc = json.loads(out)
     assert set(doc) == {"error"}
     assert "exceeds the limit 3" in doc["error"]
+
+
+def test_solver_errors_are_one_json_object(tmp_path, capsys, monkeypatch):
+    # an LPSolverError (a RuntimeError) from the solve used to end in a
+    # traceback: the gap-4 decomposition needs 2 cuts, and 1 is allowed
+    import banditlp.relaxations as relaxations
+
+    path = str(tmp_path / "gap4.json")
+    save_instance(gen_integrality_gap(4), path)
+    monkeypatch.setattr(relaxations, "CUT_LIMIT", 1)
+    code, out = run_cli(capsys, "solve", path)
+    assert code == 2
+    doc = json.loads(out)
+    assert set(doc) == {"error"}
+    assert "still open after 1 cuts" in doc["error"]
 
 
 def test_concave_instance_file_is_checked_on_load(tmp_path, capsys):

@@ -1,17 +1,21 @@
 """The decomposition solver against the tableau and HiGHS, and its metamorphic
 relations, on random small instances of all three variants."""
 
+import contextlib
 import dataclasses
 import math
+from operator import mul
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import banditlp.lp as lp_module
 import banditlp.relaxations as relaxations
 from banditlp.bench import GeneratorSpec, as_concave, as_lagrangean, gen_integrality_gap, gen_random_suite
-from banditlp.lp import LPSolverError, check_feasibility, objective_value, solve_lp
+from banditlp.lp import _OPT_EPS, LPSolverError, _simplex, check_feasibility, objective_value, solve_lp
 from banditlp.relaxations import (
     GAP_TOL,
     RelaxationSolution,
@@ -166,13 +170,29 @@ def test_permuting_arms_leaves_gamma(inst, rnd):
     assert _close(solve_relaxation(permuted).gamma_star, solve_relaxation(inst).gamma_star)
 
 
+@contextlib.contextmanager
+def _master_only():
+    """Forbid the tableau and record the phase of every master pass."""
+    phases = []
+    optimise = relaxations._Master._optimise
+
+    def recording(master, phase1):
+        phases.append(phase1)
+        return optimise(master, phase1)
+
+    with mock.patch.object(lp_module, "_simplex", side_effect=AssertionError("the tableau ran")):
+        with mock.patch.object(relaxations._Master, "_optimise", recording):
+            yield phases
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.one_of(instances("budgeted"), instances("concave")), st.sampled_from([-1e-3, -1.0, -5.0]))
 def test_a_negative_budget_is_infeasible(inst, budget):
     negative = dataclasses.replace(inst, budget=budget)
     assert solve_lp(build_relaxation(negative)[0]).status == "infeasible"
-    with pytest.raises(ValueError, match="relaxation LP is infeasible"):
+    with _master_only() as phases, pytest.raises(ValueError, match="relaxation LP is infeasible"):
         solve_relaxation(negative)
+    assert phases == [True]  # the cheapest policy's phase 1 proves it
 
 
 def test_the_cut_limit_raises(monkeypatch):
@@ -209,4 +229,112 @@ def test_a_negative_budget_met_by_a_negative_switch_cost():
     a = dataclasses.replace(build_two_level_arm([0.0, 1.0], [0.5, 0.5], play_cost=1, arm_id="a"), switch_cost=-2.0)
     b = build_two_level_arm([0.3, 0.7], [0.5, 0.5], play_cost=2, arm_id="b")
     inst = BanditInstance(arms=(a, b), budget=-0.5, objective=Objective("budgeted"))
-    assert _close(solve_relaxation(inst).gamma_star, _tableau_solution(inst).gamma_star)
+    tableau = _tableau_solution(inst).gamma_star
+    with _master_only() as phases:
+        sol = solve_relaxation(inst)
+    assert _close(sol.gamma_star, tableau)
+    assert phases[:2] == [True, False] and True not in phases[2:]  # phase 1 once, on the first cut
+    assert sol.check_invariants(inst, tol=1e-9) == []
+
+
+# ---------------------------------------------------------------------------
+# The warm-started master against the tableau from scratch
+
+
+def _check_master(master):
+    """The master after a cut: its optimum is the tableau's on the same
+    columns, its duals are dual feasible and close its own gap, and its
+    theta is feasible."""
+    m = len(master.rhs)
+    status, theta, _, _, _ = _simplex(list(np.array(master.cuts).T), master.rhs, ["<="] * m, -np.array(master.rewards))
+    assert status == "optimal"
+    gamma = master.value
+    assert abs(gamma - float(theta @ np.array(master.rewards))) <= 1e-12 * (1.0 + abs(gamma))
+    duals = master.duals
+    assert min(duals) >= 0.0
+    for column, reward in zip(master.cuts, master.rewards):
+        assert sum(map(mul, duals, column)) >= reward - _OPT_EPS
+    assert abs(sum(map(mul, duals, master.rhs)) - gamma) <= 1e-12 * (1.0 + abs(gamma))
+    weights = master.theta
+    assert min(weights) >= 0.0
+    for i, b in enumerate(master.rhs):
+        assert sum(t * column[i] for t, column in zip(weights, master.cuts)) <= b + 1e-12 * (1.0 + abs(b))
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(), st.booleans())
+def test_the_warm_master_matches_the_tableau_after_every_cut(inst, bland):
+    # every cut of a solve, with Bland's rule from the first degenerate pivot
+    # on or not; the solve stays certified either way
+    checked = []
+    add_cut = relaxations._Master.add_cut
+
+    def checking(master, column, reward):
+        add_cut(master, column, reward)
+        _check_master(master)
+        checked.append(master.bland_pivots)
+
+    with mock.patch.object(relaxations._Master, "add_cut", checking):
+        with mock.patch.object(relaxations, "_DEGENERATE_STREAK", 1 if bland else relaxations._DEGENERATE_STREAK):
+            sol = solve_relaxation(inst)
+    assert len(checked) == sol.cuts and checked[-1] == sol.master_bland_pivots
+    assert sol.master_pivots >= 1 and sol.master_bland_pivots <= sol.master_pivots
+    assert _close(sol.gamma_star, _tableau_solution(inst).gamma_star)
+    assert -RTOL <= sol.duality_gap <= GAP_TOL * (1.0 + abs(sol.gamma_star))
+
+
+_quarters = st.integers(-8, 16).map(lambda v: v / 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0, None]),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.lists(st.tuples(_quarters, st.integers(0, 8).map(lambda v: v / 4), _quarters), min_size=1, max_size=12),
+    st.booleans(),
+)
+def test_random_masters_match_the_tableau_after_every_cut(budget, link_rhs, cuts, bland):
+    # random columns (1, C, P) with reward R on quarter-integer data, so that
+    # duplicates, zero costs and degenerate ties are common and no value sits
+    # near a tolerance; a budget of None is the Lagrangean master (1, P).
+    # Under a negative budget every cut re-runs phase 1 until the master is
+    # feasible, and the tableau must agree on when that is.
+    rhs = [1.0] + ([] if budget is None else [budget]) + [link_rhs]
+    master = relaxations._Master(rhs)
+    with mock.patch.object(relaxations, "_DEGENERATE_STREAK", 1 if bland else relaxations._DEGENERATE_STREAK):
+        for cost, link, reward in cuts:
+            try:
+                master.add_cut((1.0, link) if budget is None else (1.0, cost, link), reward)
+            except ValueError as exc:
+                assert str(exc) == "relaxation LP is infeasible"
+                status = _simplex(list(np.array(master.cuts).T), rhs, ["<="] * len(rhs), -np.array(master.rewards))[0]
+                assert status == "infeasible"
+                continue
+            _check_master(master)
+
+
+@pytest.mark.parametrize(
+    "rhs, cuts, bland_pivots",
+    [
+        # duplicated columns, each entering tied with its copy
+        ([1.0, 1.0, 1.0], [((1.0, 0.5, 0.5), 1.0)] * 3 + [((1.0, 2.0, 0.0), 2.0)] * 2, 0),
+        # all-zero costs on a zero budget and a zero link row: every step is degenerate
+        ([1.0, 0.0, 0.0], [((1.0, 0.0, 0.0), 0.0), ((1.0, 0.0, 0.0), 1.0), ((1.0, 0.0, 0.0), 1.0)], 0),
+        ([1.0, 0.0, 1.0], [((1.0, 1.0, 0.0), 2.0), ((1.0, 0.0, 1.0), 1.0), ((1.0, 1.0, 1.0), 3.0)], 0),
+        # a cut that meets a negative budget exactly: phase 1 ends on a ratio
+        # tie with the artificial still basic at zero, and the repair pivots
+        # it out before phase 2
+        ([1.0, -2.0, 1.0], [((1.0, -2.0, 0.0), 1.0), ((1.0, 0.0, 1.0), 2.0), ((1.0, -3.0, 1.0), 0.5)], 0),
+        # a degenerate pivot, then an improving one: Bland's rule when the streak is 1
+        ([1.0, 1.0, 1.0], [((1.0, 2.0, 2.0), 1.0), ((1.0, 0.0, 2.0), 2.0)], 1),
+    ],
+)
+@pytest.mark.parametrize("streak", [1, None])
+def test_degenerate_masters_terminate_at_the_tableau_optimum(monkeypatch, rhs, cuts, bland_pivots, streak):
+    if streak is not None:
+        monkeypatch.setattr(relaxations, "_DEGENERATE_STREAK", streak)
+    master = relaxations._Master(rhs)
+    for column, reward in cuts:
+        master.add_cut(column, reward)
+        _check_master(master)
+    assert master.bland_pivots == (bland_pivots if streak == 1 else 0)

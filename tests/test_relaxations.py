@@ -246,7 +246,8 @@ def _variant(name):
 @pytest.mark.parametrize("variant", ["budgeted", "lagrangean", "concave"])
 def test_solve_relaxation_builds_and_tableau_solves_nothing(monkeypatch, variant):
     # the decomposition has no hidden tableau fallback: no LP is built, no
-    # solve_lp or from_raw runs
+    # solve_lp, from_raw or tableau simplex runs, the master included
+    import banditlp.lp as lp
     import banditlp.relaxations as relaxations
 
     calls = []
@@ -261,8 +262,10 @@ def test_solve_relaxation_builds_and_tableau_solves_nothing(monkeypatch, variant
     for name in ("build_budgeted_lp", "build_lagrangean_lp", "build_concave_lp", "build_relaxation", "solve_lp"):
         monkeypatch.setattr(relaxations, name, forbidden(name))
     monkeypatch.setattr(relaxations.RelaxationSolution, "from_raw", classmethod(forbidden("from_raw")))
+    monkeypatch.setattr(lp, "_simplex", forbidden("lp._simplex"))
+    monkeypatch.setattr(relaxations, "_simplex", forbidden("relaxations._simplex"), raising=False)
     sol = solve_relaxation(_variant(variant))
-    assert calls == [] and sol.cuts >= 1
+    assert calls == [] and sol.cuts >= 1 and sol.master_pivots >= 1
 
 
 @pytest.mark.parametrize("variant", ["budgeted", "lagrangean", "concave"])

@@ -182,6 +182,21 @@ def test_validate_cycle_and_unreachable():
     inst = BanditInstance((arm,), budget=1.0)
     kinds = {d.kind for d in validate_instance(inst)}
     assert "cycle" in kinds
+    # the order is cached per arm, but a cycle caches nothing: every call
+    # raises and every validation diagnoses it again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="cycle through state 'root'"):
+            arm.topo_order()
+        assert "cycle" in {d.kind for d in validate_instance(inst)}
+
+
+def test_topo_order_is_computed_once_and_immutable():
+    arm = build_beta_bernoulli_arm(1, 2, 3, play_cost=1.0, arm_id="a")
+    order = arm.topo_order()
+    assert isinstance(order, tuple) and order is arm.topo_order()
+    assert order[0] == arm.root and sorted(order) == sorted(arm.states)
+    index = {sid: k for k, sid in enumerate(order)}
+    assert all(index[sid] < index[c] for sid in order for c, _ in arm.states[sid].transitions)
 
 
 def test_validate_budget_requirements():
