@@ -93,11 +93,11 @@ class _ArmArrays:
     __slots__ = ("ax", "sids", "w", "dead", "z", "cuts", "levels", "charge", "cum", "kids", "draws")
 
     def __init__(self, ax):
-        sids = ax.arm.topo_order()
-        index = {sid: i for i, sid in enumerate(sids)}
+        ca = ax.ca  # the state order and the children come from the compiled arm
+        sids = ca.sids
         steps = [ax[sid] for sid in sids]
         n, n_cut = len(sids), max(len(se.cuts) for se in steps)
-        n_kid = max(1, max(len(se.children) for se in steps))
+        n_kid = max(1, max(map(len, ca.kids)))
         self.ax, self.sids = ax, sids
         self.w = np.array([se.w for se in steps])
         self.dead = self.w < UNREACHABLE_W
@@ -106,19 +106,18 @@ class _ArmArrays:
         self.cuts[:, n_cut] = math.inf
         self.levels = np.arange(n_cut + 1)
         self.levels[n_cut] = 0
-        self.charge = np.array([se.charge for se in steps])
+        self.charge = np.array(ca.charges)
         self.cum = np.full((n, n_kid), -math.inf)
         self.cum[:, n_kid - 1] = math.inf
         self.kids = np.zeros((n, n_kid), dtype=np.intp)
         depth = [0] * n
-        for i, se in enumerate(steps):
+        for i, (se, kids) in enumerate(zip(steps, ca.kids)):
             self.cuts[i, : len(se.cuts)] = se.cuts
-            if se.children:
-                kids = [index[c] for c in se.children]
+            if kids:
                 self.cum[i, : len(kids) - 1] = se.cum_probs[:-1]
-                self.kids[i] = kids[-1]
-                self.kids[i, : len(kids) - 1] = kids[:-1]
-                for c in kids:
+                self.kids[i] = kids[-1][0]
+                self.kids[i, : len(kids) - 1] = [c for c, _ in kids[:-1]]
+                for c, _ in kids:
                     depth[c] = max(depth[c], depth[i] + 1)
         self.draws = 2 * max(depth) + 1
 

@@ -1,10 +1,14 @@
 """Exact optima and policy statistics by dynamic programming on joint states.
 
 The joint state is (per-arm belief states, remaining integer budget,
-last-played arm).  Memoization keys canonicalize over structurally identical
-arms (value functions are invariant under permuting interchangeable arms),
-which collapses the n-fold product space to multisets; the symmetric
-integrality-gap family at n = 16 would otherwise need ~3^16 entries.
+last-played arm).  `dp_optimal` codes each arm's state as its index in the
+compiled arm (`ArmStateSpace.compiled`) and walks the joint states depth
+first with an explicit stack, so the depth of the DAG is not bounded by the
+interpreter's recursion limit.  Its memo keys sort the states of
+structurally identical arms (value functions are invariant under permuting
+interchangeable arms), which collapses the n-fold product space to
+multisets; the symmetric integrality-gap family at n = 16 would otherwise
+need ~3^16 entries.
 
 Also walks any policy (deterministic table or randomized process) forward to
 its exact per-state occupancy probabilities w/x/z, which can be fed back into
@@ -14,8 +18,8 @@ the relaxation rows for verification.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
+from operator import getitem
 from typing import NamedTuple
 
 from .statespace import BanditInstance
@@ -38,17 +42,30 @@ class JointState(NamedTuple):
 
 def _arm_classes(instance: BanditInstance) -> list[int]:
     seen: dict[tuple, int] = {}
-    classes = []
-    for arm in instance.arms:
-        key = arm.structural_key()
-        classes.append(seen.setdefault(key, len(seen)))
-    return classes
+    return [seen.setdefault(arm.structural_key(), len(seen)) for arm in instance.arms]
 
 
-def _canon(classes: list[int], states: tuple[str, ...], budget: int | None, last: int | None) -> tuple:
-    """Memo key of a joint state, invariant under permuting interchangeable arms."""
-    last_entry = None if last is None else (classes[last], states[last])
-    return (budget, last_entry, tuple(sorted(zip(classes, states))))
+def _canonical(classes: list[int]):
+    """The states part of a memo key, as a function of the arms' state codes,
+    or None when no two arms are interchangeable (the codes themselves are
+    the key).  Interchangeable arms share their state codes, so sorting the
+    codes within each class of two or more arms makes the key invariant
+    under permuting them; every other arm keeps its position."""
+    members: dict[int, list[int]] = {}
+    for i, cls in enumerate(classes):
+        members.setdefault(cls, []).append(i)
+    groups = [g for g in members.values() if len(g) > 1]
+    if not groups:
+        return None
+
+    def canon(codes: tuple[int, ...]) -> tuple[int, ...]:
+        out = list(codes)
+        for g in groups:
+            for i, u in zip(g, sorted([codes[i] for i in g])):
+                out[i] = u
+        return tuple(out)
+
+    return canon
 
 
 def _multiset_count(n_items: int, n_kinds: int) -> int:
@@ -96,20 +113,24 @@ class DecisionTable:
     exploits the best current arm (argmax reward, lowest arm id on ties).
     """
 
-    def __init__(self, instance: BanditInstance, memo, classes, track_last):
+    def __init__(self, instance: BanditInstance, memo, classes, canon, track_last):
         self._instance = instance
         self._memo = memo
         self._classes = classes
+        self._canon = canon
         self._track_last = track_last
 
     def decide(self, joint: JointState) -> tuple:
+        codes = tuple(arm.compiled().index[sid] for arm, sid in zip(self._instance.arms, joint.states))
         last = joint.last if self._track_last else None
-        action = self._memo[_canon(self._classes, joint.states, joint.budget, last)][1]
+        last_entry = None if last is None else (self._classes[last], codes[last])
+        key = (joint.budget, last_entry, codes if self._canon is None else self._canon(codes))
+        action = self._memo[key][1]
         if action[0] == "stop":
             return ("stop",)
-        _, cls, sid, is_last = action
+        _, cls, u, is_last = action
         for idx, arm in enumerate(self._instance.arms):
-            if self._classes[idx] != cls or joint.states[idx] != sid:
+            if self._classes[idx] != cls or codes[idx] != u:
                 continue
             if self._track_last and is_last != (idx == joint.last):
                 continue
@@ -133,48 +154,68 @@ def dp_optimal(
     _check_joint_space(instance, with_budget, limits)
 
     arms = instance.arms
-    n = len(arms)
+    compiled = [a.compiled() for a in arms]
     classes = _arm_classes(instance)
+    canon = _canonical(classes)
     track_last = any(a.switch_cost > 0 for a in arms)
+    rewards = [ca.rewards for ca in compiled]
+    # per arm and state: None at a leaf, else the play's cost after another
+    # arm's play (the switch cost included), after this arm's own, and the
+    # children
+    moves = [
+        [None if leaf else (c + a.switch_cost, c + 0.0, kids) for c, leaf, kids in zip(ca.costs, ca.leaf, ca.kids)]
+        for a, ca in zip(arms, compiled)
+    ]
     memo: dict[tuple, tuple[float, tuple]] = {}
 
-    depth_bound = sum(len(a.states) for a in arms) + 10
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10 * depth_bound + 1000))
-
-    def value(states: tuple[str, ...], budget: int | None, last: int | None) -> float:
-        key = _canon(classes, states, budget, last if track_last else None)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit[0]
-        best = max(arms[i].states[states[i]].reward for i in range(n))
+    def node(codes: tuple[int, ...], budget: int | None, last: int | None, key: tuple):
+        """One joint state's value, as a generator: it yields each successor
+        (codes, budget, last, key) missing from the memo and is sent its
+        value, so the loop below walks the states in the order a
+        recursion would, on its own stack."""
+        best = max(map(getitem, rewards, codes))
         action: tuple = ("stop",)
-        for i in range(n):
-            st = arms[i].states[states[i]]
-            if st.is_leaf:
+        for i, u in enumerate(codes):
+            move = moves[i][u]
+            if move is None:
                 continue
-            cost = st.play_cost + (arms[i].switch_cost if last != i else 0.0)
+            cost = move[0] if last != i else move[1]
             if with_budget:
                 icost = int(cost)
                 if icost > budget:
                     continue
+                nb = budget - icost
                 v = 0.0
-                for child, p in st.transitions:
-                    if p:
-                        v += p * value(states[:i] + (child,) + states[i + 1 :], budget - icost, i)
             else:
+                nb = None
                 v = -cost
-                for child, p in st.transitions:
-                    if p:
-                        v += p * value(states[:i] + (child,) + states[i + 1 :], None, i)
+            head, tail = codes[:i], codes[i + 1 :]
+            cls = classes[i] if track_last else None
+            for c, p in move[2]:
+                nxt = head + (c,) + tail
+                nkey = (nb, None if cls is None else (cls, c), nxt if canon is None else canon(nxt))
+                hit = memo.get(nkey)
+                v += p * (hit[0] if hit is not None else (yield nxt, nb, i, nkey))
             if v > best + ACTION_TIE:
                 best = v
-                action = ("play", classes[i], states[i], i == last)
+                action = ("play", classes[i], u, i == last)
         memo[key] = (best, action)
         return best
 
-    roots = tuple(a.root for a in arms)
-    opt = value(roots, int(instance.budget) if with_budget else None, None)
-    return opt, DecisionTable(instance, memo, classes, track_last)
+    roots = (0,) * len(arms)  # a root is state 0 of its compiled arm
+    budget = int(instance.budget) if with_budget else None
+    stack = [node(roots, budget, None, (budget, None, roots if canon is None else canon(roots)))]
+    sent = None
+    while stack:
+        try:
+            child = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = done.value
+        else:
+            stack.append(node(*child))
+            sent = None
+    return sent, DecisionTable(instance, memo, classes, canon, track_last)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ solution is the one-level grid (0, x), so its level 1 is the plain exploit.
 The table also holds the exact probabilities pz, px (per level) and pn of
 those outcomes, the charge of a play and the child distribution.
 
-Every consumer reads that one table, and every run, sampled or exact, applies
-one rule between arms per variant, defined once in `_RULES`:
+Every consumer reads that one table, built once per solution and arm
+(`_tables`), and every run, sampled or exact, applies one rule between arms
+per variant, defined once in `_RULES`:
 
 * `_walk_arm` samples one arm's run; one driver, `_sample_run`, walks the plan's
   arms with it for Monte-Carlo runs and recorded traces alike and applies the
@@ -47,6 +48,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 from itertools import accumulate, product as iter_product
 from typing import Sequence
@@ -54,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .relaxations import RelaxationSolution, SingleArmPolicy, solve_relaxation
-from .statespace import ArmStateSpace, BanditInstance
+from .statespace import ArmStateSpace, BanditInstance, CompiledArm
 
 # A state with occupancy w below UNREACHABLE_W is never entered: its step is a
 # dead stop.  AUDIT_TOL is the slack of every float comparison of a spend with
@@ -177,7 +179,7 @@ class _Step:
 
     __slots__ = ("w", "z", "cuts", "pz", "px", "pn", "cost", "charge", "reward", "children", "probs", "cum_probs")
 
-    def __init__(self, st, w: float, z: float, masses: Sequence[float], charge: float):
+    def __init__(self, ca: CompiledArm, u: int, w: float, z: float, masses: Sequence[float]):
         self.w = w
         self.cuts = tuple(accumulate(masses, initial=z))[1:]
         if w < UNREACHABLE_W:
@@ -186,65 +188,117 @@ class _Step:
             self.pz = z / w
             self.px = tuple(max((hi - lo) / w, 0.0) for lo, hi in zip(self.cuts, self.cuts[1:]))
             self.pn = max(1.0 - self.pz - sum(self.px), 0.0)
-        self.cost = st.play_cost
-        self.charge = charge
-        self.reward = st.reward
-        self.children = tuple(c for c, p in st.transitions if p > 0.0)
-        self.probs = tuple(p for _, p in st.transitions if p > 0.0)
+        self.cost = ca.costs[u]
+        self.charge = ca.charges[u]
+        self.reward = ca.rewards[u]
+        self.children = tuple(ca.sids[c] for c, _ in ca.kids[u])
+        self.probs = tuple(p for _, p in ca.kids[u])
         self.cum_probs = tuple(accumulate(self.probs))
         self.z = z if self.children else -math.inf
 
 
 class _ArmExec(dict):
     """One arm's step table, state id -> `_Step`, each step built on first
-    use: a trace visits one path of the arm's DAG, not all of it."""
+    use: a trace visits one path of the arm's DAG, not all of it.
 
-    __slots__ = ("arm", "arm_id", "h", "root", "solution")
+    It holds the solution's w, z and x, not the solution, which keeps the
+    table: a reference back would make a cycle that only the garbage
+    collector frees, and solutions would pile up until it runs.
+    """
+
+    __slots__ = ("arm", "ca", "arm_id", "h", "root", "w", "z", "x")
 
     def __init__(self, arm: ArmStateSpace, solution: RelaxationSolution):
         super().__init__()
         self.arm = arm
+        self.ca = arm.compiled()
         self.arm_id = arm.arm_id
         self.h = arm.switch_cost
         self.root = arm.root
-        self.solution = solution
+        self.w, self.z, self.x = solution.w, solution.z, solution.x
 
     def __missing__(self, sid: str) -> _Step:
-        st = self.arm.states[sid]
+        u = self.ca.index[sid]
         key = (self.arm_id, sid)
-        z = 0.0 if st.is_leaf else self.solution.z[key]
-        step = self[sid] = _Step(st, self.solution.w[key], z, self.solution.x[key], self.arm.play_charge(sid))
+        z = 0.0 if self.ca.leaf[u] else self.z[key]
+        step = self[sid] = _Step(self.ca, u, self.w[key], z, self.x[key])
         return step
 
 
 def _tables(instance: BanditInstance, solution: RelaxationSolution) -> dict[str, _ArmExec]:
+    """The step tables of the instance's arms under the solution.
+
+    They are kept on the solution object, outside its dataclass fields, so
+    the exact pass, Monte-Carlo, the traces and `GreedyOrderProcess` on one
+    solution share one table per arm, and a copy made by
+    `dataclasses.replace` starts without any.  A table serves an arm only
+    while it is the same object.
+    """
     if instance.objective.kind == "concave" and solution.grid is None:
         raise ValueError("concave plans need a solution with grid exploit masses")
-    return {arm.arm_id: _ArmExec(arm, solution) for arm in instance.arms}
+    kept = solution.__dict__.setdefault("_step_tables", {})
+    out = {}
+    for arm in instance.arms:
+        ax = kept.get(arm.arm_id)
+        if ax is None or ax.arm is not arm:
+            ax = kept[arm.arm_id] = _ArmExec(arm, solution)
+        out[arm.arm_id] = ax
+    return out
+
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# One Philox generator per thread, re-keyed to a stream and its position
+# before every read: nothing one read leaves in it reaches the next.
+_PHILOX = threading.local()
+
+
+def _philox_generator() -> tuple[np.random.Philox, np.random.Generator]:
+    try:
+        return _PHILOX.pair
+    except AttributeError:
+        bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+        _PHILOX.pair = (bg, np.random.Generator(bg))
+        return _PHILOX.pair
 
 
 class _DrawStream:
-    """Buffered uniform draws; same values as scalar Generator.random() calls."""
+    """Buffered uniform draws; same values as scalar Generator.random() calls
+    on a fresh ``Philox(key=[seed_key, rep])``.
 
-    __slots__ = ("_rng", "_buf", "_i")
+    Each refill re-keys the thread's generator to this stream at the draws
+    taken so far (Philox block drawn // 4; reads are multiples of 4 draws),
+    so streams may be read interleaved.
+    """
 
-    def __init__(self, rng: np.random.Generator, block: int = 32):
-        self._rng = rng
-        self._buf = rng.random(block).tolist()
+    __slots__ = ("_key", "_drawn", "_buf", "_i")
+
+    def __init__(self, seed_key: int, rep: int, block: int = 32):
+        self._key = [seed_key, rep & _MASK64]
+        self._drawn = 0
+        self._buf = self._read(block)
         self._i = 0
+
+    def _read(self, count: int) -> list[float]:
+        bg, gen = _philox_generator()
+        bg.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [self._drawn // 4, 0, 0, 0], "key": self._key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._drawn += count
+        return gen.random(count).tolist()
 
     def random(self) -> float:
         i = self._i
         buf = self._buf
         if i >= len(buf):
-            buf = self._rng.random(64).tolist()
-            self._buf = buf
+            buf = self._buf = self._read(64)
             i = 0
         self._i = i + 1
         return buf[i]
-
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _seed_key(seed) -> int:
@@ -259,30 +313,18 @@ class _StreamPool:
     """Counter-based uniform streams keyed by (seed, replication).
 
     Stream k draws what a fresh ``Philox(key=np.array([seed mod 2**64, k],
-    dtype=np.uint64))`` generator draws.  Re-keying one generator in place
-    avoids the construction cost that dominates tight Monte-Carlo loops.
+    dtype=np.uint64))`` generator draws.  Re-keying one generator per thread
+    in place, with plain ints, avoids the construction cost that dominates
+    tight Monte-Carlo loops.
     """
 
-    __slots__ = ("_bg", "_gen", "_seed")
+    __slots__ = ("_seed",)
 
     def __init__(self, seed: int):
         self._seed = _seed_key(seed)
-        self._bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._gen = np.random.Generator(self._bg)
 
     def stream(self, rep: int) -> _DrawStream:
-        self._bg.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([self._seed, rep & _MASK64], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return _DrawStream(self._gen)
+        return _DrawStream(self._seed, rep)
 
 
 def _sample_child(se: _Step, rng: "_DrawStream") -> str:
@@ -748,7 +790,7 @@ def _arm_outcome_dist(ax: _ArmExec, avail: float | None) -> dict[tuple[str, int 
         out[key] = out.get(key, 0.0) + p
 
     masses: dict[str, dict[float, float]] = {ax.root: {0.0: 1.0}}
-    for sid in ax.arm.topo_order():
+    for sid in ax.ca.sids:
         cur = masses.pop(sid, None)
         if not cur:
             continue
@@ -790,12 +832,16 @@ def evaluate_plan_exact(
     tables = _tables(instance, solution)
     value, frontier, capped, after, finish = _RULES[plan.variant](instance, plan, solution, rule)
     cost = 0.0
+    # An arm's outcomes depend on the remaining budget only below its largest
+    # exploration cost: with more, no play of the arm is ever budget-stopped
+    # (the costs are integers, so the spends are exact).
     dists: dict[tuple[str, float | None], dict] = {}
     for ra in plan.order:
         ax = tables[ra.arm_id]
+        full = ax.ca.max_exploration_cost
         nxt: dict = {}
         for key, pr in frontier.items():
-            avail = key[0] if capped else None
+            avail = min(key[0], full) if capped else None
             dist = dists.get((ax.arm_id, avail))
             if dist is None:
                 dist = dists[ax.arm_id, avail] = _arm_outcome_dist(ax, avail)

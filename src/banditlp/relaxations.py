@@ -6,7 +6,7 @@ there, and x_{u,l} the probability the arm is exploited there at weight level
 l of the grid {0..L}/L.  The concave relaxation has the whole grid; the
 budgeted and Lagrangean ones are the one-level grid L = 1 (exploit or not),
 whose only variable x_u is level 1 and whose level 0, a dead stop, carries no
-mass.  `_exploit_vars` and `_level_values` (the same levels with their
+mass.  `_exploit_vars` and `_arm_levels` (the same levels with their
 values) are the only places that tell the two apart; a solution stores
 every state's masses at levels 0..L, (0.0, x_u) when plain.
 The optimal LP solution decomposes into one randomized single-arm policy per
@@ -99,15 +99,18 @@ def _exploit_vars(arm: ArmStateSpace, sid: str, grid: int | None) -> tuple[tuple
     return tuple((l, var_name("x", arm.arm_id, sid, l)) for l in range(grid + 1))
 
 
-def _level_values(
-    instance: BanditInstance, arm: ArmStateSpace, sid: str, grid: int | None
-) -> tuple[tuple[int, float], ...]:
-    """A state's exploit levels as (level l, value zeta(l)), in the order of
-    `_exploit_vars`: the state's reward at level 1 when plain, the value
-    table's entry l on the concave grid."""
+def _arm_levels(
+    instance: BanditInstance, arm: ArmStateSpace, grid: int | None
+) -> list[tuple[tuple[int, float], ...]]:
+    """Each state's exploit levels as (level l, value zeta(l)), in the arm's
+    topological order and each in the order of `_exploit_vars`: the state's
+    reward at level 1 when plain, the value table's entry l on the concave
+    grid."""
+    ca = arm.compiled()
     if grid is None:
-        return ((1, arm.states[sid].reward),)
-    return tuple(enumerate(instance.objective.concave.table(arm.arm_id, sid)))
+        return [((1, r),) for r in ca.rewards]
+    tables = instance.objective.concave.value_tables[arm.arm_id]
+    return [tuple(enumerate(tables[sid])) for sid in ca.sids]
 
 
 def _check_ids(instance: BanditInstance) -> None:
@@ -175,14 +178,13 @@ def _relaxation_lp(instance: BanditInstance) -> LinearProgram:
         order = arm.topo_order()
         parents = _parents(arm, order)
         caps = []
-        for sid in order:
+        for sid, levels in zip(order, _arm_levels(instance, arm, grid)):
             st = arm.states[sid]
             w, z = var_name("w", arm.arm_id, sid), var_name("z", arm.arm_id, sid)
             lp_vars.append((w, 1.0, 1.0) if sid == arm.root else (w, 0.0, math.inf))
             lp_vars.append((z, 0.0, 0.0 if st.is_leaf else math.inf))
             cap = {z: 1.0, w: -1.0}
-            exploits = zip(_exploit_vars(arm, sid, grid), _level_values(instance, arm, sid, grid))
-            for (l, name), (_, value) in exploits:
+            for (l, name), (_, value) in zip(_exploit_vars(arm, sid, grid), levels):
                 lp_vars.append((name, 0.0, math.inf))
                 cap[name] = 1.0
                 if sigma * l != 0.0:
@@ -292,6 +294,9 @@ class RelaxationSolution:
 
     x maps each state to its exploit masses at the levels 0..L of its weight
     grid; a plain solution (grid None) is the one-level grid (0.0, x_u).
+    The first evaluation reads the values into step tables kept on the
+    solution (`policies._tables`), so change them through a copy made with
+    `dataclasses.replace`, not in place.
     """
 
     gamma_star: float
@@ -396,89 +401,86 @@ _STOP, _PLAY = -1, -2  # pricing actions; an exploit is the index of its option
 
 
 class _ArmStates:
-    """Every arm's states, arm by arm in topological order, for pricing.
+    """Every arm's states for pricing, read from the compiled arms.
 
-    `states[u]` is (charge, kids, options): the play charge, the (index, p)
-    of each child (none at a leaf, which never plays), and the exploit
-    options as (zeta(l), link coefficient sigma * l), with their levels l in
-    `levels[u]`; a root whose exploit is forbidden has none.  A child comes
-    after its parent, so a backward sweep is the DP and a forward one the
-    flow.
+    `arms[i]` is arm i's states in its topological order, each as (charge,
+    kids, options): the play charge and the children (index, p) from the
+    compiled arm (a leaf has none and never plays), and the exploit options
+    as (zeta(l), link coefficient sigma * l) at the levels l = first_level,
+    first_level + 1, ... (1 when plain, 0 on the concave grid); a root whose
+    exploit is forbidden has none.  A child comes after its parent, so a
+    backward sweep is the DP and a forward one the flow.
     """
 
     def __init__(self, instance: BanditInstance, grid: int | None, exploit_at_roots: bool):
         prob = instance.objective.concave
-        self.keys: list[tuple[str, str]] = []
-        self.states: list[tuple[float, tuple[tuple[int, float], ...], tuple[tuple[float, float], ...]]] = []
-        self.levels: list[tuple[int, ...]] = []
-        self.roots: list[int] = []
+        self.first_level = 1 if grid is None else 0
+        self.keys = [arm.compiled().keys for arm in instance.arms]
+        self.arms: list[list[tuple[float, tuple[tuple[int, float], ...], tuple[tuple[float, float], ...]]]] = []
         for arm in instance.arms:
             sigma = 1.0 if grid is None else prob.sigmas[arm.arm_id]
-            order = arm.topo_order()
-            index = {sid: len(self.keys) + k for k, sid in enumerate(order)}
-            self.roots.append(len(self.keys))
-            for sid in order:
-                st = arm.states[sid]
-                levels = _level_values(instance, arm, sid, grid)
-                if sid == arm.root and not exploit_at_roots:
-                    levels = ()
-                kids = tuple((index[c], p) for c, p in st.transitions if c in index)
-                options = tuple((v, sigma * l) for l, v in levels)
-                self.keys.append((arm.arm_id, sid))
-                self.states.append((arm.play_charge(sid) if kids else 0.0, kids, options))
-                self.levels.append(tuple(l for l, _ in levels))
+            options = [tuple([(v, sigma * l) for l, v in levels]) for levels in _arm_levels(instance, arm, grid)]
+            if not exploit_at_roots:
+                options[0] = ()
+            ca = arm.compiled()
+            self.arms.append(list(zip(ca.charges, ca.kids, options)))
 
-    def price(self, reward_w: float, cost_w: float, link_w: float) -> tuple[list[int], float]:
-        """Each state's best action at the weights, and sum_i V_i(root).
+    def price(self, reward_w: float, cost_w: float, link_w: float) -> tuple[list[list[int]], float]:
+        """Each arm's best action per state at the weights, and sum_i V_i(root).
 
         V_u = max(0, reward_w * zeta(l) - link_w * link_l over the options,
         -cost_w * charge + sum p * V_child); ties keep the earlier of stop,
         the options in level order, play.
         """
-        states = self.states
-        value = [0.0] * len(states)
-        act = [_STOP] * len(states)
-        for u in range(len(states) - 1, -1, -1):
-            charge, kids, options = states[u]
-            best, a = 0.0, _STOP
-            for k, (zeta, link) in enumerate(options):
-                v = reward_w * zeta - link_w * link
-                if v > best:
-                    best, a = v, k
-            if kids:
-                v = -cost_w * charge
-                for c, p in kids:
-                    v += p * value[c]
-                if v > best:
-                    best, a = v, _PLAY
-            value[u] = best
-            act[u] = a
-        return act, sum(value[r] for r in self.roots)
+        acts = []
+        roots = []
+        for states in self.arms:
+            value = [0.0] * len(states)
+            act = [_STOP] * len(states)
+            for u in range(len(states) - 1, -1, -1):
+                charge, kids, options = states[u]
+                best, a = 0.0, _STOP
+                for k, (zeta, link) in enumerate(options):
+                    v = reward_w * zeta - link_w * link
+                    if v > best:
+                        best, a = v, k
+                if kids:
+                    v = -cost_w * charge
+                    for c, p in kids:
+                        v += p * value[c]
+                    if v > best:
+                        best, a = v, _PLAY
+                value[u] = best
+                act[u] = a
+            acts.append(act)
+            roots.append(value[0])
+        return acts, sum(roots)
 
-    def occupancy(self, act: list[int], play_w: float) -> tuple[list[tuple[int, float]], float, float, float]:
-        """The deterministic policy's reached states as (u, w_u) and its
-        totals R (exploit value minus play_w times the cost), C (play cost)
-        and P (link usage)."""
-        states = self.states
-        w = [0.0] * len(states)
-        for r in self.roots:
-            w[r] = 1.0
+    def occupancy(
+        self, acts: list[list[int]], play_w: float
+    ) -> tuple[list[tuple[int, int, float]], float, float, float]:
+        """The deterministic policy's reached states as (arm i, state u, w_u)
+        and its totals R (exploit value minus play_w times the cost), C (play
+        cost) and P (link usage)."""
         reached = []
         reward = cost = link = 0.0
-        for u, wu in enumerate(w):
-            if wu == 0.0:
-                continue
-            reached.append((u, wu))
-            a = act[u]
-            charge, kids, options = states[u]
-            if a == _PLAY:
-                cost += wu * charge
-                for c, p in kids:
-                    w[c] += p * wu
-            elif a != _STOP:
-                zeta, coef = options[a]
-                reward += wu * zeta
-                link += wu * coef
+        for i, (states, act) in enumerate(zip(self.arms, acts)):
+            w = [0.0] * len(states)
+            w[0] = 1.0
+            for u, wu in enumerate(w):
+                if wu == 0.0:
+                    continue
+                reached.append((i, u, wu))
+                a = act[u]
+                charge, kids, options = states[u]
+                if a == _PLAY:
+                    cost += wu * charge
+                    for c, p in kids:
+                        w[c] += p * wu
+                elif a != _STOP:
+                    zeta, coef = options[a]
+                    reward += wu * zeta
+                    link += wu * coef
         return reached, reward - play_w * cost, cost, link
 
 
@@ -634,10 +636,10 @@ def solve_relaxation(instance: BanditInstance, exploit_at_roots: bool = True) ->
     lagrangean = instance.objective.kind == "lagrangean"
     play_w = 1.0 if lagrangean else 0.0  # lagrangean plays pay their charge in the objective
     rhs = [1.0] + ([] if lagrangean else [float(instance.budget)]) + [_link_rhs(instance, grid)]
-    cuts: list[tuple[list[int], list[tuple[int, float]], float]] = []  # (actions, reached, R)
+    cuts: list[tuple[list[list[int]], list[tuple[int, int, float]], float]] = []  # (actions, reached, R)
     master = _Master(rhs)
 
-    def add_cut(act: list[int]) -> None:
+    def add_cut(act: list[list[int]]) -> None:
         reached, reward, cost, link = arms.occupancy(act, play_w)
         cuts.append((act, reached, reward))
         master.add_cut((1.0, link) if lagrangean else (1.0, cost, link), reward)
@@ -661,35 +663,35 @@ def solve_relaxation(instance: BanditInstance, exploit_at_roots: bool = True) ->
 
 def _recover(
     arms: _ArmStates,
-    cuts: list[tuple[list[int], list[tuple[int, float]], float]],
+    cuts: list[tuple[list[list[int]], list[tuple[int, int, float]], float]],
     master: _Master,
     grid: int | None,
     gap: float,
 ) -> RelaxationSolution:
     """The mixture sum_k theta_k * occupancy_k of the cuts, cleaned state by
     state; the rest of the mass does nothing."""
-    n = len(arms.keys)
-    w = [0.0] * n
-    z = [0.0] * n
-    x = [[0.0] * ((grid or 1) + 1) for _ in range(n)]  # levels 0..L
+    sizes = [len(keys) for keys in arms.keys]
+    w = [[0.0] * n for n in sizes]
+    z = [[0.0] * n for n in sizes]
+    x = [[[0.0] * ((grid or 1) + 1) for _ in range(n)] for n in sizes]  # levels 0..L
     for (act, reached, _), t in zip(cuts, master.theta):
         if t == 0.0:
             continue
-        for u, wu in reached:
+        for i, u, wu in reached:
             mass = t * wu
-            w[u] += mass
-            a = act[u]
+            w[i][u] += mass
+            a = act[i][u]
             if a == _PLAY:
-                z[u] += mass
+                z[i][u] += mass
             elif a != _STOP:
-                x[u][arms.levels[u][a]] += mass
-    roots = set(arms.roots)
+                x[i][u][a + arms.first_level] += mass
     ws: dict[tuple[str, str], float] = {}
     xs: dict[tuple[str, str], tuple[float, ...]] = {}
     zs: dict[tuple[str, str], float] = {}
-    for u, key in enumerate(arms.keys):
-        ws[key] = wv = 1.0 if u in roots else min(w[u], 1.0)
-        zs[key], xs[key] = _clean_state(key, wv, z[u], x[u])
+    for keys, wi, zi, xi in zip(arms.keys, w, z, x):
+        for u, key in enumerate(keys):
+            ws[key] = wv = 1.0 if u == 0 else min(wi[u], 1.0)
+            zs[key], xs[key] = _clean_state(key, wv, zi[u], xi[u])
     return RelaxationSolution(
         master.value, ws, xs, zs, grid, cuts=len(cuts), duality_gap=gap,
         master_pivots=master.pivots, master_bland_pivots=master.bland_pivots,
@@ -717,13 +719,12 @@ def extract_single_arm_policies(
     """One randomized stopping policy per arm, in instance order."""
     out: list[SingleArmPolicy] = []
     for arm in instance.arms:
+        ca = arm.compiled()
         p = r = c = 0.0
-        for sid in arm.topo_order():
-            key = (arm.arm_id, sid)
+        for key, charge, levels in zip(ca.keys, ca.charges, _arm_levels(instance, arm, solution.grid)):
             masses = solution.x[key]
-            levels = _level_values(instance, arm, sid, solution.grid)
             p += sum(l * masses[l] for l, _ in levels) / (len(masses) - 1)
             r += sum(masses[l] * value for l, value in levels)
-            c += arm.play_charge(sid) * solution.z[key]
+            c += charge * solution.z[key]
         out.append(SingleArmPolicy(arm_id=arm.arm_id, explore_prob=p, reward=r, cost=c))
     return out

@@ -18,6 +18,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 MODEL_TOL = 1e-9
@@ -94,8 +95,53 @@ class ArmStateSpace:
         order.reverse()
         return tuple(order)
 
+    def __getstate__(self) -> dict:
+        # pickling and copying keep the fields only: the cached order and
+        # compiled arm are rebuilt on first use (a read-only index mapping
+        # does not pickle)
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
+
+    def compiled(self) -> "CompiledArm":
+        """The arm's states compiled into parallel tuples, in `topo_order`.
+
+        Built on first use and kept on the arm, like the topological order,
+        so every solve, evaluation and oracle call on the arm reads the same
+        one.  Raises ``ValueError`` on a cycle, as `topo_order` does.
+        """
+        return self._compiled
+
+    @functools.cached_property
+    def _compiled(self) -> "CompiledArm":
+        order = self.topo_order()
+        index = {sid: u for u, sid in enumerate(order)}
+        states = [self.states[sid] for sid in order]
+        costs = tuple([st.play_cost for st in states])
+        everything = self.states.values()
+        return CompiledArm(
+            sids=order,
+            index=MappingProxyType(index),
+            keys=tuple([(self.arm_id, sid) for sid in order]),
+            rewards=tuple([st.reward for st in states]),
+            costs=costs,
+            charges=tuple([c + (self.switch_cost if u == 0 else 0.0) for u, c in enumerate(costs)]),
+            leaf=tuple([not st.transitions for st in states]),
+            kids=tuple([tuple([(index[c], p) for c, p in st.transitions if p > 0.0 and c in index]) for st in states]),
+            max_exploration_cost=self.max_exploration_cost(),
+            structural_key=(
+                self.switch_cost,
+                self.root,
+                tuple(sorted([(s.id, s.reward, s.play_cost, s.transitions) for s in everything])),
+            ),
+            integer_costs=float(self.switch_cost).is_integer()
+            and all([not s.transitions or float(s.play_cost).is_integer() for s in everything]),
+        )
+
     def max_exploration_cost(self) -> float:
-        """Switch cost plus the maximum total play cost along any root-leaf path."""
+        """Switch cost plus the maximum total play cost along any root-leaf path.
+
+        Computed on every call, so that instance generators, which read it
+        for every arm they draw, compile nothing; the compiled arm keeps it.
+        """
         best: dict[str, float] = {}
         for sid in reversed(self.topo_order()):
             st = self.states[sid]
@@ -127,11 +173,36 @@ class ArmStateSpace:
 
     def structural_key(self) -> tuple:
         """Hashable fingerprint; arms with equal keys are interchangeable copies."""
-        return (
-            self.switch_cost,
-            self.root,
-            tuple(sorted((s.id, s.reward, s.play_cost, s.transitions) for s in self.states.values())),
-        )
+        return self.compiled().structural_key
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledArm:
+    """An arm's reachable states as parallel tuples, indexed by their position
+    u in the arm's topological order (the root is 0, a child comes after its
+    parents).  Every field is immutable: one compiled arm is shared by every
+    reader of the arm.
+
+    Per state: its id and (arm id, state id) key, its reward, its play cost,
+    its play charge (the switch cost included at the root), whether it is a
+    leaf, and its children as (index, probability) for probability > 0.
+    Per arm: `index` (state id -> u), the largest exploration cost (switch
+    plus the costliest root-leaf path), the structural key (equal keys mean
+    interchangeable copies) and whether every play and switch cost is an
+    integer.
+    """
+
+    sids: tuple[str, ...]
+    index: Mapping[str, int]
+    keys: tuple[tuple[str, str], ...]
+    rewards: tuple[float, ...]
+    costs: tuple[float, ...]
+    charges: tuple[float, ...]
+    leaf: tuple[bool, ...]
+    kids: tuple[tuple[tuple[int, float], ...], ...]
+    max_exploration_cost: float
+    structural_key: tuple
+    integer_costs: bool
 
 
 @dataclass(frozen=True)
@@ -198,13 +269,7 @@ class BanditInstance:
         return max((a.max_exploration_cost() for a in self.arms), default=0.0)
 
     def has_integer_costs(self) -> bool:
-        for a in self.arms:
-            if not float(a.switch_cost).is_integer():
-                return False
-            for s in a.states.values():
-                if not s.is_leaf and not float(s.play_cost).is_integer():
-                    return False
-        return True
+        return all(a.compiled().integer_costs for a in self.arms)
 
 
 def concave_grid_size(n_arms: int, epsilon: float) -> int:

@@ -1,8 +1,13 @@
 import math
+import sys
+import types
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from banditlp import oracle
 from banditlp.bench import as_lagrangean, gen_integrality_gap, gen_random_suite, GeneratorSpec
 from banditlp.lp import check_feasibility, objective_value
 from banditlp.oracle import (
@@ -207,3 +212,150 @@ def test_switch_cost_charged_on_first_play():
     inst3 = BanditInstance(arms=(arm, fallback), budget=2.0, objective=Objective("budgeted"))
     opt3, _ = dp_optimal(inst3)
     assert opt3 == pytest.approx(0.5 * 1.0 + 0.5 * 0.4, abs=1e-12)
+
+
+def test_deep_chain_needs_no_recursion_limit():
+    # a 1500-state chain before the one informative play: the DP walks it
+    # under the interpreter's default limit and leaves the limit as it was
+    n = 1500
+    states = {f"s{k}": BeliefState(f"s{k}", 0.5, 1.0, ((f"s{k + 1}", 1.0),)) for k in range(n)}
+    states[f"s{n}"] = BeliefState(f"s{n}", 0.5, 1.0, (("hi", 0.5), ("lo", 0.5)))
+    states["hi"], states["lo"] = BeliefState("hi", 1.0), BeliefState("lo", 0.0)
+    chain = ArmStateSpace("c", "s0", states)
+    fallback = build_two_level_arm([0.6], [1.0], play_cost=1, arm_id="f")
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        opt, table = dp_optimal(BanditInstance((chain, fallback), float(n + 1), Objective("budgeted")))
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
+    assert opt == pytest.approx(0.5 * 1.0 + 0.5 * 0.6, abs=1e-12)
+    assert table.decide(JointState(("s0", "root"), n + 1, None)) == ("play", "c")
+    assert table.decide(JointState((f"s{n}", "root"), 1, 0)) == ("play", "c")
+    assert table.decide(JointState(("lo", "root"), 0, 0)) == ("stop",)
+
+
+# ---------------------------------------------------------------------------
+# The DP on state ids that dp_optimal replaced, kept as its reference: a
+# recursion whose memo key sorts (class, state id) over every arm.
+
+
+def _reference_canon(classes, states, budget, last):
+    last_entry = None if last is None else (classes[last], states[last])
+    return (budget, last_entry, tuple(sorted(zip(classes, states))))
+
+
+def _reference_dp(instance):
+    """(OPT, policy with decide(joint)) by the recursion on state ids."""
+    with_budget = instance.objective.kind == "budgeted"
+    arms = instance.arms
+    n = len(arms)
+    classes = oracle._arm_classes(instance)
+    track_last = any(a.switch_cost > 0 for a in arms)
+    memo = {}
+
+    def value(states, budget, last):
+        key = _reference_canon(classes, states, budget, last if track_last else None)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit[0]
+        best = max(arms[i].states[states[i]].reward for i in range(n))
+        action = ("stop",)
+        for i in range(n):
+            st = arms[i].states[states[i]]
+            if st.is_leaf:
+                continue
+            cost = st.play_cost + (arms[i].switch_cost if last != i else 0.0)
+            if with_budget:
+                icost = int(cost)
+                if icost > budget:
+                    continue
+                v = 0.0
+                for child, p in st.transitions:
+                    if p:
+                        v += p * value(states[:i] + (child,) + states[i + 1 :], budget - icost, i)
+            else:
+                v = -cost
+                for child, p in st.transitions:
+                    if p:
+                        v += p * value(states[:i] + (child,) + states[i + 1 :], None, i)
+            if v > best + oracle.ACTION_TIE:
+                best = v
+                action = ("play", classes[i], states[i], i == last)
+        memo[key] = (best, action)
+        return best
+
+    def decide(joint):
+        last = joint.last if track_last else None
+        action = memo[_reference_canon(classes, joint.states, joint.budget, last)][1]
+        if action[0] == "stop":
+            return ("stop",)
+        _, cls, sid, is_last = action
+        for idx, arm in enumerate(arms):
+            if classes[idx] == cls and joint.states[idx] == sid and (not track_last or is_last == (idx == joint.last)):
+                return ("play", arm.arm_id)
+        raise KeyError(action)
+
+    opt = value(tuple(a.root for a in arms), int(instance.budget) if with_budget else None, None)
+    return opt, types.SimpleNamespace(decide=decide)
+
+
+def _joint_states(instance, limit):
+    """Joint states reachable by any plays, depth first, at most `limit`."""
+    with_budget = instance.objective.kind == "budgeted"
+    start = JointState(tuple(a.root for a in instance.arms), int(instance.budget) if with_budget else None, None)
+    seen, stack = {start}, [start]
+    while stack and len(seen) < limit:
+        joint = stack.pop()
+        yield joint
+        for i, arm in enumerate(instance.arms):
+            st_ = arm.states[joint.states[i]]
+            if st_.is_leaf:
+                continue
+            budget = joint.budget
+            if with_budget:
+                budget -= int(st_.play_cost + (arm.switch_cost if joint.last != i else 0.0))
+                if budget < 0:
+                    continue
+            for child, p in st_.transitions:
+                nxt = JointState(joint.states[:i] + (child,) + joint.states[i + 1 :], budget, i)
+                if p and nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+
+
+@st.composite
+def symmetric_instances(draw):
+    """1-2 random arms, each copied 1-3 times under new ids (at most 4 arms),
+    the copies interleaved, budgeted or lagrangean."""
+    spec = GeneratorSpec(
+        family=draw(st.sampled_from(["random-two-level", "random-beta"])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        max_arms=2,
+        budget_cap=draw(st.integers(1, 5)),
+    )
+    base = gen_random_suite(spec)[0]
+    arms = []
+    for arm in base.arms:
+        switch = draw(st.sampled_from([0.0, 1.0]))
+        copies = draw(st.integers(1, 3))
+        arms += [ArmStateSpace(f"{arm.arm_id}.{j}", arm.root, arm.states, switch) for j in range(copies)]
+    arms = draw(st.permutations(arms[:4]))
+    inst = BanditInstance(tuple(arms), base.budget, Objective("budgeted"))
+    return draw(st.sampled_from([inst, as_lagrangean(inst)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_instances())
+def test_integer_coded_dp_equals_the_reference_recursion(inst):
+    opt, table = dp_optimal(inst)
+    ref_opt, ref_table = _reference_dp(inst)
+    assert opt == ref_opt  # bitwise: the same states are visited in the same order
+    for joint in _joint_states(inst, 3000):
+        assert table.decide(joint) == ref_table.decide(joint), joint
+    stats = enumerate_policy_statistics(inst, table)
+    ref_stats = enumerate_policy_statistics(inst, ref_table)
+    assert (stats.w, stats.x, stats.z, stats.expected_reward) == (
+        ref_stats.w, ref_stats.x, ref_stats.z, ref_stats.expected_reward
+    )

@@ -644,6 +644,35 @@ def test_exact_evaluator_matches_brute_force():
             assert ccost == pytest.approx(bf_ccost, abs=1e-12), capacity
 
 
+def test_exact_pass_computes_an_arm_once_when_the_budget_exceeds_its_cost(monkeypatch):
+    # with more budget left than the arm's largest exploration cost, no play
+    # of the arm is budget-stopped, so every such frontier key shares one
+    # outcome distribution, keyed by that cost
+    arms = tuple(
+        build_beta_bernoulli_arm(1 + i, 2, 2, play_cost=1, switch_cost=i % 2, arm_id=f"a{i}") for i in range(3)
+    )
+    inst = BanditInstance(arms, budget=20.0, objective=Objective("budgeted"))
+    sol, plan = _pipeline(inst)
+    real = policies._arm_outcome_dist
+    for arm in arms:
+        ax = policies._tables(inst, sol)[arm.arm_id]
+        full = arm.max_exploration_cost()
+        assert real(ax, full + 7.0) == real(ax, full) != real(ax, full - 1.0)
+    calls = []
+
+    def counting(ax, avail):
+        calls.append((ax.arm_id, avail))
+        return real(ax, avail)
+
+    monkeypatch.setattr(policies, "_arm_outcome_dist", counting)
+    value, cost = evaluate_plan_exact(inst, plan, sol)
+    assert len(calls) == len(set(calls)) > 1
+    assert all(avail == inst.arm(a).max_exploration_cost() for a, avail in calls)
+    bf_value, bf_cost = _brute_force_evaluation(inst, plan, sol, "order")
+    assert value == pytest.approx(bf_value, abs=1e-12)
+    assert cost == pytest.approx(bf_cost, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Lagrangean executor
 
@@ -982,6 +1011,90 @@ def test_philox_blocks_match_numpy_philox(seed):
         assert np.array_equal(row, np.random.Generator(bg).random(draws))
         stream = pool.stream(k)
         assert row.tolist() == [stream.random() for _ in range(draws)]
+
+
+def _fresh_draws(seed, k, n):
+    return np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, k], dtype=np.uint64))).random(n).tolist()
+
+
+def test_interleaved_streams_draw_what_each_draws_alone():
+    # every refill re-keys the thread's one generator to its own stream and
+    # position, so streams read in turn, past the first buffer of 32 draws
+    # and two refills of 64, draw what each draws alone
+    pool = policies._StreamPool(2**64 - 3)
+    streams = {k: pool.stream(k) for k in (0, 1, 2**40 + 3)}
+    got = {k: [] for k in streams}
+    for i in range(170):
+        for k, stream in streams.items():
+            if k or i % 3:  # stream 0 falls behind the others
+                got[k].append(stream.random())
+    for k, draws in got.items():
+        assert draws == _fresh_draws(2**64 - 3, k, len(draws))
+
+
+def test_streams_on_many_threads_draw_their_own_values():
+    # each thread re-keys a generator of its own; with the interpreter
+    # switching threads every microsecond, no thread's read lands on another
+    # thread's key
+    import sys
+    import threading
+
+    results, errors = {}, []
+
+    def read(k):
+        try:
+            a, b = policies._StreamPool(k).stream(0), policies._StreamPool(k).stream(1)
+            results[k] = [(a.random(), b.random()) for _ in range(300)]
+        except Exception as exc:  # reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    for k, pairs in results.items():
+        assert [a for a, _ in pairs] == _fresh_draws(k, 0, 300)
+        assert [b for _, b in pairs] == _fresh_draws(k, 1, 300)
+    assert sorted(results) == list(range(6))
+
+
+def test_step_tables_are_built_once_per_solution_and_arm():
+    inst = gen_random_suite(GeneratorSpec(family="random-beta", count=1, seed=5, max_arms=3, budget_cap=4))[0]
+    sol, plan = _pipeline(inst)
+    tables = policies._tables(inst, sol)
+    assert all(policies._tables(inst, sol)[a] is ax for a, ax in tables.items())
+    evaluate_plan_exact(inst, plan, sol)
+    steps = {(a, sid): se for a, ax in tables.items() for sid, se in ax.items()}
+    assert steps
+    # Monte-Carlo (both runners), the traces and the joint-state process
+    # read the same steps
+    monte_carlo_evaluate(inst, plan, sol, reps=20, seed=1)
+    monte_carlo_evaluate(inst, plan, sol, reps=policies._BATCH_MIN_REPS, seed=1)
+    execute_greedy_order(inst, plan, sol, rng_seed=3)
+    process = policies.GreedyOrderProcess(inst, plan, sol)
+    assert all(process.tables[a] is ax for a, ax in tables.items())
+    assert all(tables[a][sid] is se for (a, sid), se in steps.items())
+    # the tables are no dataclass field: a replaced solution starts without
+    # any and builds its own from its own values
+    assert "_step_tables" not in {f.name for f in dataclasses.fields(sol)}
+    dead = dataclasses.replace(sol, x={key: (0.0, 0.0) for key in sol.x})
+    fresh = policies._tables(inst, dead)
+    for arm in inst.arms:
+        ax = fresh[arm.arm_id]
+        assert ax is not tables[arm.arm_id] and ax.x is dead.x
+        z = sol.z[(arm.arm_id, arm.root)]
+        assert ax[arm.root].cuts == (z, z)
+    # another arm object under the same id gets its own table
+    copies = tuple(ArmStateSpace(a.arm_id, a.root, dict(a.states), a.switch_cost) for a in inst.arms)
+    other = BanditInstance(copies, inst.budget, inst.objective)
+    assert all(policies._tables(other, sol)[a.arm_id].arm is a for a in copies)
 
 
 def _diamond_arm(arm_id, hi, lo, switch_cost):

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,50 @@ def test_topo_order_is_computed_once_and_immutable():
     assert order[0] == arm.root and sorted(order) == sorted(arm.states)
     index = {sid: k for k, sid in enumerate(order)}
     assert all(index[sid] < index[c] for sid in order for c, _ in arm.states[sid].transitions)
+
+
+def test_compiled_arm_is_built_once_lazily_and_immutable():
+    states = {
+        "r": BeliefState("r", 0.5, 2.0, (("h", 0.5), ("z", 0.0), ("l", 0.5))),
+        "h": BeliefState("h", 1.0),
+        "z": BeliefState("z", 0.7),
+        "l": BeliefState("l", 0.0),
+    }
+    arm = ArmStateSpace("a", "r", states, switch_cost=1.0)
+    inst = BanditInstance((arm,), budget=3.0)
+    assert validate_instance(inst) == []
+    assert "_compiled" not in arm.__dict__  # neither construction nor validation compiles
+    ca = arm.compiled()
+    assert ca is arm.compiled()
+    order = arm.topo_order()
+    assert ca.sids == order
+    assert dict(ca.index) == {sid: u for u, sid in enumerate(order)}
+    assert ca.keys == tuple(("a", sid) for sid in order)
+    assert ca.rewards == tuple(states[sid].reward for sid in order)
+    assert ca.costs == tuple(states[sid].play_cost for sid in order)
+    assert ca.charges == tuple(arm.play_charge(sid) for sid in order)
+    assert ca.charges[0] == 3.0
+    assert ca.leaf == tuple(states[sid].is_leaf for sid in order)
+    # children with p > 0 only, in transition order
+    assert [(order[c], p) for c, p in ca.kids[0]] == [("h", 0.5), ("l", 0.5)]
+    assert (ca.max_exploration_cost, ca.integer_costs) == (3.0, True)
+    twin = ArmStateSpace("b", "r", states, switch_cost=1.0)
+    assert ca.structural_key == twin.compiled().structural_key == arm.structural_key()
+    # one compiled arm is shared by every reader: nothing in it can change
+    for name in ("sids", "keys", "rewards", "costs", "charges", "leaf", "kids"):
+        assert isinstance(getattr(ca, name), tuple)
+    assert all(isinstance(k, tuple) for k in ca.kids)
+    with pytest.raises(TypeError):
+        ca.index["h"] = 0
+    with pytest.raises(AttributeError):
+        ca.rewards = ()
+    # copies carry the fields, not the caches, and compile on their own
+    for copied in (pickle.loads(pickle.dumps(arm)), copy.deepcopy(arm)):
+        assert copied == arm and "_compiled" not in copied.__dict__
+        assert copied.compiled().kids == ca.kids
+    fractional = ArmStateSpace("f", "r", {**states, "r": BeliefState("r", 0.5, 0.5, states["r"].transitions)})
+    assert not fractional.compiled().integer_costs
+    assert not BanditInstance((arm, fractional), budget=3.0).has_integer_costs()
 
 
 def test_validate_budget_requirements():
