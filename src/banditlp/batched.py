@@ -2,12 +2,11 @@
 
 `batched_runs` is the twin of `policies._scalar_runs` for large calls.  It
 returns the same per-replication values, spends and audit flags, bit for bit,
-from the same `(seed, replication)` streams:
+from the same draw windows:
 
-* Draws.  `philox_blocks` is numpy's Philox4x64-10 (Salmon et al. 2011) over
-  vectors of (stream, block) pairs.  Before each arm, every replication still
-  running gets the blocks that cover the arm's longest walk; a chunk's draw
-  matrix is filled only as far as its runs read.
+* Draws.  Replication k reads window k of the call's one Philox4x64-10 stream
+  (Salmon et al. 2011; `policies._windows`), so a chunk's draw matrix, one
+  window per row, comes from one numpy `Generator.random` call.
 * Walk.  Each plan arm's `_Step` table becomes arrays over its states
   (`_ArmArrays`), and `_walk_lockstep` steps every running replication at once
   with `policies._walk_arm`'s float operations, in its order.
@@ -17,8 +16,9 @@ from the same `(seed, replication)` streams:
   A run's value is summed as `policies._sample_run` sums it: the base, each
   arm's value in plan order, then finish(key).
 
-Replications are processed `_CHUNK` at a time, which bounds the scratch
-memory; stream k depends on k alone, so the chunking changes no value.
+Replications are processed `policies._CHUNK` draws at a time, which bounds
+the scratch memory; window k depends on k and the plan alone, so the chunking
+changes no value.
 """
 
 from __future__ import annotations
@@ -27,56 +27,7 @@ import math
 
 import numpy as np
 
-from .policies import AUDIT_TOL, UNREACHABLE_W
-
-_CHUNK = 4096
-
-# Philox4x64-10: the round multipliers and key bumps of words 0 and 2, shaped
-# to act on both at once.
-_MUL = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1)
-_BUMP = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1)
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_MUL_LO = _MUL & _LO32
-_MUL_HI = _MUL >> _S32
-
-
-def philox_blocks(seed_key: int, streams: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Draws 4b..4b+3 of stream k for each pair (k, b), as an (n, 4) array.
-
-    Stream k is `policies._StreamPool`'s: numpy's Philox keyed [seed_key, k]
-    with the counter at 0, read by `Generator.random`.  Block b is the Philox
-    output for the counter [b + 1, 0, 0, 0], and a draw is (u >> 11) * 2**-53.
-    Each 64x64-bit product is formed from its 32-bit halves.
-    """
-    n = len(streams)
-    key = np.empty((2, n), dtype=np.uint64)
-    key[0] = seed_key
-    key[1] = streams
-    even = np.zeros((2, n), dtype=np.uint64)  # words 0 and 2
-    even[0] = blocks
-    even[0] += np.uint64(1)
-    odd = np.zeros((2, n), dtype=np.uint64)  # words 1 and 3
-    for r in range(10):
-        if r:
-            key += _BUMP
-        lo, hi = even & _LO32, even >> _S32
-        t = hi * _MUL_LO
-        t += (lo * _MUL_LO) >> _S32
-        mid = t & _LO32
-        lo *= _MUL_HI
-        mid += lo
-        hi *= _MUL_HI
-        hi += t >> _S32
-        hi += mid >> _S32  # the products' high words
-        even *= _MUL  # their low words
-        # words (0, 2) <- (hi1 ^ w1 ^ k0, hi0 ^ w3 ^ k1); words (1, 3) <- (lo1, lo0)
-        hi ^= odd[::-1]
-        hi ^= key[::-1]
-        even, odd = hi[::-1], even[::-1]
-    out = np.stack((even[0], odd[0], even[1], odd[1]), axis=1)
-    out >>= np.uint64(11)
-    return out * (1.0 / 9007199254740992.0)
+from .policies import AUDIT_TOL, UNREACHABLE_W, _draw_width, _window_chunks
 
 
 class _ArmArrays:
@@ -86,11 +37,10 @@ class _ArmArrays:
     cuts, padded with -inf and closed by +inf, whose column c stands for level
     `levels[c]` (the closing column for a dead stop); the charge; the
     cumulative child probabilities but the last, padded with -inf and closed
-    by +inf, whose column c leads to state `kids[s, c]`.  `draws` bounds the
-    draws of one walk: two per play, one to stop.
+    by +inf, whose column c leads to state `kids[s, c]`.
     """
 
-    __slots__ = ("ax", "sids", "w", "dead", "z", "cuts", "levels", "charge", "cum", "kids", "draws")
+    __slots__ = ("ax", "sids", "w", "dead", "z", "cuts", "levels", "charge", "cum", "kids")
 
     def __init__(self, ax):
         ca = ax.ca  # the state order and the children come from the compiled arm
@@ -110,16 +60,12 @@ class _ArmArrays:
         self.cum = np.full((n, n_kid), -math.inf)
         self.cum[:, n_kid - 1] = math.inf
         self.kids = np.zeros((n, n_kid), dtype=np.intp)
-        depth = [0] * n
         for i, (se, kids) in enumerate(zip(steps, ca.kids)):
             self.cuts[i, : len(se.cuts)] = se.cuts
             if kids:
                 self.cum[i, : len(kids) - 1] = se.cum_probs[:-1]
                 self.kids[i] = kids[-1][0]
                 self.kids[i, : len(kids) - 1] = [c for c, _ in kids[:-1]]
-                for c, _ in kids:
-                    depth[c] = max(depth[c], depth[i] + 1)
-        self.draws = 2 * max(depth) + 1
 
 
 def _walk_lockstep(arr: _ArmArrays, rows, draws, ptr, spent, avail: float | None):
@@ -189,13 +135,10 @@ def batched_runs(plan, tables, rules, seed_key: int, reps: int):
         return values, spent, off_plan, multi_switch
     (start_key,) = start
     arms = [_ArmArrays(tables[ra.arm_id]) for ra in plan.order]
-    width = 4 * ((sum(arr.draws for arr in arms) + 3) // 4)
     avail = plan.budget if capped else None
-    for lo in range(0, reps, _CHUNK):
-        n = min(_CHUNK, reps - lo)
+    for lo, draws in _window_chunks(seed_key, reps, _draw_width(plan, tables)):
+        n = len(draws)
         vals, sp = values[lo : lo + n], spent[lo : lo + n]  # views: the chunk writes through
-        draws = np.empty((n, width))  # row r is stream lo + r; blocks [0, have[r]) are filled
-        have = np.zeros(n, dtype=np.intp)
         ptr = np.zeros(n, dtype=np.intp)
         # the rule's keys, told apart by repr: == merges 0.0 with -0.0 and 1 with 1.0
         keys, kid = [start_key], {repr(start_key): 0}
@@ -206,15 +149,6 @@ def batched_runs(plan, tables, rules, seed_key: int, reps: int):
             if not live.size:
                 break
             walked[live, j] = True
-            # blocks that cover this arm's longest walk, for each running row
-            need = (ptr[live] + arr.draws + 3) // 4
-            count = np.maximum(need - have[live], 0)
-            rows = np.repeat(live, count)
-            if rows.size:
-                blocks = have[rows] + np.arange(rows.size) - np.repeat(np.cumsum(count) - count, count)
-                cols = 4 * blocks[:, None] + np.arange(4)
-                draws[rows[:, None], cols] = philox_blocks(seed_key, lo + rows, blocks)
-                have[live] += count
             before = sp[live]
             state, level, switches = _walk_lockstep(arr, live, draws, ptr, sp, avail)
             multi_switch[lo + live[switches > 1]] = True

@@ -33,14 +33,17 @@ per variant, defined once in `_RULES`:
 * `GreedyOrderProcess` branches on pz, px and pn at each joint state for the
   statistics oracle.
 
-Monte-Carlo runs use counter-based Philox streams keyed by (seed,
-replication), so results are reproducible regardless of scheduling.  A call
-with at least `_BATCH_MIN_REPS` replications takes the batched runner
-(`banditlp.batched`): it draws the streams with a numpy Philox4x64-10 and
-walks all replications in lockstep, arm by arm, with the float operations of
-`_walk_arm` in the same order, then applies the rule once per distinct
-outcome.  Its values, costs and audits are bit-identical to the loop over
-`_sample_run`, which smaller calls keep and which drives every trace.
+Sampled runs read counter-based Philox4x64-10 draws (`_windows`): a run's
+walk reads at most W draws, the plan's draw bound, and replication k of a
+Monte-Carlo call reads window k, the draws [k*W, (k+1)*W) of the one stream
+keyed [seed mod 2**64, 0]; a trace reads window 0.  A chunk of windows is one
+numpy `Generator.random` call, and results are reproducible regardless of
+scheduling.  A call with at least `_BATCH_MIN_REPS` replications takes the
+batched runner (`banditlp.batched`): it walks all replications in lockstep,
+arm by arm, with the float operations of `_walk_arm` in the same order, then
+applies the rule once per distinct outcome.  Its values, costs and audits are
+bit-identical to the loop over `_sample_run`, which smaller calls keep and
+which drives every trace.
 """
 
 from __future__ import annotations
@@ -77,10 +80,12 @@ TWO_LEVEL_FREE_SHARE = 1e-15
 
 # Monte-Carlo calls with at least this many replications take the batched
 # runner (`batched.batched_runs`), smaller ones the scalar loop.  The measured
-# crossover is about 64 replications on plans of 1-3 shallow arms and between
-# 256 and 512 on 7x4 Beta ladders, whose deeper walks cost the batched runner
-# more numpy calls per arm.
-_BATCH_MIN_REPS = 256
+# crossover (in process, best of 11 rounds, 2-core VM) is about 64
+# replications on the `suite` benchmark's plans of 1-3 shallow arms, 32-64 on
+# `concave-mc`'s and about 180 on the 5x4-7x4 Beta ladders of `ladder`, whose
+# deeper walks cost the batched runner more numpy calls per arm: there 128
+# replications take 2.2 ms scalar and 3.0 batched, 200 take 3.4 and 3.1.
+_BATCH_MIN_REPS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +167,7 @@ def make_greedy_plan(
 
 
 # ---------------------------------------------------------------------------
-# Execution tables and RNG streams
+# Execution tables and draw windows
 
 
 class _Step:
@@ -247,6 +252,9 @@ def _tables(instance: BanditInstance, solution: RelaxationSolution) -> dict[str,
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+# Replications are drawn `_CHUNK` draws at a time (2 MB of floats), which
+# bounds the scratch memory of both Monte-Carlo runners.
+_CHUNK = 1 << 18
 # One Philox generator per thread, re-keyed to a stream and its position
 # before every read: nothing one read leaves in it reaches the next.
 _PHILOX = threading.local()
@@ -261,46 +269,6 @@ def _philox_generator() -> tuple[np.random.Philox, np.random.Generator]:
         return _PHILOX.pair
 
 
-class _DrawStream:
-    """Buffered uniform draws; same values as scalar Generator.random() calls
-    on a fresh ``Philox(key=[seed_key, rep])``.
-
-    Each refill re-keys the thread's generator to this stream at the draws
-    taken so far (Philox block drawn // 4; reads are multiples of 4 draws),
-    so streams may be read interleaved.
-    """
-
-    __slots__ = ("_key", "_drawn", "_buf", "_i")
-
-    def __init__(self, seed_key: int, rep: int, block: int = 32):
-        self._key = [seed_key, rep & _MASK64]
-        self._drawn = 0
-        self._buf = self._read(block)
-        self._i = 0
-
-    def _read(self, count: int) -> list[float]:
-        bg, gen = _philox_generator()
-        bg.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [self._drawn // 4, 0, 0, 0], "key": self._key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        self._drawn += count
-        return gen.random(count).tolist()
-
-    def random(self) -> float:
-        i = self._i
-        buf = self._buf
-        if i >= len(buf):
-            buf = self._buf = self._read(64)
-            i = 0
-        self._i = i + 1
-        return buf[i]
-
-
 def _seed_key(seed) -> int:
     """A seed's Philox key word: any integer (Python or numpy) mod 2**64.
 
@@ -309,25 +277,52 @@ def _seed_key(seed) -> int:
     return operator.index(seed) & _MASK64
 
 
-class _StreamPool:
-    """Counter-based uniform streams keyed by (seed, replication).
+def _draw_width(plan: GreedyPlan, tables: dict[str, _ArmExec]) -> int:
+    """A run's draw bound W: the sum over the plan's arms of the draws one
+    walk reads (`CompiledArm.draws`), rounded up to a 4-draw Philox block."""
+    return 4 * ((sum(tables[ra.arm_id].ca.draws for ra in plan.order) + 3) // 4)
 
-    Stream k draws what a fresh ``Philox(key=np.array([seed mod 2**64, k],
-    dtype=np.uint64))`` generator draws.  Re-keying one generator per thread
-    in place, with plain ints, avoids the construction cost that dominates
-    tight Monte-Carlo loops.
+
+def _windows(seed_key: int, first: int, rows: int, width: int) -> np.ndarray:
+    """The draw windows of replications first..first+rows-1, one per row.
+
+    Replication k reads window k, the draws [k*width, (k+1)*width) of the
+    stream that a fresh ``Philox(key=np.array([seed_key, 0],
+    dtype=np.uint64))`` generator draws; width is a multiple of 4, so a
+    window starts at a Philox block.
     """
+    bg, gen = _philox_generator()
+    block = first * width // 4
+    bg.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [block & _MASK64, block >> 64, 0, 0], "key": [seed_key, 0]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen.random((rows, width))
 
-    __slots__ = ("_seed",)
 
-    def __init__(self, seed: int):
-        self._seed = _seed_key(seed)
+def _window_chunks(seed_key: int, reps: int, width: int):
+    """Yields (first replication, its windows) for replications 0..reps-1,
+    at most `_CHUNK` draws at a time."""
+    step = max(1, _CHUNK // max(width, 1))
+    for lo in range(0, reps, step):
+        yield lo, _windows(seed_key, lo, min(step, reps - lo), width)
 
-    def stream(self, rep: int) -> _DrawStream:
-        return _DrawStream(self._seed, rep)
+
+class _Window:
+    """One run's window as a stream: ``random()`` returns its next draw, and
+    a read past its end raises StopIteration."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, draws: list[float]):
+        self.random = iter(draws).__next__
 
 
-def _sample_child(se: _Step, rng: "_DrawStream") -> str:
+def _sample_child(se: _Step, rng: _Window) -> str:
     u = rng.random()
     cum = se.cum_probs
     for i in range(len(cum) - 1):
@@ -427,7 +422,7 @@ class _Run:
             self.events.append(TraceEvent(arm, state, action, cost, q))
 
 
-def _walk_arm(ax: _ArmExec, rng: "_DrawStream", run: _Run, avail: float | None):
+def _walk_arm(ax: _ArmExec, rng: _Window, run: _Run, avail: float | None):
     """Run one arm's stopping policy to its end; returns (state, level).
 
     level is the exploit level where the policy stopped (0 for a dead stop,
@@ -574,7 +569,8 @@ def _execute(instance, plan, solution, rng_seed, rule="order") -> ExecutionTrace
     tables = _tables(instance, solution)
     run, walked = _Run(True), []
     rules = _RULES[plan.variant](instance, plan, solution, rule)
-    value, ended = _sample_run(plan, tables, rules, _StreamPool(rng_seed).stream(0), run, walked)
+    window = _windows(_seed_key(rng_seed), 0, 1, _draw_width(plan, tables))[0]
+    value, ended = _sample_run(plan, tables, rules, _Window(window.tolist()), run, walked)
     trace = ExecutionTrace(
         variant=plan.variant,
         seed=operator.index(rng_seed),
@@ -704,10 +700,11 @@ def monte_carlo_evaluate(
 ) -> MonteCarloReport:
     """Mean realized value over reps independent traces with invariant checks.
 
-    The stream for replication k is derived from (seed, k), so results do not
-    depend on evaluation order and the first k traces of a longer run match a
-    shorter run with the same seed.  The seed may be any integer, Python or
-    numpy; it is taken mod 2**64.
+    Replication k reads window k of the seed's stream, so it is fixed by
+    (seed, k, plan): results depend neither on evaluation order nor on
+    chunking, and the first k replications of a longer call equal a shorter
+    call with the same seed.  The seed may be any integer, Python or numpy;
+    it is taken mod 2**64.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -732,25 +729,35 @@ _AUDITS = (
 
 
 def _mc_report(runs, cap: float | None) -> MonteCarloReport:
-    """Summarise (values, spend, off-plan flags, multi-switch flags) per replication."""
+    """Summarise (values, spend, off-plan flags, multi-switch flags) per replication.
+
+    The mean and the standard error are what ``values.mean()`` and
+    ``values.std(ddof=1)`` compute, from a few ufunc calls instead of their
+    Python-level wrappers, whose fixed cost dominates a small call.
+    """
     values, spent, off_plan, multi_switch = runs
     reps = len(values)
     over = spent > cap + AUDIT_TOL if cap is not None else np.zeros(reps, dtype=bool)
+    mean = float(np.add.reduce(values)) / reps
+    # equal values have no spread; np.std would report the mean's rounding error
+    if values.min() < values.max():
+        dev = values - mean
+        dev *= dev
+        stderr = math.sqrt(float(np.add.reduce(dev)) / (reps - 1)) / math.sqrt(reps)
+    else:
+        stderr = 0.0
     # each audit counts the runs that fail it; audits are listed in the order
     # of their first failure, by replication and then in _AUDITS order
     flags = (over, off_plan, multi_switch)
     failed = sorted((int(bad.argmax()), i, int(bad.sum())) for i, bad in enumerate(flags) if bad.any())
-    mean = float(values.mean())
-    # equal values have no spread; np.std would report the mean's rounding error
-    stderr = float(values.std(ddof=1) / math.sqrt(reps)) if values.min() < values.max() else 0.0
     return MonteCarloReport(
         mean=mean,
         stderr=stderr,
         reps=reps,
         values=values,
         max_cost=max(0.0, float(spent.max())),
-        # cumsum adds left to right, as a running total does (sum is pairwise)
-        mean_cost=float(np.cumsum(spent)[-1]) / reps,
+        # accumulate adds left to right, as a running total does (sum is pairwise)
+        mean_cost=float(np.add.accumulate(spent)[-1]) / reps,
         violations=[f"{_AUDITS[i]} (x{count})" for _, i, count in failed],
     )
 
@@ -763,13 +770,13 @@ def _scalar_runs(plan, tables, rules, seed_key: int, reps: int):
     off_plan = np.zeros(reps, dtype=bool)
     multi_switch = np.zeros(reps, dtype=bool)
     plan_ids = [ra.arm_id for ra in plan.order]
-    pool = _StreamPool(seed_key)
-    for k in range(reps):
-        run = _Run(False)
-        values[k], _ = _sample_run(plan, tables, rules, pool.stream(k), run)
-        spent[k] = run.spent
-        off_plan[k] = run.visited != plan_ids[: len(run.visited)]
-        multi_switch[k] = any(c > 1 for c in run.switches.values())
+    for lo, windows in _window_chunks(seed_key, reps, _draw_width(plan, tables)):
+        for k, window in enumerate(windows.tolist(), lo):
+            run = _Run(False)
+            values[k], _ = _sample_run(plan, tables, rules, _Window(window), run)
+            spent[k] = run.spent
+            off_plan[k] = run.visited != plan_ids[: len(run.visited)]
+            multi_switch[k] = any(c > 1 for c in run.switches.values())
     return values, spent, off_plan, multi_switch
 
 

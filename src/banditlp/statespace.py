@@ -116,6 +116,11 @@ class ArmStateSpace:
         index = {sid: u for u, sid in enumerate(order)}
         states = [self.states[sid] for sid in order]
         costs = tuple([st.play_cost for st in states])
+        kids = tuple([tuple([(index[c], p) for c, p in st.transitions if p > 0.0 and c in index]) for st in states])
+        depth = [0] * len(order)
+        for u, ks in enumerate(kids):
+            for c, _ in ks:
+                depth[c] = max(depth[c], depth[u] + 1)
         everything = self.states.values()
         return CompiledArm(
             sids=order,
@@ -125,7 +130,8 @@ class ArmStateSpace:
             costs=costs,
             charges=tuple([c + (self.switch_cost if u == 0 else 0.0) for u, c in enumerate(costs)]),
             leaf=tuple([not st.transitions for st in states]),
-            kids=tuple([tuple([(index[c], p) for c, p in st.transitions if p > 0.0 and c in index]) for st in states]),
+            kids=kids,
+            draws=2 * max(depth) + 1,
             max_exploration_cost=self.max_exploration_cost(),
             structural_key=(
                 self.switch_cost,
@@ -186,7 +192,9 @@ class CompiledArm:
     Per state: its id and (arm id, state id) key, its reward, its play cost,
     its play charge (the switch cost included at the root), whether it is a
     leaf, and its children as (index, probability) for probability > 0.
-    Per arm: `index` (state id -> u), the largest exploration cost (switch
+    Per arm: `index` (state id -> u), `draws` (2 * height + 1, the most
+    uniform draws one walk of the arm reads: one per visited state to stop
+    or play, one per play for the child), the largest exploration cost (switch
     plus the costliest root-leaf path), the structural key (equal keys mean
     interchangeable copies) and whether every play and switch cost is an
     integer.
@@ -200,6 +208,7 @@ class CompiledArm:
     charges: tuple[float, ...]
     leaf: tuple[bool, ...]
     kids: tuple[tuple[tuple[int, float], ...], ...]
+    draws: int
     max_exploration_cost: float
     structural_key: tuple
     integer_costs: bool

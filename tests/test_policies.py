@@ -271,7 +271,7 @@ def test_a_leaf_never_plays_even_on_a_zero_draw():
     assert (leaf, level, run.spent) == (ax.arm.states[ax.root].transitions[0][0], 0, 1.0)
     arr = batched._ArmArrays(ax)
     ptr, spent = np.zeros(1, dtype=np.intp), np.zeros(1)
-    state, levels, _ = batched._walk_lockstep(arr, np.arange(1), np.zeros((1, arr.draws)), ptr, spent, None)
+    state, levels, _ = batched._walk_lockstep(arr, np.arange(1), np.zeros((1, ax.ca.draws)), ptr, spent, None)
     assert (arr.sids[state[0]], levels[0], spent[0]) == (leaf, 0, 1.0)
 
 
@@ -966,7 +966,9 @@ def test_sampled_outputs_digest():
     # The bytes of every sampled output over a small fixed corpus, as one
     # SHA-256: each trace's JSONL and each Monte-Carlo run's values.  A change
     # that keeps the sampled runs must keep this digest; a change that moves
-    # them on purpose records the new one and says why.
+    # them on purpose records the new one and says why.  Recorded when
+    # replication k moved from its own stream [seed, k] to window k of the
+    # one stream [seed, 0]: the traces and replication 0 kept their bytes.
     import hashlib
 
     runs = _digest_corpus()
@@ -977,7 +979,7 @@ def test_sampled_outputs_digest():
             h.update(trace_to_jsonl(execute(inst, plan, sol, rng_seed=seed)).encode())
         h.update(monte_carlo_evaluate(inst, plan, sol, reps=200, seed=3, rule=rule).values.tobytes())
     assert len(runs) == 36
-    assert h.hexdigest() == "924637b75e5ec411a3ae1ab8b9d7cc56e3319873b2c245076ab08d88c02c8f85"
+    assert h.hexdigest() == "5a8749cf3e3e262eb9ba7c22e7fb8b6087d293c59d4a7a569642436af7615276"
 
 
 # ---------------------------------------------------------------------------
@@ -996,46 +998,66 @@ def _mc_both(inst, sol, plan, reps, seed, rule="order"):
     )
 
 
+def _fresh_draws(seed, n, skip=0):
+    """Draws skip..skip+n-1 of numpy's Philox keyed [seed mod 2**64, 0].  The
+    key is a uint64 array: numpy turns a list key into floats, which rounds
+    seeds above 2**53."""
+    bg = np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64))
+    return np.random.Generator(bg).random(skip + n)[skip:]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1, -1])
 def test_philox_blocks_match_numpy_philox(seed):
-    # 72 draws per stream: past _DrawStream's first buffer of 32.  The key is
-    # a uint64 array: numpy turns a list key [seed, k] into floats, which
-    # rounds seeds above 2**53.
-    draws, streams = 72, [0, 1, 7, 4095, 2**40 + 3]
-    ks = np.repeat(streams, draws // 4)
-    blocks = np.tile(np.arange(draws // 4), len(streams))
-    got = batched.philox_blocks(policies._seed_key(seed), ks, blocks).reshape(len(streams), draws)
-    pool = policies._StreamPool(seed)
-    for row, k in zip(got, streams):
-        bg = np.random.Philox(key=np.array([seed % 2**64, k], dtype=np.uint64))
-        assert np.array_equal(row, np.random.Generator(bg).random(draws))
-        stream = pool.stream(k)
-        assert row.tolist() == [stream.random() for _ in range(draws)]
+    # window k of width W is the draws [k*W, (k+1)*W) of one numpy Philox
+    # stream: at its start, at a chunk offset of 4095 windows, and past 2**20
+    # windows, where the reference skips ahead by Philox blocks of 4 draws
+    key, width = policies._seed_key(seed), 12
+    for first, rows in ((0, 3), (4095, 5)):
+        got = policies._windows(key, first, rows, width)
+        assert got.shape == (rows, width)
+        assert np.array_equal(got.ravel(), _fresh_draws(seed, rows * width, first * width))
+    first = 2**20 + 3
+    bg = np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64))
+    bg.advance(first * width // 4)
+    got = policies._windows(key, first, 2, width)
+    assert np.array_equal(got.ravel(), np.random.Generator(bg).random(2 * width))
 
 
-def _fresh_draws(seed, k, n):
-    return np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, k], dtype=np.uint64))).random(n).tolist()
+def _ladder(n, d):
+    """The ROADMAP ladder: n Beta-Bernoulli arms of depth d, budget n*d//2."""
+    arms = tuple(
+        build_beta_bernoulli_arm(1 + i % 3, 1 + (i * 7) % 3, d, play_cost=1, switch_cost=i % 2, arm_id=f"a{i}")
+        for i in range(n)
+    )
+    return BanditInstance(arms=arms, budget=float(n * d // 2), objective=Objective("budgeted"))
 
 
-def test_interleaved_streams_draw_what_each_draws_alone():
-    # every refill re-keys the thread's one generator to its own stream and
-    # position, so streams read in turn, past the first buffer of 32 draws
-    # and two refills of 64, draw what each draws alone
-    pool = policies._StreamPool(2**64 - 3)
-    streams = {k: pool.stream(k) for k in (0, 1, 2**40 + 3)}
-    got = {k: [] for k in streams}
-    for i in range(170):
-        for k, stream in streams.items():
-            if k or i % 3:  # stream 0 falls behind the others
-                got[k].append(stream.random())
-    for k, draws in got.items():
-        assert draws == _fresh_draws(2**64 - 3, k, len(draws))
+def test_chunked_runs_equal_one_chunk(monkeypatch):
+    # window k depends on (seed, k, plan) alone: a call split into chunks of
+    # 1, 3 and 7 windows returns what one chunk returns, in both runners, and
+    # the chunks cover the windows in order
+    inst = _ladder(3, 3)
+    sol, plan = _pipeline(inst)
+    tables = policies._tables(inst, sol)
+    rules = policies._RULES["budgeted"](inst, plan, sol, "order")
+    width = policies._draw_width(plan, tables)
+    key, reps = policies._seed_key(2**64 - 3), 20
+    runners = (policies._scalar_runs, batched.batched_runs)
+    whole = [[a.tobytes() for a in run(plan, tables, rules, key, reps)] for run in runners]
+    assert whole[0] == whole[1]
+    for rows in (1, 3, 7):
+        monkeypatch.setattr(policies, "_CHUNK", rows * width)
+        chunks = list(policies._window_chunks(key, reps, width))
+        assert [lo for lo, _ in chunks] == list(range(0, reps, rows))
+        assert np.array_equal(np.concatenate([w for _, w in chunks]), policies._windows(key, 0, reps, width))
+        for run, ref in zip(runners, whole):
+            assert [a.tobytes() for a in run(plan, tables, rules, key, reps)] == ref, (run, rows)
 
 
 def test_streams_on_many_threads_draw_their_own_values():
     # each thread re-keys a generator of its own; with the interpreter
-    # switching threads every microsecond, no thread's read lands on another
-    # thread's key
+    # switching threads every microsecond, no thread's window lands on another
+    # thread's key or position
     import sys
     import threading
 
@@ -1043,8 +1065,7 @@ def test_streams_on_many_threads_draw_their_own_values():
 
     def read(k):
         try:
-            a, b = policies._StreamPool(k).stream(0), policies._StreamPool(k).stream(1)
-            results[k] = [(a.random(), b.random()) for _ in range(300)]
+            results[k] = [(policies._windows(k, i, 1, 4), policies._windows(k + 6, i, 1, 4)) for i in range(75)]
         except Exception as exc:  # reported below
             errors.append(exc)
 
@@ -1060,9 +1081,55 @@ def test_streams_on_many_threads_draw_their_own_values():
         sys.setswitchinterval(interval)
     assert not errors and not any(t.is_alive() for t in threads)
     for k, pairs in results.items():
-        assert [a for a, _ in pairs] == _fresh_draws(k, 0, 300)
-        assert [b for _, b in pairs] == _fresh_draws(k, 1, 300)
+        assert np.array_equal(np.concatenate([a.ravel() for a, _ in pairs]), _fresh_draws(k, 300))
+        assert np.array_equal(np.concatenate([b.ravel() for _, b in pairs]), _fresh_draws(k + 6, 300))
     assert sorted(results) == list(range(6))
+
+
+def _play_through_solution(arms):
+    """Thresholds that play every state with children and stop dead at every leaf."""
+    w, x, z = {}, {}, {}
+    for arm in arms:
+        for sid, st in arm.states.items():
+            key = (arm.arm_id, sid)
+            w[key], x[key], z[key] = 1.0, (0.0, 0.0), 1.0 if st.transitions else 0.0
+    return RelaxationSolution(gamma_star=0.0, w=w, x=x, z=z, grid=None)
+
+
+def test_runs_read_exactly_their_window(monkeypatch):
+    # Lagrangean runs that play every arm to a leaf at its full height read
+    # 2*height + 1 draws per arm: heights 1, 2 and 4 fill W = 3 + 5 + 9 + 3
+    # = 20 draws, five Philox blocks, exactly.  The scalar walk would raise
+    # StopIteration past its window, the batched one IndexError.
+    arms = tuple(build_beta_bernoulli_arm(1, 1, d, play_cost=1, arm_id=f"h{d}") for d in (1, 2, 4)) + (
+        build_two_level_arm([0.2, 0.9], [0.5, 0.5], play_cost=1, switch_cost=1, arm_id="t"),
+    )
+    inst = BanditInstance(arms=arms, budget=None, objective=Objective("lagrangean"))
+    sol = _play_through_solution(arms)
+    plan = GreedyPlan("lagrangean", tuple(RankedArm(a.arm_id, 1.0, 1.0, 1.0) for a in arms), budget=None)
+    tables = policies._tables(inst, sol)
+    assert [ax.ca.draws for ax in tables.values()] == [3, 5, 9, 3]
+    width = policies._draw_width(plan, tables)
+    rules = policies._RULES["lagrangean"](inst, plan, sol, "order")
+    for seed in range(20):
+        window = policies._Window(policies._windows(seed, 0, 1, width)[0].tolist())
+        run = policies._Run(False)
+        policies._sample_run(plan, tables, rules, window, run)
+        assert run.visited == [a.arm_id for a in arms]
+        with pytest.raises(StopIteration):
+            window.random()  # the run read the whole window
+    walk, ptrs = batched._walk_lockstep, []
+
+    def spy(arr, rows, draws, ptr, spent, avail):
+        assert draws.shape[1] == width
+        out = walk(arr, rows, draws, ptr, spent, avail)
+        ptrs.append(ptr.copy())
+        return out
+
+    monkeypatch.setattr(batched, "_walk_lockstep", spy)
+    values, _, _, _ = batched.batched_runs(plan, tables, rules, 3, 300)
+    assert [p.tolist() for p in ptrs] == [[d] * 300 for d in (3, 8, 17, 20)]
+    assert values.tobytes() == policies._scalar_runs(plan, tables, rules, 3, 300)[0].tobytes()
 
 
 def test_step_tables_are_built_once_per_solution_and_arm():
@@ -1145,8 +1212,9 @@ def test_mc_prefix_across_chunk_and_dispatch():
     # constant, and within and past one chunk of the batched runner
     inst = as_concave(gen_random_suite(GeneratorSpec(family="random-beta", count=1, seed=4, budget_cap=5))[0], 1.0, 0.25)
     sol, plan = _pipeline(inst)
-    long = monte_carlo_evaluate(inst, plan, sol, reps=batched._CHUNK + 1, seed=11)
-    for k in (1, policies._BATCH_MIN_REPS - 1, policies._BATCH_MIN_REPS, batched._CHUNK):
+    chunk = policies._CHUNK // policies._draw_width(plan, policies._tables(inst, sol))  # windows per chunk
+    long = monte_carlo_evaluate(inst, plan, sol, reps=chunk + 1, seed=11)
+    for k in (1, policies._BATCH_MIN_REPS - 1, policies._BATCH_MIN_REPS, chunk):
         short = monte_carlo_evaluate(inst, plan, sol, reps=k, seed=11)
         assert short.values.tobytes() == long.values[:k].tobytes(), k
 
@@ -1169,24 +1237,24 @@ def test_numpy_integer_seeds_match_python_seeds():
 
 
 def test_batched_memory_is_bounded_by_the_chunk():
-    # a 1e5-rep call on the 7x4 ladder: its outputs take 1.8 MB and one chunk
-    # of scratch about 5 MB; without chunks the peak was 118 MB
+    # A 1e5-rep call on the 7x4 ladder (W = 64 draws): its outputs take
+    # 1.8 MB and one chunk of scratch about 5 MB; without chunks the peak was
+    # 118 MB.  On the 30x8 ladder W = 510 draws, rounded up to 512: a chunk of
+    # 4096 rows would hold 16 MB of draws, so chunks are sized by draws.
     import tracemalloc
 
-    arms = tuple(
-        build_beta_bernoulli_arm(1 + i % 3, 1 + (i * 7) % 3, 4, play_cost=1, switch_cost=i % 2, arm_id=f"a{i}")
-        for i in range(7)
-    )
-    inst = BanditInstance(arms=arms, budget=14.0, objective=Objective("budgeted"))
-    sol, plan = _pipeline(inst)
-    tracemalloc.start()
-    try:
-        mc = monte_carlo_evaluate(inst, plan, sol, reps=100_000, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert mc.violations == []
-    assert peak < 12 * 2**20
+    for n, d, reps, width in ((7, 4, 100_000, 64), (30, 8, 5000, 512)):
+        inst = _ladder(n, d)
+        sol, plan = _pipeline(inst)
+        assert policies._draw_width(plan, policies._tables(inst, sol)) == width
+        tracemalloc.start()
+        try:
+            mc = monte_carlo_evaluate(inst, plan, sol, reps=reps, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mc.violations == []
+        assert peak < 12 * 2**20, (n, d)
 
 
 # ---------------------------------------------------------------------------
