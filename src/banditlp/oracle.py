@@ -173,7 +173,7 @@ def dp_optimal(
         (codes, budget, last, key) missing from the memo and is sent its
         value, so the loop below walks the states in the order a
         recursion would, on its own stack."""
-        best = max(map(getitem, rewards, codes))
+        best = max(map(getitem, rewards, codes), default=0.0)  # 0 without arms
         action: tuple = ("stop",)
         for i, u in enumerate(codes):
             move = moves[i][u]
@@ -298,8 +298,10 @@ def enumerate_policy_statistics(
                 if action[0] == "stop":
                     if len(action) > 1 and action[1] is not None:
                         i = arm_index[action[1]]
-                    else:
+                    elif n:
                         i = max(range(n), key=lambda k: (arms[k].states[joint.states[k]].reward, -k))
+                    else:
+                        continue  # no arm to exploit: the run ends worth 0
                     sid = joint.states[i]
                     x[(arms[i].arm_id, sid)] += mass
                     expected_reward += mass * arms[i].states[sid].reward

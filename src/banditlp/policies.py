@@ -339,13 +339,15 @@ def _affordable_first_play(instance: BanditInstance, budget: float) -> bool:
     return False
 
 
-def _argmax_root(instance: BanditInstance) -> tuple[str, str, float]:
+def _argmax_root(instance: BanditInstance) -> tuple[str | None, str | None, float]:
+    """The best prior mean as (arm id, root, reward), the first arm on a tie;
+    (None, None, 0.0) without arms, where nothing is exploited."""
     best = None
     for arm in instance.arms:
         r = arm.states[arm.root].reward
         if best is None or r > best[2]:
             best = (arm.arm_id, arm.root, r)
-    return best
+    return (None, None, 0.0) if best is None else best
 
 
 def prior_best_value(instance: BanditInstance) -> tuple[str, float]:
@@ -592,9 +594,9 @@ def _execute(instance, plan, solution, rng_seed, rule="order") -> ExecutionTrace
         trace.exploited = (ax.arm_id, state)
         if level == 0:  # only a violate overshoot ends a run at a dead stop
             run.event(ax.arm_id, state, "budget-stop", 0.0, None)
-    elif plan.variant == "budgeted":
+    elif plan.variant == "budgeted" and instance.arms:
         # Out of arms (or none affordable): exploit the best final state, the
-        # first arm in instance order on a tie.
+        # first arm in instance order on a tie.  Without arms nothing is.
         final = {ax.arm_id: state for ax, state, _ in walked}
         arm = max(instance.arms, key=lambda a: a.states[final.get(a.arm_id, a.root)].reward)
         trace.exploited = (arm.arm_id, final.get(arm.arm_id, arm.root))

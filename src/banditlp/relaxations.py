@@ -489,32 +489,34 @@ class _Master:
     a_k <= b, theta >= 0, by a revised simplex whose basis is kept from one
     cut to the next.
 
-    B^-1 is m x m plain floats (m <= 3 rows), updated by each pivot's
-    elimination with the entering column d = B^-1 a_j; the start is the
-    slack basis, with an artificial column -e_i instead of the slack in a
-    row whose b_i is negative.  The pivot rules
-    are `lp._simplex`'s, with its tolerances: Dantzig's entering rule, ties
-    to the lowest column, the smallest basic index leaving on a ratio tie,
-    and Bland's rule after `_DEGENERATE_STREAK` degenerate pivots until the
+    B^-1 is m x m plain floats (m = 2 rows when Lagrangean, else 3), updated
+    by each pivot's elimination with the entering column d = B^-1 a_j; the
+    start is the slack basis, with an artificial column -e_i instead of the
+    slack in a row whose b_i is negative.  The pivot rules are
+    `lp._simplex`'s, with its tolerances: Dantzig's entering rule, ties to
+    the lowest column, the smallest basic index leaving on a ratio tie, and
+    Bland's rule after `_DEGENERATE_STREAK` degenerate pivots until the
     objective moves again.  Columns rank as in its tableau: the cuts in the
     order they came, then the slacks, then the artificials, each by row.  A
     basis entry is a cut's index k, or -1 - i for row i's slack and
     -1 - m - i for its artificial, so (entry < 0, |entry|) is the rank.
+
+    A pass costs its arithmetic: pi, the cuts' reduced costs and the
+    entering column are dot products written out for 2 and 3 rows as
+    0 + a_0 b_0 + a_1 b_1 [+ a_2 b_2], the order `sum` adds in, and a slack
+    or an artificial is priced and entered by reading pi and B^-1 at its row.
     """
 
     def __init__(self, rhs: list[float]):
         m = len(rhs)
-
-        def unit(i: int, v: float) -> tuple[float, ...]:
-            return tuple(v if k == i else 0.0 for k in range(m))
-
         self.rhs = rhs
         self.cuts: list[tuple[float, ...]] = []  # cut k's column
         self.rewards: list[float] = []  # and its R_k
-        self.slacks = [unit(i, 1.0) for i in range(m)]
-        self.artificials = {i: unit(i, -1.0) for i, b in enumerate(rhs) if b < 0.0}
-        self.basis = [-1 - m - i if i in self.artificials else -1 - i for i in range(m)]
-        self.inv = [list(unit(i, -1.0 if i in self.artificials else 1.0)) for i in range(m)]
+        self.artificials = [i for i, b in enumerate(rhs) if b < 0.0]  # the rows that start on one
+        self.basis = [-1 - m - i if b < 0.0 else -1 - i for i, b in enumerate(rhs)]
+        self.inv = [[0.0] * m for _ in rhs]
+        for i, b in enumerate(rhs):
+            self.inv[i][i] = -1.0 if b < 0.0 else 1.0
         self.x = [abs(b) for b in rhs]  # the basic values, B^-1 b
         self.duals = [0.0] * m  # pi = c_B B^-1 at the last optimum, clamped at 0
         self.pivots = self.bland_pivots = 0
@@ -538,9 +540,11 @@ class _Master:
                 raise ValueError("relaxation LP is infeasible")
             for r in range(m):
                 if self.basis[r] < -m:
-                    row = self.inv[r]
-                    j, a = next((j, a) for j, _, a in self._priced(False) if abs(sum(map(mul, row, a))) > _PIVOT_EPS)
-                    self._pivot(r, j, self._ftran(a))
+                    for j in [*range(len(self.cuts)), *range(-1, -1 - m, -1)]:
+                        d = self._column(j)
+                        if abs(d[r]) > _PIVOT_EPS:
+                            self._pivot(r, j, d)
+                            break
         self._optimise(phase1=False)
         self.duals = [max(v, 0.0) for v in self.duals]
 
@@ -557,45 +561,86 @@ class _Master:
     def value(self) -> float:
         return sum(map(mul, self.theta, self.rewards))
 
-    def _priced(self, phase1: bool) -> list[tuple[int, float, tuple[float, ...]]]:
-        """The columns that may enter as (basis entry, profit, column),
-        lowest rank first: a cut's profit is its reward in phase 2, an
-        artificial's -1 in phase 1, every other 0."""
-        m = len(self.rhs)
-        cols = [(k, 0.0 if phase1 else r, a) for k, (r, a) in enumerate(zip(self.rewards, self.cuts))]
-        cols += [(-1 - i, 0.0, a) for i, a in enumerate(self.slacks)]
-        if phase1:
-            cols += [(-1 - m - i, -1.0, a) for i, a in self.artificials.items()]
-        return cols
-
-    def _ftran(self, column: tuple[float, ...]) -> list[float]:
-        return [sum(map(mul, row, column)) for row in self.inv]
+    def _column(self, j: int) -> list[float]:
+        """d = B^-1 a_j for the basis entry j.  For a slack or an artificial,
+        +-e_i, it is column i of B^-1: the dot product's other terms are
+        zeros, which change only the sign of a zero d_r, and no pivot reads
+        that."""
+        inv = self.inv
+        if j >= 0:
+            if len(inv) == 3:
+                a0, a1, a2 = self.cuts[j]
+                return [0.0 + r0 * a0 + r1 * a1 + r2 * a2 for r0, r1, r2 in inv]
+            a0, a1 = self.cuts[j]
+            return [0.0 + r0 * a0 + r1 * a1 for r0, r1 in inv]
+        m = len(inv)
+        if j >= -m:
+            return [row[-1 - j] for row in inv]
+        return [-row[-1 - m - j] for row in inv]
 
     def _optimise(self, phase1: bool) -> None:
-        x, basis = self.x, self.basis
-        priced = self._priced(phase1)
-        profit = {j: c for j, c, _ in priced}
+        """Pivot to the optimum of the phase: phase 2 prices a cut at its
+        reward, phase 1 at 0 and an artificial at -1; a slack is priced 0."""
+        x, basis, inv, cuts = self.x, self.basis, self.inv, self.cuts
+        m = len(x)
+        three = m == 3
+        profits = [0.0] * len(cuts) if phase1 else self.rewards
         degenerate, bland = 0, False
         while True:
-            cb = [profit[j] for j in basis]
-            pi = [sum(map(mul, cb, col)) for col in zip(*self.inv)]
+            cb = [profits[j] if j >= 0 else -1.0 if j < -m else 0.0 for j in basis]
+            if three:
+                (c0, c1, c2), (r0, r1, r2) = cb, inv
+                p0 = 0.0 + c0 * r0[0] + c1 * r1[0] + c2 * r2[0]
+                p1 = 0.0 + c0 * r0[1] + c1 * r1[1] + c2 * r2[1]
+                p2 = 0.0 + c0 * r0[2] + c1 * r1[2] + c2 * r2[2]
+                pi = [p0, p1, p2]
+            else:
+                (c0, c1), (r0, r1) = cb, inv
+                p0 = 0.0 + c0 * r0[0] + c1 * r1[0]
+                p1 = 0.0 + c0 * r0[1] + c1 * r1[1]
+                pi = [p0, p1]
+            # Dantzig's rule over the cuts, then the slacks (reduced cost -pi_i)
+            # and in phase 1 the artificials (pi_i - 1); Bland's takes the first
             enter, best = None, _OPT_EPS
-            for j, c, a in priced:
-                reduced = c - sum(map(mul, pi, a))
-                if reduced > best:
-                    enter, best, column = j, reduced, a
-                    if bland:
-                        break
+            if three:
+                for k, (c, (a0, a1, a2)) in enumerate(zip(profits, cuts)):
+                    reduced = c - (0.0 + p0 * a0 + p1 * a1 + p2 * a2)
+                    if reduced > best:
+                        enter, best = k, reduced
+                        if bland:
+                            break
+            else:
+                for k, (c, (a0, a1)) in enumerate(zip(profits, cuts)):
+                    reduced = c - (0.0 + p0 * a0 + p1 * a1)
+                    if reduced > best:
+                        enter, best = k, reduced
+                        if bland:
+                            break
+            if enter is None or not bland:
+                for i, p in enumerate(pi):
+                    if -p > best:
+                        enter, best = -1 - i, -p
+                        if bland:
+                            break
+                else:  # unless Bland's rule took a slack
+                    for i in self.artificials if phase1 else ():
+                        if pi[i] - 1.0 > best:
+                            enter, best = -1 - m - i, pi[i] - 1.0
+                            if bland:
+                                break
             if enter is None:
                 self.duals = pi
                 return
-            d = self._ftran(column)
-            rows_in = [r for r, v in enumerate(d) if v > _PIVOT_EPS]
-            if not rows_in:
+            d = self._column(enter)
+            leave, step = None, 0.0
+            for r, v in enumerate(d):
+                if v > _PIVOT_EPS and (leave is None or x[r] / v < step):
+                    leave, step = r, x[r] / v
+            if leave is None:
                 raise LPSolverError("the decomposition's master is unbounded")
-            step = min(x[r] / d[r] for r in rows_in)
-            ties = [r for r in rows_in if x[r] / d[r] <= step + _TIE_EPS]
-            leave = min(ties, key=lambda r: (basis[r] < 0, abs(basis[r])))
+            ties = [r for r, v in enumerate(d) if v > _PIVOT_EPS and x[r] / v <= step + _TIE_EPS]
+            if len(ties) > 1:
+                leave = min(ties, key=lambda r: (basis[r] < 0, abs(basis[r])))
             if bland:
                 self.bland_pivots += 1
             if step <= _PIVOT_EPS:
@@ -608,12 +653,23 @@ class _Master:
     def _pivot(self, r: int, j: int, d: list[float]) -> None:
         """Column j, whose B^-1 a_j is d, enters in row r."""
         inv, x = self.inv, self.x
-        inv[r] = row = [v / d[r] for v in inv[r]]
-        x[r] = xr = x[r] / d[r]
-        for i, f in enumerate(d):
-            if i != r and f != 0.0:
-                inv[i] = [a - f * b for a, b in zip(inv[i], row)]
-                x[i] -= f * xr
+        dr = d[r]
+        inv[r] = row = [v / dr for v in inv[r]]
+        x[r] = xr = x[r] / dr
+        if len(row) == 3:
+            b0, b1, b2 = row
+            for i, f in enumerate(d):
+                if i != r and f != 0.0:
+                    a0, a1, a2 = inv[i]
+                    inv[i] = [a0 - f * b0, a1 - f * b1, a2 - f * b2]
+                    x[i] -= f * xr
+        else:
+            b0, b1 = row
+            for i, f in enumerate(d):
+                if i != r and f != 0.0:
+                    a0, a1 = inv[i]
+                    inv[i] = [a0 - f * b0, a1 - f * b1]
+                    x[i] -= f * xr
         self.basis[r] = j
         self.pivots += 1
 
@@ -669,11 +725,18 @@ def _recover(
     gap: float,
 ) -> RelaxationSolution:
     """The mixture sum_k theta_k * occupancy_k of the cuts, cleaned state by
-    state; the rest of the mass does nothing."""
-    sizes = [len(keys) for keys in arms.keys]
-    w = [[0.0] * n for n in sizes]
-    z = [[0.0] * n for n in sizes]
-    x = [[[0.0] * ((grid or 1) + 1) for _ in range(n)] for n in sizes]  # levels 0..L
+    state; the rest of the mass does nothing.
+
+    Only the states that some cut with theta > 0 reached carry mass and are
+    cleaned; every other one is w = z = 0 with the one zero tuple of exploit
+    masses, which is what cleaning its zeros gives.  A state's list of
+    exploit masses is made when the first exploit lands there.
+    """
+    levels = (grid or 1) + 1  # levels 0..L
+    first = arms.first_level
+    w = [[0.0] * len(keys) for keys in arms.keys]
+    z = [[0.0] * len(keys) for keys in arms.keys]
+    x: list[list[list[float] | None]] = [[None] * len(keys) for keys in arms.keys]
     for (act, reached, _), t in zip(cuts, master.theta):
         if t == 0.0:
             continue
@@ -684,14 +747,23 @@ def _recover(
             if a == _PLAY:
                 z[i][u] += mass
             elif a != _STOP:
-                x[i][u][a + arms.first_level] += mass
+                masses = x[i][u]
+                if masses is None:
+                    x[i][u] = masses = [0.0] * levels
+                masses[a + first] += mass
+    zeros = (0.0,) * levels
     ws: dict[tuple[str, str], float] = {}
     xs: dict[tuple[str, str], tuple[float, ...]] = {}
     zs: dict[tuple[str, str], float] = {}
     for keys, wi, zi, xi in zip(arms.keys, w, z, x):
-        for u, key in enumerate(keys):
-            ws[key] = wv = 1.0 if u == 0 else min(wi[u], 1.0)
-            zs[key], xs[key] = _clean_state(key, wv, zi[u], xi[u])
+        wi[0] = 1.0  # a root is reached with certainty, by cuts or by doing nothing
+        for key, wv, zv, masses in zip(keys, wi, zi, xi):
+            if wv == 0.0:
+                ws[key] = zs[key] = 0.0
+                xs[key] = zeros
+            else:
+                ws[key] = wv = min(wv, 1.0)
+                zs[key], xs[key] = _clean_state(key, wv, zv, zeros if masses is None else masses)
     return RelaxationSolution(
         master.value, ws, xs, zs, grid, cuts=len(cuts), duality_gap=gap,
         master_pivots=master.pivots, master_bland_pivots=master.bland_pivots,

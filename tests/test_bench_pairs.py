@@ -1,0 +1,50 @@
+"""The paired-benchmark summary of `tools/bench_pairs.py`, on fixed numbers."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location("bench_pairs", Path(__file__).parents[1] / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "instances_per_s", "better": "higher"}, {"name": "peak_rss_mb", "better": "lower"}]
+
+
+def _pairs(parent, change, name="instances_per_s"):
+    return [{"parent": {name: p}, "change": {name: c}} for p, c in zip(parent, change)]
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("9101-9103,9200") == [9101, 9102, 9103, 9200]
+    assert bench_pairs.parse_seeds("7") == [7]
+
+
+def test_quartiles_interpolate_between_order_statistics():
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0, 5.0]) == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0]) == {"q1": 1.75, "median": 2.5, "q3": 3.25}
+    assert bench_pairs.quartiles([6.0]) == {"q1": 6.0, "median": 6.0, "q3": 6.0}
+
+
+def test_summary_counts_wins_in_the_metric_direction_and_ties_for_neither():
+    pairs = _pairs([100.0, 110.0, 90.0, 105.0, 95.0], [120.0, 110.0, 80.0, 130.0, 125.0])
+    s = bench_pairs.summarize(pairs, METRICS)
+    assert list(s) == ["instances_per_s"]  # no pair has the RSS
+    s = s["instances_per_s"]
+    assert (s["wins"], s["losses"], s["pairs"]) == (3, 1, 5)
+    assert s["parent"] == {"q1": 95.0, "median": 100.0, "q3": 105.0}
+    assert s["change"] == {"q1": 110.0, "median": 120.0, "q3": 125.0}
+    assert s["median_change_pct"] == pytest.approx(20.0)
+    assert s["parent_iqr"] == 10.0 and s["beyond_parent_iqr"]
+
+    rss = bench_pairs.summarize(_pairs([40.0, 41.0, 42.0], [40.5, 40.0, 42.0], "peak_rss_mb"), METRICS)["peak_rss_mb"]
+    assert (rss["wins"], rss["losses"]) == (1, 1)  # lower is better; the tie counts for neither
+    assert rss["parent_iqr"] == 1.0 and not rss["beyond_parent_iqr"]
+
+
+def test_a_gain_within_the_parent_spread_or_the_wrong_way_is_not_beyond_it():
+    within = bench_pairs.summarize(_pairs([90.0, 100.0, 110.0], [95.0, 105.0, 115.0]), METRICS)["instances_per_s"]
+    assert within["wins"] == 3 and within["parent_iqr"] == 10.0 and not within["beyond_parent_iqr"]
+    worse = bench_pairs.summarize(_pairs([100.0, 100.0, 100.0], [50.0, 50.0, 50.0]), METRICS)["instances_per_s"]
+    assert worse["losses"] == 3 and not worse["beyond_parent_iqr"]

@@ -4,6 +4,7 @@ relations, on random small instances of all three variants."""
 import contextlib
 import dataclasses
 import math
+import sys
 from operator import mul
 from unittest import mock
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import banditlp.lp as lp_module
 import banditlp.relaxations as relaxations
+import reference_decomposition as reference
 from banditlp.bench import GeneratorSpec, as_concave, as_lagrangean, gen_integrality_gap, gen_random_suite
 from banditlp.lp import _OPT_EPS, LPSolverError, _simplex, check_feasibility, objective_value, solve_lp
 from banditlp.relaxations import (
@@ -338,3 +340,112 @@ def test_degenerate_masters_terminate_at_the_tableau_optimum(monkeypatch, rhs, c
         master.add_cut(column, reward)
         _check_master(master)
     assert master.bland_pivots == (bland_pivots if streak == 1 else 0)
+
+
+# ---------------------------------------------------------------------------
+# The master and the recovery against their reference twins, bit for bit
+
+bitwise = pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="from Python 3.12 on, sum() of floats compensates its rounding, so the "
+    "reference's sums may differ in the last bit from the library's written-out ones",
+)
+
+
+def _streak(value):
+    """Both masters' degenerate streak at value (None: the default)."""
+    value = relaxations._DEGENERATE_STREAK if value is None else value
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(relaxations, "_DEGENERATE_STREAK", value))
+    stack.enter_context(mock.patch.object(reference, "_DEGENERATE_STREAK", value))
+    return stack
+
+
+def _outcome(call):
+    """repr of what the call returns, or of the error it raises."""
+    try:
+        return repr(call())
+    except (ValueError, LPSolverError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _master_state(master):
+    return repr(
+        (master.duals, master.theta, master.value, master.pivots, master.bland_pivots, master.basis, master.x)
+    )
+
+
+# a column entry: a quarter integer, so that duplicates and ties are common,
+# or any float in the same range, so that pivots round
+_entries = st.one_of(_quarters, st.floats(-2.0, 4.0))
+
+
+@bitwise
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0, None]),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.lists(st.tuples(_entries, _entries.map(abs), _entries), min_size=1, max_size=12).flatmap(
+        lambda cuts: st.lists(st.sampled_from(cuts), min_size=len(cuts), max_size=2 * len(cuts))
+    ),
+    st.sampled_from([1, None]),
+)
+def test_the_master_matches_its_reference_twin_bit_for_bit(budget, link_rhs, cuts, streak):
+    # 2 rows (budget None) and 3; negative, zero and positive budgets; cuts
+    # drawn again from their own list, so that duplicates are common; after
+    # every cut the same duals, theta, value, pivots, Bland pivots, basis
+    # and basic values, down to repr, or the same error
+    rhs = [1.0] + ([] if budget is None else [budget]) + [link_rhs]
+    masters = relaxations._Master(list(rhs)), reference._Master(list(rhs))
+    with _streak(streak):
+        for cost, link, reward in cuts:
+            column = (1.0, link) if budget is None else (1.0, cost, link)
+            new, old = (_outcome(lambda: master.add_cut(column, reward)) for master in masters)
+            assert new == old
+            assert _master_state(masters[0]) == _master_state(masters[1])
+
+
+def _solve_twice(inst, exploit_at_roots=True):
+    """The solve with the library's master and recovery, and with the
+    reference twins patched in: each as (outcome, the master's state after
+    every cut)."""
+    runs = []
+    for master, recover in ((relaxations._Master, relaxations._recover), (reference._Master, reference._recover)):
+        states = []
+        add_cut = master.add_cut
+
+        def recording(m, column, reward, add_cut=add_cut, states=states):
+            try:
+                add_cut(m, column, reward)
+            finally:
+                states.append(_master_state(m))
+
+        with mock.patch.object(master, "add_cut", recording), mock.patch.object(relaxations, "_Master", master):
+            with mock.patch.object(relaxations, "_recover", recover):
+                runs.append((_outcome(lambda: solve_relaxation(inst, exploit_at_roots)), states))
+    return runs
+
+
+@bitwise
+@settings(max_examples=80, deadline=None)
+@given(instances(), st.booleans(), st.sampled_from([None, 0.0, -1.0]), st.sampled_from([1, None]))
+def test_the_solve_matches_its_reference_twin_bit_for_bit(inst, exploit_at_roots, budget, streak):
+    # the same master after every cut and the same solution, down to repr:
+    # gamma*, w, x, z, cuts, pivots and the gap
+    if budget is not None and inst.objective.kind != "lagrangean":
+        inst = dataclasses.replace(inst, budget=budget)
+    with _streak(streak):
+        new, old = _solve_twice(inst, exploit_at_roots)
+    assert new == old
+
+
+@bitwise
+def test_the_acceptance_mix_solves_match_their_reference_twins():
+    # the gate's instance families in all three variants: masters whose
+    # columns come from real pricing, where the written-out sums round
+    suite = gen_random_suite(GeneratorSpec(family="random-two-level", count=40, seed=101, budget_cap=5))
+    suite += gen_random_suite(GeneratorSpec(family="random-beta", count=40, seed=202, budget_cap=5))
+    for inst in suite:
+        for variant in (inst, as_lagrangean(_scaled(inst, cost=0.1)), as_concave(inst, 2.0, 0.5)):
+            new, old = _solve_twice(variant)
+            assert new == old

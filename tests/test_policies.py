@@ -1349,3 +1349,37 @@ def test_nonadaptive_rejects_multilevel():
     sol = solve_relaxation(inst)
     with pytest.raises(ValueError):
         nonadaptive_two_level(inst, sol)
+
+
+@pytest.mark.parametrize("kind", ["budgeted", "lagrangean"])
+def test_an_armless_instance_is_worth_zero(monkeypatch, kind):
+    # no arm: nothing to play or exploit, so every evaluator, trace and the
+    # oracle value the instance at 0 instead of failing on an empty argmax
+    from banditlp import oracle
+
+    inst = BanditInstance(arms=(), budget=1.0 if kind == "budgeted" else None, objective=Objective(kind))
+    solution, plan = _pipeline(inst)
+    assert solution.gamma_star == 0.0 and plan.order == ()
+    assert evaluate_plan_exact(inst, plan, solution) == (0.0, 0.0)
+    runners = []
+    batched_runs = batched.batched_runs
+    monkeypatch.setattr(batched, "batched_runs", lambda *a: runners.append("batched") or batched_runs(*a))
+    rules = ["order", "violate"] if kind == "budgeted" else ["order"]
+    for reps in (4, 300):  # the scalar loop and the batched runner
+        for rule in rules:
+            report = monte_carlo_evaluate(inst, plan, solution, reps, 7, rule=rule)
+            assert report.mean == 0.0 and report.max_cost == 0.0 and not report.violations
+            assert report.values.tolist() == [0.0] * reps
+    assert runners == ["batched"] * len(rules)
+    executors = [execute_greedy_order, execute_greedy_violate] if kind == "budgeted" else [execute_lagrangean_greedy]
+    for execute in executors:
+        trace = execute(inst, plan, solution, 7)
+        assert (trace.value, trace.total_cost, trace.exploited, trace.events) == (0.0, 0.0, None, [])
+        assert verify_trace(trace, inst, plan, "violate" if execute is execute_greedy_violate else "order") == []
+    opt, table = oracle.dp_optimal(inst)
+    assert opt == 0.0
+    assert oracle.enumerate_policy_statistics(inst, table).expected_reward == 0.0
+    if kind == "budgeted":
+        process = policies.GreedyOrderProcess(inst, plan, solution)
+        assert oracle.enumerate_policy_statistics(inst, process).expected_reward == 0.0
+    assert policies.prior_best_value(inst) == (None, 0.0)
