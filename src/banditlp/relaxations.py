@@ -40,14 +40,18 @@ side, and lambda' = lambda, or 1 for Lagrangean plays, which pay c_u itself
   master).  `_Master` is a revised simplex on at most three rows, created
   once per solve: each cut appends one column and re-optimises from the
   last optimal basis, which stays primal feasible, so a cut costs a pivot or
-  two on a 3x3 basis inverse.  Doing nothing is the slack of the first row,
+  two on a 3x3 basis inverse.  Each pass is that arithmetic and no more:
+  pi, one dot product per cut for its reduced cost and the entering column,
+  each written out for the 2 or 3 rows, then the ratio test and the
+  elimination.  Doing nothing is the slack of the first row,
   so with B >= 0 the slack basis is feasible; a negative B starts the cost
   row on an artificial, and the first cut, the cheapest policy, goes
   through a phase 1.  Its row duals pi = c_B B^-1 are the next (lambda, mu).
 * Stop and recover: once g(lambda, mu) - master <= GAP_TOL * (1 + |master|),
   the master's optimum is gamma* and the mixture sum theta_k occupancy_k an
-  optimal LP point, written into `RelaxationSolution` by (arm, state).  The
-  final gap is the solution's certificate, `duality_gap`.
+  optimal LP point, written into `RelaxationSolution` by (arm, state).  Only
+  the states that a cut with theta_k > 0 reached are cleaned; the rest are
+  0.  The final gap is the solution's certificate, `duality_gap`.
 """
 
 from __future__ import annotations
