@@ -507,8 +507,9 @@ class _Master:
 
     A pass costs its arithmetic: pi, the cuts' reduced costs and the
     entering column are dot products written out for 2 and 3 rows as
-    0 + a_0 b_0 + a_1 b_1 [+ a_2 b_2], the order `sum` adds in, and a slack
-    or an artificial is priced and entered by reading pi and B^-1 at its row.
+    0 + a_0 b_0 + a_1 b_1 [+ a_2 b_2], left to right as `sum` adds up to
+    Python 3.11 (3.12 compensates), and a slack or an artificial is priced
+    and entered by reading pi and B^-1 at its row.
     """
 
     def __init__(self, rhs: list[float]):
