@@ -350,8 +350,9 @@ def _argmax_root(instance: BanditInstance) -> tuple[str | None, str | None, floa
     return (None, None, 0.0) if best is None else best
 
 
-def prior_best_value(instance: BanditInstance) -> tuple[str, float]:
-    """Naive no-exploration comparator: pick the best prior mean outright."""
+def prior_best_value(instance: BanditInstance) -> tuple[str | None, float]:
+    """Naive no-exploration comparator: pick the best prior mean outright.
+    An instance without arms gives (None, 0.0)."""
     arm_id, _, r = _argmax_root(instance)
     return arm_id, r
 

@@ -507,9 +507,11 @@ class _Master:
 
     A pass costs its arithmetic: pi, the cuts' reduced costs and the
     entering column are dot products written out for 2 and 3 rows as
-    0 + a_0 b_0 + a_1 b_1 [+ a_2 b_2], left to right as `sum` adds up to
-    Python 3.11 (3.12 compensates), and a slack or an artificial is priced
-    and entered by reading pi and B^-1 at its row.
+    0 + a_0 b_0 + a_1 b_1 [+ a_2 b_2], and a slack or an artificial is
+    priced and entered by reading pi and B^-1 at its row.  Every sum here,
+    the value and phase 1's leftover included, adds left to right from 0:
+    the same bits on every Python version, and the bits of `sum`, which
+    adds floats that way up to Python 3.11 (3.12 compensates its rounding).
     """
 
     def __init__(self, rhs: list[float]):
@@ -540,7 +542,10 @@ class _Master:
         m = len(self.rhs)
         if min(self.basis) < -m:
             self._optimise(phase1=True)
-            rest = sum(v for j, v in zip(self.basis, self.x) if j < -m)
+            rest = 0.0  # the basic artificials' total
+            for j, v in zip(self.basis, self.x):
+                if j < -m:
+                    rest += v
             if rest > _INFEASIBLE_EPS * (1.0 + max(map(abs, self.rhs))):
                 raise ValueError("relaxation LP is infeasible")
             for r in range(m):
@@ -564,7 +569,11 @@ class _Master:
 
     @property
     def value(self) -> float:
-        return sum(map(mul, self.theta, self.rewards))
+        """sum_k theta_k R_k, added left to right."""
+        value = 0.0
+        for t, r in zip(self.theta, self.rewards):
+            value += t * r
+        return value
 
     def _column(self, j: int) -> list[float]:
         """d = B^-1 a_j for the basis entry j.  For a slack or an artificial,
@@ -658,23 +667,12 @@ class _Master:
     def _pivot(self, r: int, j: int, d: list[float]) -> None:
         """Column j, whose B^-1 a_j is d, enters in row r."""
         inv, x = self.inv, self.x
-        dr = d[r]
-        inv[r] = row = [v / dr for v in inv[r]]
-        x[r] = xr = x[r] / dr
-        if len(row) == 3:
-            b0, b1, b2 = row
-            for i, f in enumerate(d):
-                if i != r and f != 0.0:
-                    a0, a1, a2 = inv[i]
-                    inv[i] = [a0 - f * b0, a1 - f * b1, a2 - f * b2]
-                    x[i] -= f * xr
-        else:
-            b0, b1 = row
-            for i, f in enumerate(d):
-                if i != r and f != 0.0:
-                    a0, a1 = inv[i]
-                    inv[i] = [a0 - f * b0, a1 - f * b1]
-                    x[i] -= f * xr
+        inv[r] = row = [v / d[r] for v in inv[r]]
+        x[r] = xr = x[r] / d[r]
+        for i, f in enumerate(d):
+            if i != r and f != 0.0:
+                inv[i] = [a - f * b for a, b in zip(inv[i], row)]
+                x[i] -= f * xr
         self.basis[r] = j
         self.pivots += 1
 

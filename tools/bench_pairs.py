@@ -3,16 +3,16 @@
 
     python3 tools/bench_pairs.py --parent HEAD~1 --workload suite --seeds 9101-9110 --label solve
 
-Runs `pipebench/run.py --trace 0` once per seed on each side, from that
-side's own checkout: the parent revision, checked out as a temporary
-`git worktree` that is removed afterwards, and the working tree (or
-`--change REV`, checked out the same way).  `--parent-dir` and
-`--change-dir` name an existing checkout of the revision instead.  The
-sides alternate which runs first, parent first on the first seed, so that
-a drift of the machine hits both.  Every end-to-end metric that
-BENCHMARK.json lists is kept per pair, and `BENCH_<label>.json` gets each
-side's median and quartiles and the change's wins: the pairs in which the
-change is better in the metric's direction (a tie counts for neither).
+Runs `pipebench/run.py --trace 0` once per seed on each side, for
+BENCHMARK.json's run_seconds, from that side's own checkout: the parent
+revision, checked out as a temporary `git worktree` that is removed
+afterwards, and the working tree (or `--change REV`, checked out the same
+way).  The sides alternate which runs first, parent first on the first
+seed, so that a drift of the machine hits both.  `BENCH_<label>.json`
+records the commits that ran and, for every end-to-end metric that
+BENCHMARK.json lists, its value in each pair, each side's median and
+quartiles and the change's wins: the pairs in which the change is better
+in the metric's direction (a tie counts for neither).
 Standard library only.
 """
 
@@ -95,11 +95,11 @@ def _git(*args: str) -> str:
 
 
 @contextmanager
-def checkout(rev: str | None, given: str | None):
-    """A directory holding the revision: `given`, or the working tree when
-    rev is None, or else a temporary worktree removed on exit."""
-    if given or rev is None:
-        yield given or ROOT
+def checkout(rev: str | None):
+    """A directory holding the revision: the working tree when rev is None,
+    else a temporary worktree removed on exit."""
+    if rev is None:
+        yield ROOT
         return
     path = tempfile.mkdtemp(prefix="bench-pairs-")
     _git("worktree", "add", "--detach", path, rev)
@@ -113,22 +113,24 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, help="the parent revision")
     ap.add_argument("--change", help="the change's revision (default: the working tree)")
-    ap.add_argument("--parent-dir", help="an existing checkout of --parent to run instead of a worktree")
-    ap.add_argument("--change-dir", help="an existing checkout of --change to run instead of a worktree")
     ap.add_argument("--workload", nargs="+", required=True)
     ap.add_argument("--seeds", required=True, help="e.g. 9101-9110 or 9101,9105")
-    ap.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's run_seconds)")
     ap.add_argument("--label", required=True, help="the output is BENCH_<label>.json at the repository root")
     args = ap.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     seeds = parse_seeds(args.seeds)
+    if args.change:
+        change = _git("rev-parse", args.change)
+    else:
+        edited = " with uncommitted changes" if _git("status", "--porcelain", "--untracked-files=no") else ""
+        change = f"working tree on {_git('rev-parse', 'HEAD')}{edited}"
     record = {
         "label": args.label,
         "parent": _git("rev-parse", args.parent),
-        "change": _git("rev-parse", args.change) if args.change else f"working tree on {_git('rev-parse', 'HEAD')}",
+        "change": change,
         "seconds": seconds,
         "seeds": seeds,
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(), "python": platform.python_version()},
@@ -136,8 +138,8 @@ def main(argv=None) -> int:
     }
     with ExitStack() as stack:
         dirs = {
-            "parent": stack.enter_context(checkout(args.parent, args.parent_dir)),
-            "change": stack.enter_context(checkout(args.change, args.change_dir)),
+            "parent": stack.enter_context(checkout(args.parent)),
+            "change": stack.enter_context(checkout(args.change)),
         }
         for workload in args.workload:
             pairs = []
