@@ -6,8 +6,6 @@ simplex that reuses this module's pivot rules and tolerances by name).  This
 module is the model (`--dump-lp`, the HiGHS cross-checks,
 `check_feasibility`) and the tableau reference solver: `solve_lp` and its
 engine `_simplex`, the test oracle for the relaxations and for the master.
-`_simplex` also returns the row duals read from the final reduced costs: a
-``<=`` row's dual is the reduced cost of its slack column.
 
 The solver is a dense two-phase tableau simplex.  Entering columns follow
 Dantzig's rule until a streak of degenerate pivots, then Bland's rule until
@@ -215,7 +213,7 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
         if not fixed[i]:
             cost[col_of[i]] = -c  # maximize c.x  ==  minimize -c.y (constants aside)
 
-    status, y, _, pivots, bland_pivots = _simplex(rows, rhs, rels, cost)
+    status, y, pivots, bland_pivots = _simplex(rows, rhs, rels, cost)
     if status != "optimal":
         return LPSolutionRaw(status, {}, None, pivots, bland_pivots)
 
@@ -242,16 +240,11 @@ def solve_lp(lp: LinearProgram, tol: float | None = None) -> LPSolutionRaw:
 
 def _simplex(
     rows: list[np.ndarray], rhs: list[float], rels: list[str], cost: np.ndarray
-) -> tuple[str, np.ndarray, np.ndarray, int, int]:
+) -> tuple[str, np.ndarray, int, int]:
     """Minimize cost . y over the rows, y >= 0.
 
-    Returns the status, y (zeros unless optimal), the row duals, the pivot
-    count and the Bland pivot count.  The duals are those of maximizing
-    -cost . y: a ``<=`` row's dual is the final reduced cost of its slack
-    column (non-negative at an optimum, and read the same way when the row
-    was negated for a negative right-hand side), and an ``==`` row's is NaN,
-    because its artificial column leaves the tableau after phase 1.  They are
-    NaN too unless the status is optimal.
+    Returns the status, y (zeros unless optimal), the pivot count and the
+    Bland pivot count.
     """
     n = cost.size
     b_scale = 1.0 + float(np.abs(rhs).max(initial=0.0))
@@ -354,13 +347,12 @@ def _simplex(
             pivot(r, j)
 
     y = np.zeros(n + n_slack)
-    duals = np.full(len(rows), np.nan)
     # Phase 1: drive out artificials.
     if n_art:
         status = run(c1, total)
         phase1 = -c1[-1]
         if status != "optimal" or phase1 > _INFEASIBLE_EPS * b_scale:
-            return "infeasible", y[:n], duals, pivots, bland_pivots
+            return "infeasible", y[:n], pivots, bland_pivots
         # Phase 2 never prices the artificials or reads c1: move the right-hand
         # side into the first artificial column and stop carrying the rest.
         k = n + n_slack
@@ -388,9 +380,7 @@ def _simplex(
     if status == "optimal":
         for r in range(m):
             y[basis[r]] = T[r, -1]
-        slack_rows = [r for r, rel in enumerate(rels) if rel == "<="]
-        duals[slack_rows] = c2[n : n + n_slack]
-    return status, y[:n], duals, pivots, bland_pivots
+    return status, y[:n], pivots, bland_pivots
 
 
 def format_lp(lp: LinearProgram) -> str:

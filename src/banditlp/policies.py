@@ -832,13 +832,15 @@ def evaluate_plan_exact(
 
     One forward pass convolves each arm's outcome distribution, in plan order,
     with a frontier of run states.  Plans with a budget (budgeted, bicriteria,
-    concave) need integer costs and budget, which is part of the state;
-    lagrangean plans accept any costs.  The concave pass raises RuntimeError
-    if a reachable run breaks the budget or packs more than 2B before halving.
+    concave) need integer costs, so that every remaining budget B - k, part
+    of the state, is exact in floats (B itself may be fractional, as alpha * C
+    often is); lagrangean plans accept any costs.  The concave pass raises
+    RuntimeError if a reachable run breaks the budget or packs more than 2B
+    before halving.
     """
     _check_rule(plan, rule)
-    if plan.budget is not None and not (instance.has_integer_costs() and float(plan.budget).is_integer()):
-        raise ValueError("exact evaluation under a budget requires integer costs and budget")
+    if plan.budget is not None and not instance.has_integer_costs():
+        raise ValueError("exact evaluation under a budget requires integer costs")
     tables = _tables(instance, solution)
     value, frontier, capped, after, finish = _RULES[plan.variant](instance, plan, solution, rule)
     cost = 0.0
@@ -881,11 +883,15 @@ class GreedyOrderProcess:
     table's pz, px and pn, with the budget gate and the argmax fallback
     mirrored from the executor.  The aux value is the index of the active arm
     in plan order (or "pre" before the affordability pre-check resolves).
+    The gate reads the joint state's remaining budget, which starts at the
+    instance's C, so a bicriteria plan (budget alpha * C) is refused.
     """
 
     def __init__(self, instance: BanditInstance, plan: GreedyPlan, solution: RelaxationSolution):
         if plan.variant != "budgeted":
             raise ValueError("only budgeted plans compile to a joint-state process")
+        if plan.alpha != 1.0:
+            raise ValueError("GreedyOrderProcess needs a plain budgeted plan (alpha 1)")
         self.instance = instance
         self.plan = plan
         self.tables = _tables(instance, solution)

@@ -43,10 +43,10 @@ side, and lambda' = lambda, or 1 for Lagrangean plays, which pay c_u itself
   two on a 3x3 basis inverse.  Each pass is that arithmetic and no more:
   pi, one dot product per cut for its reduced cost and the entering column,
   each written out for the 2 or 3 rows, then the ratio test and the
-  elimination.  Doing nothing is the slack of the first row,
-  so with B >= 0 the slack basis is feasible; a negative B starts the cost
-  row on an artificial, and the first cut, the cheapest policy, goes
-  through a phase 1.  Its row duals pi = c_B B^-1 are the next (lambda, mu).
+  elimination.  Doing nothing is the slack of the first row, and a budget
+  or capacity below 0 is rejected before the first cut, so the slack basis
+  is feasible and the master has no phase 1.  Its row duals pi = c_B B^-1
+  are the next (lambda, mu).
 * Stop and recover: once g(lambda, mu) - master <= GAP_TOL * (1 + |master|),
   the master's optimum is gamma* and the mixture sum theta_k occupancy_k an
   optimal LP point, written into `RelaxationSolution` by (arm, state).  Only
@@ -64,7 +64,6 @@ from operator import mul
 # pipebench's tracer wraps it here by name, with the builders and from_raw
 from .lp import (  # noqa: F401
     _DEGENERATE_STREAK,
-    _INFEASIBLE_EPS,
     _OPT_EPS,
     _PIVOT_EPS,
     _TIE_EPS,
@@ -310,7 +309,7 @@ class RelaxationSolution:
     grid: int | None = None
     cuts: int = 0  # policies the decomposition priced into its master
     duality_gap: float | None = None  # g(lambda, mu) - gamma*; None when read from a tableau point
-    master_pivots: int = 0  # the master's pivots over the solve, phase 1 and its basis repair included
+    master_pivots: int = 0  # the master's pivots over the solve
     master_bland_pivots: int = 0  # those whose entering column Bland's rule chose
 
     @classmethod
@@ -493,25 +492,25 @@ class _Master:
     a_k <= b, theta >= 0, by a revised simplex whose basis is kept from one
     cut to the next.
 
-    B^-1 is m x m plain floats (m = 2 rows when Lagrangean, else 3), updated
-    by each pivot's elimination with the entering column d = B^-1 a_j; the
-    start is the slack basis, with an artificial column -e_i instead of the
-    slack in a row whose b_i is negative.  The pivot rules are
-    `lp._simplex`'s, with its tolerances: Dantzig's entering rule, ties to
-    the lowest column, the smallest basic index leaving on a ratio tie, and
-    Bland's rule after `_DEGENERATE_STREAK` degenerate pivots until the
-    objective moves again.  Columns rank as in its tableau: the cuts in the
-    order they came, then the slacks, then the artificials, each by row.  A
-    basis entry is a cut's index k, or -1 - i for row i's slack and
-    -1 - m - i for its artificial, so (entry < 0, |entry|) is the rank.
+    Every b_i is non-negative (`solve_relaxation` rejects the rest), so the
+    slack basis is feasible and the master needs no phase 1.  B^-1 is m x m
+    plain floats (m = 2 rows when Lagrangean, else 3), updated by each
+    pivot's elimination with the entering column d = B^-1 a_j.  The pivot
+    rules are `lp._simplex`'s, with its tolerances: Dantzig's entering rule,
+    ties to the lowest column, the smallest basic index leaving on a ratio
+    tie, and Bland's rule after `_DEGENERATE_STREAK` degenerate pivots until
+    the objective moves again.  Columns rank as in its tableau: the cuts in
+    the order they came, then the slacks by row.  A basis entry is a cut's
+    index k, or -1 - i for row i's slack, so (entry < 0, |entry|) is the
+    rank.
 
     A pass costs its arithmetic: pi, the cuts' reduced costs and the
     entering column are dot products written out for 2 and 3 rows as
-    0 + a_0 b_0 + a_1 b_1 [+ a_2 b_2], and a slack or an artificial is
-    priced and entered by reading pi and B^-1 at its row.  Every sum here,
-    the value and phase 1's leftover included, adds left to right from 0:
-    the same bits on every Python version, and the bits of `sum`, which
-    adds floats that way up to Python 3.11 (3.12 compensates its rounding).
+    0 + a_0 b_0 + a_1 b_1 [+ a_2 b_2], and a slack is priced and entered by
+    reading pi and B^-1 at its row.  Every sum here, the value included,
+    adds left to right from 0: the same bits on every Python version, and
+    the bits of `sum`, which adds floats that way up to Python 3.11 (3.12
+    compensates its rounding).
     """
 
     def __init__(self, rhs: list[float]):
@@ -519,43 +518,18 @@ class _Master:
         self.rhs = rhs
         self.cuts: list[tuple[float, ...]] = []  # cut k's column
         self.rewards: list[float] = []  # and its R_k
-        self.artificials = [i for i, b in enumerate(rhs) if b < 0.0]  # the rows that start on one
-        self.basis = [-1 - m - i if b < 0.0 else -1 - i for i, b in enumerate(rhs)]
-        self.inv = [[0.0] * m for _ in rhs]
-        for i, b in enumerate(rhs):
-            self.inv[i][i] = -1.0 if b < 0.0 else 1.0
-        self.x = [abs(b) for b in rhs]  # the basic values, B^-1 b
+        self.basis = [-1 - i for i in range(m)]
+        self.inv = [[1.0 if k == i else 0.0 for k in range(m)] for i in range(m)]
+        self.x = [abs(b) for b in rhs]  # the basic values, B^-1 b; a b of -0.0 starts at 0.0
         self.duals = [0.0] * m  # pi = c_B B^-1 at the last optimum, clamped at 0
         self.pivots = self.bland_pivots = 0
 
     def add_cut(self, column: tuple[float, ...], reward: float) -> None:
-        """Append a cut's column and re-optimise from the current basis.
-
-        While an artificial is basic (the first cut under a negative
-        budget), phase 1 minimises the artificials, raises ValueError when
-        they stay positive and pivots any left at zero out of the basis on
-        the first column with a usable entry in its row, as `lp._simplex`
-        does.  The slack of the artificial's own row always has one.
-        """
+        """Append a cut's column and re-optimise from the current basis,
+        which stays primal feasible."""
         self.cuts.append(column)
         self.rewards.append(reward)
-        m = len(self.rhs)
-        if min(self.basis) < -m:
-            self._optimise(phase1=True)
-            rest = 0.0  # the basic artificials' total
-            for j, v in zip(self.basis, self.x):
-                if j < -m:
-                    rest += v
-            if rest > _INFEASIBLE_EPS * (1.0 + max(map(abs, self.rhs))):
-                raise ValueError("relaxation LP is infeasible")
-            for r in range(m):
-                if self.basis[r] < -m:
-                    for j in [*range(len(self.cuts)), *range(-1, -1 - m, -1)]:
-                        d = self._column(j)
-                        if abs(d[r]) > _PIVOT_EPS:
-                            self._pivot(r, j, d)
-                            break
-        self._optimise(phase1=False)
+        self._optimise()
         self.duals = [max(v, 0.0) for v in self.duals]
 
     @property
@@ -576,32 +550,25 @@ class _Master:
         return value
 
     def _column(self, j: int) -> list[float]:
-        """d = B^-1 a_j for the basis entry j.  For a slack or an artificial,
-        +-e_i, it is column i of B^-1: the dot product's other terms are
-        zeros, which change only the sign of a zero d_r, and no pivot reads
-        that."""
+        """d = B^-1 a_j for the basis entry j.  For a slack, e_i, it is
+        column i of B^-1: the dot product's other terms are zeros, which
+        change only the sign of a zero d_r, and no pivot reads that."""
         inv = self.inv
-        if j >= 0:
-            if len(inv) == 3:
-                a0, a1, a2 = self.cuts[j]
-                return [0.0 + r0 * a0 + r1 * a1 + r2 * a2 for r0, r1, r2 in inv]
-            a0, a1 = self.cuts[j]
-            return [0.0 + r0 * a0 + r1 * a1 for r0, r1 in inv]
-        m = len(inv)
-        if j >= -m:
+        if j < 0:
             return [row[-1 - j] for row in inv]
-        return [-row[-1 - m - j] for row in inv]
+        if len(inv) == 3:
+            a0, a1, a2 = self.cuts[j]
+            return [0.0 + r0 * a0 + r1 * a1 + r2 * a2 for r0, r1, r2 in inv]
+        a0, a1 = self.cuts[j]
+        return [0.0 + r0 * a0 + r1 * a1 for r0, r1 in inv]
 
-    def _optimise(self, phase1: bool) -> None:
-        """Pivot to the optimum of the phase: phase 2 prices a cut at its
-        reward, phase 1 at 0 and an artificial at -1; a slack is priced 0."""
-        x, basis, inv, cuts = self.x, self.basis, self.inv, self.cuts
-        m = len(x)
-        three = m == 3
-        profits = [0.0] * len(cuts) if phase1 else self.rewards
+    def _optimise(self) -> None:
+        """Pivot to the optimum: a cut is priced at its reward, a slack at 0."""
+        x, basis, inv, cuts, rewards = self.x, self.basis, self.inv, self.cuts, self.rewards
+        three = len(x) == 3
         degenerate, bland = 0, False
         while True:
-            cb = [profits[j] if j >= 0 else -1.0 if j < -m else 0.0 for j in basis]
+            cb = [rewards[j] if j >= 0 else 0.0 for j in basis]
             if three:
                 (c0, c1, c2), (r0, r1, r2) = cb, inv
                 p0 = 0.0 + c0 * r0[0] + c1 * r1[0] + c2 * r2[0]
@@ -613,18 +580,18 @@ class _Master:
                 p0 = 0.0 + c0 * r0[0] + c1 * r1[0]
                 p1 = 0.0 + c0 * r0[1] + c1 * r1[1]
                 pi = [p0, p1]
-            # Dantzig's rule over the cuts, then the slacks (reduced cost -pi_i)
-            # and in phase 1 the artificials (pi_i - 1); Bland's takes the first
+            # Dantzig's rule over the cuts, then the slacks (reduced cost
+            # -pi_i); Bland's takes the first
             enter, best = None, _OPT_EPS
             if three:
-                for k, (c, (a0, a1, a2)) in enumerate(zip(profits, cuts)):
+                for k, (c, (a0, a1, a2)) in enumerate(zip(rewards, cuts)):
                     reduced = c - (0.0 + p0 * a0 + p1 * a1 + p2 * a2)
                     if reduced > best:
                         enter, best = k, reduced
                         if bland:
                             break
             else:
-                for k, (c, (a0, a1)) in enumerate(zip(profits, cuts)):
+                for k, (c, (a0, a1)) in enumerate(zip(rewards, cuts)):
                     reduced = c - (0.0 + p0 * a0 + p1 * a1)
                     if reduced > best:
                         enter, best = k, reduced
@@ -636,12 +603,6 @@ class _Master:
                         enter, best = -1 - i, -p
                         if bland:
                             break
-                else:  # unless Bland's rule took a slack
-                    for i in self.artificials if phase1 else ():
-                        if pi[i] - 1.0 > best:
-                            enter, best = -1 - m - i, pi[i] - 1.0
-                            if bland:
-                                break
             if enter is None:
                 self.duals = pi
                 return
@@ -687,24 +648,20 @@ def solve_relaxation(instance: BanditInstance, exploit_at_roots: bool = True) ->
     drops the roots' exploit options from the pricing, which is the
     relaxation with root x fixed at 0 (`policies.nonadaptive_two_level`).
 
-    Raises ValueError("relaxation LP is infeasible") when no point meets the
-    budget, and LPSolverError when the gap is still open after CUT_LIMIT cuts.
+    Raises ValueError before the first cut when the budget or the concave
+    packing capacity B * L * (1 + eps) is negative (the paper's budget is
+    non-negative, and `validate_instance` flags one below 0), and
+    LPSolverError when the gap is still open after CUT_LIMIT cuts.
     """
     grid = _checked_grid(instance)
-    arms = _ArmStates(instance, grid, exploit_at_roots)
     lagrangean = instance.objective.kind == "lagrangean"
-    play_w = 1.0 if lagrangean else 0.0  # lagrangean plays pay their charge in the objective
     rhs = [1.0] + ([] if lagrangean else [float(instance.budget)]) + [_link_rhs(instance, grid)]
+    if min(rhs) < 0.0:
+        raise ValueError(f"relaxation needs a non-negative budget and capacity, got right-hand sides {rhs[1:]}")
+    arms = _ArmStates(instance, grid, exploit_at_roots)
+    play_w = 1.0 if lagrangean else 0.0  # lagrangean plays pay their charge in the objective
     cuts: list[tuple[list[list[int]], list[tuple[int, int, float]], float]] = []  # (actions, reached, R)
     master = _Master(rhs)
-
-    def add_cut(act: list[list[int]]) -> None:
-        reached, reward, cost, link = arms.occupancy(act, play_w)
-        cuts.append((act, reached, reward))
-        master.add_cut((1.0, link) if lagrangean else (1.0, cost, link), reward)
-
-    if not lagrangean and rhs[1] < 0.0:
-        add_cut(arms.price(0.0, 1.0, 0.0)[0])  # the cheapest policy: its phase 1 tells whether the LP is feasible
     gap = math.inf
     while True:
         duals = master.duals  # (pi_0, lambda, mu), lagrangean (pi_0, mu)
@@ -716,7 +673,9 @@ def solve_relaxation(instance: BanditInstance, exploit_at_roots: bool = True) ->
                 break
         if len(cuts) >= CUT_LIMIT:
             raise LPSolverError(f"decomposition gap {gap:.3g} still open after {CUT_LIMIT} cuts")
-        add_cut(act)
+        reached, reward, cost, link = arms.occupancy(act, play_w)
+        cuts.append((act, reached, reward))
+        master.add_cut((1.0, link) if lagrangean else (1.0, cost, link), reward)
     return _recover(arms, cuts, master, grid, gap)
 
 

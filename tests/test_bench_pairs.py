@@ -9,7 +9,10 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", Path(__file__).par
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "instances_per_s", "better": "higher"}, {"name": "peak_rss_mb", "better": "lower"}]
+METRICS = [
+    {"name": "instances_per_s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+]
 
 
 def _pairs(parent, change, name="instances_per_s"):
@@ -48,3 +51,18 @@ def test_a_gain_within_the_parent_spread_or_the_wrong_way_is_not_beyond_it():
     assert within["wins"] == 3 and within["parent_iqr"] == 10.0 and not within["beyond_parent_iqr"]
     worse = bench_pairs.summarize(_pairs([100.0, 100.0, 100.0], [50.0, 50.0, 50.0]), METRICS)["instances_per_s"]
     assert worse["losses"] == 3 and not worse["beyond_parent_iqr"]
+
+
+def test_a_median_at_the_bound_is_within_it_and_one_beyond_is_not():
+    # 25% fewer instances per second is at the bound, 26% beyond it
+    at = bench_pairs.summarize(_pairs([100.0, 100.0, 100.0], [75.0, 75.0, 75.0]), METRICS)["instances_per_s"]
+    assert at["within_bound"]
+    beyond = bench_pairs.summarize(_pairs([100.0, 100.0, 100.0], [74.0, 74.0, 74.0]), METRICS)["instances_per_s"]
+    assert not beyond["within_bound"]
+    # lower is better: 5% more memory is at the bound, more is beyond it
+    rss = bench_pairs.summarize(_pairs([40.0, 40.0], [42.0, 42.0], "peak_rss_mb"), METRICS)["peak_rss_mb"]
+    assert rss["within_bound"]
+    rss = bench_pairs.summarize(_pairs([40.0, 40.0], [42.5, 42.5], "peak_rss_mb"), METRICS)["peak_rss_mb"]
+    assert not rss["within_bound"]
+    # a gain is always within
+    assert bench_pairs.summarize(_pairs([100.0], [200.0]), METRICS)["instances_per_s"]["within_bound"]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -195,3 +196,26 @@ def test_concave_instance_file_is_checked_on_load(tmp_path, capsys):
     code, out = run_cli(capsys, "run", path, "--seed", "0")
     assert code == 2
     assert json.loads(out) == {"error": "capacity must be positive"}
+
+
+def test_a_negative_budget_is_one_json_error(tmp_path, capsys):
+    # the solve rejects a budget below 0 before its first cut
+    path = str(tmp_path / "negative.json")
+    save_instance(dataclasses.replace(gen_integrality_gap(2), budget=-1.0), path)
+    code, out = run_cli(capsys, "solve", path)
+    assert code == 2
+    doc = json.loads(out)
+    assert set(doc) == {"error"}
+    assert "non-negative budget" in doc["error"]
+
+
+def test_suite_runs_a_fractional_bicriteria_budget(tmp_path, capsys):
+    # alpha * C is fractional for every odd budget: the exact pass needs
+    # integer costs only
+    spec_path = tmp_path / "spec.json"
+    spec = {"family": "random-two-level", "count": 4, "seed": 5, "budget_cap": 5, "options": {"alpha": 1.5}}
+    spec_path.write_text(json.dumps(spec))
+    code, out = run_cli(capsys, "suite", "--spec", str(spec_path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["summary"]["all_ok"] is True and len(doc["rows"]) == 4

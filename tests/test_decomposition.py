@@ -173,19 +173,15 @@ def test_permuting_arms_leaves_gamma(inst, rnd):
     assert _close(solve_relaxation(permuted).gamma_star, solve_relaxation(inst).gamma_star)
 
 
+_NEGATIVE = "relaxation needs a non-negative budget and capacity"
+
+
 @contextlib.contextmanager
-def _master_only():
-    """Forbid the tableau and record the phase of every master pass."""
-    phases = []
-    optimise = relaxations._Master._optimise
-
-    def recording(master, phase1):
-        phases.append(phase1)
-        return optimise(master, phase1)
-
+def _up_front():
+    """Forbid the tableau and the master: the solve must stop before either."""
     with mock.patch.object(lp_module, "_simplex", side_effect=AssertionError("the tableau ran")):
-        with mock.patch.object(relaxations._Master, "_optimise", recording):
-            yield phases
+        with mock.patch.object(relaxations, "_Master", side_effect=AssertionError("the master ran")):
+            yield
 
 
 @settings(max_examples=20, deadline=None)
@@ -193,9 +189,19 @@ def _master_only():
 def test_a_negative_budget_is_infeasible(inst, budget):
     negative = dataclasses.replace(inst, budget=budget)
     assert solve_lp(build_relaxation(negative)[0]).status == "infeasible"
-    with _master_only() as phases, pytest.raises(ValueError, match="relaxation LP is infeasible"):
+    with _up_front(), pytest.raises(ValueError, match=_NEGATIVE):
         solve_relaxation(negative)
-    assert phases == [True]  # the cheapest policy's phase 1 proves it
+
+
+@pytest.mark.parametrize("arms, capacity, epsilon", [(0, -1.0, 0.5), (3, 1.0, -2.0)])
+def test_a_negative_concave_capacity_is_rejected_up_front(arms, capacity, epsilon):
+    # B * L * (1 + eps) < 0: a negative capacity (an armless instance, since
+    # any arm's sigma in [0, B] rejects it first) or eps below -1
+    inst = as_concave(gen_integrality_gap(3), 1.0, 0.5)
+    prob = dataclasses.replace(inst.objective.concave, capacity=capacity, epsilon=epsilon)
+    negative = BanditInstance(inst.arms[:arms], inst.budget, Objective("concave", concave=prob))
+    with _up_front(), pytest.raises(ValueError, match=_NEGATIVE):
+        solve_relaxation(negative)
 
 
 def test_the_cut_limit_raises(monkeypatch):
@@ -224,20 +230,17 @@ def test_restricted_gamma_equals_the_tableau_on_the_gate_two_level_instances():
 
 
 def test_a_negative_budget_met_by_a_negative_switch_cost():
-    # the LP accepts a negative cost (validate_instance flags it): the
-    # cheapest policy then meets a negative budget, and the decomposition
-    # finds the tableau's optimum instead of calling the LP infeasible
+    # the LP accepts a negative cost (validate_instance flags it), so the
+    # cheapest policy meets a negative budget and the tableau finds an
+    # optimum; the decomposition still rejects the budget before its master
     from banditlp.statespace import build_two_level_arm
 
     a = dataclasses.replace(build_two_level_arm([0.0, 1.0], [0.5, 0.5], play_cost=1, arm_id="a"), switch_cost=-2.0)
     b = build_two_level_arm([0.3, 0.7], [0.5, 0.5], play_cost=2, arm_id="b")
     inst = BanditInstance(arms=(a, b), budget=-0.5, objective=Objective("budgeted"))
-    tableau = _tableau_solution(inst).gamma_star
-    with _master_only() as phases:
-        sol = solve_relaxation(inst)
-    assert _close(sol.gamma_star, tableau)
-    assert phases[:2] == [True, False] and True not in phases[2:]  # phase 1 once, on the first cut
-    assert sol.check_invariants(inst, tol=1e-9) == []
+    assert solve_lp(build_relaxation(inst)[0]).status == "optimal"
+    with _up_front(), pytest.raises(ValueError, match=_NEGATIVE):
+        solve_relaxation(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +252,7 @@ def _check_master(master):
     columns, its duals are dual feasible and close its own gap, and its
     theta is feasible."""
     m = len(master.rhs)
-    status, theta, _, _, _ = _simplex(list(np.array(master.cuts).T), master.rhs, ["<="] * m, -np.array(master.rewards))
+    status, theta, _, _ = _simplex(list(np.array(master.cuts).T), master.rhs, ["<="] * m, -np.array(master.rewards))
     assert status == "optimal"
     gamma = master.value
     assert abs(gamma - float(theta @ np.array(master.rewards))) <= 1e-12 * (1.0 + abs(gamma))
@@ -291,7 +294,7 @@ _quarters = st.integers(-8, 16).map(lambda v: v / 4)
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0, None]),
+    st.sampled_from([0.0, 1.0, 3.0, None]),
     st.sampled_from([0.0, 0.5, 1.0, 2.0]),
     st.lists(st.tuples(_quarters, st.integers(0, 8).map(lambda v: v / 4), _quarters), min_size=1, max_size=12),
     st.booleans(),
@@ -299,20 +302,12 @@ _quarters = st.integers(-8, 16).map(lambda v: v / 4)
 def test_random_masters_match_the_tableau_after_every_cut(budget, link_rhs, cuts, bland):
     # random columns (1, C, P) with reward R on quarter-integer data, so that
     # duplicates, zero costs and degenerate ties are common and no value sits
-    # near a tolerance; a budget of None is the Lagrangean master (1, P).
-    # Under a negative budget every cut re-runs phase 1 until the master is
-    # feasible, and the tableau must agree on when that is.
+    # near a tolerance; a budget of None is the Lagrangean master (1, P)
     rhs = [1.0] + ([] if budget is None else [budget]) + [link_rhs]
     master = relaxations._Master(rhs)
     with mock.patch.object(relaxations, "_DEGENERATE_STREAK", 1 if bland else relaxations._DEGENERATE_STREAK):
         for cost, link, reward in cuts:
-            try:
-                master.add_cut((1.0, link) if budget is None else (1.0, cost, link), reward)
-            except ValueError as exc:
-                assert str(exc) == "relaxation LP is infeasible"
-                status = _simplex(list(np.array(master.cuts).T), rhs, ["<="] * len(rhs), -np.array(master.rewards))[0]
-                assert status == "infeasible"
-                continue
+            master.add_cut((1.0, link) if budget is None else (1.0, cost, link), reward)
             _check_master(master)
 
 
@@ -324,10 +319,9 @@ def test_random_masters_match_the_tableau_after_every_cut(budget, link_rhs, cuts
         # all-zero costs on a zero budget and a zero link row: every step is degenerate
         ([1.0, 0.0, 0.0], [((1.0, 0.0, 0.0), 0.0), ((1.0, 0.0, 0.0), 1.0), ((1.0, 0.0, 0.0), 1.0)], 0),
         ([1.0, 0.0, 1.0], [((1.0, 1.0, 0.0), 2.0), ((1.0, 0.0, 1.0), 1.0), ((1.0, 1.0, 1.0), 3.0)], 0),
-        # a cut that meets a negative budget exactly: phase 1 ends on a ratio
-        # tie with the artificial still basic at zero, and the repair pivots
-        # it out before phase 2
-        ([1.0, -2.0, 1.0], [((1.0, -2.0, 0.0), 1.0), ((1.0, 0.0, 1.0), 2.0), ((1.0, -3.0, 1.0), 0.5)], 0),
+        # a cut that meets every row exactly: a three-way ratio tie, where the
+        # first row's slack leaves and the other two stay basic at zero
+        ([1.0, 2.0, 1.0], [((1.0, 2.0, 1.0), 1.0), ((1.0, 0.0, 1.0), 2.0), ((1.0, 2.0, 0.0), 1.5)], 0),
         # a degenerate pivot, then an improving one: Bland's rule when the streak is 1
         ([1.0, 1.0, 1.0], [((1.0, 2.0, 2.0), 1.0), ((1.0, 0.0, 2.0), 2.0)], 1),
     ],
@@ -386,7 +380,7 @@ _entries = st.one_of(_quarters, st.floats(-2.0, 4.0))
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0, None]),
+    st.sampled_from([-0.0, 0.0, 1.0, 3.0, None]),
     st.sampled_from([0.0, 0.5, 1.0, 2.0]),
     st.lists(st.tuples(_entries, _entries.map(abs), _entries), min_size=1, max_size=12).flatmap(
         lambda cuts: st.lists(st.sampled_from(cuts), min_size=len(cuts), max_size=2 * len(cuts))
@@ -394,7 +388,7 @@ _entries = st.one_of(_quarters, st.floats(-2.0, 4.0))
     st.sampled_from([1, None]),
 )
 def test_the_master_matches_its_reference_twin_bit_for_bit(budget, link_rhs, cuts, streak):
-    # 2 rows (budget None) and 3; negative, zero and positive budgets; cuts
+    # 2 rows (budget None) and 3; zero of either sign and positive budgets; cuts
     # drawn again from their own list, so that duplicates are common; after
     # every cut the same duals, theta, value, pivots, Bland pivots, basis
     # and basic values, down to repr, or the same error

@@ -338,28 +338,3 @@ def test_format_lp_dump():
     assert "0 <= y <= +inf" in text
     assert text.rstrip().endswith("End")
 
-
-def test_simplex_duals_certify_the_optimum_of_random_packing_lps():
-    # max c.y s.t. A y <= b, y >= 0: the duals read from the slack columns'
-    # reduced costs are dual feasible (y >= 0, A^T dual >= c) and close the
-    # gap (b . dual = c . y*); a negative right-hand side is a negated row,
-    # read the same way; an equality row has no slack column and reads NaN
-    from banditlp.lp import _simplex
-
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 8))
-        A = rng.uniform(-0.5, 2.0, size=(m, n))
-        A[0] = np.abs(A[0]) + 0.1  # a positive row keeps the LP bounded
-        b = rng.uniform(-0.3, 3.0, size=m)
-        c = rng.uniform(-1.0, 2.0, size=n)
-        status, y, duals, _, _ = _simplex(list(A), list(b), ["<="] * m, -c)
-        if status != "optimal":
-            assert status == "infeasible" and np.isnan(duals).all()
-            continue
-        assert (duals >= -1e-9).all()
-        assert (A.T @ duals >= c - 1e-9).all()
-        assert b @ duals == pytest.approx(c @ y, abs=1e-9)
-    rows = [np.array([1.0, 1.0]), np.array([1.0, 0.0])]
-    status, _, duals, _, _ = _simplex(rows, [1.0, 0.5], ["<=", "=="], -np.ones(2))
-    assert status == "optimal" and duals[0] == pytest.approx(1.0) and np.isnan(duals[1])

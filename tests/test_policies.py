@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banditlp.bench import (
     GeneratorSpec,
@@ -12,7 +14,7 @@ from banditlp.bench import (
     gen_integrality_gap,
     gen_random_suite,
 )
-from banditlp import batched, policies
+from banditlp import batched, oracle, policies
 from banditlp.policies import (
     GreedyPlan,
     RankedArm,
@@ -42,6 +44,7 @@ from banditlp.statespace import (
     build_beta_bernoulli_arm,
     build_two_level_arm,
 )
+from test_decomposition import bases  # budgeted instances of 1-3 arms with integer costs
 
 
 def _policy(arm_id, P, R, C):
@@ -380,6 +383,48 @@ def test_bicriteria_execution_and_bound():
             assert cost <= plan.budget + 1e-9
             assert value >= (alpha / (2 * (1 + alpha))) * sol.gamma_star - 1e-6
 
+
+def test_exact_evaluates_a_fractional_bicriteria_budget():
+    # alpha * C = 4.5: with integer costs every remaining budget 4.5 - k is
+    # exact, and no play of cost 1 fits the last half unit
+    inst = gen_integrality_gap(3)
+    sol, plan = _pipeline(inst, alpha=1.5)
+    assert plan.budget == 4.5
+    value, cost = evaluate_plan_exact(inst, plan, sol)
+    assert (value, cost) == evaluate_plan_exact(inst, dataclasses.replace(plan, budget=4.0), sol)
+    assert cost <= plan.budget and value >= (1.5 / 5.0) * sol.gamma_star
+    mc = monte_carlo_evaluate(inst, plan, sol, reps=4000, seed=11)
+    assert mc.violations == [] and abs(mc.mean - value) <= 5.0 * mc.stderr
+
+
+def test_greedy_process_rejects_bicriteria_plans():
+    # the process gates plays on the joint state's budget, the instance's C,
+    # so a plan with budget alpha * C would be valued against the wrong budget
+    inst = gen_random_suite(GeneratorSpec(family="random-beta", count=6, max_arms=3, seed=5))[0]
+    sol, plan = _pipeline(inst, alpha=2.0)
+    with pytest.raises(ValueError, match="alpha 1"):
+        policies.GreedyOrderProcess(inst, plan, sol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bases(), st.sampled_from([1.0, 1.5, 2.0]), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_plan_values_agree_across_evaluators(inst, alpha, k, seed):
+    # the exact pass against the joint-state enumeration (alpha 1) and
+    # Monte-Carlo, and scaled costs: the same plan and solution under every
+    # play and switch cost and the plan budget times k
+    assert inst.has_integer_costs()
+    sol, plan = _pipeline(inst, alpha=alpha)
+    value, cost = evaluate_plan_exact(inst, plan, sol)
+    if alpha == 1.0:
+        process = policies.GreedyOrderProcess(inst, plan, sol)
+        assert abs(oracle.enumerate_policy_statistics(inst, process).expected_reward - value) <= 1e-9
+    mc = monte_carlo_evaluate(inst, plan, sol, reps=2000, seed=seed)
+    assert mc.violations == []
+    assert abs(mc.mean - value) <= 5.0 * mc.stderr + 1e-9
+    scaled = dataclasses.replace(plan, budget=k * plan.budget)
+    scaled_value, scaled_cost = evaluate_plan_exact(_scaled_costs(inst, k), scaled, sol)
+    assert scaled_value == value
+    assert scaled_cost == pytest.approx(k * cost, rel=1e-12, abs=1e-12)
 
 def _brute_force_evaluation(inst, plan, sol, rule):
     """Literal expectation recursion over every randomization branch.
@@ -1355,8 +1400,6 @@ def test_nonadaptive_rejects_multilevel():
 def test_an_armless_instance_is_worth_zero(monkeypatch, kind):
     # no arm: nothing to play or exploit, so every evaluator, trace and the
     # oracle value the instance at 0 instead of failing on an empty argmax
-    from banditlp import oracle
-
     inst = BanditInstance(arms=(), budget=1.0 if kind == "budgeted" else None, objective=Objective(kind))
     solution, plan = _pipeline(inst)
     assert solution.gamma_star == 0.0 and plan.order == ()

@@ -11,8 +11,9 @@ way).  The sides alternate which runs first, parent first on the first
 seed, so that a drift of the machine hits both.  `BENCH_<label>.json`
 records the commits that ran and, for every end-to-end metric that
 BENCHMARK.json lists, its value in each pair, each side's median and
-quartiles and the change's wins: the pairs in which the change is better
-in the metric's direction (a tie counts for neither).
+quartiles, the change's wins (the pairs in which the change is better in
+the metric's direction; a tie counts for neither) and whether the change's
+median is within the metric's relative bound of the parent's.
 Standard library only.
 """
 
@@ -51,12 +52,13 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict[str, dict]:
-    """Per metric ({"name", "better"} as in BENCHMARK.json): each side's
-    median and quartiles over the pairs, the change's wins and losses, and
-    whether the medians differ, in the better direction, by more than the
-    parent's interquartile range.  A pair is {"parent": {name: value},
-    "change": {name: value}}; a metric missing from either side of a pair
-    is left out of that pair."""
+    """Per metric ({"name", "better", "bound"} as in BENCHMARK.json): each
+    side's median and quartiles over the pairs, the change's wins and
+    losses, whether the medians differ, in the better direction, by more
+    than the parent's interquartile range, and whether the change's median
+    is worse than the parent's by at most bound times the parent's.  A pair
+    is {"parent": {name: value}, "change": {name: value}}; a metric missing
+    from either side of a pair is left out of that pair."""
     out = {}
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
@@ -75,6 +77,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict[str, dict]:
             "losses": sum(sign * (c - p) < 0.0 for p, c in both),
             "parent_iqr": parent["q3"] - parent["q1"],
             "beyond_parent_iqr": gain > parent["q3"] - parent["q1"],
+            "within_bound": -gain <= metric["bound"] * abs(parent["median"]),
         }
     return out
 
@@ -158,7 +161,8 @@ def main(argv=None) -> int:
     for workload, result in record["workloads"].items():
         for name, s in result["summary"].items():
             print(f"{workload} {name}: {s['parent']['median']:.6g} -> {s['change']['median']:.6g} "
-                  f"({s['wins']} of {s['pairs']} better, parent IQR {s['parent_iqr']:.3g})")
+                  f"({s['wins']} of {s['pairs']} better, parent IQR {s['parent_iqr']:.3g}, "
+                  f"{'within' if s['within_bound'] else 'beyond'} its bound)")
     return 0
 
 
