@@ -7,14 +7,14 @@ from the same draw windows:
 * Draws.  Replication k reads window k of the call's one Philox4x64-10 stream
   (Salmon et al. 2011; `policies._windows`), so a chunk's draw matrix, one
   window per row, comes from one numpy `Generator.random` call.
-* Walk.  Each plan arm's `_Step` table becomes arrays over its states
+* Walk.  Each plan arm's step table becomes arrays over its states
   (`_ArmArrays`), and `_walk_lockstep` steps every running replication at once
   with `policies._walk_arm`'s float operations, in its order.
-* Rules.  After each arm, the variant's `after` is called once per distinct
-  (key, state, level, arm spend), and each replication takes its group's
-  result.  `after` is pure, so this is what one call per replication gives.
-  A run's value is summed as `policies._sample_run` sums it: the base, each
-  arm's value in plan order, then finish(key).
+* Rules.  After each arm, the variant's rule in its array form
+  (`policies._Rule.after_rows`) takes every running replication's outcome at
+  once, with the scalar rule's float operations elementwise.  A run's value
+  is summed as `policies._sample_run` sums it: the base, each arm's value in
+  plan order, then its finish.
 
 Replications are processed `policies._CHUNK` draws at a time, which bounds
 the scratch memory; window k depends on k and the plan alone, so the chunking
@@ -31,41 +31,36 @@ from .policies import AUDIT_TOL, UNREACHABLE_W, _draw_width, _window_chunks
 
 
 class _ArmArrays:
-    """One arm's step table as arrays over its reachable states, root first.
+    """One arm's step table as arrays over its compiled states, root first.
 
-    Per state: w and `dead` (w < UNREACHABLE_W); z (-inf at a leaf); the
-    cuts, padded with -inf and closed by +inf, whose column c stands for level
-    `levels[c]` (the closing column for a dead stop); the charge; the
-    cumulative child probabilities but the last, padded with -inf and closed
-    by +inf, whose column c leads to state `kids[s, c]`.
+    Per state: w and `dead` (w < UNREACHABLE_W); z (-inf at a state without
+    children); the cuts, opened by -inf and closed by +inf, whose column c
+    stands for level `levels[c]`: -1 (a budget stop) for the opening column, 0
+    (a dead stop) for the closing one.  From the compiled arm's `StateArrays`,
+    which do not depend on the solution: the charge, the child cumulative
+    probabilities and the kids, flat (`kids[u * width + c]`).  w, z and the
+    cuts are read from the table's w, z and x as `policies._Step` reads them,
+    with its float operations: the cuts of a row accumulate z, x_0, x_1, ...
+    left to right.
     """
 
-    __slots__ = ("ax", "sids", "w", "dead", "z", "cuts", "levels", "charge", "cum", "kids")
+    __slots__ = ("ax", "sids", "w", "dead", "z", "cuts", "levels", "charge", "cum", "kids", "width")
 
     def __init__(self, ax):
-        ca = ax.ca  # the state order and the children come from the compiled arm
-        sids = ca.sids
-        steps = [ax[sid] for sid in sids]
-        n, n_cut = len(sids), max(len(se.cuts) for se in steps)
-        n_kid = max(1, max(map(len, ca.kids)))
-        self.ax, self.sids = ax, sids
-        self.w = np.array([se.w for se in steps])
+        ca = ax.ca
+        fixed = ca.arrays
+        W, Z, X = ax.w, ax.z, ax.x
+        self.ax, self.sids = ax, ca.sids
+        self.charge, self.cum = fixed.charge, fixed.cum
+        self.kids, self.width = fixed.kids.ravel(), fixed.kids.shape[1]
+        self.w = np.array([W[k] for k in ca.keys], dtype=float)
         self.dead = self.w < UNREACHABLE_W
-        self.z = np.array([se.z for se in steps])
-        self.cuts = np.full((n, n_cut + 1), -math.inf)
-        self.cuts[:, n_cut] = math.inf
-        self.levels = np.arange(n_cut + 1)
-        self.levels[n_cut] = 0
-        self.charge = np.array(ca.charges)
-        self.cum = np.full((n, n_kid), -math.inf)
-        self.cum[:, n_kid - 1] = math.inf
-        self.kids = np.zeros((n, n_kid), dtype=np.intp)
-        for i, (se, kids) in enumerate(zip(steps, ca.kids)):
-            self.cuts[i, : len(se.cuts)] = se.cuts
-            if kids:
-                self.cum[i, : len(kids) - 1] = se.cum_probs[:-1]
-                self.kids[i] = kids[-1][0]
-                self.kids[i, : len(kids) - 1] = [c for c, _ in kids[:-1]]
+        rows = [(0.0 if leaf else Z[k], *X[k], math.inf) for k, leaf in zip(ca.keys, ca.leaf)]
+        self.cuts = np.add.accumulate(np.array(rows, dtype=float), axis=1)  # sequential, as accumulate
+        self.z = np.where(fixed.childless, -math.inf, self.cuts[:, 0])
+        self.cuts[:, 0] = -math.inf
+        self.levels = np.arange(-1, self.cuts.shape[1] - 1)
+        self.levels[-1] = 0
 
 
 def _walk_lockstep(arr: _ArmArrays, rows, draws, ptr, spent, avail: float | None):
@@ -73,104 +68,94 @@ def _walk_lockstep(arr: _ArmArrays, rows, draws, ptr, spent, avail: float | None
 
     The float operations are the walk's, in its order: q = u * w, q > z, the
     first q <= cut, spent + charge > avail + AUDIT_TOL, spent += charge, the
-    first u < cum.  Advances ptr and spent; returns each row's final state
-    index, its level (-1 for a budget stop) and its number of switch charges.
+    first u < cum (the count of cum <= u, as `StateArrays` says).  The walking
+    rows are carried as compact arrays of row, state and position in the flat
+    draws.  Each stop writes the row's state, stopping draw q (+inf for a
+    dead stop, -inf for a budget stop, so that the cuts give levels 0 and -1)
+    and position into chunk-wide arrays; a play adds its charge to spent in
+    place.  At the end ptr advances in place, and the rows' final states and
+    levels are returned in the order of `rows`.  The root is state 0 and no
+    state leads back to it, so a row played the root, paying its switch, if
+    and only if it ends elsewhere.
     """
-    m = len(rows)
-    state = np.zeros(m, dtype=np.intp)
-    level = np.zeros(m, dtype=np.intp)  # a dead state stops at level 0, without a draw
-    switches = np.zeros(m, dtype=np.intp)
+    state, q_end, f_end = np.empty(len(ptr), dtype=np.intp), np.empty(len(ptr)), np.empty(len(ptr), dtype=np.intp)
     limit = None if avail is None else avail + AUDIT_TOL
-    act = np.arange(m)  # positions still walking
-    while act.size:
-        s = state[act]
-        live = ~arr.dead[s]
-        act, s = act[live], s[live]
-        r = rows[act]
-        p = ptr[r]
-        q = draws[r, p] * arr.w[s]
-        ptr[r] = p + 1
-        stop = q > arr.z[s]
-        level[act[stop]] = arr.levels[np.argmax(q[stop, None] <= arr.cuts[s[stop]], axis=1)]
-        play = ~stop
-        act, s, r, p = act[play], s[play], r[play], p[play]
+    flat, width = draws.ravel(), draws.shape[1]
+    r, s, f = rows, np.zeros(len(rows), dtype=np.intp), rows * width + ptr[rows]
+
+    def stop(halt, q):
+        """Settles the rows that halt marks, at draw q; returns the others."""
+        at = r[halt]
+        state[at], q_end[at], f_end[at] = s[halt], q, f[halt]
+        return ~halt
+
+    while r.size:
+        dead = arr.dead[s]
+        if np.count_nonzero(dead):  # a dead state stops without a draw
+            go = stop(dead, math.inf)
+            r, s, f = r[go], s[go], f[go]
+        q = flat[f] * arr.w[s]
+        f += 1
+        halt = q > arr.z[s]
+        if np.count_nonzero(halt):
+            go = stop(halt, q[halt])
+            r, s, f = r[go], s[go], f[go]
         total = spent[r] + arr.charge[s]
         if limit is not None:
-            ok = ~(total > limit)
-            level[act[~ok]] = -1
-            act, s, r, p, total = act[ok], s[ok], r[ok], p[ok], total[ok]
+            over = total > limit
+            if np.count_nonzero(over):
+                go = stop(over, -math.inf)
+                r, s, f, total = r[go], s[go], f[go], total[go]
         spent[r] = total
-        switches[act] += s == 0
-        u = draws[r, p + 1]
-        ptr[r] = p + 2
-        state[act] = arr.kids[s, np.argmax(u[:, None] < arr.cum[s], axis=1)]
-    return state, level, switches
-
-
-def _groups(*columns):
-    """Rows equal in every integer column share a group: returns each group's
-    first row and each row's group.  np.lexsort orders the rows stably, so a
-    group's first row in that order is its first row overall."""
-    order = np.lexsort(columns[::-1])
-    new = np.zeros(len(order), dtype=bool)
-    new[0] = True
-    for col in columns:
-        c = col[order]
-        new[1:] |= c[1:] != c[:-1]
-    group = np.empty(len(order), dtype=np.intp)
-    group[order] = np.cumsum(new) - 1
-    return order[new], group
+        u = flat[f]
+        f += 1
+        k = s * arr.width
+        for cum in arr.cum:
+            k += u >= cum[s]
+        s = arr.kids[k]
+    ptr[rows] = f_end[rows] - rows * width
+    s = state[rows]
+    return s, arr.levels[(q_end[rows, None] <= arr.cuts[s]).argmax(axis=1)]
 
 
 def batched_runs(plan, tables, rules, seed_key: int, reps: int):
     """`policies._scalar_runs` with the replications of a chunk in lockstep:
     per replication, its value, its spend, whether its walked arms broke the
     plan order and whether it paid one arm's switch twice."""
-    base, start, capped, after, finish = rules
-    values = np.full(reps, base, dtype=float)
+    values = np.full(reps, rules.base, dtype=float)
     spent = np.zeros(reps)
     off_plan = np.zeros(reps, dtype=bool)
     multi_switch = np.zeros(reps, dtype=bool)
-    if not start:
+    if not rules.start:
         return values, spent, off_plan, multi_switch
-    (start_key,) = start
+    (start_key,) = rules.start
     arms = [_ArmArrays(tables[ra.arm_id]) for ra in plan.order]
-    avail = plan.budget if capped else None
+    ids = [ra.arm_id for ra in plan.order]
+    avail = plan.budget if rules.capped else None
     for lo, draws in _window_chunks(seed_key, reps, _draw_width(plan, tables)):
         n = len(draws)
         vals, sp = values[lo : lo + n], spent[lo : lo + n]  # views: the chunk writes through
         ptr = np.zeros(n, dtype=np.intp)
-        # the rule's keys, told apart by repr: == merges 0.0 with -0.0 and 1 with 1.0
-        keys, kid = [start_key], {repr(start_key): 0}
-        key = np.zeros(n, dtype=np.intp)
+        key = tuple(np.full(n, k, dtype=float) for k in start_key)
         walked = np.zeros((n, len(arms)), dtype=bool)
+        # root plays per arm id over the run: only an arm listed twice is walked twice
+        switches = {a: np.zeros(n, dtype=np.intp) for a in ids if ids.count(a) > 1}
         live = np.arange(n)
         for j, arr in enumerate(arms):
-            if not live.size:
-                break
             walked[live, j] = True
             before = sp[live]
-            state, level, switches = _walk_lockstep(arr, live, draws, ptr, sp, avail)
-            multi_switch[lo + live[switches > 1]] = True
-            spend = sp[live] - before
-            first, group = _groups(key[live] * len(arr.sids) + state, level, spend.view(np.int64))
-            gain = np.empty(len(first))
-            nxt = np.empty(len(first), dtype=np.intp)
-            outcomes = (key[live][first], state[first], level[first], spend[first])
-            for g, (k, s, l, c) in enumerate(zip(*(col.tolist() for col in outcomes))):
-                gain[g], nkey = after(arr.ax, keys[k], arr.sids[s], None if l < 0 else l, c)
-                if nkey is None:
-                    nxt[g] = -1
-                else:
-                    nxt[g] = kid.setdefault(repr(nkey), len(keys))
-                    if nxt[g] == len(keys):
-                        keys.append(nkey)
-            vals[live] += gain[group]
-            key[live] = nxt[group]
-            live = live[nxt[group] >= 0]
-        if live.size:
-            first, group = _groups(key[live])
-            vals[live] += np.array([finish(keys[k]) for k in key[live][first].tolist()], dtype=float)[group]
+            state, level = _walk_lockstep(arr, live, draws, ptr, sp, avail)
+            if ids[j] in switches:
+                switches[ids[j]][live] += state != 0
+            gain, key, go = rules.after_rows(arr.ax, key, state, level, sp[live] - before)
+            vals[live] += gain
+            live, key = live[go], tuple(k[go] for k in key)
+            if not live.size:
+                break
+        else:
+            vals[live] += rules.finish_rows(key)
+        for count in switches.values():
+            multi_switch[lo : lo + n] |= count > 1
         # a run's walked arms must be a prefix of the plan order
         off_plan[lo : lo + n] = (walked[:, 1:] & ~walked[:, :-1]).any(axis=1)
     return values, spent, off_plan, multi_switch

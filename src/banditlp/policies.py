@@ -14,7 +14,7 @@ those outcomes, the charge of a play and the child distribution.
 
 Every consumer reads that one table, built once per solution and arm
 (`_tables`), and every run, sampled or exact, applies one rule between arms
-per variant, defined once in `_RULES`:
+per variant, defined once in `_RULES` in a scalar and an array form:
 
 * `_walk_arm` samples one arm's run; one driver, `_sample_run`, walks the plan's
   arms with it for Monte-Carlo runs and recorded traces alike and applies the
@@ -41,9 +41,9 @@ numpy `Generator.random` call, and results are reproducible regardless of
 scheduling.  A call with at least `_BATCH_MIN_REPS` replications takes the
 batched runner (`banditlp.batched`): it walks all replications in lockstep,
 arm by arm, with the float operations of `_walk_arm` in the same order, then
-applies the rule once per distinct outcome.  Its values, costs and audits are
-bit-identical to the loop over `_sample_run`, which smaller calls keep and
-which drives every trace.
+applies the rule's array form to all of them at once.  Its values, costs and
+audits are bit-identical to the loop over `_sample_run`, which smaller calls
+keep and which drives every trace.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import operator
 import threading
 from dataclasses import dataclass, field
 from itertools import accumulate, product as iter_product
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,13 +79,13 @@ TWO_LEVEL_MIN_Z = 1e-12
 TWO_LEVEL_FREE_SHARE = 1e-15
 
 # Monte-Carlo calls with at least this many replications take the batched
-# runner (`batched.batched_runs`), smaller ones the scalar loop.  The measured
-# crossover (in process, best of 11 rounds, 2-core VM) is about 64
-# replications on the `suite` benchmark's plans of 1-3 shallow arms, 32-64 on
-# `concave-mc`'s and about 180 on the 5x4-7x4 Beta ladders of `ladder`, whose
-# deeper walks cost the batched runner more numpy calls per arm: there 128
-# replications take 2.2 ms scalar and 3.0 batched, 200 take 3.4 and 3.1.
-_BATCH_MIN_REPS = 128
+# runner (`batched.batched_runs`), smaller ones the scalar loop.  In process,
+# best of 25 rounds on a 2-core VM, ms per call, scalar against batched:
+# `suite`'s plans of 1-3 shallow arms 0.094 / 0.100 at 32 replications, 0.182
+# / 0.103 at 64; `concave-mc`'s 0.162 / 0.161 at 32, 0.299 / 0.162 at 64; the
+# 5x4-7x4 Beta ladders of `ladder`, whose deeper walks take more numpy calls
+# per arm, 0.62 / 0.70 at 64, 0.75 / 0.73 at 72, 0.89 / 0.70 at 96.
+_BATCH_MIN_REPS = 96
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +463,34 @@ def _walk_arm(ax: _ArmExec, rng: _Window, run: _Run, avail: float | None):
 # Rules between arms
 
 
+class _Rule(NamedTuple):
+    """A variant's rule between arms, in its scalar and its array form.
+
+    A run starts from its start key (no key: it ends before any arm, worth
+    the base value); `capped` says whether the budget caps an arm's spend.
+    after(ax, key, sid, level, spent) gives the value of an arm's outcome,
+    with spent the arm's own spend, and the next key (None: the run ends);
+    finish(key) values a key that outlives the plan.  Both are pure: the
+    exact pass calls them once per frontier key.  after_rows and finish_rows
+    are the same rule over many runs at once, for the batched runner: the key
+    is a tuple of arrays, states are compiled indices, a budget stop is level
+    -1, and after_rows also returns which runs go on.  They repeat the scalar
+    float operations elementwise, so each run gets the scalar rule's bits.
+    """
+
+    base: float
+    start: dict
+    capped: bool
+    after: Callable | None
+    finish: Callable | None
+    after_rows: Callable | None
+    finish_rows: Callable | None
+
+
 def _budgeted_rule(instance, plan, solution, rule):
     """Key (remaining budget, best dead-stop reward so far)."""
     if not _affordable_first_play(instance, plan.budget):
-        return _argmax_root(instance)[2], {}, False, None, None
+        return _Rule(_argmax_root(instance)[2], {}, False, None, None, None, None)
 
     # Under "order" the walk itself keeps a run within the budget; testing
     # the remainder there too would let fractional costs, rounded per arm,
@@ -479,16 +503,30 @@ def _budgeted_rule(instance, plan, solution, rule):
             return r, None  # an exploit, a budget stop or a violate overshoot: exploit here
         return 0.0, (key[0] - spent, r if r > key[1] else key[1])
 
-    return 0.0, {(float(plan.budget), -1.0): 1.0}, not violate, after, lambda key: max(key[1], 0.0)
+    def after_rows(ax, key, state, level, spent):
+        rem, best = key
+        r = ax.ca.arrays.reward[state]
+        end = level != 0
+        if violate:
+            end |= spent > rem + AUDIT_TOL
+        return np.where(end, r, 0.0), (rem - spent, np.where(r > best, r, best)), ~end
+
+    # max(best, 0.0) is best unless 0.0 > best
+    return _Rule(0.0, {(float(plan.budget), -1.0): 1.0}, not violate, after, lambda key: max(key[1], 0.0),
+                 after_rows, lambda key: np.where(0.0 > key[1], 0.0, key[1]))
 
 
 def _lagrangean_rule(instance, plan, solution, rule):
-    """One key: every play is paid for and the run stops at the first exploit."""
+    """No key: every play is paid for and the run stops at the first exploit."""
 
     def after(ax, key, sid, level, spent):
         return (ax[sid].reward - spent, None) if level else (-spent, key)
 
-    return 0.0, {(None,): 1.0}, False, after, lambda key: 0.0
+    def after_rows(ax, key, state, level, spent):
+        end = level != 0
+        return np.where(end, ax.ca.arrays.reward[state] - spent, -spent), key, ~end
+
+    return _Rule(0.0, {(): 1.0}, False, after, lambda key: 0.0, after_rows, lambda key: 0.0)
 
 
 def _concave_rule(instance, plan, solution, rule):
@@ -497,30 +535,36 @@ def _concave_rule(instance, plan, solution, rule):
     prob, L = instance.objective.concave, solution.grid
     cap = prob.capacity * L
 
+    def check(arm_id, overspent, overpacked):
+        if overspent:
+            raise RuntimeError(f"a concave run spends past the budget on arm {arm_id!r}")
+        if overpacked:
+            raise RuntimeError(f"pre-scaling weights exceed 2B after arm {arm_id!r}")
+
     def after(ax, key, sid, level, spent):
         n = L if level is None else level  # a budget stop packs L units and ends the run
         units = key[1] + prob.sigmas[ax.arm_id] * n
-        if spent > key[0] + AUDIT_TOL:
-            raise RuntimeError(f"a concave run spends past the budget on arm {ax.arm_id!r}")
-        if units > 2 * cap + AUDIT_TOL:
-            raise RuntimeError(f"pre-scaling weights exceed 2B after arm {ax.arm_id!r}")
+        check(ax.arm_id, spent > key[0] + AUDIT_TOL, units > 2 * cap + AUDIT_TOL)
         gain = prob.value_at(ax.arm_id, sid, n / (2 * L)) - prob.value_at(ax.arm_id, ax.root, 0.0)
         return gain, None if level is None or units >= cap else (key[0] - spent, units)
 
+    def after_rows(ax, key, state, level, spent):
+        rem, packed = key
+        n = np.where(level < 0, L, level)
+        units = packed + prob.sigmas[ax.arm_id] * n
+        check(ax.arm_id, (spent > rem + AUDIT_TOL).any(), (units > 2 * cap + AUDIT_TOL).any())
+        # one value_at per distinct (state, numerator)
+        codes, inverse = np.unique(state * (L + 1) + n, return_inverse=True)
+        root, sids = prob.value_at(ax.arm_id, ax.root, 0.0), ax.ca.sids
+        gains = [prob.value_at(ax.arm_id, sids[c // (L + 1)], c % (L + 1) / (2 * L)) - root for c in codes.tolist()]
+        return np.array(gains)[inverse], (rem - spent, units), (level >= 0) & ~(units >= cap)
+
     base = sum(prob.value_at(a.arm_id, a.root, 0.0) for a in instance.arms)
-    return base, {(float(plan.budget), 0.0): 1.0}, True, after, lambda key: 0.0
+    return _Rule(base, {(float(plan.budget), 0.0): 1.0}, True, after, lambda key: 0.0, after_rows, lambda key: 0.0)
 
 
-# The one definition of each variant's rule between arms, read by the sampled
-# runs and by the exact pass.  Each returns (base value, start keys, whether
-# the budget caps an arm's spend, after, finish).  A run starts from its start
-# key (no key: the run ends before any arm, worth the base value).
-# after(ax, key, sid, level, spent) gives the value of an arm's outcome, with
-# spent the arm's own spend, and the next key (None: the run ends); finish(key)
-# values a key that outlives the plan.  Both must stay pure (the same result
-# for the same arguments, no state kept between calls): the exact pass calls
-# them once per frontier key and the batched Monte-Carlo runner once per
-# distinct outcome, for all the runs that share it.
+# The one definition of each variant's rule between arms (`_Rule`), read by
+# the sampled runs, the batched runner and the exact pass.
 _RULES = {"budgeted": _budgeted_rule, "lagrangean": _lagrangean_rule, "concave": _concave_rule}
 
 
@@ -550,7 +594,7 @@ def _sample_run(plan, tables, rules, rng, run: _Run, walked: list | None = None)
     The walk tests a play against the budget with the run's running total, the
     trace's own cost; the rule sees the arm's own spend.
     """
-    value, start, capped, after, finish = rules
+    value, start, capped, after, finish = rules[:5]
     if not start:
         return value, False
     (key,) = start
@@ -842,7 +886,7 @@ def evaluate_plan_exact(
     if plan.budget is not None and not instance.has_integer_costs():
         raise ValueError("exact evaluation under a budget requires integer costs")
     tables = _tables(instance, solution)
-    value, frontier, capped, after, finish = _RULES[plan.variant](instance, plan, solution, rule)
+    value, frontier, capped, after, finish = _RULES[plan.variant](instance, plan, solution, rule)[:5]
     cost = 0.0
     # An arm's outcomes depend on the remaining budget only below its largest
     # exploration cost: with more, no play of the arm is ever budget-stopped
@@ -941,7 +985,7 @@ class GreedyOrderProcess:
 
 @dataclass(frozen=True)
 class NonadaptiveResult:
-    """A probe set plus decision rule with its exact value and LP ratio."""
+    """A probe set plus decision rule with its exact value."""
 
     case: str  # "prior-best" | "boundary-arm" | "probe-set"
     probe_set: tuple[str, ...]
@@ -949,12 +993,6 @@ class NonadaptiveResult:
     expected_value: float
     probe_cost: float
     gamma_star: float
-
-    @property
-    def lp_ratio(self) -> float:
-        if self.gamma_star <= 0.0:
-            return math.inf
-        return self.expected_value / self.gamma_star
 
 
 def nonadaptive_two_level(

@@ -18,8 +18,11 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 MODEL_TOL = 1e-9
 
@@ -50,9 +53,6 @@ class ArmStateSpace:
     root: str
     states: Mapping[str, BeliefState]
     switch_cost: float = 0.0
-
-    def state(self, state_id: str) -> BeliefState:
-        return self.states[state_id]
 
     def topo_order(self) -> tuple[str, ...]:
         """State ids in a topological order starting at the root.
@@ -212,6 +212,38 @@ class CompiledArm:
     max_exploration_cost: float
     structural_key: tuple
     integer_costs: bool
+
+    @functools.cached_property
+    def arrays(self) -> "StateArrays":
+        """The states' rewards, charges and children as read-only arrays,
+        built on first use: what batched walks and rules read of the arm."""
+        n, n_kid = len(self.sids), max(1, *map(len, self.kids))
+        cum = np.full((n_kid - 1, n), math.inf)
+        kids = np.zeros((n, n_kid), dtype=np.intp)
+        for u, ks in enumerate(self.kids):
+            if ks:
+                cum[: len(ks) - 1, u] = list(accumulate(p for _, p in ks))[:-1]
+                kids[u, : len(ks)] = [c for c, _ in ks]
+        out = StateArrays(np.array(self.rewards, dtype=float), np.array(self.charges, dtype=float), cum, kids,
+                          np.array([not ks for ks in self.kids]))
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+
+class StateArrays(NamedTuple):
+    """A compiled arm's per-state arrays, indexed by u: the reward, the charge,
+    the children `kids[u, c]` and `cum[c, u]`, child c's cumulative probability
+    for each child but the last (+inf past them), and whether the state has no
+    child to play to.  A state's cumulative probabilities add positive
+    probabilities, so they never decrease: the first c with a draw below
+    `cum[c, u]` is the number of them at or below it."""
+
+    reward: np.ndarray
+    charge: np.ndarray
+    cum: np.ndarray
+    kids: np.ndarray
+    childless: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -66,3 +66,31 @@ def test_a_median_at_the_bound_is_within_it_and_one_beyond_is_not():
     assert not rss["within_bound"]
     # a gain is always within
     assert bench_pairs.summarize(_pairs([100.0], [200.0]), METRICS)["instances_per_s"]["within_bound"]
+
+
+def test_a_gain_is_resolved_by_nine_wins_in_ten_beyond_the_parent_iqr():
+    parent = [100.0 + k for k in range(10)]  # median 104.5, quartiles 102.25 and 106.75
+    nine = bench_pairs.summarize(_pairs(parent, [115.0] * 9 + [90.0]), METRICS)["instances_per_s"]
+    assert (nine["wins"], nine["parent_iqr"], nine["resolved"]) == (9, 4.5, True)
+    eight = bench_pairs.summarize(_pairs(parent, [115.0] * 8 + [90.0] * 2), METRICS)["instances_per_s"]
+    assert eight["wins"] == 8 and eight["beyond_parent_iqr"] and not eight["resolved"]
+    # ten wins, but the medians are 4 apart, within the parent's IQR of 4.5
+    close = bench_pairs.summarize(_pairs(parent, [p + 4.0 for p in parent]), METRICS)["instances_per_s"]
+    assert close["wins"] == 10 and not close["beyond_parent_iqr"] and not close["resolved"]
+    # lower is better: fewer MB in every pair, beyond the IQR
+    rss = bench_pairs.summarize(_pairs([40.0, 41.0, 40.0], [30.0, 30.0, 30.0], "peak_rss_mb"), METRICS)["peak_rss_mb"]
+    assert rss["resolved"]
+
+
+def test_a_parent_spread_wider_than_the_bound_is_flagged():
+    # three pairs: the parent's IQR is half its range.  26 on a median of 100
+    # is wider than the 25% bound; 25 is at it
+    wide = bench_pairs.summarize(_pairs([74.0, 100.0, 126.0], [100.0] * 3), METRICS)["instances_per_s"]
+    assert wide["parent_iqr"] == 26.0 and wide["spread_exceeds_bound"]
+    at = bench_pairs.summarize(_pairs([75.0, 100.0, 125.0], [100.0] * 3), METRICS)["instances_per_s"]
+    assert at["parent_iqr"] == 25.0 and not at["spread_exceeds_bound"]
+    # 5% of 40 MB is 2 MB
+    rss = bench_pairs.summarize(_pairs([39.0, 40.0, 41.0], [40.0] * 3, "peak_rss_mb"), METRICS)["peak_rss_mb"]
+    assert rss["parent_iqr"] == 1.0 and not rss["spread_exceeds_bound"]
+    rss = bench_pairs.summarize(_pairs([37.0, 40.0, 43.0], [40.0] * 3, "peak_rss_mb"), METRICS)["peak_rss_mb"]
+    assert rss["parent_iqr"] == 3.0 and rss["spread_exceeds_bound"]

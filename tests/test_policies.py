@@ -44,7 +44,8 @@ from banditlp.statespace import (
     build_beta_bernoulli_arm,
     build_two_level_arm,
 )
-from test_decomposition import bases  # budgeted instances of 1-3 arms with integer costs
+# budgeted instances of 1-3 arms with integer costs; instances of one variant on them
+from test_decomposition import bases, instances
 
 
 def _policy(arm_id, P, R, C):
@@ -258,6 +259,23 @@ def test_fractional_costs_are_not_decided_by_rounding(play_cost, switch_cost, n_
         assert mc.max_cost > 0.3 - 1e-9
 
 
+def test_a_violate_run_within_the_slack_keeps_its_best_dead_stop():
+    # three plays at 0.1 leave 0.09999999999999998 of the budget 0.3 before
+    # the third arm: within the slack, so under either rule every run goes on
+    # past the third arm's dead stop (reward 0.2) and exploits the first
+    # arm's leaf (0.9); read as a violate overshoot, it would exploit 0.2
+    arms = tuple(
+        build_two_level_arm([r], [1.0], play_cost=0.1, arm_id=f"a{i}") for i, r in enumerate((0.9, 0.5, 0.2))
+    )
+    inst = BanditInstance(arms=arms, budget=0.3, objective=Objective("budgeted"))
+    sol = _dead_stop_solution(arms)
+    plan = GreedyPlan("budgeted", tuple(RankedArm(a.arm_id, 1.0, 1.0, 1.0) for a in arms), budget=0.3)
+    for rule in ("order", "violate"):
+        for reps in (4, 200):
+            scalar, batch = _mc_both(inst, sol, plan, reps, seed=0, rule=rule)
+            assert batch.values.tobytes() == scalar.values.tobytes() == np.full(reps, 0.9).tobytes()
+
+
 def test_a_leaf_never_plays_even_on_a_zero_draw():
     # every draw is 0: the root plays (q = 0 <= z = 1), then at the leaf q = 0
     # is not above z = 0; the walk used to play the leaf there and fail in
@@ -274,7 +292,7 @@ def test_a_leaf_never_plays_even_on_a_zero_draw():
     assert (leaf, level, run.spent) == (ax.arm.states[ax.root].transitions[0][0], 0, 1.0)
     arr = batched._ArmArrays(ax)
     ptr, spent = np.zeros(1, dtype=np.intp), np.zeros(1)
-    state, levels, _ = batched._walk_lockstep(arr, np.arange(1), np.zeros((1, ax.ca.draws)), ptr, spent, None)
+    state, levels = batched._walk_lockstep(arr, np.arange(1), np.zeros((1, ax.ca.draws)), ptr, spent, None)
     assert (arr.sids[state[0]], levels[0], spent[0]) == (leaf, 0, 1.0)
 
 
@@ -1175,6 +1193,98 @@ def test_runs_read_exactly_their_window(monkeypatch):
     values, _, _, _ = batched.batched_runs(plan, tables, rules, 3, 300)
     assert [p.tolist() for p in ptrs] == [[d] * 300 for d in (3, 8, 17, 20)]
     assert values.tobytes() == policies._scalar_runs(plan, tables, rules, 3, 300)[0].tobytes()
+
+
+def test_both_runners_audit_an_arm_walked_twice():
+    # a plan that lists a0 twice walks it twice, and a run pays its switch
+    # twice when both walks play the root, each with probability 1/2 (a draw
+    # past z = 0.5 stops dead there).  The scalar loop counted root plays per
+    # arm over the run, the batched runner per walk, so only calls that took
+    # the scalar loop reported the runs that paid twice.
+    arms = tuple(build_beta_bernoulli_arm(1, 1, 2, play_cost=1, switch_cost=1, arm_id=f"a{i}") for i in range(2))
+    inst = BanditInstance(arms, None, Objective("lagrangean"))
+    sol = _play_through_solution(arms)
+    for arm in arms:
+        sol.z[(arm.arm_id, arm.root)], sol.x[(arm.arm_id, arm.root)] = 0.5, (0.5, 0.0)
+    plan = GreedyPlan("lagrangean", tuple(RankedArm(a, 1.0, 1.0, 1.0) for a in ("a0", "a0", "a1")), budget=None)
+    tables = policies._tables(inst, sol)
+    rules = policies._RULES["lagrangean"](inst, plan, sol, "order")
+    for reps in (1, policies._BATCH_MIN_REPS - 1, policies._BATCH_MIN_REPS, 300):
+        scalar = policies._scalar_runs(plan, tables, rules, 3, reps)
+        assert [a.tobytes() for a in batched.batched_runs(plan, tables, rules, 3, reps)] == [a.tobytes() for a in scalar]
+        twice = int(scalar[3].sum())
+        assert monte_carlo_evaluate(inst, plan, sol, reps, 3).violations == (
+            [f"multiple switch charges on one arm (x{twice})"] if twice else []
+        )
+    assert 0 < twice < 300
+
+
+@st.composite
+def _mc_cases(draw):
+    """(instance, solution, plan, rule) of every kind Monte-Carlo runs: budgeted
+    order, violate and alpha = 1.5 with integer or fractional costs,
+    Lagrangean, and concave with linear or sqrt tables."""
+    kind = draw(st.sampled_from(["order", "violate", "alpha 1.5", "lagrangean", "concave"]))
+    if kind in ("lagrangean", "concave"):
+        inst = draw(instances(kind))
+    else:
+        inst = _scaled_costs(draw(bases()), draw(st.sampled_from([1.0, 0.3, 0.7])))
+    sol, plan = _pipeline(inst, alpha=1.5 if kind == "alpha 1.5" else 1.0)
+    return inst, sol, plan, "violate" if kind == "violate" else "order"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mc_cases(), st.integers(0, 2**64 - 1))
+def test_batched_runs_equal_scalar_runs_on_random_plans(case, seed):
+    # values, spends and both audit flags, to the byte, below, at and past
+    # the dispatch constant
+    inst, sol, plan, rule = case
+    tables = policies._tables(inst, sol)
+    rules = policies._RULES[plan.variant](inst, plan, sol, rule)
+    for reps in (1, 128, 300):
+        scalar = policies._scalar_runs(plan, tables, rules, seed, reps)
+        batch = batched.batched_runs(plan, tables, rules, seed, reps)
+        assert [a.tobytes() for a in batch] == [a.tobytes() for a in scalar], reps
+
+
+def test_arm_arrays_hold_the_step_tables_bits():
+    # the batched walk's w, z and cuts are read from the solution as the
+    # steps read them, and the compiled arm's charges and child cumulative
+    # probabilities are the steps' too
+    def bits(values):
+        return np.array(values, dtype=float).tobytes()
+
+    for inst, sol, _, _ in _digest_corpus():
+        for ax in policies._tables(inst, sol).values():
+            arr = batched._ArmArrays(ax)
+            for u, sid in enumerate(ax.ca.sids):
+                se = ax[sid]
+                assert bits([arr.w[u], arr.z[u], arr.charge[u]]) == bits([se.w, se.z, se.charge])
+                assert bits(arr.cuts[u]) == bits((-math.inf,) + se.cuts + (math.inf,))
+                m = len(se.children)
+                assert bits(arr.cum[:, u]) == bits(se.cum_probs[:-1] + (math.inf,) * (arr.width - max(m, 1)))
+                assert [arr.sids[c] for c in arr.kids[u * arr.width : u * arr.width + m]] == list(se.children)
+
+
+def test_a_solution_is_freed_after_a_batched_call_without_the_collector():
+    # nothing the call leaves behind points back at the solution, and its
+    # step tables and walk arrays form no reference cycle that only the
+    # garbage collector would free
+    import gc
+    import weakref
+
+    inst = _ladder(3, 3)
+    sol, plan = _pipeline(inst)
+    ref = weakref.ref(sol)
+    gc.collect()
+    gc.disable()
+    try:
+        monte_carlo_evaluate(inst, plan, sol, reps=300, seed=1)
+        del sol
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_step_tables_are_built_once_per_solution_and_arm():

@@ -12,8 +12,11 @@ seed, so that a drift of the machine hits both.  `BENCH_<label>.json`
 records the commits that ran and, for every end-to-end metric that
 BENCHMARK.json lists, its value in each pair, each side's median and
 quartiles, the change's wins (the pairs in which the change is better in
-the metric's direction; a tie counts for neither) and whether the change's
-median is within the metric's relative bound of the parent's.
+the metric's direction; a tie counts for neither), whether the change's
+median is within the metric's relative bound of the parent's, whether a gain
+is resolved (at least 9 wins in 10 pairs and the medians apart by more than
+the parent's interquartile range) and whether the parent's own spread is
+wider than the bound, which leaves the metric unresolved either way.
 Standard library only.
 """
 
@@ -55,8 +58,11 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict[str, dict]:
     """Per metric ({"name", "better", "bound"} as in BENCHMARK.json): each
     side's median and quartiles over the pairs, the change's wins and
     losses, whether the medians differ, in the better direction, by more
-    than the parent's interquartile range, and whether the change's median
-    is worse than the parent's by at most bound times the parent's.  A pair
+    than the parent's interquartile range, whether the change's median is
+    worse than the parent's by at most bound times the parent's, whether the
+    gain is resolved (wins in at least 9 of 10 pairs and beyond the parent's
+    IQR) and whether the parent's IQR is wider than bound times its median,
+    so that the pairs cannot tell a move within the bound.  A pair
     is {"parent": {name: value}, "change": {name: value}}; a metric missing
     from either side of a pair is left out of that pair."""
     out = {}
@@ -67,17 +73,20 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict[str, dict]:
             continue
         parent, change = (quartiles([pair[k] for pair in both]) for k in (0, 1))
         gain = sign * (change["median"] - parent["median"])
+        wins, iqr = sum(sign * (c - p) > 0.0 for p, c in both), parent["q3"] - parent["q1"]
         out[name] = {
             "better": metric["better"],
             "pairs": len(both),
             "parent": parent,
             "change": change,
             "median_change_pct": 100.0 * (change["median"] / parent["median"] - 1.0) if parent["median"] else None,
-            "wins": sum(sign * (c - p) > 0.0 for p, c in both),
+            "wins": wins,
             "losses": sum(sign * (c - p) < 0.0 for p, c in both),
-            "parent_iqr": parent["q3"] - parent["q1"],
-            "beyond_parent_iqr": gain > parent["q3"] - parent["q1"],
+            "parent_iqr": iqr,
+            "beyond_parent_iqr": gain > iqr,
             "within_bound": -gain <= metric["bound"] * abs(parent["median"]),
+            "resolved": 10 * wins >= 9 * len(both) and gain > iqr,
+            "spread_exceeds_bound": iqr > metric["bound"] * abs(parent["median"]),
         }
     return out
 
@@ -162,7 +171,9 @@ def main(argv=None) -> int:
         for name, s in result["summary"].items():
             print(f"{workload} {name}: {s['parent']['median']:.6g} -> {s['change']['median']:.6g} "
                   f"({s['wins']} of {s['pairs']} better, parent IQR {s['parent_iqr']:.3g}, "
-                  f"{'within' if s['within_bound'] else 'beyond'} its bound)")
+                  f"{'within' if s['within_bound'] else 'beyond'} its bound, "
+                  f"{'resolved' if s['resolved'] else 'not resolved'}"
+                  f"{', parent spread beyond its bound: unresolved' if s['spread_exceeds_bound'] else ''})")
     return 0
 
 
