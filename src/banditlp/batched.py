@@ -10,11 +10,11 @@ from the same draw windows:
 * Walk.  Each plan arm's step table becomes arrays over its states
   (`_ArmArrays`), and `_walk_lockstep` steps every running replication at once
   with `policies._walk_arm`'s float operations, in its order.
-* Rules.  After each arm, the variant's rule in its array form
-  (`policies._Rule.after_rows`) takes every running replication's outcome at
-  once, with the scalar rule's float operations elementwise.  A run's value
-  is summed as `policies._sample_run` sums it: the base, each arm's value in
-  plan order, then its finish.
+* Rules.  After each arm, the array form of the variant's rule
+  (`after_rows`, `policies._RULES`) takes every running replication's outcome
+  at once, with the scalar rule's float operations elementwise.  A run's
+  value is summed as `policies._sample_run` sums it: the base, each arm's
+  value in plan order, then its finish.
 
 Replications are processed `policies._CHUNK` draws at a time, which bounds
 the scratch memory; window k depends on k and the plan alone, so the chunking
@@ -122,16 +122,17 @@ def batched_runs(plan, tables, rules, seed_key: int, reps: int):
     """`policies._scalar_runs` with the replications of a chunk in lockstep:
     per replication, its value, its spend, whether its walked arms broke the
     plan order and whether it paid one arm's switch twice."""
-    values = np.full(reps, rules.base, dtype=float)
+    base, start, capped, _, _, after_rows, finish_rows = rules
+    values = np.full(reps, base, dtype=float)
     spent = np.zeros(reps)
     off_plan = np.zeros(reps, dtype=bool)
     multi_switch = np.zeros(reps, dtype=bool)
-    if not rules.start:
+    if not start:
         return values, spent, off_plan, multi_switch
-    (start_key,) = rules.start
+    (start_key,) = start
     arms = [_ArmArrays(tables[ra.arm_id]) for ra in plan.order]
     ids = [ra.arm_id for ra in plan.order]
-    avail = plan.budget if rules.capped else None
+    avail = plan.budget if capped else None
     for lo, draws in _window_chunks(seed_key, reps, _draw_width(plan, tables)):
         n = len(draws)
         vals, sp = values[lo : lo + n], spent[lo : lo + n]  # views: the chunk writes through
@@ -147,13 +148,13 @@ def batched_runs(plan, tables, rules, seed_key: int, reps: int):
             state, level = _walk_lockstep(arr, live, draws, ptr, sp, avail)
             if ids[j] in switches:
                 switches[ids[j]][live] += state != 0
-            gain, key, go = rules.after_rows(arr.ax, key, state, level, sp[live] - before)
+            gain, key, go = after_rows(arr.ax, key, state, level, sp[live] - before)
             vals[live] += gain
             live, key = live[go], tuple(k[go] for k in key)
             if not live.size:
                 break
         else:
-            vals[live] += rules.finish_rows(key)
+            vals[live] += finish_rows(key)
         for count in switches.values():
             multi_switch[lo : lo + n] |= count > 1
         # a run's walked arms must be a prefix of the plan order

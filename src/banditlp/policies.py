@@ -54,7 +54,7 @@ import operator
 import threading
 from dataclasses import dataclass, field
 from itertools import accumulate, product as iter_product
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,11 +80,13 @@ TWO_LEVEL_FREE_SHARE = 1e-15
 
 # Monte-Carlo calls with at least this many replications take the batched
 # runner (`batched.batched_runs`), smaller ones the scalar loop.  In process,
-# best of 25 rounds on a 2-core VM, ms per call, scalar against batched:
-# `suite`'s plans of 1-3 shallow arms 0.094 / 0.100 at 32 replications, 0.182
-# / 0.103 at 64; `concave-mc`'s 0.162 / 0.161 at 32, 0.299 / 0.162 at 64; the
-# 5x4-7x4 Beta ladders of `ladder`, whose deeper walks take more numpy calls
-# per arm, 0.62 / 0.70 at 64, 0.75 / 0.73 at 72, 0.89 / 0.70 at 96.
+# best of 25 rounds on a 2-core VM, ms per call on seed 1's plans, scalar / batched:
+#   replications  32           64           96           128          200
+#   suite         0.094/0.100  0.182/0.103  0.267/0.108  0.380/0.123  0.580/0.130
+#   concave-mc    0.162/0.161  0.299/0.162  0.461/0.181  0.590/0.187  0.938/0.215
+#   ladder        0.340/0.670  0.621/0.698  0.890/0.699  1.291/0.788  1.895/0.867
+# The deeper walks of `ladder`'s 5x4-7x4 Beta ladders take more numpy calls per
+# arm (0.75/0.73 at 72); from 96 on, the batched runner is the faster on all three.
 _BATCH_MIN_REPS = 96
 
 
@@ -463,34 +465,10 @@ def _walk_arm(ax: _ArmExec, rng: _Window, run: _Run, avail: float | None):
 # Rules between arms
 
 
-class _Rule(NamedTuple):
-    """A variant's rule between arms, in its scalar and its array form.
-
-    A run starts from its start key (no key: it ends before any arm, worth
-    the base value); `capped` says whether the budget caps an arm's spend.
-    after(ax, key, sid, level, spent) gives the value of an arm's outcome,
-    with spent the arm's own spend, and the next key (None: the run ends);
-    finish(key) values a key that outlives the plan.  Both are pure: the
-    exact pass calls them once per frontier key.  after_rows and finish_rows
-    are the same rule over many runs at once, for the batched runner: the key
-    is a tuple of arrays, states are compiled indices, a budget stop is level
-    -1, and after_rows also returns which runs go on.  They repeat the scalar
-    float operations elementwise, so each run gets the scalar rule's bits.
-    """
-
-    base: float
-    start: dict
-    capped: bool
-    after: Callable | None
-    finish: Callable | None
-    after_rows: Callable | None
-    finish_rows: Callable | None
-
-
 def _budgeted_rule(instance, plan, solution, rule):
     """Key (remaining budget, best dead-stop reward so far)."""
     if not _affordable_first_play(instance, plan.budget):
-        return _Rule(_argmax_root(instance)[2], {}, False, None, None, None, None)
+        return _argmax_root(instance)[2], {}, False, None, None, None, None
 
     # Under "order" the walk itself keeps a run within the budget; testing
     # the remainder there too would let fractional costs, rounded per arm,
@@ -512,8 +490,8 @@ def _budgeted_rule(instance, plan, solution, rule):
         return np.where(end, r, 0.0), (rem - spent, np.where(r > best, r, best)), ~end
 
     # max(best, 0.0) is best unless 0.0 > best
-    return _Rule(0.0, {(float(plan.budget), -1.0): 1.0}, not violate, after, lambda key: max(key[1], 0.0),
-                 after_rows, lambda key: np.where(0.0 > key[1], 0.0, key[1]))
+    return (0.0, {(float(plan.budget), -1.0): 1.0}, not violate, after, lambda key: max(key[1], 0.0),
+            after_rows, lambda key: np.where(0.0 > key[1], 0.0, key[1]))
 
 
 def _lagrangean_rule(instance, plan, solution, rule):
@@ -526,7 +504,7 @@ def _lagrangean_rule(instance, plan, solution, rule):
         end = level != 0
         return np.where(end, ax.ca.arrays.reward[state] - spent, -spent), key, ~end
 
-    return _Rule(0.0, {(): 1.0}, False, after, lambda key: 0.0, after_rows, lambda key: 0.0)
+    return 0.0, {(): 1.0}, False, after, lambda key: 0.0, after_rows, lambda key: 0.0
 
 
 def _concave_rule(instance, plan, solution, rule):
@@ -560,11 +538,21 @@ def _concave_rule(instance, plan, solution, rule):
         return np.array(gains)[inverse], (rem - spent, units), (level >= 0) & ~(units >= cap)
 
     base = sum(prob.value_at(a.arm_id, a.root, 0.0) for a in instance.arms)
-    return _Rule(base, {(float(plan.budget), 0.0): 1.0}, True, after, lambda key: 0.0, after_rows, lambda key: 0.0)
+    return base, {(float(plan.budget), 0.0): 1.0}, True, after, lambda key: 0.0, after_rows, lambda key: 0.0
 
 
-# The one definition of each variant's rule between arms (`_Rule`), read by
-# the sampled runs, the batched runner and the exact pass.
+# The one definition of each variant's rule between arms, read by the sampled
+# runs, the batched runner and the exact pass.  Each returns (base value, start
+# keys, whether the budget caps an arm's spend, after, finish, after_rows,
+# finish_rows).  A run starts from its start key (no key: the run ends before
+# any arm, worth the base value).  after(ax, key, sid, level, spent) gives the
+# value of an arm's outcome, with spent the arm's own spend, and the next key
+# (None: the run ends); finish(key) values a key that outlives the plan.  Both
+# are pure: the exact pass calls them once per frontier key.  after_rows and
+# finish_rows are the same rule over many runs at once, for the batched runner:
+# the key is a tuple of arrays, states are compiled indices, a budget stop is
+# level -1, and after_rows also returns which runs go on.  They repeat the
+# scalar float operations elementwise, so each run gets the scalar rule's bits.
 _RULES = {"budgeted": _budgeted_rule, "lagrangean": _lagrangean_rule, "concave": _concave_rule}
 
 
@@ -594,7 +582,7 @@ def _sample_run(plan, tables, rules, rng, run: _Run, walked: list | None = None)
     The walk tests a play against the budget with the run's running total, the
     trace's own cost; the rule sees the arm's own spend.
     """
-    value, start, capped, after, finish = rules[:5]
+    value, start, capped, after, finish, _, _ = rules
     if not start:
         return value, False
     (key,) = start
@@ -886,7 +874,7 @@ def evaluate_plan_exact(
     if plan.budget is not None and not instance.has_integer_costs():
         raise ValueError("exact evaluation under a budget requires integer costs")
     tables = _tables(instance, solution)
-    value, frontier, capped, after, finish = _RULES[plan.variant](instance, plan, solution, rule)[:5]
+    value, frontier, capped, after, finish, _, _ = _RULES[plan.variant](instance, plan, solution, rule)
     cost = 0.0
     # An arm's outcomes depend on the remaining budget only below its largest
     # exploration cost: with more, no play of the arm is ever budget-stopped

@@ -1211,7 +1211,8 @@ def test_both_runners_audit_an_arm_walked_twice():
     rules = policies._RULES["lagrangean"](inst, plan, sol, "order")
     for reps in (1, policies._BATCH_MIN_REPS - 1, policies._BATCH_MIN_REPS, 300):
         scalar = policies._scalar_runs(plan, tables, rules, 3, reps)
-        assert [a.tobytes() for a in batched.batched_runs(plan, tables, rules, 3, reps)] == [a.tobytes() for a in scalar]
+        batch = batched.batched_runs(plan, tables, rules, 3, reps)
+        assert [a.tobytes() for a in batch] == [a.tobytes() for a in scalar]
         twice = int(scalar[3].sum())
         assert monte_carlo_evaluate(inst, plan, sol, reps, 3).violations == (
             [f"multiple switch charges on one arm (x{twice})"] if twice else []
