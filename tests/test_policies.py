@@ -1198,9 +1198,8 @@ def test_runs_read_exactly_their_window(monkeypatch):
 def test_both_runners_audit_an_arm_walked_twice():
     # a plan that lists a0 twice walks it twice, and a run pays its switch
     # twice when both walks play the root, each with probability 1/2 (a draw
-    # past z = 0.5 stops dead there).  The scalar loop counted root plays per
-    # arm over the run, the batched runner per walk, so only calls that took
-    # the scalar loop reported the runs that paid twice.
+    # past z = 0.5 stops dead there).  Both runners count an arm's root plays
+    # over the whole run, not per walk, and flag the same runs.
     arms = tuple(build_beta_bernoulli_arm(1, 1, 2, play_cost=1, switch_cost=1, arm_id=f"a{i}") for i in range(2))
     inst = BanditInstance(arms, None, Objective("lagrangean"))
     sol = _play_through_solution(arms)
@@ -1237,8 +1236,8 @@ def _mc_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(_mc_cases(), st.integers(0, 2**64 - 1))
 def test_batched_runs_equal_scalar_runs_on_random_plans(case, seed):
-    # values, spends and both audit flags, to the byte, below, at and past
-    # the dispatch constant
+    # values, spends and both audit flags, to the byte, for one replication
+    # and for 128 and 300 in one chunk
     inst, sol, plan, rule = case
     tables = policies._tables(inst, sol)
     rules = policies._RULES[plan.variant](inst, plan, sol, rule)
