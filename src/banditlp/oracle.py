@@ -8,7 +8,9 @@ interpreter's recursion limit.  Its memo keys sort the states of
 structurally identical arms (value functions are invariant under permuting
 interchangeable arms), which collapses the n-fold product space to
 multisets; the symmetric integrality-gap family at n = 16 would otherwise
-need ~3^16 entries.
+need ~3^16 entries.  A Lagrangean play is valued only if the largest reward
+still reachable could repay its cost (`dp_optimal`); `DecisionTable.decide`
+values any state so skipped on demand, with the same code and memo.
 
 Also walks any policy (deterministic table or randomized process) forward to
 its exact per-state occupancy probabilities w/x/z, which can be fed back into
@@ -28,6 +30,9 @@ ORACLE_GUARD = 10_000_000
 # dp_optimal plays an arm only if its value beats the best action so far
 # (stopping first) by more than ACTION_TIE, so near-ties keep the earlier action.
 ACTION_TIE = 1e-12
+# dp_optimal skips a Lagrangean play that cannot beat the best action so far
+# by more than LAGRANGE_SLACK * (1 + |reachable reward| + cost).
+LAGRANGE_SLACK = 1e-9
 
 
 class OracleGuardError(RuntimeError):
@@ -95,6 +100,9 @@ def _check_joint_space(instance: BanditInstance, with_budget: bool, limits: int)
 
     Integrality matters only when the remaining budget is a DP dimension.
     """
+    for arm in instance.arms:
+        if arm.switch_cost < 0 or min(arm.compiled().costs, default=0.0) < 0:
+            raise ValueError(f"the DP oracle requires play and switch costs >= 0; arm {arm.arm_id!r} has one below 0")
     if with_budget:
         if not instance.has_integer_costs():
             raise ValueError("the DP oracle requires integer play and switch costs")
@@ -110,21 +118,27 @@ class DecisionTable:
     """Optimal policy produced by dp_optimal.
 
     ``decide(joint)`` returns ("play", arm_id) or ("stop",); the stop action
-    exploits the best current arm (argmax reward, lowest arm id on ties).
+    exploits the best current arm (argmax reward, the first arm in instance
+    order on ties, as `enumerate_policy_statistics` exploits it).  A joint
+    state that the DP's bound left unvalued is valued on the first call that
+    asks for it, into the same memo; the optimal policy never reaches one.
     """
 
-    def __init__(self, instance: BanditInstance, memo, classes, canon, track_last):
+    def __init__(self, instance: BanditInstance, memo, classes, canon, track_last, value):
         self._instance = instance
         self._memo = memo
         self._classes = classes
         self._canon = canon
         self._track_last = track_last
+        self._value = value
 
     def decide(self, joint: JointState) -> tuple:
         codes = tuple(arm.compiled().index[sid] for arm, sid in zip(self._instance.arms, joint.states))
         last = joint.last if self._track_last else None
         last_entry = None if last is None else (self._classes[last], codes[last])
         key = (joint.budget, last_entry, codes if self._canon is None else self._canon(codes))
+        if key not in self._memo:
+            self._value(codes, joint.budget, joint.last, key)
         action = self._memo[key][1]
         if action[0] == "stop":
             return ("stop",)
@@ -146,6 +160,17 @@ def dp_optimal(
     Budgeted: maximize expected exploited reward with play+switch cost at most
     the budget on every trajectory.  Lagrangean: maximize exploited reward
     minus accumulated cost, stop always available.
+
+    Lagrangean plays are bounded.  With costs >= 0 no joint state is worth
+    more than U, the largest reward its arms can still reach
+    (`CompiledArm.max_reachable`), so a play of cost c is worth at most
+    U - c and is skipped, its children unvalued, when U - c <= best - slack
+    (slack = LAGRANGE_SLACK * (1 + |U| + c), best the best action so far).
+    Rounding lifts a computed value over its exact bound by a few ulps of the
+    reward scale per level of depth, far below the slack, so a skipped play
+    could not have beaten best + ACTION_TIE: OPT and every decision keep the
+    unbounded DP's bits.  Budgeted plays stay unbounded: they spend budget,
+    not value, and U is never below the value of stopping.
     """
     kind = instance.objective.kind
     if kind not in ("budgeted", "lagrangean"):
@@ -159,6 +184,7 @@ def dp_optimal(
     canon = _canonical(classes)
     track_last = any(a.switch_cost > 0 for a in arms)
     rewards = [ca.rewards for ca in compiled]
+    reach = [ca.max_reachable for ca in compiled]
     # per arm and state: None at a leaf, else the play's cost after another
     # arm's play (the switch cost included), after this arm's own, and the
     # children
@@ -174,6 +200,7 @@ def dp_optimal(
         value, so the loop below walks the states in the order a
         recursion would, on its own stack."""
         best = max(map(getitem, rewards, codes), default=0.0)  # 0 without arms
+        top = None if with_budget else max(map(getitem, reach, codes), default=0.0)
         action: tuple = ("stop",)
         for i, u in enumerate(codes):
             move = moves[i][u]
@@ -186,6 +213,8 @@ def dp_optimal(
                     continue
                 nb = budget - icost
                 v = 0.0
+            elif top - cost <= best - LAGRANGE_SLACK * (1.0 + abs(top) + cost):
+                continue  # no reachable reward repays the cost
             else:
                 nb = None
                 v = -cost
@@ -202,20 +231,26 @@ def dp_optimal(
         memo[key] = (best, action)
         return best
 
+    def value(*state) -> float:
+        """Value a joint state (codes, budget, last, key) and every successor
+        it needs that the memo lacks, depth first on an explicit stack."""
+        stack = [node(*state)]
+        sent = None
+        while stack:
+            try:
+                child = stack[-1].send(sent)
+            except StopIteration as done:
+                stack.pop()
+                sent = done.value
+            else:
+                stack.append(node(*child))
+                sent = None
+        return sent
+
     roots = (0,) * len(arms)  # a root is state 0 of its compiled arm
     budget = int(instance.budget) if with_budget else None
-    stack = [node(roots, budget, None, (budget, None, roots if canon is None else canon(roots)))]
-    sent = None
-    while stack:
-        try:
-            child = stack[-1].send(sent)
-        except StopIteration as done:
-            stack.pop()
-            sent = done.value
-        else:
-            stack.append(node(*child))
-            sent = None
-    return sent, DecisionTable(instance, memo, classes, canon, track_last)
+    opt = value(roots, budget, None, (budget, None, roots if canon is None else canon(roots)))
+    return opt, DecisionTable(instance, memo, classes, canon, track_last, value)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,16 @@ class CompiledArm:
             a.flags.writeable = False
         return out
 
+    @functools.cached_property
+    def max_reachable(self) -> tuple[float, ...]:
+        """Per state u, the largest reward of u and of every state reachable
+        from it, built on first use: with costs >= 0, no policy that starts
+        with the arm at u exploits more of it."""
+        out = list(self.rewards)
+        for u in reversed(range(len(out))):  # children come after parents
+            out[u] = max([out[u], *[out[c] for c, _ in self.kids[u]]])
+        return tuple(out)
+
 
 class StateArrays(NamedTuple):
     """A compiled arm's per-state arrays, indexed by u: the reward, the charge,

@@ -1,6 +1,7 @@
 """The paired-benchmark summary of `tools/bench_pairs.py`, on fixed numbers."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -94,3 +95,16 @@ def test_a_parent_spread_wider_than_the_bound_is_flagged():
     assert rss["parent_iqr"] == 1.0 and not rss["spread_exceeds_bound"]
     rss = bench_pairs.summarize(_pairs([37.0, 40.0, 43.0], [40.0] * 3, "peak_rss_mb"), METRICS)["peak_rss_mb"]
     assert rss["parent_iqr"] == 3.0 and rss["spread_exceeds_bound"]
+
+
+def test_a_run_keeps_its_attempted_count_next_to_its_metrics(tmp_path):
+    # peak_rss_mb grows with the rounds a run completes, so each run keeps
+    # how many instances it attempted, and the summary reads each side's median
+    line = {"correct": 90, "attempted": 90, "failed": 0, "metrics": {"peak_rss_mb": {"value": 41.5, "unit": "MB"}}}
+    (tmp_path / "pipebench").mkdir()
+    (tmp_path / "pipebench" / "run.py").write_text(f"print('warming up')\nprint({json.dumps(json.dumps(line))})\n")
+    assert bench_pairs.run_once(str(tmp_path), "suite", 1, 1.0) == {"peak_rss_mb": 41.5, "attempted": 90}
+
+    pairs = [{"parent": {"attempted": p}, "change": {"attempted": c}} for p, c in [(100, 130), (90, 120), (110, 150)]]
+    assert bench_pairs.attempted_medians(pairs) == {"parent": 100, "change": 130}
+    assert bench_pairs.summarize(pairs, METRICS) == {}  # not a metric of the benchmark

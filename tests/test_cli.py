@@ -209,6 +209,22 @@ def test_a_negative_budget_is_one_json_error(tmp_path, capsys):
     assert "non-negative budget" in doc["error"]
 
 
+def test_a_negative_cost_is_one_json_error_from_the_oracle(tmp_path, capsys):
+    # the oracle took a play cost of -0.5 and reported OPT 1.25, above every
+    # reward
+    lag = as_lagrangean(gen_integrality_gap(2))
+    arm = lag.arms[0]
+    states = {sid: dataclasses.replace(s, play_cost=-0.5) for sid, s in arm.states.items()}
+    arms = (dataclasses.replace(arm, states=states),) + lag.arms[1:]
+    path = str(tmp_path / "negative-cost.json")
+    save_instance(dataclasses.replace(lag, arms=arms), path)
+    code, out = run_cli(capsys, "oracle", path)
+    assert code == 2
+    assert json.loads(out) == {
+        "error": f"the DP oracle requires play and switch costs >= 0; arm {arm.arm_id!r} has one below 0"
+    }
+
+
 def test_suite_runs_a_fractional_bicriteria_budget(tmp_path, capsys):
     # alpha * C is fractional for every odd budget: the exact pass needs
     # integer costs only

@@ -105,6 +105,35 @@ def test_oracle_guard():
         dp_optimal(inst, limits=10)
 
 
+def _recosted(arm, play, switch_cost):
+    """The arm with each play cost c replaced by play(c), and switch_cost."""
+    states = {sid: BeliefState(sid, s.reward, play(s.play_cost), s.transitions) for sid, s in arm.states.items()}
+    return ArmStateSpace(arm.arm_id, arm.root, states, switch_cost)
+
+
+def _scaled(inst, scale):
+    """The instance with every play and switch cost multiplied by scale."""
+    arms = tuple(_recosted(arm, lambda c: c * scale, arm.switch_cost * scale) for arm in inst.arms)
+    return BanditInstance(arms, inst.budget, inst.objective)
+
+
+@pytest.mark.parametrize("objective", ["budgeted", "lagrangean"])
+@pytest.mark.parametrize("play_cost,switch_cost", [(0.0, -1.0), (-0.5, 0.0)])
+def test_negative_costs_rejected(objective, play_cost, switch_cost):
+    # unchecked, a switch cost of -1 took the budgeted DP to remaining budgets
+    # 2 and 3 from C = 1, and a play cost of -0.5 a Lagrangean OPT of 1.25,
+    # above every reward
+    arms = tuple(
+        _recosted(build_two_level_arm([0.0, 1.0], [0.5, 0.5], 0, arm_id=f"a{k}"), lambda c: play_cost, switch_cost)
+        for k in range(2)
+    )
+    inst = BanditInstance(arms, 1.0 if objective == "budgeted" else None, Objective(objective))
+    with pytest.raises(ValueError, match="'a0' has one below 0"):
+        dp_optimal(inst)
+    with pytest.raises(ValueError, match="'a0' has one below 0"):
+        enumerate_policy_statistics(inst, _NeverPlay("a0"))
+
+
 def test_non_integer_costs_rejected():
     arm = build_two_level_arm([0.0, 1.0], [0.5, 0.5], play_cost=0.5, arm_id="a")
     inst = BanditInstance(arms=(arm,), budget=1.0, objective=Objective("budgeted"))
@@ -236,6 +265,55 @@ def test_deep_chain_needs_no_recursion_limit():
     assert table.decide(JointState(("lo", "root"), 0, 0)) == ("stop",)
 
 
+def test_the_bound_values_one_state_of_the_suites_heaviest_lagrangean_shape():
+    # three 6-state arms at play cost 1 and switch cost 1: no play from the
+    # root can be repaid by a reward <= 1, so the DP values the root only
+    # (541 joint states unbounded); decide values the rest on demand
+    arms = tuple(
+        build_beta_bernoulli_arm(a, b, 2, play_cost=1, switch_cost=1, arm_id=f"a{k}")
+        for k, (a, b) in enumerate([(1, 1), (2, 1), (1, 3)])
+    )
+    inst = BanditInstance(arms, None, Objective("lagrangean"))
+    opt, table = dp_optimal(inst)
+    ref_opt, ref_table = _reference_dp(inst)
+    assert len(table._memo) == 1
+    assert opt == ref_opt
+    joints = list(_joint_states(inst, 3000))
+    assert len(joints) > 100
+    for joint in joints:
+        assert table.decide(joint) == ref_table.decide(joint), joint
+    assert len(table._memo) > 1
+
+
+@pytest.mark.parametrize("extra,valued", [(0.0, 3), (1e-6, 1)])
+def test_a_play_whose_bound_ties_the_stop_value_is_valued(extra, valued):
+    # root reward 0.5, reachable maximum 1: at cost 0.5 the bound 1 - 0.5
+    # equals the stop value exactly, so the play is valued (and loses to
+    # stopping); a cost past the slack skips it
+    arm = build_two_level_arm([0.0, 1.0], [0.5, 0.5], play_cost=0.5 + extra, arm_id="a")
+    inst = BanditInstance((arm,), None, Objective("lagrangean"))
+    opt, table = dp_optimal(inst)
+    ref_opt, ref_table = _reference_dp(inst)
+    assert (opt, len(table._memo)) == (ref_opt, valued)
+    start = JointState(("root",), None, None)
+    assert table.decide(start) == ref_table.decide(start) == ("stop",)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.3, 0.05])
+def test_the_optimal_policy_never_walks_into_a_skipped_state(scale):
+    # the acceptance mix's Lagrangean twins, their costs scaled so that some
+    # plays are valued and some skipped: the policy's walk values nothing new
+    suite = gen_random_suite(GeneratorSpec(family="random-two-level", count=100, seed=101, budget_cap=5))
+    suite += gen_random_suite(GeneratorSpec(family="random-beta", count=100, seed=202, budget_cap=5))
+    for inst in suite:
+        lag = _scaled(as_lagrangean(inst), scale)
+        opt, table = dp_optimal(lag)
+        valued = len(table._memo)
+        stats = enumerate_policy_statistics(lag, table)
+        assert len(table._memo) == valued
+        assert stats.expected_reward >= opt - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # The DP on state ids that dp_optimal replaced, kept as its reference: a
 # recursion whose memo key sorts (class, state id) over every arm.
@@ -328,7 +406,9 @@ def _joint_states(instance, limit):
 @st.composite
 def symmetric_instances(draw):
     """1-2 random arms, each copied 1-3 times under new ids (at most 4 arms),
-    the copies interleaved, budgeted or lagrangean."""
+    the copies interleaved, budgeted or lagrangean.  Lagrangean costs are
+    scaled by 0, 0.05, 0.3 or 1: at integer costs against rewards <= 1
+    nearly every play would be skipped at the root."""
     spec = GeneratorSpec(
         family=draw(st.sampled_from(["random-two-level", "random-beta"])),
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -343,7 +423,9 @@ def symmetric_instances(draw):
         arms += [ArmStateSpace(f"{arm.arm_id}.{j}", arm.root, arm.states, switch) for j in range(copies)]
     arms = draw(st.permutations(arms[:4]))
     inst = BanditInstance(tuple(arms), base.budget, Objective("budgeted"))
-    return draw(st.sampled_from([inst, as_lagrangean(inst)]))
+    if draw(st.booleans()):
+        return inst
+    return _scaled(as_lagrangean(inst), draw(st.sampled_from([0.0, 0.05, 0.3, 1.0])))
 
 
 @settings(max_examples=80, deadline=None)
@@ -351,7 +433,9 @@ def symmetric_instances(draw):
 def test_integer_coded_dp_equals_the_reference_recursion(inst):
     opt, table = dp_optimal(inst)
     ref_opt, ref_table = _reference_dp(inst)
-    assert opt == ref_opt  # bitwise: the same states are visited in the same order
+    # bitwise: every state valued sums its plays as the recursion does, and
+    # a play the bound skips could not have won
+    assert opt == ref_opt
     for joint in _joint_states(inst, 3000):
         assert table.decide(joint) == ref_table.decide(joint), joint
     stats = enumerate_policy_statistics(inst, table)

@@ -17,6 +17,9 @@ median is within the metric's relative bound of the parent's, whether a gain
 is resolved (at least 9 wins in 10 pairs and the medians apart by more than
 the parent's interquartile range) and whether the parent's own spread is
 wider than the bound, which leaves the metric unresolved either way.
+Each run also keeps `attempted`, the instances it ran, and the summary prints
+each side's median of it: `peak_rss_mb` grows with the rounds a run
+completes, so a faster side reads more memory with no change in the library.
 Standard library only.
 """
 
@@ -91,15 +94,21 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict[str, dict]:
     return out
 
 
+def attempted_medians(pairs: list[dict]) -> dict[str, float]:
+    """Each side's median of the instances its runs attempted."""
+    return {side: statistics.median([p[side]["attempted"] for p in pairs]) for side in ("parent", "change")}
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """One `pipebench/run.py --trace 0` in the checkout: its metric values."""
+    """One `pipebench/run.py --trace 0` in the checkout: its metric values and
+    `attempted`, the instances it ran."""
     cmd = [sys.executable, "pipebench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd[1:])} exited with {proc.returncode}:\n{proc.stderr[-4000:]}")
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return {**{name: m["value"] for name, m in result["metrics"].items()}, "attempted": result["attempted"]}
 
 
 def _git(*args: str) -> str:
@@ -162,12 +171,18 @@ def main(argv=None) -> int:
                     pair[side] = run_once(dirs[side], workload, seed, seconds)
                     print(f"{workload} seed {seed} {side}: {json.dumps(pair[side])}", file=sys.stderr)
                 pairs.append(pair)
-            record["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, bench["end_to_end"])}
+            record["workloads"][workload] = {
+                "pairs": pairs,
+                "summary": summarize(pairs, bench["end_to_end"]),
+                "attempted_median": attempted_medians(pairs),
+            }
     out = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     for workload, result in record["workloads"].items():
+        attempted = result["attempted_median"]
+        print(f"{workload} attempted: {attempted['parent']:.6g} -> {attempted['change']:.6g} (medians)")
         for name, s in result["summary"].items():
             print(f"{workload} {name}: {s['parent']['median']:.6g} -> {s['change']['median']:.6g} "
                   f"({s['wins']} of {s['pairs']} better, parent IQR {s['parent_iqr']:.3g}, "
