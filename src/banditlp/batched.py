@@ -7,7 +7,7 @@ from the same draw windows:
 * Draws.  Replication k reads window k of the call's one Philox4x64-10 stream
   (Salmon et al. 2011; `policies._windows`), so a chunk's draw matrix, one
   window per row, comes from one numpy `Generator.random` call.
-* Walk.  Each plan arm's step table becomes arrays over its states
+* Walk.  Each plan arm's step table becomes arrays over its compiled states
   (`_ArmArrays`), and `_walk_lockstep` steps every running replication at once
   with `policies._walk_arm`'s float operations, in its order.
 * Rules.  After each arm, the array form of the variant's rule
@@ -31,34 +31,27 @@ from .policies import AUDIT_TOL, UNREACHABLE_W, _draw_width, _window_chunks
 
 
 class _ArmArrays:
-    """One arm's step table as arrays over its compiled states, root first.
+    """One arm's step table (`policies._ArmTable`) as arrays, root first.
 
-    Per state: w and `dead` (w < UNREACHABLE_W); z (-inf at a state without
-    children); the cuts, opened by -inf and closed by +inf, whose column c
-    stands for level `levels[c]`: -1 (a budget stop) for the opening column, 0
-    (a dead stop) for the closing one.  From the compiled arm's `StateArrays`,
-    which do not depend on the solution: the charge, the child cumulative
-    probabilities and the kids, flat (`kids[u * width + c]`).  w, z and the
-    cuts are read from the table's w, z and x as `policies._Step` reads them,
-    with its float operations: the cuts of a row accumulate z, x_0, x_1, ...
-    left to right.
+    Per state: the table's w and `dead` (w < UNREACHABLE_W), z, and cuts,
+    opened by -inf and closed by +inf, whose column c stands for level
+    `levels[c]`: -1 (a budget stop) for the opening column, 0 (a dead stop)
+    for the closing one.  From the compiled arm's `StateArrays`: the charge,
+    the child cumulative probabilities and the kids, flat (`kids[u * width +
+    c]`).
     """
 
-    __slots__ = ("ax", "sids", "w", "dead", "z", "cuts", "levels", "charge", "cum", "kids", "width")
+    __slots__ = ("tab", "w", "dead", "z", "cuts", "levels", "charge", "cum", "kids", "width")
 
-    def __init__(self, ax):
-        ca = ax.ca
-        fixed = ca.arrays
-        W, Z, X = ax.w, ax.z, ax.x
-        self.ax, self.sids = ax, ca.sids
+    def __init__(self, tab):
+        fixed = tab.ca.arrays
+        self.tab = tab
         self.charge, self.cum = fixed.charge, fixed.cum
         self.kids, self.width = fixed.kids.ravel(), fixed.kids.shape[1]
-        self.w = np.array([W[k] for k in ca.keys], dtype=float)
+        self.w = np.array(tab.w, dtype=float)
         self.dead = self.w < UNREACHABLE_W
-        rows = [(0.0 if leaf else Z[k], *X[k], math.inf) for k, leaf in zip(ca.keys, ca.leaf)]
-        self.cuts = np.add.accumulate(np.array(rows, dtype=float), axis=1)  # sequential, as accumulate
-        self.z = np.where(fixed.childless, -math.inf, self.cuts[:, 0])
-        self.cuts[:, 0] = -math.inf
+        self.z = np.array(tab.z, dtype=float)
+        self.cuts = np.array([(-math.inf, *cut, math.inf) for cut in tab.cuts], dtype=float)
         self.levels = np.arange(-1, self.cuts.shape[1] - 1)
         self.levels[-1] = 0
 
@@ -148,7 +141,7 @@ def batched_runs(plan, tables, rules, seed_key: int, reps: int):
             state, level = _walk_lockstep(arr, live, draws, ptr, sp, avail)
             if ids[j] in switches:
                 switches[ids[j]][live] += state != 0
-            gain, key, go = after_rows(arr.ax, key, state, level, sp[live] - before)
+            gain, key, go = after_rows(arr.tab, key, state, level, sp[live] - before)
             vals[live] += gain
             live, key = live[go], tuple(k[go] for k in key)
             if not live.size:

@@ -4,13 +4,13 @@ The greedy plans order arms by a bang-per-buck ratio of the single-arm
 statistics, then explore the arms one at a time in that order: each arm's
 randomized stopping policy runs to its end and the arm is never revisited.
 A rounded policy is therefore a plan order plus one per-arm step, described
-once per state by the step table `_Step`: draw q uniformly in [0, w]; play if
-q <= z; otherwise exploit at the smallest level l with q <= cuts[l], where
-level 0 (or q past the last cut) is a dead stop.  The cuts are z + x_0,
-z + x_0 + x_1, ... over the solution's exploit masses at levels 0..L; a plain
-solution is the one-level grid (0, x), so its level 1 is the plain exploit.
-The table also holds the exact probabilities pz, px (per level) and pn of
-those outcomes, the charge of a play and the child distribution.
+per state, by compiled index, in the arm's step table `_ArmTable`: draw q
+uniformly in [0, w]; play if q <= z; otherwise exploit at the smallest level
+l with q <= cuts[l], where level 0 (or q past the last cut) is a dead stop.
+The cuts are z + x_0, z + x_0 + x_1, ... over the solution's exploit masses
+at levels 0..L; a plain solution is the one-level grid (0, x).  The table
+also holds the exact probabilities pz, px (per level) and pn of those
+outcomes.
 
 Every consumer reads that one table, built once per solution and arm
 (`_tables`), and every run, sampled or exact, applies one rule between arms
@@ -58,8 +58,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .relaxations import RelaxationSolution, SingleArmPolicy, solve_relaxation
-from .statespace import ArmStateSpace, BanditInstance, CompiledArm
+from .relaxations import ArmValues, RelaxationSolution, SingleArmPolicy, _check_unique_ids, solve_relaxation
+from .statespace import ArmStateSpace, BanditInstance
 
 # A state with occupancy w below UNREACHABLE_W is never entered: its step is a
 # dead stop.  AUDIT_TOL is the slack of every float comparison of a spend with
@@ -172,84 +172,57 @@ def make_greedy_plan(
 # Execution tables and draw windows
 
 
-class _Step:
-    """One state's step: its thresholds and the exact outcome probabilities.
+class _ArmTable:
+    """One arm's step table under a solution, per state by compiled index u.
 
-    `cuts[l]` is z plus the exploit masses of levels 0..l, so a draw q > z
-    lands on the smallest level l with q <= cuts[l] (a dead stop past the last
-    cut).  pz, px[l - 1] and pn are the probabilities of a play, an exploit at
-    level l >= 1 and a dead stop; the mass of level 0 is part of pn.
-    `charge` is the cost of playing here, the switch cost included at the root.
-    The walk's play threshold `z` is -inf at a state without children, which
-    never plays, not even on a draw of exactly 0.
+    `cuts[u][l]` is the base (the solution's z, 0 at a leaf) plus the exploit
+    masses of levels 0..l, so a draw q > z[u] lands on the smallest level l
+    with q <= cuts[u][l] (a dead stop past the last cut).  z[u] is the base,
+    or -inf at a state without children, which never plays, not even on a
+    draw of 0.  pz[u], px[u][l - 1] and pn[u] are the probabilities of a
+    play, an exploit at level l >= 1 and a dead stop (level 0 included; all
+    of it below UNREACHABLE_W).  The rest is the compiled arm's (`ca`).  No
+    reference leads back to the solution, which keeps the table.
     """
 
-    __slots__ = ("w", "z", "cuts", "pz", "px", "pn", "cost", "charge", "reward", "children", "probs", "cum_probs")
+    __slots__ = ("arm", "arm_id", "ca", "w", "z", "cuts", "pz", "px", "pn")
 
-    def __init__(self, ca: CompiledArm, u: int, w: float, z: float, masses: Sequence[float]):
-        self.w = w
-        self.cuts = tuple(accumulate(masses, initial=z))[1:]
-        if w < UNREACHABLE_W:
-            self.pz, self.px, self.pn = 0.0, (0.0,) * (len(masses) - 1), 1.0
-        else:
-            self.pz = z / w
-            self.px = tuple(max((hi - lo) / w, 0.0) for lo, hi in zip(self.cuts, self.cuts[1:]))
-            self.pn = max(1.0 - self.pz - sum(self.px), 0.0)
-        self.cost = ca.costs[u]
-        self.charge = ca.charges[u]
-        self.reward = ca.rewards[u]
-        self.children = tuple(ca.sids[c] for c, _ in ca.kids[u])
-        self.probs = tuple(p for _, p in ca.kids[u])
-        self.cum_probs = tuple(accumulate(self.probs))
-        self.z = z if self.children else -math.inf
-
-
-class _ArmExec(dict):
-    """One arm's step table, state id -> `_Step`, each step built on first
-    use: a trace visits one path of the arm's DAG, not all of it.
-
-    It holds the solution's w, z and x, not the solution, which keeps the
-    table: a reference back would make a cycle that only the garbage
-    collector frees, and solutions would pile up until it runs.
-    """
-
-    __slots__ = ("arm", "ca", "arm_id", "h", "root", "w", "z", "x")
-
-    def __init__(self, arm: ArmStateSpace, solution: RelaxationSolution):
-        super().__init__()
-        self.arm = arm
-        self.ca = arm.compiled()
-        self.arm_id = arm.arm_id
-        self.h = arm.switch_cost
-        self.root = arm.root
-        self.w, self.z, self.x = solution.w, solution.z, solution.x
-
-    def __missing__(self, sid: str) -> _Step:
-        u = self.ca.index[sid]
-        key = (self.arm_id, sid)
-        z = 0.0 if self.ca.leaf[u] else self.z[key]
-        step = self[sid] = _Step(self.ca, u, self.w[key], z, self.x[key])
-        return step
+    def __init__(self, arm: ArmStateSpace, values: ArmValues):
+        self.arm, self.arm_id, self.ca, self.w = arm, arm.arm_id, values.ca, values.w
+        self.z, self.cuts, self.pz, self.px, self.pn = z, cuts, pz, px, pn = [], [], [], [], []
+        for w, base, masses, leaf, kids in zip(values.w, values.z, values.x, values.ca.leaf, values.ca.kids):
+            base = 0.0 if leaf else base
+            cut = tuple(accumulate(masses, initial=base))[1:]
+            cuts.append(cut)
+            z.append(base if kids else -math.inf)
+            if w < UNREACHABLE_W:
+                pz.append(0.0)
+                px.append((0.0,) * (len(masses) - 1))
+                pn.append(1.0)
+            else:
+                pz.append(base / w)
+                px.append(tuple(max((hi - lo) / w, 0.0) for lo, hi in zip(cut, cut[1:])))
+                pn.append(max(1.0 - pz[-1] - sum(px[-1]), 0.0))
 
 
-def _tables(instance: BanditInstance, solution: RelaxationSolution) -> dict[str, _ArmExec]:
+def _tables(instance: BanditInstance, solution: RelaxationSolution) -> dict[str, _ArmTable]:
     """The step tables of the instance's arms under the solution.
 
     They are kept on the solution object, outside its dataclass fields, so
-    the exact pass, Monte-Carlo, the traces and `GreedyOrderProcess` on one
-    solution share one table per arm, and a copy made by
-    `dataclasses.replace` starts without any.  A table serves an arm only
-    while it is the same object.
+    every evaluation of one solution shares one table per arm, and a copy
+    made by `dataclasses.replace` starts without any.  A table serves an arm
+    only while it is the same object.  Arm ids must be unique.
     """
     if instance.objective.kind == "concave" and solution.grid is None:
         raise ValueError("concave plans need a solution with grid exploit masses")
+    _check_unique_ids(instance)
     kept = solution.__dict__.setdefault("_step_tables", {})
     out = {}
     for arm in instance.arms:
-        ax = kept.get(arm.arm_id)
-        if ax is None or ax.arm is not arm:
-            ax = kept[arm.arm_id] = _ArmExec(arm, solution)
-        out[arm.arm_id] = ax
+        tab = kept.get(arm.arm_id)
+        if tab is None or tab.arm is not arm:
+            tab = kept[arm.arm_id] = _ArmTable(arm, solution.arm_values(arm))
+        out[arm.arm_id] = tab
     return out
 
 
@@ -279,7 +252,7 @@ def _seed_key(seed) -> int:
     return operator.index(seed) & _MASK64
 
 
-def _draw_width(plan: GreedyPlan, tables: dict[str, _ArmExec]) -> int:
+def _draw_width(plan: GreedyPlan, tables: dict[str, _ArmTable]) -> int:
     """A run's draw bound W: the sum over the plan's arms of the draws one
     walk reads (`CompiledArm.draws`), rounded up to a 4-draw Philox block."""
     return 4 * ((sum(tables[ra.arm_id].ca.draws for ra in plan.order) + 3) // 4)
@@ -322,15 +295,6 @@ class _Window:
 
     def __init__(self, draws: list[float]):
         self.random = iter(draws).__next__
-
-
-def _sample_child(se: _Step, rng: _Window) -> str:
-    u = rng.random()
-    cum = se.cum_probs
-    for i in range(len(cum) - 1):
-        if u < cum[i]:
-            return se.children[i]
-    return se.children[-1]
 
 
 def _affordable_first_play(instance: BanditInstance, budget: float) -> bool:
@@ -427,38 +391,48 @@ class _Run:
             self.events.append(TraceEvent(arm, state, action, cost, q))
 
 
-def _walk_arm(ax: _ArmExec, rng: _Window, run: _Run, avail: float | None):
-    """Run one arm's stopping policy to its end; returns (state, level).
+def _walk_arm(tab: _ArmTable, rng: _Window, run: _Run, avail: float | None):
+    """Run one arm's stopping policy to its end; returns (state u, level).
 
     level is the exploit level where the policy stopped (0 for a dead stop,
     1 for a plain exploit, l on the concave grid), or None when a play would
     take the run's total spend past avail + AUDIT_TOL (None: no budget check).
+    A play moves to the first child whose cumulative probability (added left
+    to right) is above the next draw, else to the last child.
     """
-    run.visited.append(ax.arm_id)
-    state = ax.root
+    arm_id, ca, sids = tab.arm_id, tab.ca, tab.ca.sids
+    run.visited.append(arm_id)
+    u = 0
     while True:
-        se = ax[state]
-        if se.w < UNREACHABLE_W:
-            run.event(ax.arm_id, state, "stop-null", 0.0, None)
-            return state, 0
-        q = rng.random() * se.w
-        if q > se.z:
+        w = tab.w[u]
+        if w < UNREACHABLE_W:
+            run.event(arm_id, sids[u], "stop-null", 0.0, None)
+            return u, 0
+        q = rng.random() * w
+        if q > tab.z[u]:
             level = 0  # also past the last cut
-            for l, cut in enumerate(se.cuts):
+            for l, cut in enumerate(tab.cuts[u]):
                 if q <= cut:
                     level = l
                     break
-            run.event(ax.arm_id, state, "stop-exploit" if level else "stop-null", 0.0, q)
-            return state, level
-        if avail is not None and run.spent + se.charge > avail + AUDIT_TOL:
-            run.event(ax.arm_id, state, "budget-stop", 0.0, q)
-            return state, None
-        if state == ax.root:
-            run.event(ax.arm_id, state, "switch", ax.h, None)
-            run.switches[ax.arm_id] = run.switches.get(ax.arm_id, 0) + 1
-        run.event(ax.arm_id, state, "play", se.cost, q)
-        run.spent += se.charge
-        state = _sample_child(se, rng)
+            run.event(arm_id, sids[u], "stop-exploit" if level else "stop-null", 0.0, q)
+            return u, level
+        charge = ca.charges[u]
+        if avail is not None and run.spent + charge > avail + AUDIT_TOL:
+            run.event(arm_id, sids[u], "budget-stop", 0.0, q)
+            return u, None
+        if u == 0:  # the root; no state leads back to it
+            run.event(arm_id, sids[0], "switch", ca.switch_cost, None)
+            run.switches[arm_id] = run.switches.get(arm_id, 0) + 1
+        run.event(arm_id, sids[u], "play", ca.costs[u], q)
+        run.spent += charge
+        draw, kids, cum = rng.random(), ca.kids[u], 0.0
+        u = kids[-1][0]
+        for c, p in kids[:-1]:
+            cum += p
+            if draw < cum:
+                u = c
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -475,15 +449,15 @@ def _budgeted_rule(instance, plan, solution, rule):
     # end a run that the walk's running total keeps going.
     violate = rule == "violate"
 
-    def after(ax, key, sid, level, spent):
-        r = ax[sid].reward
+    def after(tab, key, u, level, spent):
+        r = tab.ca.rewards[u]
         if level != 0 or violate and spent > key[0] + AUDIT_TOL:
             return r, None  # an exploit, a budget stop or a violate overshoot: exploit here
         return 0.0, (key[0] - spent, r if r > key[1] else key[1])
 
-    def after_rows(ax, key, state, level, spent):
+    def after_rows(tab, key, state, level, spent):
         rem, best = key
-        r = ax.ca.arrays.reward[state]
+        r = tab.ca.arrays.reward[state]
         end = level != 0
         if violate:
             end |= spent > rem + AUDIT_TOL
@@ -497,12 +471,12 @@ def _budgeted_rule(instance, plan, solution, rule):
 def _lagrangean_rule(instance, plan, solution, rule):
     """No key: every play is paid for and the run stops at the first exploit."""
 
-    def after(ax, key, sid, level, spent):
-        return (ax[sid].reward - spent, None) if level else (-spent, key)
+    def after(tab, key, u, level, spent):
+        return (tab.ca.rewards[u] - spent, None) if level else (-spent, key)
 
-    def after_rows(ax, key, state, level, spent):
+    def after_rows(tab, key, state, level, spent):
         end = level != 0
-        return np.where(end, ax.ca.arrays.reward[state] - spent, -spent), key, ~end
+        return np.where(end, tab.ca.arrays.reward[state] - spent, -spent), key, ~end
 
     return 0.0, {(): 1.0}, False, after, lambda key: 0.0, after_rows, lambda key: 0.0
 
@@ -519,22 +493,24 @@ def _concave_rule(instance, plan, solution, rule):
         if overpacked:
             raise RuntimeError(f"pre-scaling weights exceed 2B after arm {arm_id!r}")
 
-    def after(ax, key, sid, level, spent):
+    def after(tab, key, u, level, spent):
         n = L if level is None else level  # a budget stop packs L units and ends the run
-        units = key[1] + prob.sigmas[ax.arm_id] * n
-        check(ax.arm_id, spent > key[0] + AUDIT_TOL, units > 2 * cap + AUDIT_TOL)
-        gain = prob.value_at(ax.arm_id, sid, n / (2 * L)) - prob.value_at(ax.arm_id, ax.root, 0.0)
+        units = key[1] + prob.sigmas[tab.arm_id] * n
+        check(tab.arm_id, spent > key[0] + AUDIT_TOL, units > 2 * cap + AUDIT_TOL)
+        sids = tab.ca.sids
+        gain = prob.value_at(tab.arm_id, sids[u], n / (2 * L)) - prob.value_at(tab.arm_id, sids[0], 0.0)
         return gain, None if level is None or units >= cap else (key[0] - spent, units)
 
-    def after_rows(ax, key, state, level, spent):
+    def after_rows(tab, key, state, level, spent):
         rem, packed = key
         n = np.where(level < 0, L, level)
-        units = packed + prob.sigmas[ax.arm_id] * n
-        check(ax.arm_id, (spent > rem + AUDIT_TOL).any(), (units > 2 * cap + AUDIT_TOL).any())
+        units = packed + prob.sigmas[tab.arm_id] * n
+        check(tab.arm_id, (spent > rem + AUDIT_TOL).any(), (units > 2 * cap + AUDIT_TOL).any())
         # one value_at per distinct (state, numerator)
         codes, inverse = np.unique(state * (L + 1) + n, return_inverse=True)
-        root, sids = prob.value_at(ax.arm_id, ax.root, 0.0), ax.ca.sids
-        gains = [prob.value_at(ax.arm_id, sids[c // (L + 1)], c % (L + 1) / (2 * L)) - root for c in codes.tolist()]
+        sids = tab.ca.sids
+        root = prob.value_at(tab.arm_id, sids[0], 0.0)
+        gains = [prob.value_at(tab.arm_id, sids[c // (L + 1)], c % (L + 1) / (2 * L)) - root for c in codes.tolist()]
         return np.array(gains)[inverse], (rem - spent, units), (level >= 0) & ~(units >= cap)
 
     base = sum(prob.value_at(a.arm_id, a.root, 0.0) for a in instance.arms)
@@ -545,8 +521,9 @@ def _concave_rule(instance, plan, solution, rule):
 # runs, the batched runner and the exact pass.  Each returns (base value, start
 # keys, whether the budget caps an arm's spend, after, finish, after_rows,
 # finish_rows).  A run starts from its start key (no key: the run ends before
-# any arm, worth the base value).  after(ax, key, sid, level, spent) gives the
-# value of an arm's outcome, with spent the arm's own spend, and the next key
+# any arm, worth the base value).  after(tab, key, u, level, spent) gives the
+# value of an arm's outcome, state u of its step table, with spent the arm's
+# own spend, and the next key
 # (None: the run ends); finish(key) values a key that outlives the plan.  Both
 # are pure: the exact pass calls them once per frontier key.  after_rows and
 # finish_rows are the same rule over many runs at once, for the batched runner:
@@ -577,7 +554,7 @@ def _check_rule(plan: GreedyPlan, rule: str) -> None:
 def _sample_run(plan, tables, rules, rng, run: _Run, walked: list | None = None) -> tuple[float, bool]:
     """One sampled run: walk the plan's arms in order, applying the variant's rule
     (`_RULES`) after each.  Returns the run's value and whether the rule ended
-    it; walked, if given, collects each walked arm's (table, state, level).
+    it; walked, if given, collects each walked arm's (table, state u, level).
 
     The walk tests a play against the budget with the run's running total, the
     trace's own cost; the rule sees the arm's own spend.
@@ -588,12 +565,12 @@ def _sample_run(plan, tables, rules, rng, run: _Run, walked: list | None = None)
     (key,) = start
     avail = plan.budget if capped else None
     for ra in plan.order:
-        ax = tables[ra.arm_id]
+        tab = tables[ra.arm_id]
         before = run.spent
-        state, level = _walk_arm(ax, rng, run, avail)
+        u, level = _walk_arm(tab, rng, run, avail)
         if walked is not None:
-            walked.append((ax, state, level))
-        v, key = after(ax, key, state, level, run.spent - before)
+            walked.append((tab, u, level))
+        v, key = after(tab, key, u, level, run.spent - before)
         value += v
         if key is None:
             return value, True
@@ -619,18 +596,18 @@ def _execute(instance, plan, solution, rng_seed, rule="order") -> ExecutionTrace
     if plan.variant == "concave":
         L = solution.grid
         numerators = {a.arm_id: 0 for a in instance.arms}
-        numerators.update((ax.arm_id, L if level is None else level) for ax, _, level in walked)
+        numerators.update((tab.arm_id, L if level is None else level) for tab, _, level in walked)
         trace.weights = {a: n / (2 * L) for a, n in numerators.items()}
         trace.weight_numerators, trace.grid = numerators, L
     elif ended:
-        ax, state, level = walked[-1]
-        trace.exploited = (ax.arm_id, state)
+        tab, u, level = walked[-1]
+        trace.exploited = (tab.arm_id, tab.ca.sids[u])
         if level == 0:  # only a violate overshoot ends a run at a dead stop
-            run.event(ax.arm_id, state, "budget-stop", 0.0, None)
+            run.event(tab.arm_id, tab.ca.sids[u], "budget-stop", 0.0, None)
     elif plan.variant == "budgeted" and instance.arms:
         # Out of arms (or none affordable): exploit the best final state, the
         # first arm in instance order on a tie.  Without arms nothing is.
-        final = {ax.arm_id: state for ax, state, _ in walked}
+        final = {tab.arm_id: tab.ca.sids[u] for tab, u, _ in walked}
         arm = max(instance.arms, key=lambda a: a.states[final.get(a.arm_id, a.root)].reward)
         trace.exploited = (arm.arm_id, final.get(arm.arm_id, arm.root))
     return trace
@@ -819,38 +796,34 @@ def _scalar_runs(plan, tables, rules, seed_key: int, reps: int):
 # Exact evaluation
 
 
-def _arm_outcome_dist(ax: _ArmExec, avail: float | None) -> dict[tuple[str, int | None, float], float]:
-    """Exact twin of `_walk_arm`: the distribution of its (state, level, spent).
+def _arm_outcome_dist(tab: _ArmTable, avail: float | None) -> dict[tuple[int, int | None, float], float]:
+    """Exact twin of `_walk_arm`: the distribution of its (state u, level, spent).
 
     spent is the arm's own spend, switch included; level None marks a play
     that would take spent past avail + AUDIT_TOL (never when avail is None).
     Integer-valued costs stay exact in float arithmetic.
     """
-    out: dict[tuple[str, int | None, float], float] = {}
-
-    def add(key, p):
-        out[key] = out.get(key, 0.0) + p
-
-    masses: dict[str, dict[float, float]] = {ax.root: {0.0: 1.0}}
-    for sid in ax.ca.sids:
-        cur = masses.pop(sid, None)
+    out: dict[tuple[int, int | None, float], float] = {}  # each key is written once
+    ca = tab.ca
+    masses: list[dict[float, float] | None] = [{0.0: 1.0}] + [None] * (len(ca.sids) - 1)  # spent -> probability
+    for u, cur in enumerate(masses):
         if not cur:
             continue
-        se = ax[sid]
+        pz, pn, charge = tab.pz[u], tab.pn[u], ca.charges[u]
         for spent, pr in cur.items():
-            for level, p in enumerate(se.px, 1):
+            for level, p in enumerate(tab.px[u], 1):
                 if p > 0.0:
-                    add((sid, level, spent), pr * p)
-            if se.pn > 0.0:
-                add((sid, 0, spent), pr * se.pn)
-            if se.pz > 0.0:
-                if avail is not None and spent + se.charge > avail + AUDIT_TOL:
-                    add((sid, None, spent), pr * se.pz)
+                    out[u, level, spent] = pr * p
+            if pn > 0.0:
+                out[u, 0, spent] = pr * pn
+            if pz > 0.0:
+                if avail is not None and spent + charge > avail + AUDIT_TOL:
+                    out[u, None, spent] = pr * pz
                     continue
-                for child, p_child in zip(se.children, se.probs):
-                    bucket = masses.setdefault(child, {})
-                    key = spent + se.charge
-                    bucket[key] = bucket.get(key, 0.0) + pr * se.pz * p_child
+                key = spent + charge
+                for c, p_child in ca.kids[u]:
+                    bucket = masses[c] = masses[c] or {}
+                    bucket[key] = bucket.get(key, 0.0) + pr * pz * p_child
     return out
 
 
@@ -881,18 +854,18 @@ def evaluate_plan_exact(
     # (the costs are integers, so the spends are exact).
     dists: dict[tuple[str, float | None], dict] = {}
     for ra in plan.order:
-        ax = tables[ra.arm_id]
-        full = ax.ca.max_exploration_cost
+        tab = tables[ra.arm_id]
+        full = tab.ca.max_exploration_cost
         nxt: dict = {}
         for key, pr in frontier.items():
             avail = min(key[0], full) if capped else None
-            dist = dists.get((ax.arm_id, avail))
+            dist = dists.get((tab.arm_id, avail))
             if dist is None:
-                dist = dists[ax.arm_id, avail] = _arm_outcome_dist(ax, avail)
-            for (sid, level, spent), p in dist.items():
+                dist = dists[tab.arm_id, avail] = _arm_outcome_dist(tab, avail)
+            for (u, level, spent), p in dist.items():
                 mass = pr * p
                 cost += mass * spent
-                v, nkey = after(ax, key, sid, level, spent)
+                v, nkey = after(tab, key, u, level, spent)
                 value += mass * v
                 if nkey is not None:
                     nxt[nkey] = nxt.get(nkey, 0.0) + mass
@@ -949,21 +922,21 @@ class GreedyOrderProcess:
             aux = 0
         if aux >= len(self.order):
             return [(1.0, self._fallback(joint), None)]
-        ax = self.order[aux]
-        se = ax[joint.states[self.arm_index[ax.arm_id]]]
-        out = []
-        if se.pz > 0.0:
+        tab = self.order[aux]
+        u = tab.ca.index[joint.states[self.arm_index[tab.arm_id]]]
+        pz, out = tab.pz[u], []
+        if pz > 0.0:
             # the active arm is never left and re-entered, so charge holds the
             # switch cost exactly when the last play was on another arm
-            if se.charge > joint.budget:
-                out.append((se.pz, ("stop", ax.arm_id), None))  # budget-stop: exploit in place
+            if tab.ca.charges[u] > joint.budget:
+                out.append((pz, ("stop", tab.arm_id), None))  # budget-stop: exploit in place
             else:
-                out.append((se.pz, ("play", ax.arm_id), aux))
-        for p in se.px:
+                out.append((pz, ("play", tab.arm_id), aux))
+        for p in tab.px[u]:
             if p > 0.0:
-                out.append((p, ("stop", ax.arm_id), None))
-        if se.pn > 0.0:
-            out.append((se.pn, ("noop",), aux + 1))
+                out.append((p, ("stop", tab.arm_id), None))
+        if tab.pn[u] > 0.0:
+            out.append((tab.pn[u], ("noop",), aux + 1))
         return out
 
 

@@ -7,8 +7,8 @@ l of the grid {0..L}/L.  The concave relaxation has the whole grid; the
 budgeted and Lagrangean ones are the one-level grid L = 1 (exploit or not),
 whose only variable x_u is level 1 and whose level 0, a dead stop, carries no
 mass.  `_exploit_vars` and `_arm_levels` (the same levels with their
-values) are the only places that tell the two apart; a solution stores
-every state's masses at levels 0..L, (0.0, x_u) when plain.
+values) tell the two apart, with the pricing (`_ArmStates`); a solution
+stores every state's masses at levels 0..L, (0.0, x_u) when plain.
 The optimal LP solution decomposes into one randomized single-arm policy per
 arm; its statistics (exploit probability P, exploit reward R, exploration
 cost C) drive the greedy rounding in `policies`.
@@ -49,9 +49,9 @@ side, and lambda' = lambda, or 1 for Lagrangean plays, which pay c_u itself
   are the next (lambda, mu).
 * Stop and recover: once g(lambda, mu) - master <= GAP_TOL * (1 + |master|),
   the master's optimum is gamma* and the mixture sum theta_k occupancy_k an
-  optimal LP point, written into `RelaxationSolution` by (arm, state).  Only
-  the states that a cut with theta_k > 0 reached are cleaned; the rest are
-  0.  The final gap is the solution's certificate, `duality_gap`.
+  optimal LP point, written into `RelaxationSolution` by compiled index.
+  Only the states that a cut with theta_k > 0 reached are cleaned; the rest
+  are 0.  The final gap is the solution's certificate, `duality_gap`.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 # solve_lp is not called here; it stays importable from this module because
 # pipebench's tracer wraps it here by name, with the builders and from_raw
@@ -73,7 +74,7 @@ from .lp import (  # noqa: F401
     LPSolverError,
     solve_lp,
 )
-from .statespace import ArmStateSpace, BanditInstance, ConcaveProblem
+from .statespace import ArmStateSpace, BanditInstance, CompiledArm, ConcaveProblem
 
 # A solution's cleanup rescales a state's x + z down to its w when they exceed
 # it by at most CLEANUP_SLACK (more is an error).  TABLE_TOL is the slack of the
@@ -116,37 +117,31 @@ def _arm_levels(
     return [tuple(enumerate(tables[sid])) for sid in ca.sids]
 
 
-def _check_ids(instance: BanditInstance) -> None:
-    for arm in instance.arms:
-        if "|" in arm.arm_id or any("|" in s for s in arm.states):
-            raise ValueError("arm/state ids may not contain '|'")
-
-
-def _parents(arm: ArmStateSpace, order: tuple[str, ...]) -> dict[str, list[tuple[str, float]]]:
-    par: dict[str, list[tuple[str, float]]] = {sid: [] for sid in order}
-    for sid in order:
-        for child, p in arm.states[sid].transitions:
-            if child in par:
-                par[child].append((sid, p))
-    return par
-
-
 def _checked_grid(instance: BanditInstance) -> int | None:
     """Validate the instance for its relaxation and return its weight grid
-    size (None: plain)."""
+    size (None: plain).  Value tables are checked once per (ConcaveProblem,
+    arms tuple), and ids with "|" when an arm compiles."""
     kind = instance.objective.kind
     if kind not in ("budgeted", "lagrangean", "concave"):
         raise ValueError(f"unknown objective kind {kind!r}")
     if kind != "lagrangean" and (instance.budget is None or not math.isfinite(instance.budget)):
         raise ValueError(f"{kind} relaxation needs a finite budget")
-    _check_ids(instance)
+    _check_unique_ids(instance)
     if kind != "concave":
         return None
     prob = instance.objective.concave
     if prob is None:
         raise ValueError("concave instance lacks ConcaveProblem data")
-    _validate_tables(instance, prob, prob.grid)
+    if prob.__dict__.get("_checked_arms") is not instance.arms:
+        _validate_tables(instance, prob, prob.grid)
+        prob.__dict__["_checked_arms"] = instance.arms  # the problem is frozen; this is a cache
     return prob.grid
+
+
+def _check_unique_ids(instance: BanditInstance) -> None:
+    ids = [arm.arm_id for arm in instance.arms]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"duplicate arm id {next(a for i, a in enumerate(ids) if a in ids[:i])!r}")
 
 
 def _link_rhs(instance: BanditInstance, grid: int | None) -> float:
@@ -179,7 +174,7 @@ def _relaxation_lp(instance: BanditInstance) -> LinearProgram:
     for arm in instance.arms:
         sigma = 1.0 if grid is None else prob.sigmas[arm.arm_id]
         order = arm.topo_order()
-        parents = _parents(arm, order)
+        flows = {sid: {var_name("w", arm.arm_id, sid): 1.0} for sid in order[1:]}  # filled by the parents
         caps = []
         for sid, levels in zip(order, _arm_levels(instance, arm, grid)):
             st = arm.states[sid]
@@ -200,13 +195,11 @@ def _relaxation_lp(instance: BanditInstance) -> LinearProgram:
                 if kind == "lagrangean":
                     objective[z] = -c
             caps.append(LinearConstraint(cap, "<=", 0.0, name=f"cap|{arm.arm_id}|{sid}"))
+            for child, p in st.transitions:
+                if child in flows and p != 0.0:
+                    flows[child][z] = flows[child].get(z, 0.0) - p
             if sid != arm.root:
-                flow: dict[str, float] = {w: 1.0}
-                for parent, p in parents[sid]:
-                    if p != 0.0:
-                        name = var_name("z", arm.arm_id, parent)
-                        flow[name] = flow.get(name, 0.0) - p
-                core.append(LinearConstraint(flow, "==", 0.0, name=f"flow|{arm.arm_id}|{sid}"))
+                core.append(LinearConstraint(flows[sid], "==", 0.0, name=f"flow|{arm.arm_id}|{sid}"))
         core += caps
     rows = [] if kind == "lagrangean" else [LinearConstraint(cost, "<=", float(instance.budget), name="cost")]
     link_name = "exploit-mass" if grid is None else "weight-packing"
@@ -274,9 +267,7 @@ def build_concave_lp(instance: BanditInstance) -> LinearProgram:
 # Solutions and single-arm policies
 
 
-def _clean_state(
-    key: tuple[str, str], wv: float, zv: float, masses: list[float]
-) -> tuple[float, tuple[float, ...]]:
+def _clean_state(key: tuple[str, str], wv: float, zv: float, masses: list[float]) -> tuple[float, tuple[float, ...]]:
     """Clamp z and the exploit masses into [0, w]; if their sum overshoots w
     by at most CLEANUP_SLACK, rescale them proportionally (more is an error)."""
     zv = min(max(zv, 0.0), wv)
@@ -291,44 +282,74 @@ def _clean_state(
     return zv, tuple(masses)
 
 
+class ArmValues(NamedTuple):
+    """One arm's values in a solution, by the index u of the compiled arm
+    `ca`: w_u, z_u and the exploit masses x_u at the levels 0..L."""
+
+    ca: CompiledArm
+    w: list[float]
+    z: list[float]
+    x: list[tuple[float, ...]]
+
+
+class _ByKey:
+    """A solution's w, x or z by (arm id, state id): as a hand-built solution
+    was given it, else read off the per-arm values on first use."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, solution, owner=None):
+        if solution is None:
+            return None  # the dataclass field's default
+        if solution.__dict__[self.name] is None:
+            arms = solution.__dict__.get("_arms", {}).values()
+            solution.__dict__[self.name] = {k: v for a in arms for k, v in zip(a.ca.keys, getattr(a, self.name))}
+        return solution.__dict__[self.name]
+
+    def __set__(self, solution, value) -> None:
+        solution.__dict__[self.name] = value
+
+
 @dataclass
 class RelaxationSolution:
     """Cleaned per-state LP values plus the LP objective gamma*.
 
-    x maps each state to its exploit masses at the levels 0..L of its weight
-    grid; a plain solution (grid None) is the one-level grid (0.0, x_u).
-    The first evaluation reads the values into step tables kept on the
-    solution (`policies._tables`), so change them through a copy made with
-    `dataclasses.replace`, not in place.
+    The values are kept per arm by compiled index (`arm_values`, outside the
+    dataclass fields), as the solve writes them; w, x and z by (arm, state)
+    are read off them on first use, or given by hand and read into them.  x
+    holds each state's exploit masses at levels 0..L, (0.0, x_u) when plain.
+    Step tables are kept on the solution (`policies._tables`): change the
+    values through a copy made with `dataclasses.replace`.
     """
 
     gamma_star: float
-    w: dict[tuple[str, str], float]
-    x: dict[tuple[str, str], tuple[float, ...]]
-    z: dict[tuple[str, str], float]
+    w: dict[tuple[str, str], float] = _ByKey("w")
+    x: dict[tuple[str, str], tuple[float, ...]] = _ByKey("x")
+    z: dict[tuple[str, str], float] = _ByKey("z")
     grid: int | None = None
     cuts: int = 0  # policies the decomposition priced into its master
     duality_gap: float | None = None  # g(lambda, mu) - gamma*; None when read from a tableau point
     master_pivots: int = 0  # the master's pivots over the solve
     master_bland_pivots: int = 0  # those whose entering column Bland's rule chose
 
-    @classmethod
-    def from_raw(
-        cls,
-        instance: BanditInstance,
-        raw: LPSolutionRaw,
-        grid: int | None = None,
-    ) -> "RelaxationSolution":
-        """Clamp and rescale an optimal tableau point into executable thresholds.
+    def arm_values(self, arm: ArmStateSpace) -> ArmValues:
+        """The arm's values by its compiled index; read from w, x and z when
+        the solve did not write them for this arm object."""
+        ca = arm.compiled()
+        kept: dict[str, ArmValues] = self.__dict__.setdefault("_arms", {})
+        got = kept.get(arm.arm_id)
+        if got is None or got.ca is not ca:
+            w, x, z = self.w, self.x, self.z
+            got = kept[arm.arm_id] = ArmValues(
+                ca, [w[k] for k in ca.keys], [z[k] for k in ca.keys], [x[k] for k in ca.keys])
+        return got
 
-        This reads a `solve_lp` optimum of `build_relaxation`'s LP, the
-        reference path; `solve_relaxation` writes its solution directly.
-        Variables are clamped into [0, w_u]; if z + exploit mass overshoots
-        w_u by at most 1e-6 the state's values are rescaled proportionally; a
-        larger overshoot means the point was not feasible and is rejected.  A
-        variable missing from the point (a grid that does not match the LP)
-        is rejected too.
-        """
+    @classmethod
+    def from_raw(cls, instance: BanditInstance, raw: LPSolutionRaw, grid: int | None = None) -> "RelaxationSolution":
+        """A `solve_lp` optimum of `build_relaxation`'s LP (the reference
+        path), cleaned as `_clean_state` does; a variable missing from the
+        point (a grid that does not match the LP) is rejected."""
         if raw.status != "optimal":
             raise ValueError(f"cannot extract a policy from a {raw.status} LP solution")
 
@@ -338,9 +359,7 @@ class RelaxationSolution:
             except KeyError:
                 raise ValueError(f"the LP solution has no variable {name!r}; does the grid match the LP?") from None
 
-        w: dict[tuple[str, str], float] = {}
-        x: dict[tuple[str, str], tuple[float, ...]] = {}
-        z: dict[tuple[str, str], float] = {}
+        w, x, z = {}, {}, {}
         for arm in instance.arms:
             for sid in arm.topo_order():
                 key = (arm.arm_id, sid)
@@ -357,31 +376,29 @@ class RelaxationSolution:
         """The solution as values of the variables of `build_relaxation`'s LP."""
         out: dict[str, float] = {}
         for arm in instance.arms:
-            for sid in arm.topo_order():
-                key = (arm.arm_id, sid)
-                out[var_name("w", *key)] = self.w[key]
-                out[var_name("z", *key)] = self.z[key]
+            ca, w, z, x = self.arm_values(arm)
+            for u, sid in enumerate(ca.sids):
+                out[var_name("w", arm.arm_id, sid)], out[var_name("z", arm.arm_id, sid)] = w[u], z[u]
                 for l, name in _exploit_vars(arm, sid, self.grid):
-                    out[name] = self.x[key][l]
+                    out[name] = x[u][l]
         return out
 
     def check_invariants(self, instance: BanditInstance, tol: float = 1e-6) -> list[str]:
         """Flow/disjointness violations beyond tol (empty for a clean solution)."""
         out: list[str] = []
         for arm in instance.arms:
-            order = arm.topo_order()
-            parents = _parents(arm, order)
-            for sid in order:
-                key = (arm.arm_id, sid)
-                if self.z[key] + sum(self.x[key]) > self.w[key] + tol:
+            ca, w, z, x = self.arm_values(arm)
+            inflow = [0.0] * len(w)
+            for u, kids in enumerate(ca.kids):
+                for c, p in kids:
+                    inflow[c] += z[u] * p
+            for u, key in enumerate(ca.keys):
+                if z[u] + sum(x[u]) > w[u] + tol:
                     out.append(f"x+z > w at {key}")
-                if sid == arm.root:
-                    if self.w[key] != 1.0:
-                        out.append(f"w at root {key} is {self.w[key]}, not 1")
-                else:
-                    inflow = sum(self.z[(arm.arm_id, p)] * prob for p, prob in parents[sid])
-                    if abs(self.w[key] - inflow) > tol:
-                        out.append(f"flow violated at {key} by {abs(self.w[key] - inflow):.3g}")
+                if u == 0 and w[0] != 1.0:
+                    out.append(f"w at root {key} is {w[0]}, not 1")
+                elif u and abs(w[u] - inflow[u]) > tol:
+                    out.append(f"flow violated at {key} by {abs(w[u] - inflow[u]):.3g}")
         return out
 
 
@@ -404,55 +421,63 @@ _STOP, _PLAY = -1, -2  # pricing actions; an exploit is the index of its option
 
 
 class _ArmStates:
-    """Every arm's states for pricing, read from the compiled arms.
-
-    `arms[i]` is arm i's states in its topological order, each as (charge,
-    kids, options): the play charge and the children (index, p) from the
-    compiled arm (a leaf has none and never plays), and the exploit options
-    as (zeta(l), link coefficient sigma * l) at the levels l = first_level,
-    first_level + 1, ... (1 when plain, 0 on the concave grid); a root whose
-    exploit is forbidden has none.  A child comes after its parent, so a
-    backward sweep is the DP and a forward one the flow.
+    """Every arm's states for pricing: its compiled arm's charges, children
+    (a leaf has none and never plays) and rewards, in topological order, so
+    a backward sweep is the DP and a forward one the flow.  The exploit
+    options are (zeta(l), link sigma * l) at the levels l = first_level,
+    ...: `options[i][u]` from level 0 on the concave grid; when plain
+    (`options[i]` None) one, (reward, 1) at level 1.  A root whose exploit
+    is forbidden has none.
     """
 
     def __init__(self, instance: BanditInstance, grid: int | None, exploit_at_roots: bool):
-        prob = instance.objective.concave
         self.first_level = 1 if grid is None else 0
-        self.keys = [arm.compiled().keys for arm in instance.arms]
-        self.arms: list[list[tuple[float, tuple[tuple[int, float], ...], tuple[tuple[float, float], ...]]]] = []
+        self.ids = [arm.arm_id for arm in instance.arms]
+        self.compiled = [arm.compiled() for arm in instance.arms]
+        self.roots = exploit_at_roots
+        self.options: list[list | None] = []
         for arm in instance.arms:
-            sigma = 1.0 if grid is None else prob.sigmas[arm.arm_id]
-            options = [tuple([(v, sigma * l) for l, v in levels]) for levels in _arm_levels(instance, arm, grid)]
-            if not exploit_at_roots:
-                options[0] = ()
-            ca = arm.compiled()
-            self.arms.append(list(zip(ca.charges, ca.kids, options)))
+            options = None
+            if grid is not None:
+                sigma = instance.objective.concave.sigmas[arm.arm_id]
+                options = [tuple([(v, sigma * l) for l, v in levels]) for levels in _arm_levels(instance, arm, grid)]
+                if not exploit_at_roots:
+                    options[0] = ()
+            self.options.append(options)
 
-    def price(self, reward_w: float, cost_w: float, link_w: float) -> tuple[list[list[int]], float]:
+    def price(self, cost_w: float, link_w: float) -> tuple[list[list[int]], float]:
         """Each arm's best action per state at the weights, and sum_i V_i(root).
 
-        V_u = max(0, reward_w * zeta(l) - link_w * link_l over the options,
+        V_u = max(0, zeta(l) - link_w * link_l over the options,
         -cost_w * charge + sum p * V_child); ties keep the earlier of stop,
-        the options in level order, play.
+        the options in level order, play.  A plain option's value is
+        reward - link_w, its link being 1.
         """
         acts = []
         roots = []
-        for states in self.arms:
-            value = [0.0] * len(states)
-            act = [_STOP] * len(states)
-            for u in range(len(states) - 1, -1, -1):
-                charge, kids, options = states[u]
-                best, a = 0.0, _STOP
-                for k, (zeta, link) in enumerate(options):
-                    v = reward_w * zeta - link_w * link
-                    if v > best:
-                        best, a = v, k
-                if kids:
-                    v = -cost_w * charge
-                    for c, p in kids:
+        stop, play, at_roots = _STOP, _PLAY, self.roots
+        for ca, options in zip(self.compiled, self.options):
+            charges, kids, rewards = ca.charges, ca.kids, ca.rewards
+            value = [0.0] * len(kids)
+            act = [stop] * len(kids)
+            for u in range(len(kids) - 1, -1, -1):
+                best, a = 0.0, stop
+                if options is None:
+                    v = rewards[u] - link_w
+                    if v > 0.0 and (u or at_roots):
+                        best, a = v, 0
+                else:
+                    for k, (zeta, link) in enumerate(options[u]):
+                        v = zeta - link_w * link
+                        if v > best:
+                            best, a = v, k
+                ks = kids[u]
+                if ks:
+                    v = -cost_w * charges[u]
+                    for c, p in ks:
                         v += p * value[c]
                     if v > best:
-                        best, a = v, _PLAY
+                        best, a = v, play
                 value[u] = best
                 act[u] = a
             acts.append(act)
@@ -467,21 +492,20 @@ class _ArmStates:
         cost) and P (link usage)."""
         reached = []
         reward = cost = link = 0.0
-        for i, (states, act) in enumerate(zip(self.arms, acts)):
-            w = [0.0] * len(states)
+        for i, (ca, options, act) in enumerate(zip(self.compiled, self.options, acts)):
+            w = [0.0] * len(act)
             w[0] = 1.0
             for u, wu in enumerate(w):
                 if wu == 0.0:
                     continue
                 reached.append((i, u, wu))
                 a = act[u]
-                charge, kids, options = states[u]
                 if a == _PLAY:
-                    cost += wu * charge
-                    for c, p in kids:
+                    cost += wu * ca.charges[u]
+                    for c, p in ca.kids[u]:
                         w[c] += p * wu
                 elif a != _STOP:
-                    zeta, coef = options[a]
+                    zeta, coef = (ca.rewards[u], 1.0) if options is None else options[u][a]
                     reward += wu * zeta
                     link += wu * coef
         return reached, reward - play_w * cost, cost, link
@@ -665,7 +689,7 @@ def solve_relaxation(instance: BanditInstance, exploit_at_roots: bool = True) ->
     gap = math.inf
     while True:
         duals = master.duals  # (pi_0, lambda, mu), lagrangean (pi_0, mu)
-        act, roots_value = arms.price(1.0, play_w + (0.0 if lagrangean else duals[1]), duals[-1])
+        act, roots_value = arms.price(play_w + (0.0 if lagrangean else duals[1]), duals[-1])
         if cuts:
             gamma = master.value
             gap = sum(map(mul, duals[1:], rhs[1:])) + roots_value - gamma
@@ -692,13 +716,14 @@ def _recover(
     Only the states that some cut with theta > 0 reached carry mass and are
     cleaned; every other one is w = z = 0 with the one zero tuple of exploit
     masses, which is what cleaning its zeros gives.  A state's list of
-    exploit masses is made when the first exploit lands there.
+    exploit masses is made when the first exploit lands there.  The values
+    are written per arm by compiled index.
     """
     levels = (grid or 1) + 1  # levels 0..L
     first = arms.first_level
-    w = [[0.0] * len(keys) for keys in arms.keys]
-    z = [[0.0] * len(keys) for keys in arms.keys]
-    x: list[list[list[float] | None]] = [[None] * len(keys) for keys in arms.keys]
+    w = [[0.0] * len(ca.sids) for ca in arms.compiled]
+    z = [[0.0] * len(ca.sids) for ca in arms.compiled]
+    x: list[list] = [[None] * len(ca.sids) for ca in arms.compiled]
     for (act, reached, _), t in zip(cuts, master.theta):
         if t == 0.0:
             continue
@@ -714,22 +739,19 @@ def _recover(
                     x[i][u] = masses = [0.0] * levels
                 masses[a + first] += mass
     zeros = (0.0,) * levels
-    ws: dict[tuple[str, str], float] = {}
-    xs: dict[tuple[str, str], tuple[float, ...]] = {}
-    zs: dict[tuple[str, str], float] = {}
-    for keys, wi, zi, xi in zip(arms.keys, w, z, x):
+    solution = RelaxationSolution(master.value, grid=grid, cuts=len(cuts), duality_gap=gap,
+                                  master_pivots=master.pivots, master_bland_pivots=master.bland_pivots)
+    kept = solution.__dict__["_arms"] = {}
+    for arm_id, ca, wi, zi, xi in zip(arms.ids, arms.compiled, w, z, x):
         wi[0] = 1.0  # a root is reached with certainty, by cuts or by doing nothing
-        for key, wv, zv, masses in zip(keys, wi, zi, xi):
+        for u, wv in enumerate(wi):
             if wv == 0.0:
-                ws[key] = zs[key] = 0.0
-                xs[key] = zeros
+                wi[u], zi[u], xi[u] = 0.0, 0.0, zeros
             else:
-                ws[key] = wv = min(wv, 1.0)
-                zs[key], xs[key] = _clean_state(key, wv, zv, zeros if masses is None else masses)
-    return RelaxationSolution(
-        master.value, ws, xs, zs, grid, cuts=len(cuts), duality_gap=gap,
-        master_pivots=master.pivots, master_bland_pivots=master.bland_pivots,
-    )
+                wi[u] = wv = min(wv, 1.0)
+                zi[u], xi[u] = _clean_state(ca.keys[u], wv, zi[u], zeros if xi[u] is None else xi[u])
+        kept[arm_id] = ArmValues(ca, wi, zi, xi)
+    return solution
 
 
 @dataclass(frozen=True)
@@ -738,7 +760,7 @@ class SingleArmPolicy:
 
     The policy itself is the solution's thresholds at the arm's states: draw
     q uniformly in [0, w]; play if q <= z, else exploit at the level whose
-    mass q falls in, else stop dead (see `policies._Step`).
+    mass q falls in, else stop dead (see `policies._ArmTable`).
     """
 
     arm_id: str
@@ -750,15 +772,22 @@ class SingleArmPolicy:
 def extract_single_arm_policies(
     solution: RelaxationSolution, instance: BanditInstance
 ) -> list[SingleArmPolicy]:
-    """One randomized stopping policy per arm, in instance order."""
+    """One randomized stopping policy per arm, in instance order.  A plain
+    state adds its level-1 mass to P and that times its reward to R, the
+    bits of the grid's sums over one level (P and R never hold -0.0)."""
     out: list[SingleArmPolicy] = []
     for arm in instance.arms:
-        ca = arm.compiled()
+        ca, _, z, x = solution.arm_values(arm)
         p = r = c = 0.0
-        for key, charge, levels in zip(ca.keys, ca.charges, _arm_levels(instance, arm, solution.grid)):
-            masses = solution.x[key]
-            p += sum(l * masses[l] for l, _ in levels) / (len(masses) - 1)
-            r += sum(masses[l] * value for l, value in levels)
-            c += charge * solution.z[key]
+        if solution.grid is None:
+            for charge, reward, masses, zv in zip(ca.charges, ca.rewards, x, z):
+                p += masses[1]
+                r += masses[1] * reward
+                c += charge * zv
+        else:
+            for charge, levels, masses, zv in zip(ca.charges, _arm_levels(instance, arm, solution.grid), x, z):
+                p += sum(l * masses[l] for l, _ in levels) / (len(masses) - 1)
+                r += sum(masses[l] * value for l, value in levels)
+                c += charge * zv
         out.append(SingleArmPolicy(arm_id=arm.arm_id, explore_prob=p, reward=r, cost=c))
     return out

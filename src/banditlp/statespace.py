@@ -106,12 +106,14 @@ class ArmStateSpace:
 
         Built on first use and kept on the arm, like the topological order,
         so every solve, evaluation and oracle call on the arm reads the same
-        one.  Raises ``ValueError`` on a cycle, as `topo_order` does.
+        one.  Raises ``ValueError`` on a cycle, as `topo_order` does, or an id with "|".
         """
         return self._compiled
 
     @functools.cached_property
     def _compiled(self) -> "CompiledArm":
+        if "|" in self.arm_id or any("|" in s for s in self.states):
+            raise ValueError("arm/state ids may not contain '|'")
         order = self.topo_order()
         index = {sid: u for u, sid in enumerate(order)}
         states = [self.states[sid] for sid in order]
@@ -121,7 +123,6 @@ class ArmStateSpace:
         for u, ks in enumerate(kids):
             for c, _ in ks:
                 depth[c] = max(depth[c], depth[u] + 1)
-        everything = self.states.values()
         return CompiledArm(
             sids=order,
             index=MappingProxyType(index),
@@ -133,13 +134,10 @@ class ArmStateSpace:
             kids=kids,
             draws=2 * max(depth) + 1,
             max_exploration_cost=self.max_exploration_cost(),
-            structural_key=(
-                self.switch_cost,
-                self.root,
-                tuple(sorted([(s.id, s.reward, s.play_cost, s.transitions) for s in everything])),
-            ),
             integer_costs=float(self.switch_cost).is_integer()
-            and all([not s.transitions or float(s.play_cost).is_integer() for s in everything]),
+            and all([not s.transitions or float(s.play_cost).is_integer() for s in self.states.values()]),
+            switch_cost=self.switch_cost,
+            states=self.states,
         )
 
     def max_exploration_cost(self) -> float:
@@ -195,9 +193,10 @@ class CompiledArm:
     Per arm: `index` (state id -> u), `draws` (2 * height + 1, the most
     uniform draws one walk of the arm reads: one per visited state to stop
     or play, one per play for the child), the largest exploration cost (switch
-    plus the costliest root-leaf path), the structural key (equal keys mean
-    interchangeable copies) and whether every play and switch cost is an
-    integer.
+    plus the costliest root-leaf path), whether every play and switch cost is
+    an integer, the switch cost and the arm's states, reachable or not, from
+    which the structural key (equal keys mean interchangeable copies) is read
+    on first use.
     """
 
     sids: tuple[str, ...]
@@ -210,8 +209,14 @@ class CompiledArm:
     kids: tuple[tuple[tuple[int, float], ...], ...]
     draws: int
     max_exploration_cost: float
-    structural_key: tuple
     integer_costs: bool
+    switch_cost: float
+    states: Mapping[str, BeliefState]
+
+    @functools.cached_property
+    def structural_key(self) -> tuple:
+        everything = sorted([(s.id, s.reward, s.play_cost, s.transitions) for s in self.states.values()])
+        return self.switch_cost, self.sids[0], tuple(everything)
 
     @functools.cached_property
     def arrays(self) -> "StateArrays":

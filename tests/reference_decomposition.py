@@ -158,7 +158,8 @@ def _recover(
 ) -> RelaxationSolution:
     """The mixture sum_k theta_k * occupancy_k of the cuts, cleaned state by
     state; the rest of the mass does nothing."""
-    sizes = [len(keys) for keys in arms.keys]
+    keyed = [ca.keys for ca in arms.compiled]
+    sizes = [len(keys) for keys in keyed]
     w = [[0.0] * n for n in sizes]
     z = [[0.0] * n for n in sizes]
     x = [[[0.0] * ((grid or 1) + 1) for _ in range(n)] for n in sizes]  # levels 0..L
@@ -176,7 +177,7 @@ def _recover(
     ws: dict[tuple[str, str], float] = {}
     xs: dict[tuple[str, str], tuple[float, ...]] = {}
     zs: dict[tuple[str, str], float] = {}
-    for keys, wi, zi, xi in zip(arms.keys, w, z, x):
+    for keys, wi, zi, xi in zip(keyed, w, z, x):
         for u, key in enumerate(keys):
             ws[key] = wv = 1.0 if u == 0 else min(wi[u], 1.0)
             zs[key], xs[key] = _clean_state(key, wv, zi[u], xi[u])

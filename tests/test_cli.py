@@ -6,7 +6,7 @@ import pytest
 from banditlp.cli import main
 from banditlp.bench import as_concave, as_lagrangean, gen_integrality_gap
 from banditlp.relaxations import solve_relaxation
-from banditlp.statespace import save_instance
+from banditlp.statespace import BanditInstance, build_beta_bernoulli_arm, save_instance
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +207,17 @@ def test_a_negative_budget_is_one_json_error(tmp_path, capsys):
     doc = json.loads(out)
     assert set(doc) == {"error"}
     assert "non-negative budget" in doc["error"]
+
+
+def test_duplicate_arm_ids_are_one_json_error(tmp_path, capsys):
+    # two arms under one id solved to gamma* 0.7333 with 9 (arm, state) keys
+    # for their 12 states
+    arms = tuple(build_beta_bernoulli_arm(a, 1, 2, play_cost=1, arm_id="a") for a in (1, 2))
+    path = str(tmp_path / "duplicate.json")
+    save_instance(BanditInstance(arms, budget=2.0), path)
+    code, out = run_cli(capsys, "solve", path)
+    assert code == 2
+    assert json.loads(out) == {"error": "duplicate arm id 'a'"}
 
 
 def test_a_negative_cost_is_one_json_error_from_the_oracle(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from banditlp.bench import (
@@ -45,7 +46,7 @@ from banditlp.statespace import (
     build_two_level_arm,
 )
 # budgeted instances of 1-3 arms with integer costs; instances of one variant on them
-from test_decomposition import bases, instances
+from test_decomposition import _concave, bases, instances
 
 
 def _policy(arm_id, P, R, C):
@@ -286,14 +287,14 @@ def test_a_leaf_never_plays_even_on_a_zero_draw():
 
     arm = build_two_level_arm([0.2, 0.8], [0.5, 0.5], play_cost=1, arm_id="a")
     inst = BanditInstance((arm,), 1.0, Objective("budgeted"))
-    ax = policies._tables(inst, _dead_stop_solution((arm,)))["a"]
+    tab = policies._tables(inst, _dead_stop_solution((arm,)))["a"]
     run = policies._Run(False)
-    leaf, level = policies._walk_arm(ax, Zeros(), run, None)
-    assert (leaf, level, run.spent) == (ax.arm.states[ax.root].transitions[0][0], 0, 1.0)
-    arr = batched._ArmArrays(ax)
+    leaf, level = policies._walk_arm(tab, Zeros(), run, None)
+    assert (tab.ca.sids[leaf], level, run.spent) == (arm.states[arm.root].transitions[0][0], 0, 1.0)
+    arr = batched._ArmArrays(tab)
     ptr, spent = np.zeros(1, dtype=np.intp), np.zeros(1)
-    state, levels = batched._walk_lockstep(arr, np.arange(1), np.zeros((1, ax.ca.draws)), ptr, spent, None)
-    assert (arr.sids[state[0]], levels[0], spent[0]) == (leaf, 0, 1.0)
+    state, levels = batched._walk_lockstep(arr, np.arange(1), np.zeros((1, tab.ca.draws)), ptr, spent, None)
+    assert (state[0], levels[0], spent[0]) == (leaf, 0, 1.0)
 
 
 def test_order_all_dead_stops_exploit_best_final_state():
@@ -443,6 +444,53 @@ def test_plan_values_agree_across_evaluators(inst, alpha, k, seed):
     scaled_value, scaled_cost = evaluate_plan_exact(_scaled_costs(inst, k), scaled, sol)
     assert scaled_value == value
     assert scaled_cost == pytest.approx(k * cost, rel=1e-12, abs=1e-12)
+
+def test_duplicate_arm_ids_are_rejected():
+    # the exact pass read one arm's table for both plan entries and reported
+    # (0.7111, 1.0133) for a solution of 9 keys over 12 states
+    arms = tuple(build_beta_bernoulli_arm(a, 1, 2, play_cost=1, arm_id="a") for a in (1, 2))
+    inst = BanditInstance(arms, budget=2.0, objective=Objective("budgeted"))
+    with pytest.raises(ValueError, match="duplicate arm id 'a'"):
+        solve_relaxation(inst)
+    renamed = BanditInstance((arms[0], dataclasses.replace(arms[1], arm_id="b")), 2.0, Objective("budgeted"))
+    sol, plan = _pipeline(renamed)
+    plan = dataclasses.replace(plan, order=tuple(dataclasses.replace(ra, arm_id="a") for ra in plan.order))
+    for evaluate in (evaluate_plan_exact, lambda *args: monte_carlo_evaluate(*args, reps=4, seed=0)):
+        with pytest.raises(ValueError, match="duplicate arm id 'a'"):
+            evaluate(inst, plan, sol)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@seed(1905)
+@given(instances(), st.permutations(range(3)))
+def test_permuting_arms_keeps_gamma_the_exact_value_and_opt(inst, perm):
+    # the arms keep their ids, so the greedy plans break ties alike; the
+    # concave DP has no oracle
+    other = dataclasses.replace(inst, arms=tuple(inst.arms[i] for i in perm if i < len(inst.arms)))
+    seen = []
+    for case in (inst, other):
+        sol, plan = _pipeline(case)
+        opt = None if case.objective.kind == "concave" else oracle.dp_optimal(case)[0]
+        seen.append((sol.gamma_star, evaluate_plan_exact(case, plan, sol)[0], opt))
+    (gamma, value, opt), (gamma2, value2, opt2) = seen
+    assert abs(gamma - gamma2) <= 1e-9 and abs(value - value2) <= 1e-9
+    assert opt is None and opt2 is None or abs(opt - opt2) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@seed(1906)
+@given(bases(), st.sampled_from([1.0, 2.0]), st.sampled_from([0.25, 0.5]), st.integers(0, 2**32 - 1))
+def test_concave_exact_pass_agrees_with_monte_carlo(base, capacity, epsilon, seed):
+    # linear tables with unit sizes and sqrt tables with fractional sizes in
+    # [0.2, capacity]: the exact pass within 4 standard errors of 2000 runs
+    for curve in ("linear", "sqrt"):
+        inst = _concave(base, capacity, epsilon, curve, np.random.default_rng(seed))
+        sol, plan = _pipeline(inst)
+        value, _ = evaluate_plan_exact(inst, plan, sol)
+        mc = monte_carlo_evaluate(inst, plan, sol, reps=2000, seed=seed)
+        assert mc.violations == []
+        assert abs(mc.mean - value) <= 4.0 * mc.stderr + 1e-9, curve
+
 
 def _brute_force_evaluation(inst, plan, sol, rule):
     """Literal expectation recursion over every randomization branch.
@@ -620,15 +668,16 @@ def test_arm_outcome_distribution_reproduces_lp_statistics():
         prob = inst.objective.concave
         for pol, arm in zip(pols, inst.arms):
             dist = _arm_outcome_dist(tables[arm.arm_id], None)
+            sids = arm.compiled().sids
 
-            def value(sid, level):
+            def value(u, level):
                 if prob is None:
-                    return arm.states[sid].reward * level
-                return prob.table(arm.arm_id, sid)[level]
+                    return arm.states[sids[u]].reward * level
+                return prob.table(arm.arm_id, sids[u])[level]
 
             assert all(0 <= level <= L for (_, level, _) in dist)
             p = sum(pr * level for (_, level, _), pr in dist.items()) / L
-            r = sum(pr * value(sid, level) for (sid, level, _), pr in dist.items())
+            r = sum(pr * value(u, level) for (u, level, _), pr in dist.items())
             c = sum(pr * spent for (_, _, spent), pr in dist.items())
             assert p == pytest.approx(pol.explore_prob, abs=1e-9)
             assert r == pytest.approx(pol.reward, abs=1e-9)
@@ -1248,22 +1297,26 @@ def test_batched_runs_equal_scalar_runs_on_random_plans(case, seed):
 
 
 def test_arm_arrays_hold_the_step_tables_bits():
-    # the batched walk's w, z and cuts are read from the solution as the
-    # steps read them, and the compiled arm's charges and child cumulative
-    # probabilities are the steps' too
+    # the batched walk's w, z and cuts are the step table's floats, and its
+    # charges, child cumulative probabilities and children are the compiled
+    # arm's, which the scalar walk reads; the table's cuts accumulate z (0 at
+    # a leaf) and the exploit masses left to right, as the solution holds them
     def bits(values):
         return np.array(values, dtype=float).tobytes()
 
     for inst, sol, _, _ in _digest_corpus():
-        for ax in policies._tables(inst, sol).values():
-            arr = batched._ArmArrays(ax)
-            for u, sid in enumerate(ax.ca.sids):
-                se = ax[sid]
-                assert bits([arr.w[u], arr.z[u], arr.charge[u]]) == bits([se.w, se.z, se.charge])
-                assert bits(arr.cuts[u]) == bits((-math.inf,) + se.cuts + (math.inf,))
-                m = len(se.children)
-                assert bits(arr.cum[:, u]) == bits(se.cum_probs[:-1] + (math.inf,) * (arr.width - max(m, 1)))
-                assert [arr.sids[c] for c in arr.kids[u * arr.width : u * arr.width + m]] == list(se.children)
+        for arm_id, tab in policies._tables(inst, sol).items():
+            arr, ca = batched._ArmArrays(tab), tab.ca
+            for u, key in enumerate(ca.keys):
+                base = 0.0 if ca.leaf[u] else sol.z[key]
+                assert bits(tab.cuts[u]) == bits(list(accumulate(sol.x[key], initial=base))[1:])
+                assert bits([tab.w[u], tab.z[u]]) == bits([sol.w[key], base if ca.kids[u] else -math.inf])
+                assert bits([arr.w[u], arr.z[u], arr.charge[u]]) == bits([tab.w[u], tab.z[u], ca.charges[u]])
+                assert bits(arr.cuts[u]) == bits((-math.inf,) + tab.cuts[u] + (math.inf,))
+                m = len(ca.kids[u])
+                cum = list(accumulate(p for _, p in ca.kids[u]))[:-1]
+                assert bits(arr.cum[:, u]) == bits(cum + [math.inf] * (arr.width - max(m, 1)))
+                assert arr.kids[u * arr.width : u * arr.width + m].tolist() == [c for c, _ in ca.kids[u]]
 
 
 def test_a_solution_is_freed_after_a_batched_call_without_the_collector():
@@ -1291,32 +1344,38 @@ def test_step_tables_are_built_once_per_solution_and_arm():
     inst = gen_random_suite(GeneratorSpec(family="random-beta", count=1, seed=5, max_arms=3, budget_cap=4))[0]
     sol, plan = _pipeline(inst)
     tables = policies._tables(inst, sol)
-    assert all(policies._tables(inst, sol)[a] is ax for a, ax in tables.items())
+    assert all(policies._tables(inst, sol)[a] is tab for a, tab in tables.items())
+    # the solve wrote each arm's values by compiled index, and the table
+    # reads them without a copy
+    assert all(tab.w is sol.arm_values(inst.arm(a)).w for a, tab in tables.items())
     evaluate_plan_exact(inst, plan, sol)
-    steps = {(a, sid): se for a, ax in tables.items() for sid, se in ax.items()}
-    assert steps
     # Monte-Carlo (both runners), the traces and the joint-state process
-    # read the same steps
+    # read the same tables
     monte_carlo_evaluate(inst, plan, sol, reps=20, seed=1)
     monte_carlo_evaluate(inst, plan, sol, reps=policies._BATCH_MIN_REPS, seed=1)
     execute_greedy_order(inst, plan, sol, rng_seed=3)
     process = policies.GreedyOrderProcess(inst, plan, sol)
-    assert all(process.tables[a] is ax for a, ax in tables.items())
-    assert all(tables[a][sid] is se for (a, sid), se in steps.items())
-    # the tables are no dataclass field: a replaced solution starts without
-    # any and builds its own from its own values
-    assert "_step_tables" not in {f.name for f in dataclasses.fields(sol)}
+    assert all(process.tables[a] is tab for a, tab in tables.items())
+    assert all(policies._tables(inst, sol)[a] is tab for a, tab in tables.items())
+    # the tables and the per-arm values are no dataclass field: a replaced
+    # solution starts without any and reads its own from its w, x and z
+    assert {f.name for f in dataclasses.fields(sol) if f.init} == {
+        "gamma_star", "w", "x", "z", "grid", "cuts", "duality_gap", "master_pivots", "master_bland_pivots"
+    }
     dead = dataclasses.replace(sol, x={key: (0.0, 0.0) for key in sol.x})
+    assert dead == dataclasses.replace(sol, x=dead.x) and dead != sol
     fresh = policies._tables(inst, dead)
     for arm in inst.arms:
-        ax = fresh[arm.arm_id]
-        assert ax is not tables[arm.arm_id] and ax.x is dead.x
+        tab = fresh[arm.arm_id]
+        assert tab is not tables[arm.arm_id] and tab.w == tables[arm.arm_id].w
         z = sol.z[(arm.arm_id, arm.root)]
-        assert ax[arm.root].cuts == (z, z)
-    # another arm object under the same id gets its own table
+        assert tab.cuts[0] == (z, z)
+    # another arm object under the same id gets its own table, read by key
     copies = tuple(ArmStateSpace(a.arm_id, a.root, dict(a.states), a.switch_cost) for a in inst.arms)
     other = BanditInstance(copies, inst.budget, inst.objective)
-    assert all(policies._tables(other, sol)[a.arm_id].arm is a for a in copies)
+    for arm in copies:
+        tab = policies._tables(other, sol)[arm.arm_id]
+        assert tab.arm is arm and tab.w == [sol.w[key] for key in arm.compiled().keys]
 
 
 def _diamond_arm(arm_id, hi, lo, switch_cost):
