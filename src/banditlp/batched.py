@@ -44,8 +44,7 @@ class _ArmArrays:
     __slots__ = ("tab", "w", "dead", "z", "cuts", "levels", "charge", "cum", "kids", "width")
 
     def __init__(self, tab):
-        fixed = tab.ca.arrays
-        self.tab = tab
+        self.tab, fixed = tab, tab.ca.arrays
         self.charge, self.cum = fixed.charge, fixed.cum
         self.kids, self.width = fixed.kids.ravel(), fixed.kids.shape[1]
         self.w = np.array(tab.w, dtype=float)

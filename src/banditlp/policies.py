@@ -209,9 +209,8 @@ def _tables(instance: BanditInstance, solution: RelaxationSolution) -> dict[str,
     """The step tables of the instance's arms under the solution.
 
     They are kept on the solution object, outside its dataclass fields, so
-    every evaluation of one solution shares one table per arm, and a copy
-    made by `dataclasses.replace` starts without any.  A table serves an arm
-    only while it is the same object.  Arm ids must be unique.
+    every evaluation of one solution shares one table per arm and a copy
+    starts without any.  A table serves an arm while it is the same object.
     """
     if instance.objective.kind == "concave" and solution.grid is None:
         raise ValueError("concave plans need a solution with grid exploit masses")

@@ -57,7 +57,7 @@ side, and lambda' = lambda, or 1 for Lagrangean plays, which pay c_u itself
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import mul
 from typing import NamedTuple
 
@@ -320,7 +320,8 @@ class RelaxationSolution:
     are read off them on first use, or given by hand and read into them.  x
     holds each state's exploit masses at levels 0..L, (0.0, x_u) when plain.
     Step tables are kept on the solution (`policies._tables`): change the
-    values through a copy made with `dataclasses.replace`.
+    values through a copy made with `dataclasses.replace`; copies and pickles
+    keep the fields only (a compiled arm does not pickle).
     """
 
     gamma_star: float
@@ -332,6 +333,9 @@ class RelaxationSolution:
     duality_gap: float | None = None  # g(lambda, mu) - gamma*; None when read from a tableau point
     master_pivots: int = 0  # the master's pivots over the solve
     master_bland_pivots: int = 0  # those whose entering column Bland's rule chose
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def arm_values(self, arm: ArmStateSpace) -> ArmValues:
         """The arm's values by its compiled index; read from w, x and z when
@@ -426,8 +430,8 @@ class _ArmStates:
     a backward sweep is the DP and a forward one the flow.  The exploit
     options are (zeta(l), link sigma * l) at the levels l = first_level,
     ...: `options[i][u]` from level 0 on the concave grid; when plain
-    (`options[i]` None) one, (reward, 1) at level 1.  A root whose exploit
-    is forbidden has none.
+    (`options[i]` None) one, (reward, 1) at level 1.  The pricing skips a
+    root's options when its exploit is forbidden.
     """
 
     def __init__(self, instance: BanditInstance, grid: int | None, exploit_at_roots: bool):
@@ -441,8 +445,6 @@ class _ArmStates:
             if grid is not None:
                 sigma = instance.objective.concave.sigmas[arm.arm_id]
                 options = [tuple([(v, sigma * l) for l, v in levels]) for levels in _arm_levels(instance, arm, grid)]
-                if not exploit_at_roots:
-                    options[0] = ()
             self.options.append(options)
 
     def price(self, cost_w: float, link_w: float) -> tuple[list[list[int]], float]:
@@ -466,7 +468,7 @@ class _ArmStates:
                     v = rewards[u] - link_w
                     if v > 0.0 and (u or at_roots):
                         best, a = v, 0
-                else:
+                elif u or at_roots:
                     for k, (zeta, link) in enumerate(options[u]):
                         v = zeta - link_w * link
                         if v > best:

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 from fractions import Fraction
 from itertools import accumulate
 
@@ -295,6 +297,18 @@ def test_a_leaf_never_plays_even_on_a_zero_draw():
     ptr, spent = np.zeros(1, dtype=np.intp), np.zeros(1)
     state, levels = batched._walk_lockstep(arr, np.arange(1), np.zeros((1, tab.ca.draws)), ptr, spent, None)
     assert (state[0], levels[0], spent[0]) == (leaf, 0, 1.0)
+
+
+def test_a_leaf_cuts_from_zero_whatever_play_mass_it_is_given():
+    # a hand-built solution may give a leaf play mass, which it cannot use:
+    # its cuts start at 0 and its play probability is 0
+    arm = build_two_level_arm([0.2, 0.8], [0.5, 0.5], play_cost=1, arm_id="a")
+    inst = BanditInstance((arm,), 1.0, Objective("budgeted"))
+    sol = _dead_stop_solution((arm,))
+    leaves = [("a", leaf) for leaf, _ in arm.states[arm.root].transitions]
+    sol = dataclasses.replace(sol, z={**sol.z, **dict.fromkeys(leaves, 0.5)}, x={**sol.x, **dict.fromkeys(leaves, (0.0, 0.5))})
+    tab = policies._tables(inst, sol)["a"]
+    assert [(tab.cuts[u], tab.pz[u], tab.px[u], tab.pn[u]) for u in (1, 2)] == [((0.0, 0.5), 0.0, (0.5,), 0.5)] * 2
 
 
 def test_order_all_dead_stops_exploit_best_final_state():
@@ -1371,11 +1385,30 @@ def test_step_tables_are_built_once_per_solution_and_arm():
         z = sol.z[(arm.arm_id, arm.root)]
         assert tab.cuts[0] == (z, z)
     # another arm object under the same id gets its own table, read by key
-    copies = tuple(ArmStateSpace(a.arm_id, a.root, dict(a.states), a.switch_cost) for a in inst.arms)
+    # in its own compiled order (reversed transitions reverse the children)
+    copies = tuple(
+        ArmStateSpace(a.arm_id, a.root, {s: dataclasses.replace(st, transitions=st.transitions[::-1])
+                                         for s, st in a.states.items()}, a.switch_cost)
+        for a in inst.arms
+    )
+    assert any(a.compiled().sids != b.compiled().sids for a, b in zip(inst.arms, copies))
     other = BanditInstance(copies, inst.budget, inst.objective)
     for arm in copies:
         tab = policies._tables(other, sol)[arm.arm_id]
-        assert tab.arm is arm and tab.w == [sol.w[key] for key in arm.compiled().keys]
+        assert tab.arm is arm and tab.ca is arm.compiled()
+        assert tab.w == [sol.w[key] for key in arm.compiled().keys]
+
+
+def test_a_solution_pickles_and_copies_its_fields():
+    # the per-arm values and step tables hold compiled arms, whose index is
+    # a read-only mapping that does not pickle; an evaluated solution used
+    # to raise TypeError.  A copy keeps the fields and reads its values off them.
+    inst = gen_integrality_gap(3)
+    sol, plan = _pipeline(inst)
+    value = evaluate_plan_exact(inst, plan, sol)
+    for copied in (pickle.loads(pickle.dumps(sol)), copy.deepcopy(sol)):
+        assert copied == sol and "_step_tables" not in copied.__dict__
+        assert evaluate_plan_exact(inst, plan, copied) == value
 
 
 def _diamond_arm(arm_id, hi, lo, switch_cost):
