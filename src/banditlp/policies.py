@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .relaxations import ArmValues, RelaxationSolution, SingleArmPolicy, _check_unique_ids, solve_relaxation
+from .relaxations import ArmValues, RelaxationSolution, SingleArmPolicy, solve_relaxation
 from .statespace import ArmStateSpace, BanditInstance
 
 # A state with occupancy w below UNREACHABLE_W is never entered: its step is a
@@ -214,10 +214,11 @@ def _tables(instance: BanditInstance, solution: RelaxationSolution) -> dict[str,
     """
     if instance.objective.kind == "concave" and solution.grid is None:
         raise ValueError("concave plans need a solution with grid exploit masses")
-    _check_unique_ids(instance)
     kept = solution.__dict__.setdefault("_step_tables", {})
     out = {}
     for arm in instance.arms:
+        if arm.arm_id in out:
+            raise ValueError(f"duplicate arm id {arm.arm_id!r}")
         tab = kept.get(arm.arm_id)
         if tab is None or tab.arm is not arm:
             tab = kept[arm.arm_id] = _ArmTable(arm, solution.arm_values(arm))
@@ -425,13 +426,12 @@ def _walk_arm(tab: _ArmTable, rng: _Window, run: _Run, avail: float | None):
             run.switches[arm_id] = run.switches.get(arm_id, 0) + 1
         run.event(arm_id, sids[u], "play", ca.costs[u], q)
         run.spent += charge
-        draw, kids, cum = rng.random(), ca.kids[u], 0.0
-        u = kids[-1][0]
-        for c, p in kids[:-1]:
+        draw, cum = rng.random(), 0.0
+        for c, p in ca.kids[u]:  # past the last child's sum, the last child
             cum += p
             if draw < cum:
-                u = c
                 break
+        u = c
 
 
 # ---------------------------------------------------------------------------

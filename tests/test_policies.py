@@ -281,8 +281,8 @@ def test_a_violate_run_within_the_slack_keeps_its_best_dead_stop():
 
 def test_a_leaf_never_plays_even_on_a_zero_draw():
     # every draw is 0: the root plays (q = 0 <= z = 1), then at the leaf q = 0
-    # is not above z = 0; the walk used to play the leaf there and fail in
-    # _sample_child on its empty child list.  Both walks stop dead at the leaf.
+    # is not above z = 0; the walk used to play the leaf there and fail
+    # choosing a child from its empty child list.  Both walks stop dead at the leaf.
     class Zeros:
         def random(self):
             return 0.0
