@@ -267,7 +267,9 @@ def build_concave_lp(instance: BanditInstance) -> LinearProgram:
 # Solutions and single-arm policies
 
 
-def _clean_state(key: tuple[str, str], wv: float, zv: float, masses: list[float]) -> tuple[float, tuple[float, ...]]:
+def _clean_state(
+    key: tuple[str, str], wv: float, zv: float, masses: list[float]
+) -> tuple[float, tuple[float, ...]]:
     """Clamp z and the exploit masses into [0, w]; if their sum overshoots w
     by at most CLEANUP_SLACK, rescale them proportionally (more is an error)."""
     zv = min(max(zv, 0.0), wv)
@@ -294,14 +296,15 @@ class ArmValues(NamedTuple):
 
 class _ByKey:
     """A solution's w, x or z by (arm id, state id): as a hand-built solution
-    was given it, else read off the per-arm values on first use."""
+    was given it, else (given as None) read off the per-arm values on first
+    use."""
 
     def __init__(self, name: str):
         self.name = name
 
     def __get__(self, solution, owner=None):
         if solution is None:
-            return None  # the dataclass field's default
+            raise AttributeError(self.name)  # so the dataclass field has no default
         if solution.__dict__[self.name] is None:
             arms = solution.__dict__.get("_arms", {}).values()
             solution.__dict__[self.name] = {k: v for a in arms for k, v in zip(a.ca.keys, getattr(a, self.name))}
@@ -317,15 +320,18 @@ class RelaxationSolution:
 
     The values are kept per arm by compiled index (`arm_values`, outside the
     dataclass fields), as the solve writes them; w, x and z by (arm, state)
-    are read off them on first use, or given by hand and read into them.  x
-    holds each state's exploit masses at levels 0..L, (0.0, x_u) when plain.
-    Step tables are kept on the solution (`policies._tables`): change the
-    values through a copy made with `dataclasses.replace`; copies and pickles
-    keep the fields only (a compiled arm does not pickle).
+    are read off them on first use, or given by hand and read into them
+    once per arm.  x holds each state's exploit masses at levels 0..L,
+    (0.0, x_u) when plain.  Every reader (`check_invariants`, `lp_values`,
+    the extraction, the evaluators and their step tables, `policies._tables`)
+    reads the per-arm form, so the keyed dicts of a solved solution are
+    read-only snapshots: an edit in place is not seen.  Change the values
+    through a copy made with `dataclasses.replace`; copies and pickles keep
+    the fields only (a compiled arm does not pickle).
     """
 
     gamma_star: float
-    w: dict[tuple[str, str], float] = _ByKey("w")
+    w: dict[tuple[str, str], float] = _ByKey("w")  # no default: __get__ raises on the class
     x: dict[tuple[str, str], tuple[float, ...]] = _ByKey("x")
     z: dict[tuple[str, str], float] = _ByKey("z")
     grid: int | None = None
@@ -350,10 +356,22 @@ class RelaxationSolution:
         return got
 
     @classmethod
-    def from_raw(cls, instance: BanditInstance, raw: LPSolutionRaw, grid: int | None = None) -> "RelaxationSolution":
-        """A `solve_lp` optimum of `build_relaxation`'s LP (the reference
-        path), cleaned as `_clean_state` does; a variable missing from the
-        point (a grid that does not match the LP) is rejected."""
+    def from_raw(
+        cls,
+        instance: BanditInstance,
+        raw: LPSolutionRaw,
+        grid: int | None = None,
+    ) -> "RelaxationSolution":
+        """Clamp and rescale an optimal tableau point into executable thresholds.
+
+        This reads a `solve_lp` optimum of `build_relaxation`'s LP, the
+        reference path; `solve_relaxation` writes its solution directly.
+        Variables are clamped into [0, w_u]; if z + exploit mass overshoots
+        w_u by at most 1e-6 the state's values are rescaled proportionally; a
+        larger overshoot means the point was not feasible and is rejected.  A
+        variable missing from the point (a grid that does not match the LP)
+        is rejected too.
+        """
         if raw.status != "optimal":
             raise ValueError(f"cannot extract a policy from a {raw.status} LP solution")
 
@@ -363,7 +381,9 @@ class RelaxationSolution:
             except KeyError:
                 raise ValueError(f"the LP solution has no variable {name!r}; does the grid match the LP?") from None
 
-        w, x, z = {}, {}, {}
+        w: dict[tuple[str, str], float] = {}
+        x: dict[tuple[str, str], tuple[float, ...]] = {}
+        z: dict[tuple[str, str], float] = {}
         for arm in instance.arms:
             for sid in arm.topo_order():
                 key = (arm.arm_id, sid)
@@ -741,8 +761,10 @@ def _recover(
                     x[i][u] = masses = [0.0] * levels
                 masses[a + first] += mass
     zeros = (0.0,) * levels
-    solution = RelaxationSolution(master.value, grid=grid, cuts=len(cuts), duality_gap=gap,
-                                  master_pivots=master.pivots, master_bland_pivots=master.bland_pivots)
+    solution = RelaxationSolution(
+        master.value, None, None, None, grid, cuts=len(cuts), duality_gap=gap,
+        master_pivots=master.pivots, master_bland_pivots=master.bland_pivots,
+    )
     kept = solution.__dict__["_arms"] = {}
     for arm_id, ca, wi, zi, xi in zip(arms.ids, arms.compiled, w, z, x):
         wi[0] = 1.0  # a root is reached with certainty, by cuts or by doing nothing
@@ -774,22 +796,14 @@ class SingleArmPolicy:
 def extract_single_arm_policies(
     solution: RelaxationSolution, instance: BanditInstance
 ) -> list[SingleArmPolicy]:
-    """One randomized stopping policy per arm, in instance order.  A plain
-    state adds its level-1 mass to P and that times its reward to R, the
-    bits of the grid's sums over one level (P and R never hold -0.0)."""
+    """One randomized stopping policy per arm, in instance order."""
     out: list[SingleArmPolicy] = []
     for arm in instance.arms:
         ca, _, z, x = solution.arm_values(arm)
         p = r = c = 0.0
-        if solution.grid is None:
-            for charge, reward, masses, zv in zip(ca.charges, ca.rewards, x, z):
-                p += masses[1]
-                r += masses[1] * reward
-                c += charge * zv
-        else:
-            for charge, levels, masses, zv in zip(ca.charges, _arm_levels(instance, arm, solution.grid), x, z):
-                p += sum(l * masses[l] for l, _ in levels) / (len(masses) - 1)
-                r += sum(masses[l] * value for l, value in levels)
-                c += charge * zv
+        for charge, levels, masses, zv in zip(ca.charges, _arm_levels(instance, arm, solution.grid), x, z):
+            p += sum(l * masses[l] for l, _ in levels) / (len(masses) - 1)
+            r += sum(masses[l] * value for l, value in levels)
+            c += charge * zv
         out.append(SingleArmPolicy(arm_id=arm.arm_id, explore_prob=p, reward=r, cost=c))
     return out

@@ -1411,6 +1411,24 @@ def test_a_solution_pickles_and_copies_its_fields():
         assert evaluate_plan_exact(inst, plan, copied) == value
 
 
+def test_a_solved_solutions_keyed_values_are_snapshots():
+    # w, x and z have no default, and a solved solution's keyed dicts are
+    # read off its per-arm values: every reader reads the per-arm form, so
+    # an edit in place is not seen, while a copy made with replace is
+    with pytest.raises(TypeError):
+        RelaxationSolution(gamma_star=0.5)
+    inst = gen_integrality_gap(3)
+    sol = solve_relaxation(inst)
+    arm = inst.arms[0]
+    key = (arm.arm_id, arm.root)
+    solved = sol.z[key]
+    sol.z[key] = sol.w[key] + 1.0
+    assert sol.check_invariants(inst) == []
+    assert sol.lp_values(inst)[f"z|{key[0]}|{key[1]}"] == solved
+    copied = dataclasses.replace(sol, z=dict(sol.z))
+    assert f"x+z > w at {key}" in copied.check_invariants(inst)
+
+
 def _diamond_arm(arm_id, hi, lo, switch_cost):
     """Two plays to a leaf, through x (play cost 1) or y (play cost 2): runs
     that end in the same state can have spent different amounts."""

@@ -5,9 +5,9 @@
 
 Runs `pipebench/run.py --trace 0` once per seed on each side, for
 BENCHMARK.json's run_seconds, from that side's own checkout: the parent
-revision, exported (`git archive`) into a temporary directory that is
-removed afterwards, and the working tree (or `--change REV`, exported the
-same way).  An export leaves the repository's own metadata untouched.  The sides alternate which runs first, parent first on the first
+revision, checked out as a temporary `git worktree` that is removed
+afterwards, and the working tree (or `--change REV`, checked out the same
+way).  The sides alternate which runs first, parent first on the first
 seed, so that a drift of the machine hits both.  `BENCH_<label>.json`
 records the commits that ran and, for every end-to-end metric that
 BENCHMARK.json lists, its value in each pair, each side's median and
@@ -26,15 +26,12 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
-import tarfile
 import tempfile
 from contextlib import ExitStack, contextmanager
 
@@ -121,19 +118,16 @@ def _git(*args: str) -> str:
 @contextmanager
 def checkout(rev: str | None):
     """A directory holding the revision: the working tree when rev is None,
-    else the revision's files exported into a temporary directory (under
-    TMPDIR), removed on exit."""
+    else a temporary worktree removed on exit."""
     if rev is None:
         yield ROOT
         return
     path = tempfile.mkdtemp(prefix="bench-pairs-")
+    _git("worktree", "add", "--detach", path, rev)
     try:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", rev], check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(path, filter="data")
         yield path
     finally:
-        shutil.rmtree(path, ignore_errors=True)
+        _git("worktree", "remove", "--force", path)
 
 
 def main(argv=None) -> int:

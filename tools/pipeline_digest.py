@@ -47,7 +47,6 @@ def digest(workload: str, seed: int, size: str) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--workload", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
     ap.add_argument("--seeds", default="1", help="e.g. 1-3 or 1,5")
     ap.add_argument("--size", default="full", choices=("full", "tiny"))
     args = ap.parse_args(argv)
@@ -56,7 +55,7 @@ def main(argv=None) -> int:
         lo, sep, hi = part.partition("-")
         seeds += range(int(lo), int(hi) + 1) if sep else [int(lo)]
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "pipebench")]
-    for workload in args.workload:
+    for workload in WORKLOADS:
         for seed in seeds:
             print(f"{workload} {seed} {args.size} {digest(workload, seed, args.size)}", flush=True)
     return 0
