@@ -311,31 +311,20 @@ class EvaluationReport:
             ],
         }
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["instance", "gamma_star", "opt", "value", "cost", "bound", "lp_ratio", "ok", "flags",
-             "cuts", "master_pivots", "duality_gap"]
-        )
-        for r in self.rows:
-            writer.writerow(
-                [
-                    r.instance,
-                    r.gamma_star,
-                    "" if r.opt is None else r.opt,
-                    r.value,
-                    r.cost,
-                    r.bound,
-                    r.lp_ratio if math.isfinite(r.lp_ratio) else "",
-                    int(r.ok),
-                    ";".join(r.flags),
-                    r.cuts,
-                    r.master_pivots,
-                    "" if r.duality_gap is None else r.duality_gap,
-                ]
-            )
-        return buf.getvalue()
+
+_CSV_COLUMNS = ("instance", "gamma_star", "opt", "value", "cost", "bound", "lp_ratio", "ok", "flags",
+                "cuts", "master_pivots", "duality_gap")
+
+
+def rows_to_csv(rows: list[dict]) -> str:
+    """Suite rows in their JSON form (`EvaluationReport.to_json`) as CSV, the one
+    writer of `banditlp suite` and `banditlp report`: None is an empty field,
+    ok is 1 or 0 and the flags are joined by ';'."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, _CSV_COLUMNS, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows({**row, "ok": int(row["ok"]), "flags": ";".join(row["flags"])} for row in rows)
+    return buf.getvalue()
 
 
 def _bound_factor(variant: str, options: SuiteOptions, instance: BanditInstance) -> float:

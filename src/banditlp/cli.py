@@ -187,7 +187,7 @@ def cmd_suite(args) -> int:
         with open(args.output, "w") as fh:
             json.dump(doc_out, fh, indent=1)
     if args.format == "csv":
-        sys.stdout.write(report.to_csv())
+        sys.stdout.write(bench.rows_to_csv(doc_out["rows"]))
     else:
         _emit(doc_out)
     return 0 if report.ok else 1
@@ -199,15 +199,7 @@ def cmd_report(args) -> int:
     if args.format == "json":
         _emit(doc)
         return 0
-    import csv as _csv
-
-    writer = _csv.writer(sys.stdout)
-    rows = doc.get("rows", [])
-    if rows:
-        keys = list(rows[0].keys())
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([row.get(k) for k in keys])
+    sys.stdout.write(bench.rows_to_csv(doc.get("rows", [])))
     return 0
 
 

@@ -26,10 +26,11 @@ per variant, defined once in `_RULES` in a scalar and an array form:
   - lagrangean: no budget; stops at the first exploit and pays for every play;
   - concave: takes the exploit level as the arm's grid weight, moves on until
     the weights fill the packing capacity, then halves all weights.
-* `_arm_outcome_dist` is the walk's exact twin, the distribution of its
-  (state, level, spent).  One exact forward pass convolves it over the plan
-  order for all three variants and applies the same rules to a frontier of
-  run states.
+* `_arm_outcomes` is the walk's exact twin without a budget, its outcomes
+  (state, level, spent) and its plays with their probabilities.  One exact
+  forward pass convolves them over the plan order for all three variants,
+  reading each run state's budget stops off the plays, and applies the same
+  rules to a frontier of run states.
 * `GreedyOrderProcess` branches on pz, px and pn at each joint state for the
   statistics oracle.
 
@@ -64,11 +65,11 @@ from .statespace import ArmStateSpace, BanditInstance
 # A state with occupancy w below UNREACHABLE_W is never entered: its step is a
 # dead stop.  AUDIT_TOL is the slack of every float comparison of a spend with
 # a budget, so that fractional costs are not decided by rounding: the first-play
-# test, the walk's affordability test and its exact twin, the violate overshoot,
-# and the audits
-# of verify_trace, monte_carlo_evaluate and the concave exact pass (spend
-# against a budget or cap, event costs against the trace cost, and packed
-# units against 2 * capacity * L).
+# test, the walk's affordability test and the exact pass's reach and budget-stop
+# tests, the violate overshoot, and the audits of verify_trace,
+# monte_carlo_evaluate and the concave exact pass (spend against a budget or
+# cap, event costs against the trace cost, and packed units against
+# 2 * capacity * L).
 UNREACHABLE_W = 1e-9
 AUDIT_TOL = 1e-9
 # nonadaptive_two_level: slack of the gamma*/7 prior-best test; the root play
@@ -795,14 +796,17 @@ def _scalar_runs(plan, tables, rules, seed_key: int, reps: int):
 # Exact evaluation
 
 
-def _arm_outcome_dist(tab: _ArmTable, avail: float | None) -> dict[tuple[int, int | None, float], float]:
-    """Exact twin of `_walk_arm`: the distribution of its (state u, level, spent).
+def _arm_outcomes(tab: _ArmTable) -> list[tuple[int, int | None, float, float]]:
+    """Exact twin of `_walk_arm` without a budget: its (state u, level, spent, p).
 
-    spent is the arm's own spend, switch included; level None marks a play
-    that would take spent past avail + AUDIT_TOL (never when avail is None).
-    Integer-valued costs stay exact in float arithmetic.
+    spent is the arm's own spend on arriving at u, switch included; level None
+    is a play from u, whose children come later in the list.  With costs >= 0
+    an arrival at spend s within a budget took the same plays, with the same
+    float additions in the same order, as here, so a budget filters the list
+    (`evaluate_plan_exact`).  Integer-valued costs stay exact in float
+    arithmetic.
     """
-    out: dict[tuple[int, int | None, float], float] = {}  # each key is written once
+    out = []
     ca = tab.ca
     masses: list[dict[float, float] | None] = [{0.0: 1.0}] + [None] * (len(ca.sids) - 1)  # spent -> probability
     for u, cur in enumerate(masses):
@@ -812,13 +816,11 @@ def _arm_outcome_dist(tab: _ArmTable, avail: float | None) -> dict[tuple[int, in
         for spent, pr in cur.items():
             for level, p in enumerate(tab.px[u], 1):
                 if p > 0.0:
-                    out[u, level, spent] = pr * p
+                    out.append((u, level, spent, pr * p))
             if pn > 0.0:
-                out[u, 0, spent] = pr * pn
+                out.append((u, 0, spent, pr * pn))
             if pz > 0.0:
-                if avail is not None and spent + charge > avail + AUDIT_TOL:
-                    out[u, None, spent] = pr * pz
-                    continue
+                out.append((u, None, spent, pr * pz))
                 key = spent + charge
                 for c, p_child in ca.kids[u]:
                     bucket = masses[c] = masses[c] or {}
@@ -834,8 +836,10 @@ def evaluate_plan_exact(
 ) -> tuple[float, float]:
     """Exact expected (value, exploration cost) of a rounded plan, all variants.
 
-    One forward pass convolves each arm's outcome distribution, in plan order,
-    with a frontier of run states.  Plans with a budget (budgeted, bicriteria,
+    One forward pass convolves each arm's outcomes (`_arm_outcomes`), in plan
+    order, with a frontier of run states.  Under a key's remaining budget an
+    outcome at a spend past it was never reached, and a play that would pass
+    it is a budget stop.  Plans with a budget (budgeted, bicriteria,
     concave) need integer costs, so that every remaining budget B - k, part
     of the state, is exact in floats (B itself may be fractional, as alpha * C
     often is); lagrangean plans accept any costs.  The concave pass raises
@@ -848,20 +852,15 @@ def evaluate_plan_exact(
     tables = _tables(instance, solution)
     value, frontier, capped, after, finish, _, _ = _RULES[plan.variant](instance, plan, solution, rule)
     cost = 0.0
-    # An arm's outcomes depend on the remaining budget only below its largest
-    # exploration cost: with more, no play of the arm is ever budget-stopped
-    # (the costs are integers, so the spends are exact).
-    dists: dict[tuple[str, float | None], dict] = {}
     for ra in plan.order:
         tab = tables[ra.arm_id]
-        full = tab.ca.max_exploration_cost
+        charges, outcomes = tab.ca.charges, _arm_outcomes(tab)
         nxt: dict = {}
         for key, pr in frontier.items():
-            avail = min(key[0], full) if capped else None
-            dist = dists.get((tab.arm_id, avail))
-            if dist is None:
-                dist = dists[tab.arm_id, avail] = _arm_outcome_dist(tab, avail)
-            for (u, level, spent), p in dist.items():
+            limit = key[0] + AUDIT_TOL if capped else math.inf
+            for u, level, spent, p in outcomes:
+                if spent > limit or level is None and spent + charges[u] <= limit:
+                    continue  # never reached, or a play whose children follow
                 mass = pr * p
                 cost += mass * spent
                 v, nkey = after(tab, key, u, level, spent)

@@ -133,7 +133,6 @@ class ArmStateSpace:
             leaf=tuple([not st.transitions for st in states]),
             kids=kids,
             draws=2 * max(depth) + 1,
-            max_exploration_cost=self.max_exploration_cost(),
             integer_costs=float(self.switch_cost).is_integer()
             and all([not s.transitions or float(s.play_cost).is_integer() for s in self.states.values()]),
             switch_cost=self.switch_cost,
@@ -144,7 +143,7 @@ class ArmStateSpace:
         """Switch cost plus the maximum total play cost along any root-leaf path.
 
         Computed on every call, so that instance generators, which read it
-        for every arm they draw, compile nothing; the compiled arm keeps it.
+        for every arm they draw, compile nothing.
         """
         best: dict[str, float] = {}
         for sid in reversed(self.topo_order()):
@@ -192,11 +191,10 @@ class CompiledArm:
     leaf, and its children as (index, probability) for probability > 0.
     Per arm: `index` (state id -> u), `draws` (2 * height + 1, the most
     uniform draws one walk of the arm reads: one per visited state to stop
-    or play, one per play for the child), the largest exploration cost (switch
-    plus the costliest root-leaf path), whether every play and switch cost is
-    an integer, the switch cost and the arm's states, reachable or not, from
-    which the structural key (equal keys mean interchangeable copies) is read
-    on first use.
+    or play, one per play for the child), whether every play and switch cost
+    is an integer, the switch cost and the arm's states, reachable or not,
+    from which the structural key (equal keys mean interchangeable copies) is
+    read on first use.
     """
 
     sids: tuple[str, ...]
@@ -208,7 +206,6 @@ class CompiledArm:
     leaf: tuple[bool, ...]
     kids: tuple[tuple[tuple[int, float], ...], ...]
     draws: int
-    max_exploration_cost: float
     integer_costs: bool
     switch_cost: float
     states: Mapping[str, BeliefState]
@@ -610,21 +607,36 @@ def instance_to_json(instance: BanditInstance) -> dict:
     }
 
 
+def _get(doc: Mapping, key: str, where: str):
+    """doc[key]; a missing key is a ValueError naming it and where it is missing."""
+    if key not in doc:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return doc[key]
+
+
 def instance_from_json(doc: Mapping) -> BanditInstance:
+    """An instance from its plain-dict form.  A missing key or a state id
+    repeated within an arm raises ValueError."""
     arms = []
-    for a in doc["arms"]:
+    for k, a in enumerate(_get(doc, "arms", "instance")):
+        arm_id = _get(a, "id", f"arm {k}")
+        where = f"arm {arm_id!r}"
         states = {}
-        for s in a["states"]:
-            states[s["id"]] = BeliefState(
-                id=s["id"],
-                reward=float(s["reward"]),
+        for s in _get(a, "states", where):
+            sid = _get(s, "id", f"{where} state")
+            if sid in states:
+                raise ValueError(f"{where}: duplicate state id {sid!r}")
+            at = f"{where} state {sid!r}"
+            states[sid] = BeliefState(
+                id=sid,
+                reward=float(_get(s, "reward", at)),
                 play_cost=float(s.get("play_cost", 0.0)),
-                transitions=tuple((c["state"], float(c["prob"])) for c in s.get("children", ())),
+                transitions=tuple((_get(c, "state", at), float(_get(c, "prob", at))) for c in s.get("children", ())),
             )
         arms.append(
             ArmStateSpace(
-                arm_id=a["id"],
-                root=a["root"],
+                arm_id=arm_id,
+                root=_get(a, "root", where),
                 states=states,
                 switch_cost=float(a.get("switch_cost", 0.0)),
             )
@@ -633,9 +645,9 @@ def instance_from_json(doc: Mapping) -> BanditInstance:
     kind = obj_doc.get("type", "budgeted")
     concave = None
     if kind == "concave":
-        concave = make_concave_problem(
-            arms, float(obj_doc["B"]), float(obj_doc["epsilon"]), obj_doc["sigmas"], obj_doc["value_tables"]
-        )
+        keys = ("B", "epsilon", "sigmas", "value_tables")
+        B, eps, sigmas, tables = [_get(obj_doc, key, "concave objective") for key in keys]
+        concave = make_concave_problem(arms, float(B), float(eps), sigmas, tables)
     objective = Objective(kind=kind, alpha=float(obj_doc.get("alpha", 1.0)), concave=concave)
     budget = doc.get("budget")
     return BanditInstance(

@@ -109,18 +109,18 @@ def test_suite_and_report_round_trip(tmp_path, capsys):
         assert row["cuts"] >= 1 and row["master_pivots"] >= 1
         assert abs(row["duality_gap"]) <= 1e-9 * (1.0 + abs(row["gamma_star"]))  # may round below 0
 
-    code, out = run_cli(capsys, "report", str(out_path), "--format", "csv")
+    code, report_csv = run_cli(capsys, "report", str(out_path), "--format", "csv")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("instance")
-    assert lines[0].endswith(",cuts,master_pivots,duality_gap")
-    assert len(lines) == 4
+    assert len(report_csv.strip().splitlines()) == 4
 
     code, out = run_cli(capsys, "suite", "--spec", str(spec_path), "--format", "csv")
     assert code == 0
     header, *rows = out.strip().splitlines()
     assert header == "instance,gamma_star,opt,value,cost,bound,lp_ratio,ok,flags,cuts,master_pivots,duality_gap"
     assert [int(r.split(",")[9]) for r in rows] == [r["cuts"] for r in doc["rows"]]
+    # one writer: the saved report's CSV is the suite's, byte for byte (the
+    # report used to add opt_ratio and print ok as True and no flags as [])
+    assert report_csv == out
 
 
 @pytest.mark.parametrize(
@@ -246,3 +246,42 @@ def test_suite_runs_a_fractional_bicriteria_budget(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["summary"]["all_ok"] is True and len(doc["rows"]) == 4
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("solve", lambda d: d["arms"][0].pop("root"), "arm 'a0': missing key 'root'"),
+        ("plan", lambda d: d["arms"][1]["states"][0].pop("reward"), "arm 'a1' state 'root': missing key 'reward'"),
+        ("run", lambda d: d["objective"].pop("B"), "concave objective: missing key 'B'"),
+        ("oracle", lambda d: d["arms"][0].pop("id"), "arm 0: missing key 'id'"),
+        ("validate", lambda d: d["arms"][0].pop("root"), "arm 'a0': missing key 'root'"),
+    ],
+)
+def test_a_missing_key_is_one_json_error(tmp_path, capsys, command, edit, message):
+    # a KeyError traceback and exit 1 used to end every one of these; for
+    # validate, exit 1 also means an invalid instance
+    path = tmp_path / "inst.json"
+    inst = gen_integrality_gap(2)
+    save_instance(as_concave(inst, capacity=1.0, epsilon=0.5) if command == "run" else inst, str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, command, str(path), *(["--seed", "0"] if command == "run" else []))
+    assert code == 2
+    assert json.loads(out) == {"error": message}
+
+
+def test_a_repeated_state_id_is_one_json_error(tmp_path, capsys):
+    # the second state "v0" used to replace the first, and validate reported
+    # at most a martingale diagnostic at the root
+    path = tmp_path / "inst.json"
+    save_instance(gen_integrality_gap(2), str(path))
+    doc = json.loads(path.read_text())
+    states = doc["arms"][0]["states"]
+    states.append({**states[1], "reward": 0.5})
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "solve"):
+        code, out = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert json.loads(out) == {"error": f"arm {doc['arms'][0]['id']!r}: duplicate state id {states[1]['id']!r}"}

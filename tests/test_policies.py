@@ -47,6 +47,7 @@ from banditlp.statespace import (
     build_beta_bernoulli_arm,
     build_two_level_arm,
 )
+import reference_exact
 # budgeted instances of 1-3 arms with integer costs; instances of one variant on them
 from test_decomposition import _concave, bases, instances
 
@@ -668,8 +669,9 @@ def test_arm_outcome_distribution_reproduces_lp_statistics():
     # the LP's mass there: E[level]/L is P(phi), the exploit value R(phi) and
     # the spend C(phi) in expectation (a plain solution is the grid L = 1).
     # The per-arm outcome DP over (state, level, spent) must reproduce the LP
-    # statistics identically, the concave exploit-level masses included.
-    from banditlp.policies import _arm_outcome_dist, _tables
+    # statistics identically, the concave exploit-level masses included; its
+    # stops are the reference twin's unbudgeted distribution, in its order.
+    from banditlp.policies import _arm_outcomes, _tables
 
     suite = gen_random_suite(GeneratorSpec(family="random-two-level", count=5, seed=81, budget_cap=5))
     suite += gen_random_suite(GeneratorSpec(family="random-beta", count=5, seed=82, budget_cap=5))
@@ -681,7 +683,11 @@ def test_arm_outcome_distribution_reproduces_lp_statistics():
         L = sol.grid or 1
         prob = inst.objective.concave
         for pol, arm in zip(pols, inst.arms):
-            dist = _arm_outcome_dist(tables[arm.arm_id], None)
+            outcomes = _arm_outcomes(tables[arm.arm_id])
+            dist = {(u, level, spent): p for u, level, spent, p in outcomes if level is not None}
+            assert list(dist.items()) == list(reference_exact._arm_outcome_dist(tables[arm.arm_id], None).items())
+            plays = [(u, spent, p) for u, level, spent, p in outcomes if level is None]
+            assert len(dist) + len(plays) == len(outcomes)
             sids = arm.compiled().sids
 
             def value(u, level):
@@ -770,33 +776,56 @@ def test_exact_evaluator_matches_brute_force():
             assert ccost == pytest.approx(bf_ccost, abs=1e-12), capacity
 
 
-def test_exact_pass_computes_an_arm_once_when_the_budget_exceeds_its_cost(monkeypatch):
-    # with more budget left than the arm's largest exploration cost, no play
-    # of the arm is budget-stopped, so every such frontier key shares one
-    # outcome distribution, keyed by that cost
+def test_exact_pass_lists_each_plan_arm_once(monkeypatch):
+    # one unbudgeted outcome list per plan arm serves every remaining budget:
+    # budgets below, at and above the arms' exploration costs (2 and 3) give
+    # the brute force's value and cost and the reference twin's bits
     arms = tuple(
         build_beta_bernoulli_arm(1 + i, 2, 2, play_cost=1, switch_cost=i % 2, arm_id=f"a{i}") for i in range(3)
     )
-    inst = BanditInstance(arms, budget=20.0, objective=Objective("budgeted"))
-    sol, plan = _pipeline(inst)
-    real = policies._arm_outcome_dist
-    for arm in arms:
-        ax = policies._tables(inst, sol)[arm.arm_id]
-        full = arm.max_exploration_cost()
-        assert real(ax, full + 7.0) == real(ax, full) != real(ax, full - 1.0)
-    calls = []
+    real = policies._arm_outcomes
+    for budget in (2.0, 4.0, 20.0):
+        inst = BanditInstance(arms, budget=budget, objective=Objective("budgeted"))
+        sol, plan = _pipeline(inst)
+        calls = []
 
-    def counting(ax, avail):
-        calls.append((ax.arm_id, avail))
-        return real(ax, avail)
+        def counting(tab):
+            calls.append(tab.arm_id)
+            return real(tab)
 
-    monkeypatch.setattr(policies, "_arm_outcome_dist", counting)
-    value, cost = evaluate_plan_exact(inst, plan, sol)
-    assert len(calls) == len(set(calls)) > 1
-    assert all(avail == inst.arm(a).max_exploration_cost() for a, avail in calls)
-    bf_value, bf_cost = _brute_force_evaluation(inst, plan, sol, "order")
-    assert value == pytest.approx(bf_value, abs=1e-12)
-    assert cost == pytest.approx(bf_cost, abs=1e-12)
+        monkeypatch.setattr(policies, "_arm_outcomes", counting)
+        for rule in ("order", "violate"):
+            calls.clear()
+            value, cost = evaluate_plan_exact(inst, plan, sol, rule=rule)
+            assert calls == [ra.arm_id for ra in plan.order]
+            bf_value, bf_cost = _brute_force_evaluation(inst, plan, sol, rule)
+            assert value == pytest.approx(bf_value, abs=1e-12)
+            assert cost == pytest.approx(bf_cost, abs=1e-12)
+            twin = reference_exact.evaluate_plan_exact(inst, plan, sol, rule=rule)
+            assert (value.hex(), cost.hex()) == (twin[0].hex(), twin[1].hex())
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@seed(2001)
+@given(
+    bases(),
+    st.sampled_from([1.0, 2.0]),
+    st.sampled_from([0.25, 0.5]),
+    st.sampled_from(["linear", "sqrt"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_exact_pass_equals_its_reference_twin(base, capacity, epsilon, curve, seed):
+    # every remaining budget filtered from one outcome list per arm against
+    # one distribution per (arm, budget), by value.hex() and cost.hex():
+    # budgeted plans under order and violate, bicriteria (alpha 1.5, often a
+    # fractional budget), lagrangean and concave plans, all with integer costs
+    cases = [(base, 1.0, "order"), (base, 1.0, "violate"), (base, 1.5, "order"), (as_lagrangean(base), 1.0, "order")]
+    cases.append((_concave(base, capacity, epsilon, curve, np.random.default_rng(seed)), 1.0, "order"))
+    for inst, alpha, rule in cases:
+        sol, plan = _pipeline(inst, alpha=alpha)
+        value, cost = evaluate_plan_exact(inst, plan, sol, rule=rule)
+        twin = reference_exact.evaluate_plan_exact(inst, plan, sol, rule=rule)
+        assert (value.hex(), cost.hex()) == (twin[0].hex(), twin[1].hex()), (inst.objective.kind, alpha, rule)
 
 
 # ---------------------------------------------------------------------------

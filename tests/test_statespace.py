@@ -225,7 +225,7 @@ def test_compiled_arm_is_built_once_lazily_and_immutable():
     assert ca.leaf == tuple(states[sid].is_leaf for sid in order)
     # children with p > 0 only, in transition order
     assert [(order[c], p) for c, p in ca.kids[0]] == [("h", 0.5), ("l", 0.5)]
-    assert (ca.max_exploration_cost, ca.integer_costs) == (3.0, True)
+    assert ca.integer_costs and arm.max_exploration_cost() == 3.0
     twin = ArmStateSpace("b", "r", states, switch_cost=1.0)
     assert ca.structural_key == twin.compiled().structural_key == arm.structural_key()
     # one compiled arm is shared by every reader: nothing in it can change
@@ -280,6 +280,52 @@ def test_concave_instance_json_round_trip(tmp_path):
     assert prob2.grid == prob.grid
     assert prob2.sigmas == prob.sigmas
     assert prob2.value_tables == prob.value_tables
+
+
+def _concave_doc():
+    from banditlp.bench import as_concave
+
+    return instance_to_json(as_concave(_two_level_instance(), capacity=1.0, epsilon=0.5))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.pop("arms"), "instance: missing key 'arms'"),
+        (lambda d: d["arms"][0].pop("id"), "arm 0: missing key 'id'"),
+        (lambda d: d["arms"][1].pop("root"), "arm 'a1': missing key 'root'"),
+        (lambda d: d["arms"][1].pop("states"), "arm 'a1': missing key 'states'"),
+        (lambda d: d["arms"][0]["states"][1].pop("id"), "arm 'a0' state: missing key 'id'"),
+        (lambda d: d["arms"][0]["states"][0].pop("reward"), "arm 'a0' state 'root': missing key 'reward'"),
+        (lambda d: d["arms"][0]["states"][0]["children"][1].pop("prob"), "arm 'a0' state 'root': missing key 'prob'"),
+        (lambda d: d["arms"][0]["states"][0]["children"][0].pop("state"), "arm 'a0' state 'root': missing key 'state'"),
+        (lambda d: d["objective"].pop("B"), "concave objective: missing key 'B'"),
+        (lambda d: d["objective"].pop("value_tables"), "concave objective: missing key 'value_tables'"),
+    ],
+)
+def test_a_missing_key_in_an_instance_file_is_a_value_error(edit, message):
+    # these used to raise KeyError, which the CLI reports as a traceback
+    doc = _concave_doc()
+    instance_from_json(doc)
+    edit(doc)
+    with pytest.raises(ValueError) as info:
+        instance_from_json(doc)
+    assert str(info.value) == message
+
+
+def test_a_state_id_repeated_within_an_arm_is_rejected():
+    # the last state of an id used to replace the first: two states "v0"
+    # loaded as one arm that the file does not describe
+    doc = instance_to_json(_two_level_instance())
+    states = doc["arms"][0]["states"]
+    states.append({**states[1], "reward": 0.5})
+    with pytest.raises(ValueError) as info:
+        instance_from_json(doc)
+    assert str(info.value) == "arm 'a0': duplicate state id 'v0'"
+    # the same id in two arms is two states
+    doc = instance_to_json(_two_level_instance())
+    assert [s["id"] for s in doc["arms"][0]["states"]] == [s["id"] for s in doc["arms"][1]["states"]]
+    assert instance_from_json(doc).arms[0].states.keys() == {"root", "v0", "v1"}
 
 
 def test_max_exploration_cost_and_two_level_shape():
