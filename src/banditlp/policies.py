@@ -842,7 +842,8 @@ def evaluate_plan_exact(
     it is a budget stop.  Plans with a budget (budgeted, bicriteria,
     concave) need integer costs, so that every remaining budget B - k, part
     of the state, is exact in floats (B itself may be fractional, as alpha * C
-    often is); lagrangean plans accept any costs.  The concave pass raises
+    often is), and charges >= 0, so that a spend never falls back within a
+    budget it passed; lagrangean plans accept any costs.  The concave pass raises
     RuntimeError if a reachable run breaks the budget or packs more than 2B
     before halving.
     """
@@ -850,6 +851,10 @@ def evaluate_plan_exact(
     if plan.budget is not None and not instance.has_integer_costs():
         raise ValueError("exact evaluation under a budget requires integer costs")
     tables = _tables(instance, solution)
+    for tab in tables.values():
+        if plan.budget is not None and min(tab.ca.charges) < 0.0:
+            raise ValueError(f"exact evaluation under a budget requires play charges >= 0; arm {tab.arm_id!r} "
+                             "has one below 0")
     value, frontier, capped, after, finish, _, _ = _RULES[plan.variant](instance, plan, solution, rule)
     cost = 0.0
     for ra in plan.order:

@@ -43,6 +43,7 @@ from banditlp.relaxations import (
 from banditlp.statespace import (
     ArmStateSpace,
     BanditInstance,
+    BeliefState,
     Objective,
     build_beta_bernoulli_arm,
     build_two_level_arm,
@@ -803,6 +804,29 @@ def test_exact_pass_lists_each_plan_arm_once(monkeypatch):
             assert cost == pytest.approx(bf_cost, abs=1e-12)
             twin = reference_exact.evaluate_plan_exact(inst, plan, sol, rule=rule)
             assert (value.hex(), cost.hex()) == (twin[0].hex(), twin[1].hex())
+
+
+def test_the_budgeted_exact_pass_rejects_a_negative_charge():
+    # a spend that rises past the budget (1 + 1 > 1) and falls back within it
+    # (-2): the exact pass used to read (0.5, 0.0), or counted the refund's
+    # children as reached, where every sampled run spends 1.0
+    states = {
+        "r": BeliefState("r", 0.5, 1.0, (("m", 1.0),)),
+        "m": BeliefState("m", 0.5, 1.0, (("n", 1.0),)),
+        "n": BeliefState("n", 0.5, -2.0, (("h", 0.5), ("l", 0.5))),
+        "h": BeliefState("h", 1.0),
+        "l": BeliefState("l", 0.0),
+    }
+    b = ArmStateSpace("b", "s", {"s": BeliefState("s", 0.6)})
+    inst = BanditInstance((ArmStateSpace("a", "r", states), b), budget=1.0)
+    sol, plan = _pipeline(inst)
+    assert monte_carlo_evaluate(inst, plan, sol, reps=50, seed=1).mean_cost == 1.0
+    with pytest.raises(ValueError, match="requires play charges >= 0; arm 'a' has one below 0"):
+        evaluate_plan_exact(inst, plan, sol)
+    # without a budget nothing is filtered by spend
+    lag = as_lagrangean(inst)
+    sol, plan = _pipeline(lag)
+    evaluate_plan_exact(lag, plan, sol)
 
 
 @settings(max_examples=150, deadline=None, database=None)
