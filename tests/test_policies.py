@@ -808,8 +808,9 @@ def test_exact_pass_lists_each_plan_arm_once(monkeypatch):
 
 def test_the_budgeted_exact_pass_rejects_a_negative_charge():
     # a spend that rises past the budget (1 + 1 > 1) and falls back within it
-    # (-2): the exact pass used to read (0.5, 0.0), or counted the refund's
-    # children as reached, where every sampled run spends 1.0
+    # (-2) defeats the filter by spend, which would count the refund's
+    # children as reached (a value of 1.3); the pass used to read (0.5, 0.0)
+    # where every sampled run spends 1.0
     states = {
         "r": BeliefState("r", 0.5, 1.0, (("m", 1.0),)),
         "m": BeliefState("m", 0.5, 1.0, (("n", 1.0),)),
