@@ -28,8 +28,8 @@ the cost row <= B, so it solves the Lagrangean dual
     V_u = max(0, max_l zeta_u(l) - mu * link_l, -lambda' * c_u + sum p * V_child)
 
 where link_l is sigma_i * l (1 when plain), rhs the linking row's right-hand
-side, and lambda' = lambda, or 1 for Lagrangean plays, which pay c_u itself
-(a leaf never plays).  Its minimum is gamma*.
+side, and lambda' = lambda, or 1 + lambda for Lagrangean plays, which pay c_u
+itself (a leaf never plays).  Its minimum is gamma*.
 
 * Pricing: one backward DP per arm gives the best deterministic policy at
   (lambda, mu), and one forward pass its occupancies (w, z, x) and totals
@@ -37,16 +37,15 @@ side, and lambda' = lambda, or 1 for Lagrangean plays, which pay c_u itself
 * Master: max sum theta_k R_k s.t. sum theta_k <= 1, sum theta_k C_k <= B,
   sum theta_k P_k <= rhs over the priced policies, the cuts (Kelley's cutting
   planes on g, which is Dantzig-Wolfe column generation with an aggregated
-  master).  `_Master` is a revised simplex on at most three rows, created
-  once per solve: each cut appends one column and re-optimises from the
-  last optimal basis, which stays primal feasible, so a cut costs a pivot or
-  two on a 3x3 basis inverse.  Each pass is that arithmetic and no more:
-  pi, one dot product per cut for its reduced cost and the entering column,
-  each written out for the 2 or 3 rows, then the ratio test and the
-  elimination.  Doing nothing is the slack of the first row, and a budget
-  or capacity below 0 is rejected before the first cut, so the slack basis
-  is feasible and the master has no phase 1.  Its row duals pi = c_B B^-1
-  are the next (lambda, mu).
+  master).  Every variant's master has these three rows; the Lagrangean's
+  budget row is empty (B = 0, every C_k = 0), so its lambda stays 0.
+  `_Master` is a revised simplex, created once per solve: each cut appends
+  one column and re-optimises from the last optimal basis, which stays
+  primal feasible, so a cut costs a pivot or two on a 3x3 basis inverse.
+  Doing nothing is the slack of the first row, and a budget or capacity
+  below 0 is rejected before the first cut, so the slack basis is feasible
+  and the master has no phase 1.  Its row duals pi = c_B B^-1 are the next
+  (lambda, mu).
 * Stop and recover: once g(lambda, mu) - master <= GAP_TOL * (1 + |master|),
   the master's optimum is gamma* and the mixture sum theta_k occupancy_k an
   optimal LP point, written into `RelaxationSolution` by compiled index.
@@ -539,24 +538,27 @@ class _Master:
     cut to the next.
 
     Every b_i is non-negative (`solve_relaxation` rejects the rest), so the
-    slack basis is feasible and the master needs no phase 1.  B^-1 is m x m
-    plain floats (m = 2 rows when Lagrangean, else 3), updated by each
-    pivot's elimination with the entering column d = B^-1 a_j.  The pivot
-    rules are `lp._simplex`'s, with its tolerances: Dantzig's entering rule,
-    ties to the lowest column, the smallest basic index leaving on a ratio
-    tie, and Bland's rule after `_DEGENERATE_STREAK` degenerate pivots until
-    the objective moves again.  Columns rank as in its tableau: the cuts in
-    the order they came, then the slacks by row.  A basis entry is a cut's
-    index k, or -1 - i for row i's slack, so (entry < 0, |entry|) is the
-    rank.
+    slack basis is feasible and the master needs no phase 1.  B^-1 is 3 x 3
+    plain floats, updated by each pivot's elimination with the entering
+    column d = B^-1 a_j.  The pivot rules are `lp._simplex`'s, with its
+    tolerances: Dantzig's entering rule, ties to the lowest column, the
+    smallest basic index leaving on a ratio tie, and Bland's rule after
+    `_DEGENERATE_STREAK` degenerate pivots until the objective moves again.
+    Columns rank as in its tableau: the cuts in the order they came, then
+    the slacks by row.  A basis entry is a cut's index k, or -1 - i for row
+    i's slack, so (entry < 0, |entry|) is the rank.
 
     A pass costs its arithmetic: pi, the cuts' reduced costs and the
-    entering column are dot products written out for 2 and 3 rows as
-    0 + a_0 b_0 + a_1 b_1 [+ a_2 b_2], and a slack is priced and entered by
-    reading pi and B^-1 at its row.  Every sum here, the value included,
-    adds left to right from 0: the same bits on every Python version, and
-    the bits of `sum`, which adds floats that way up to Python 3.11 (3.12
-    compensates its rounding).
+    entering column are dot products written out as
+    0 + a_0 b_0 + a_1 b_1 + a_2 b_2, and a slack is priced and entered by
+    reading pi and B^-1 at its row.  An empty row (b_i and every cut's entry
+    0: the Lagrangean's budget row) never passes a ratio test, so its row of
+    B^-1 stays e_i, its slack stays basic at 0 and its dual at 0, and its
+    terms in every other dot product add zeros: the master pivots, bit for
+    bit, as on the other rows alone, whose slacks keep their ranks.  Every
+    sum here, the value included, adds left to right from 0: the same bits
+    on every Python version, and the bits of `sum`, which adds floats that
+    way up to Python 3.11 (3.12 compensates its rounding).
     """
 
     def __init__(self, rhs: list[float]):
@@ -602,47 +604,28 @@ class _Master:
         inv = self.inv
         if j < 0:
             return [row[-1 - j] for row in inv]
-        if len(inv) == 3:
-            a0, a1, a2 = self.cuts[j]
-            return [0.0 + r0 * a0 + r1 * a1 + r2 * a2 for r0, r1, r2 in inv]
-        a0, a1 = self.cuts[j]
-        return [0.0 + r0 * a0 + r1 * a1 for r0, r1 in inv]
+        a0, a1, a2 = self.cuts[j]
+        return [0.0 + r0 * a0 + r1 * a1 + r2 * a2 for r0, r1, r2 in inv]
 
     def _optimise(self) -> None:
         """Pivot to the optimum: a cut is priced at its reward, a slack at 0."""
         x, basis, inv, cuts, rewards = self.x, self.basis, self.inv, self.cuts, self.rewards
-        three = len(x) == 3
         degenerate, bland = 0, False
         while True:
-            cb = [rewards[j] if j >= 0 else 0.0 for j in basis]
-            if three:
-                (c0, c1, c2), (r0, r1, r2) = cb, inv
-                p0 = 0.0 + c0 * r0[0] + c1 * r1[0] + c2 * r2[0]
-                p1 = 0.0 + c0 * r0[1] + c1 * r1[1] + c2 * r2[1]
-                p2 = 0.0 + c0 * r0[2] + c1 * r1[2] + c2 * r2[2]
-                pi = [p0, p1, p2]
-            else:
-                (c0, c1), (r0, r1) = cb, inv
-                p0 = 0.0 + c0 * r0[0] + c1 * r1[0]
-                p1 = 0.0 + c0 * r0[1] + c1 * r1[1]
-                pi = [p0, p1]
+            (c0, c1, c2), (r0, r1, r2) = [rewards[j] if j >= 0 else 0.0 for j in basis], inv
+            p0 = 0.0 + c0 * r0[0] + c1 * r1[0] + c2 * r2[0]
+            p1 = 0.0 + c0 * r0[1] + c1 * r1[1] + c2 * r2[1]
+            p2 = 0.0 + c0 * r0[2] + c1 * r1[2] + c2 * r2[2]
+            pi = [p0, p1, p2]
             # Dantzig's rule over the cuts, then the slacks (reduced cost
             # -pi_i); Bland's takes the first
             enter, best = None, _OPT_EPS
-            if three:
-                for k, (c, (a0, a1, a2)) in enumerate(zip(rewards, cuts)):
-                    reduced = c - (0.0 + p0 * a0 + p1 * a1 + p2 * a2)
-                    if reduced > best:
-                        enter, best = k, reduced
-                        if bland:
-                            break
-            else:
-                for k, (c, (a0, a1)) in enumerate(zip(rewards, cuts)):
-                    reduced = c - (0.0 + p0 * a0 + p1 * a1)
-                    if reduced > best:
-                        enter, best = k, reduced
-                        if bland:
-                            break
+            for k, (c, (a0, a1, a2)) in enumerate(zip(rewards, cuts)):
+                reduced = c - (0.0 + p0 * a0 + p1 * a1 + p2 * a2)
+                if reduced > best:
+                    enter, best = k, reduced
+                    if bland:
+                        break
             if enter is None or not bland:
                 for i, p in enumerate(pi):
                     if -p > best:
@@ -688,7 +671,8 @@ def solve_relaxation(instance: BanditInstance, exploit_at_roots: bool = True) ->
     """The instance's relaxation, solved by Kelley's cutting planes on g.
 
     Each round prices one product policy at the master's duals, the next
-    (lambda, mu), and adds it as a cut (a column of the master) until
+    (lambda, mu), and adds it as a cut (a column (1, C, P) of the master;
+    C is 0 when Lagrangean, whose budget row is empty) until
     g(lambda, mu) - gamma* <= GAP_TOL * (1 + |gamma*|); the solution is the
     master's mixture of the cuts' occupancies.  `exploit_at_roots=False`
     drops the roots' exploit options from the pricing, which is the
@@ -701,7 +685,7 @@ def solve_relaxation(instance: BanditInstance, exploit_at_roots: bool = True) ->
     """
     grid = _checked_grid(instance)
     lagrangean = instance.objective.kind == "lagrangean"
-    rhs = [1.0] + ([] if lagrangean else [float(instance.budget)]) + [_link_rhs(instance, grid)]
+    rhs = [1.0, 0.0 if lagrangean else float(instance.budget), _link_rhs(instance, grid)]
     if min(rhs) < 0.0:
         raise ValueError(f"relaxation needs a non-negative budget and capacity, got right-hand sides {rhs[1:]}")
     arms = _ArmStates(instance, grid, exploit_at_roots)
@@ -710,8 +694,8 @@ def solve_relaxation(instance: BanditInstance, exploit_at_roots: bool = True) ->
     master = _Master(rhs)
     gap = math.inf
     while True:
-        duals = master.duals  # (pi_0, lambda, mu), lagrangean (pi_0, mu)
-        act, roots_value = arms.price(play_w + (0.0 if lagrangean else duals[1]), duals[-1])
+        duals = master.duals  # (pi_0, lambda, mu); lambda is 0 when lagrangean
+        act, roots_value = arms.price(play_w + duals[1], duals[2])
         if cuts:
             gamma = master.value
             gap = sum(map(mul, duals[1:], rhs[1:])) + roots_value - gamma
@@ -721,7 +705,7 @@ def solve_relaxation(instance: BanditInstance, exploit_at_roots: bool = True) ->
             raise LPSolverError(f"decomposition gap {gap:.3g} still open after {CUT_LIMIT} cuts")
         reached, reward, cost, link = arms.occupancy(act, play_w)
         cuts.append((act, reached, reward))
-        master.add_cut((1.0, link) if lagrangean else (1.0, cost, link), reward)
+        master.add_cut((1.0, 0.0 if lagrangean else cost, link), reward)
     return _recover(arms, cuts, master, grid, gap)
 
 

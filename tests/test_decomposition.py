@@ -7,6 +7,7 @@ import functools
 import math
 import operator
 from operator import mul
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -302,12 +303,13 @@ _quarters = st.integers(-8, 16).map(lambda v: v / 4)
 def test_random_masters_match_the_tableau_after_every_cut(budget, link_rhs, cuts, bland):
     # random columns (1, C, P) with reward R on quarter-integer data, so that
     # duplicates, zero costs and degenerate ties are common and no value sits
-    # near a tolerance; a budget of None is the Lagrangean master (1, P)
-    rhs = [1.0] + ([] if budget is None else [budget]) + [link_rhs]
+    # near a tolerance; a budget of None is the Lagrangean master, whose
+    # budget row is empty: (1, 0, P) on [1, 0, link]
+    rhs = [1.0, 0.0 if budget is None else budget, link_rhs]
     master = relaxations._Master(rhs)
     with mock.patch.object(relaxations, "_DEGENERATE_STREAK", 1 if bland else relaxations._DEGENERATE_STREAK):
         for cost, link, reward in cuts:
-            master.add_cut((1.0, link) if budget is None else (1.0, cost, link), reward)
+            master.add_cut((1.0, 0.0 if budget is None else cost, link), reward)
             _check_master(master)
 
 
@@ -368,9 +370,43 @@ def _outcome(call):
 
 
 def _master_state(master):
-    return repr(
-        (master.duals, master.theta, master.value, master.pivots, master.bland_pivots, master.basis, master.x)
+    duals = master.pi if isinstance(master, _TwoRowReference) else master.duals
+    return repr((duals, master.theta, master.value, master.pivots, master.bland_pivots, master.basis, master.x))
+
+
+def _without_empty_row(master):
+    """The state of a library master whose budget row (row 1) is empty, as
+    the two-row master without that row would have it: row 1's dual, basic
+    value and basis entry dropped and the link slack renumbered from -3 to
+    -2.  The empty row's slack must be basic at 0 with its dual at 0."""
+    assert master.basis[1] == -2 and repr(master.x[1]) == "0.0" and repr(master.duals[1]) == "0.0"
+    return _master_state(
+        SimpleNamespace(
+            duals=master.duals[::2], theta=master.theta, value=master.value, pivots=master.pivots,
+            bland_pivots=master.bland_pivots, basis=[-2 if j == -3 else j for j in master.basis[::2]],
+            x=master.x[::2],
+        )
     )
+
+
+class _TwoRowReference(reference._Master):
+    """The reference master on a Lagrangean solve's input without the empty
+    budget row: (b_0, b_2) and columns (a_0, a_2), its duals pi = (pi_0, mu)
+    read as (pi_0, 0.0, mu), by the solve and by its own clamp."""
+
+    def __init__(self, rhs):
+        super().__init__([rhs[0], rhs[2]])
+
+    def add_cut(self, column, reward):
+        super().add_cut((column[0], column[2]), reward)
+
+    @property
+    def duals(self):
+        return [self.pi[0], 0.0, self.pi[1]]
+
+    @duals.setter
+    def duals(self, pi):
+        self.pi = [pi[0], pi[-1]]
 
 
 # a column entry: a quarter integer, so that duplicates and ties are common,
@@ -388,39 +424,68 @@ _entries = st.one_of(_quarters, st.floats(-2.0, 4.0))
     st.sampled_from([1, None]),
 )
 def test_the_master_matches_its_reference_twin_bit_for_bit(budget, link_rhs, cuts, streak):
-    # 2 rows (budget None) and 3; zero of either sign and positive budgets; cuts
-    # drawn again from their own list, so that duplicates are common; after
-    # every cut the same duals, theta, value, pivots, Bland pivots, basis
-    # and basic values, down to repr, or the same error
-    rhs = [1.0] + ([] if budget is None else [budget]) + [link_rhs]
-    masters = relaxations._Master(list(rhs)), reference._Master(list(rhs))
+    # zero of either sign and positive budgets, and the Lagrangean (budget
+    # None): the library's empty budget row against the reference's two rows
+    # without it; cuts drawn again from their own list, so that duplicates
+    # are common; after every cut the same duals, theta, value, pivots, Bland
+    # pivots, basis and basic values, down to repr, or the same error
+    lagrangean = budget is None
+    rhs = [1.0, 0.0 if lagrangean else budget, link_rhs]
+    masters = relaxations._Master(list(rhs)), reference._Master(rhs[::2] if lagrangean else list(rhs))
     with _twins(streak):
         for cost, link, reward in cuts:
-            column = (1.0, link) if budget is None else (1.0, cost, link)
-            new, old = (_outcome(lambda: master.add_cut(column, reward)) for master in masters)
+            column = (1.0, 0.0 if lagrangean else cost, link)
+            new = _outcome(lambda: masters[0].add_cut(column, reward))
+            old = _outcome(lambda: masters[1].add_cut(column[::2] if lagrangean else column, reward))
             assert new == old
-            assert _master_state(masters[0]) == _master_state(masters[1])
+            assert (_without_empty_row if lagrangean else _master_state)(masters[0]) == _master_state(masters[1])
 
 
 def _solve_twice(inst, exploit_at_roots=True):
     """The solve with the library's master and recovery, and with the
     reference twins patched in: each as (outcome, the master's state after
-    every cut)."""
+    every cut).  A Lagrangean solve feeds the reference its two rows and
+    reads the library's master without its empty budget row."""
+    lagrangean = inst.objective.kind == "lagrangean"
+    twin = _TwoRowReference if lagrangean else reference._Master
     runs = []
-    for master, recover in ((relaxations._Master, relaxations._recover), (reference._Master, reference._recover)):
+    for master, recover in ((relaxations._Master, relaxations._recover), (twin, reference._recover)):
         states = []
         add_cut = master.add_cut
+        state = _without_empty_row if lagrangean and master is relaxations._Master else _master_state
 
-        def recording(m, column, reward, add_cut=add_cut, states=states):
+        def recording(m, column, reward, add_cut=add_cut, states=states, state=state):
             try:
                 add_cut(m, column, reward)
             finally:
-                states.append(_master_state(m))
+                states.append(state(m))
 
         with mock.patch.object(master, "add_cut", recording), mock.patch.object(relaxations, "_Master", master):
             with mock.patch.object(relaxations, "_recover", recover):
                 runs.append((_outcome(lambda: solve_relaxation(inst, exploit_at_roots)), states))
     return runs
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances("lagrangean"), st.booleans(), st.sampled_from([1, None]))
+def test_the_lagrangean_budget_row_stays_empty(inst, exploit_at_roots, streak):
+    # after every cut of a Lagrangean solve: the master has the three rows
+    # of every variant, the budget row's slack is basic at 0 in its own row,
+    # its row of B^-1 is e_1 and lambda is 0
+    checked = []
+    add_cut = relaxations._Master.add_cut
+
+    def checking(master, column, reward):
+        add_cut(master, column, reward)
+        assert len(master.rhs) == len(master.duals) == 3 and master.rhs[1] == 0.0
+        assert master.basis[1] == -2 and master.x[1] == 0.0 and master.inv[1] == [0.0, 1.0, 0.0]
+        assert master.duals[1] == 0.0
+        checked.append(column)
+
+    with mock.patch.object(relaxations._Master, "add_cut", checking):
+        with mock.patch.object(relaxations, "_DEGENERATE_STREAK", streak or relaxations._DEGENERATE_STREAK):
+            sol = solve_relaxation(inst, exploit_at_roots)
+    assert len(checked) == sol.cuts
 
 
 @settings(max_examples=80, deadline=None)
