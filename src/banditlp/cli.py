@@ -1,9 +1,11 @@
 """Command-line interface: generate, validate, solve, plan, run, oracle, suite.
 
 All output is machine-readable JSON unless asked for CSV.  A library
-ValueError (bad input, an unsupported variant), an instance over the
-oracle's guard or a solver failure (LPSolverError) is reported as one JSON
-object {"error": message} with exit code 2.
+ValueError (bad input, such as a missing key, a value of the wrong JSON type
+or a number that is NaN or infinite in an instance file, or an unsupported
+variant), an instance over the oracle's guard or a solver failure
+(LPSolverError) is reported as one JSON object {"error": message} with exit
+code 2.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from .lp import LPSolverError, format_lp
 
 
 def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    """Print one JSON document; a NaN or infinite number in it is a
+    ValueError before anything is printed, since JSON has no such number."""
+    sys.stdout.write(json.dumps(doc, indent=1, allow_nan=False) + "\n")
 
 
 def _pipeline(instance, alpha: float):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from itertools import accumulate
 from types import MappingProxyType
@@ -106,7 +107,10 @@ class ArmStateSpace:
 
         Built on first use and kept on the arm, like the topological order,
         so every solve, evaluation and oracle call on the arm reads the same
-        one.  Raises ``ValueError`` on a cycle, as `topo_order` does, or an id with "|".
+        one.  Raises ``ValueError`` on a cycle, as `topo_order` does, on an
+        id with "|", on a root that is not a state, and on a reward, play
+        cost, switch cost or transition probability that is not a finite
+        number.
         """
         return self._compiled
 
@@ -114,6 +118,11 @@ class ArmStateSpace:
     def _compiled(self) -> "CompiledArm":
         if "|" in self.arm_id or any("|" in s for s in self.states):
             raise ValueError("arm/state ids may not contain '|'")
+        if self.root not in self.states:
+            raise ValueError(f"arm {self.arm_id!r}: root state {self.root!r} not defined")
+        for sid, what, v in _non_finite(self):
+            at = f"arm {self.arm_id!r}" if sid is None else f"arm {self.arm_id!r} state {sid!r}"
+            raise ValueError(f"{at}: {what} must be a finite number, got {v!r}")
         order = self.topo_order()
         index = {sid: u for u, sid in enumerate(order)}
         states = [self.states[sid] for sid in order]
@@ -179,6 +188,21 @@ class ArmStateSpace:
         return self.compiled().structural_key
 
 
+def _non_finite(arm: ArmStateSpace) -> list[tuple[str | None, str, float]]:
+    """Every number of the arm that is NaN or infinite, as (state id, or
+    None for the switch cost; what it is; its value)."""
+    out: list[tuple[str | None, str, float]] = []
+    if not math.isfinite(arm.switch_cost):
+        out.append((None, "switch cost", arm.switch_cost))
+    for s in arm.states.values():
+        if not math.isfinite(s.reward):
+            out.append((s.id, "reward", s.reward))
+        if not math.isfinite(s.play_cost):
+            out.append((s.id, "play cost", s.play_cost))
+        out += [(s.id, f"probability to {c!r}", p) for c, p in s.transitions if not math.isfinite(p)]
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class CompiledArm:
     """An arm's reachable states as parallel tuples, indexed by their position
@@ -226,8 +250,7 @@ class CompiledArm:
             if ks:
                 cum[: len(ks) - 1, u] = list(accumulate(p for _, p in ks))[:-1]
                 kids[u, : len(ks)] = [c for c, _ in ks]
-        out = StateArrays(np.array(self.rewards, dtype=float), np.array(self.charges, dtype=float), cum, kids,
-                          np.array([not ks for ks in self.kids]))
+        out = StateArrays(np.array(self.rewards, dtype=float), np.array(self.charges, dtype=float), cum, kids)
         for a in out:
             a.flags.writeable = False
         return out
@@ -245,17 +268,16 @@ class CompiledArm:
 
 class StateArrays(NamedTuple):
     """A compiled arm's per-state arrays, indexed by u: the reward, the charge,
-    the children `kids[u, c]` and `cum[c, u]`, child c's cumulative probability
-    for each child but the last (+inf past them), and whether the state has no
-    child to play to.  A state's cumulative probabilities add positive
-    probabilities, so they never decrease: the first c with a draw below
-    `cum[c, u]` is the number of them at or below it."""
+    and the children `kids[u, c]` and `cum[c, u]`, child c's cumulative
+    probability for each child but the last (+inf past them).  A state's
+    cumulative probabilities add positive probabilities, so they never
+    decrease: the first c with a draw below `cum[c, u]` is the number of them
+    at or below it."""
 
     reward: np.ndarray
     charge: np.ndarray
     cum: np.ndarray
     kids: np.ndarray
-    childless: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -327,8 +349,8 @@ class BanditInstance:
 
 def concave_grid_size(n_arms: int, epsilon: float) -> int:
     """Grid resolution L = ceil(n / epsilon)."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be a positive finite number, got {epsilon!r}")
     return int(math.ceil(n_arms / epsilon))
 
 
@@ -488,6 +510,11 @@ def _validate_arm(arm: ArmStateSpace, out: list[Diagnostic]) -> None:
     if arm.root not in arm.states:
         add(None, "missing-root", 1.0, f"root state {arm.root!r} not defined")
         return
+    bad = _non_finite(arm)
+    for state_id, what, value in bad:
+        add(state_id, "non-finite", 1.0, f"{what} is {value!r}, not a finite number")
+    if bad:
+        return  # every check below reads these numbers
     if arm.switch_cost < 0:
         add(None, "negative-value", -arm.switch_cost, "switch cost is negative")
 
@@ -530,8 +557,11 @@ def validate_instance(instance: BanditInstance) -> list[Diagnostic]:
     """Model diagnostics; empty iff every arm is a reward-martingale DAG.
 
     Reports DAG violations, probability normalization and martingale errors
-    beyond 1e-9, negative quantities, and instance-level problems (duplicate
-    arm ids, missing/invalid budget for budgeted/concave objectives).
+    beyond 1e-9, negative quantities, numbers that are NaN or infinite (an
+    arm with one is reported for those alone, since its other checks read
+    them; in a concave objective the capacity, epsilon, sigmas and value
+    tables too), and instance-level problems (duplicate arm ids,
+    missing/invalid budget for budgeted/concave objectives).
     Non-integer costs are not flagged here; the exact evaluator and the DP
     oracle enforce integrality themselves.
     """
@@ -555,14 +585,25 @@ def validate_instance(instance: BanditInstance) -> list[Diagnostic]:
         if prob is None:
             out.append(Diagnostic(None, None, "concave", 1.0, "concave objective without ConcaveProblem data"))
         else:
+            for name, v in (("capacity", prob.capacity), ("epsilon", prob.epsilon)):
+                if not math.isfinite(v):
+                    message = f"concave {name} is {v!r}, not a finite number"
+                    out.append(Diagnostic(None, None, "non-finite", 1.0, message))
             for arm in instance.arms:
                 sigma = prob.sigmas.get(arm.arm_id)
                 if sigma is None:
                     out.append(Diagnostic(arm.arm_id, None, "concave", 1.0, "missing sigma"))
+                elif not math.isfinite(sigma):
+                    message = f"sigma is {sigma!r}, not a finite number"
+                    out.append(Diagnostic(arm.arm_id, None, "non-finite", 1.0, message))
                 elif sigma < 0 or sigma > prob.capacity:
                     out.append(
                         Diagnostic(arm.arm_id, None, "concave", abs(sigma), f"sigma {sigma!r} outside [0, B]")
                     )
+                for sid, table in prob.value_tables.get(arm.arm_id, {}).items():
+                    if not all(map(math.isfinite, table)):
+                        message = "value table has an entry that is not a finite number"
+                        out.append(Diagnostic(arm.arm_id, sid, "non-finite", 1.0, message))
     return out
 
 
@@ -607,53 +648,110 @@ def instance_to_json(instance: BanditInstance) -> dict:
     }
 
 
-def _get(doc: Mapping, key: str, where: str):
-    """doc[key]; a missing key is a ValueError naming it and where it is missing."""
+_REQUIRED = object()
+
+
+def _get(doc: Mapping, key: str, where: str, default=_REQUIRED):
+    """doc[key], or the default when given; a missing key without one is a
+    ValueError naming it and where it is missing."""
     if key not in doc:
-        raise ValueError(f"{where}: missing key {key!r}")
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing key {key!r}")
+        return default
     return doc[key]
 
 
+def _typed(value, kind: type, what: str, where: str):
+    """The value if it is an instance of kind, else a ValueError saying where
+    it is and what was expected."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}: expected {what}, got {reprlib.repr(value)}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    """A finite JSON number as a float.  A boolean, a string, null, NaN or
+    +-Infinity (which Python's json reads) is a ValueError saying where it
+    is."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    raise ValueError(f"{where}: expected a finite number, got {reprlib.repr(value)}")
+
+
 def instance_from_json(doc: Mapping) -> BanditInstance:
-    """An instance from its plain-dict form.  A missing key or a state id
-    repeated within an arm raises ValueError."""
+    """An instance from its plain-dict form.
+
+    Raises ValueError, saying where, on a missing key, a state id repeated
+    within an arm, or a value of the wrong JSON type: ids and roots are
+    strings, arms, states and children lists of objects, and every number
+    (reward, play and switch cost, probability, budget, alpha, B, epsilon,
+    sigma, value-table entry) a finite number, so a boolean, NaN or
+    Infinity is refused.  A path reads like the missing-key ones, for
+    example "arm 'a0' state 'root': reward: expected a finite number, got
+    'high'".
+    """
+    _typed(doc, Mapping, "an object", "instance")
     arms = []
-    for k, a in enumerate(_get(doc, "arms", "instance")):
-        arm_id = _get(a, "id", f"arm {k}")
+    for k, a in enumerate(_typed(_get(doc, "arms", "instance"), list, "a list", "instance: arms")):
+        _typed(a, Mapping, "an object", f"arm {k}")
+        arm_id = _typed(_get(a, "id", f"arm {k}"), str, "a string", f"arm {k}: id")
         where = f"arm {arm_id!r}"
         states = {}
-        for s in _get(a, "states", where):
-            sid = _get(s, "id", f"{where} state")
+        for j, s in enumerate(_typed(_get(a, "states", where), list, "a list", f"{where}: states")):
+            _typed(s, Mapping, "an object", f"{where} state {j}")
+            sid = _typed(_get(s, "id", f"{where} state"), str, "a string", f"{where} state {j}: id")
             if sid in states:
                 raise ValueError(f"{where}: duplicate state id {sid!r}")
             at = f"{where} state {sid!r}"
+            children = []
+            for c in _typed(_get(s, "children", at, []), list, "a list", f"{at}: children"):
+                _typed(c, Mapping, "an object", f"{at}: child")
+                child = _typed(_get(c, "state", at), str, "a string", f"{at}: child state")
+                children.append((child, _number(_get(c, "prob", at), f"{at}: prob to {child!r}")))
             states[sid] = BeliefState(
                 id=sid,
-                reward=float(_get(s, "reward", at)),
-                play_cost=float(s.get("play_cost", 0.0)),
-                transitions=tuple((_get(c, "state", at), float(_get(c, "prob", at))) for c in s.get("children", ())),
+                reward=_number(_get(s, "reward", at), f"{at}: reward"),
+                play_cost=_number(_get(s, "play_cost", at, 0.0), f"{at}: play_cost"),
+                transitions=tuple(children),
             )
         arms.append(
             ArmStateSpace(
                 arm_id=arm_id,
-                root=_get(a, "root", where),
+                root=_typed(_get(a, "root", where), str, "a string", f"{where}: root"),
                 states=states,
-                switch_cost=float(a.get("switch_cost", 0.0)),
+                switch_cost=_number(_get(a, "switch_cost", where, 0.0), f"{where}: switch_cost"),
             )
         )
-    obj_doc = doc.get("objective") or {"type": "budgeted"}
-    kind = obj_doc.get("type", "budgeted")
+    obj_doc = _get(doc, "objective", "instance", None)
+    obj_doc = {} if obj_doc is None else _typed(obj_doc, Mapping, "an object", "instance: objective")
+    kind = _typed(_get(obj_doc, "type", "objective", "budgeted"), str, "a string", "objective: type")
     concave = None
     if kind == "concave":
-        keys = ("B", "epsilon", "sigmas", "value_tables")
-        B, eps, sigmas, tables = [_get(obj_doc, key, "concave objective") for key in keys]
-        concave = make_concave_problem(arms, float(B), float(eps), sigmas, tables)
-    objective = Objective(kind=kind, alpha=float(obj_doc.get("alpha", 1.0)), concave=concave)
-    budget = doc.get("budget")
+        where = "concave objective"
+        B, eps = (_number(_get(obj_doc, key, where), f"{where}: {key}") for key in ("B", "epsilon"))
+        sigmas = {
+            arm: _number(v, f"{where}: sigmas[{arm!r}]")
+            for arm, v in _typed(_get(obj_doc, "sigmas", where), Mapping, "an object", f"{where}: sigmas").items()
+        }
+        tables: dict[str, dict[str, tuple[float, ...]]] = {}
+        per_arm = _typed(_get(obj_doc, "value_tables", where), Mapping, "an object", f"{where}: value_tables")
+        for arm, per_state in per_arm.items():
+            at = f"{where}: value_tables[{arm!r}]"
+            tables[arm] = {}
+            for sid, tab in _typed(per_state, Mapping, "an object", at).items():
+                entries = enumerate(_typed(tab, list, "a list", f"{at}[{sid!r}]"))
+                tables[arm][sid] = tuple(_number(v, f"{at}[{sid!r}][{l}]") for l, v in entries)
+        concave = make_concave_problem(arms, B, eps, sigmas, tables)
+    alpha = _number(_get(obj_doc, "alpha", "objective", 1.0), "objective: alpha")
+    budget = _get(doc, "budget", "instance", None)
     return BanditInstance(
         arms=tuple(arms),
-        budget=None if budget is None else float(budget),
-        objective=objective,
+        budget=None if budget is None else _number(budget, "instance: budget"),
+        objective=Objective(kind=kind, alpha=alpha, concave=concave),
     )
 
 

@@ -1,12 +1,19 @@
+import contextlib
+import copy
 import dataclasses
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from banditlp.cli import main
-from banditlp.bench import as_concave, as_lagrangean, gen_integrality_gap
+from banditlp.bench import GeneratorSpec, as_concave, as_lagrangean, gen_integrality_gap, gen_random_suite
 from banditlp.relaxations import solve_relaxation
-from banditlp.statespace import BanditInstance, build_beta_bernoulli_arm, save_instance
+from banditlp.statespace import BanditInstance, build_beta_bernoulli_arm, instance_to_json, save_instance
 
 
 def run_cli(capsys, *argv):
@@ -285,3 +292,129 @@ def test_a_repeated_state_id_is_one_json_error(tmp_path, capsys):
         code, out = run_cli(capsys, command, str(path))
         assert code == 2
         assert json.loads(out) == {"error": f"arm {doc['arms'][0]['id']!r}: duplicate state id {states[1]['id']!r}"}
+
+
+@pytest.mark.parametrize(
+    "command, edit, message",
+    [
+        ("solve", lambda d: d.__setitem__("objective", "budgeted"), "instance: objective: expected an object, got 'budgeted'"),
+        ("solve", lambda d: d.__setitem__("arms", 5), "instance: arms: expected a list, got 5"),
+        ("plan", lambda d: d["arms"][0]["states"][1].__setitem__("reward", "high"),
+         "arm 'a0' state 'v0': reward: expected a finite number, got 'high'"),
+        ("oracle", lambda d: d["arms"][0]["states"][0].__setitem__("reward", float("nan")),
+         "arm 'a0' state 'root': reward: expected a finite number, got nan"),
+        ("run", lambda d: d["arms"][0]["states"][0]["children"][0].__setitem__("prob", float("nan")),
+         "arm 'a0' state 'root': prob to 'v0': expected a finite number, got nan"),
+        ("validate", lambda d: d["arms"][0]["states"][0].__setitem__("reward", float("nan")),
+         "arm 'a0' state 'root': reward: expected a finite number, got nan"),
+    ],
+)
+def test_a_value_of_the_wrong_type_is_one_json_error(tmp_path, capsys, command, edit, message):
+    # the first two ended in AttributeError and TypeError tracebacks, and
+    # "high" in one that named no arm; a NaN token loaded: validate called
+    # the file valid, oracle printed "opt": NaN, and run --reps 100 a mean
+    # of 1.0 (the clean instance: gamma* 1, OPT 0.75)
+    path = tmp_path / "inst.json"
+    save_instance(gen_integrality_gap(2), str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))  # NaN as the token json reads back
+    code, out = run_cli(capsys, command, str(path), *(["--seed", "1", "--reps", "100"] if command == "run" else []))
+    assert code == 2
+    assert json.loads(out) == {"error": message}
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _paths(node, path=()):
+    """Every position in a JSON document, the document itself first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+_DOCUMENTS = [
+    instance_to_json(inst)
+    for inst in (
+        gen_integrality_gap(2),
+        as_lagrangean(gen_integrality_gap(2)),
+        as_concave(gen_integrality_gap(2), capacity=1.0, epsilon=1.0),
+        gen_random_suite(GeneratorSpec(family="random-beta", count=1, seed=3, max_arms=2, budget_cap=3))[0],
+    )
+]
+_WRONG = ["high", True, None, [], {}, 5, -1, 0, float("nan"), float("inf"), float("-inf")]
+
+
+@st.composite
+def _mutated(draw):
+    """A generated instance document with one key or item dropped, one value
+    replaced by a wrong type, a number, NaN or +-Infinity, or one transition
+    probability made negative."""
+    doc = copy.deepcopy(draw(st.sampled_from(_DOCUMENTS)))
+    paths = list(_paths(doc))
+    how = draw(st.sampled_from(["drop", "replace", "negative probability"]))
+    if how == "drop":
+        path, value = draw(st.sampled_from(paths[1:])), None
+    elif how == "replace":
+        path, value = draw(st.sampled_from(paths)), draw(st.sampled_from(_WRONG))
+    else:
+        path, value = draw(st.sampled_from([p for p in paths if p[-1:] == ("prob",)])), -0.5
+    if not path:
+        return value
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if how == "drop":
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@seed(2121)
+@given(_mutated())
+def test_a_mutated_instance_file_never_ends_in_a_traceback(doc):
+    # every command succeeds, or validate reports diagnostics (exit 1), or
+    # one JSON error ends it (exit 2); its output is JSON (JSON lines for a
+    # trace) with no NaN or Infinity
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for command, *extra in (["validate"], ["solve"], ["plan"], ["run", "--seed", "1"], ["oracle"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command, path, *extra])
+            assert code in ((0, 1, 2) if command == "validate" else (0, 2))
+            lines = out.getvalue().splitlines() if command == "run" and code == 0 else [out.getvalue()]
+            for line in lines:
+                json.loads(line, parse_constant=_refuse)
+
+
+@pytest.mark.parametrize("options", [{"tolerance": 1.0}, {"use_oracle": False}])
+def test_a_suite_spec_cannot_loosen_its_gates(tmp_path, capsys, options):
+    # a tolerance of 1.0 lowered every bound below 0 and use_oracle false
+    # skipped the OPT <= gamma* check, and the suite reported all_ok
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"family": "random-beta", "count": 3, "seed": 4, "options": options}))
+    code, out = run_cli(capsys, "suite", "--spec", str(spec_path))
+    assert code == 2
+    (key,) = options
+    assert json.loads(out)["error"].startswith(f"unknown key {key!r} in the suite options")
+
+
+def test_a_number_json_cannot_hold_is_one_json_error(monkeypatch, tmp_path, capsys):
+    # json.dump writes NaN, which no JSON reader accepts; nothing is printed
+    # before the error
+    path = tmp_path / "inst.json"
+    save_instance(gen_integrality_gap(2), str(path))
+    solution = dataclasses.replace(solve_relaxation(gen_integrality_gap(2)), gamma_star=float("nan"))
+    monkeypatch.setattr("banditlp.relaxations.solve_relaxation", lambda instance: solution)
+    code, out = run_cli(capsys, "oracle", str(path))
+    assert code == 2
+    (error,) = json.loads(out).values()
+    assert error.startswith("Out of range float values are not JSON compliant")

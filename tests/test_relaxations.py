@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import re
+
 import pytest
 
 from banditlp.bench import as_concave, as_lagrangean, gen_integrality_gap, gen_random_suite, GeneratorSpec
@@ -17,6 +21,7 @@ from banditlp.statespace import (
     build_two_level_arm,
     concave_grid_size,
     make_concave_problem,
+    validate_instance,
 )
 
 
@@ -193,6 +198,43 @@ def test_concave_table_validation_errors():
     inst = BanditInstance(arms=arms, budget=2.0, objective=Objective("concave", concave=prob))
     with pytest.raises(ValueError, match="super-martingale"):
         build_concave_lp(inst)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: dataclasses.replace(p, sigmas={**p.sigmas, "a0": math.nan}), "arm 'a0': sigma must lie in [0, B], got nan"),
+        (lambda p: dataclasses.replace(p, capacity=math.nan), "concave capacity must be a finite number, got nan"),
+        (lambda p: dataclasses.replace(p, epsilon=math.inf), "concave epsilon must be a finite number, got inf"),
+        (
+            lambda p: dataclasses.replace(
+                p, value_tables={**p.value_tables, "a0": {**p.value_tables["a0"], "root": (0.0, math.nan, 0.5)}}
+            ),
+            "arm 'a0' state 'root': value table entries must be finite numbers",
+        ),
+    ],
+)
+def test_a_concave_number_that_is_not_finite_is_refused(edit, message):
+    # the clean instance solves to gamma* 1.0; a NaN sigma solved to 0.5 in
+    # one cut and a NaN capacity ran out of cuts, and validate_instance saw
+    # neither
+    clean = as_concave(gen_integrality_gap(2), capacity=1.0, epsilon=1.0)
+    assert clean.objective.concave.grid == 2
+    bad = BanditInstance(clean.arms, clean.budget, Objective("concave", concave=edit(clean.objective.concave)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_relaxation(bad)
+    assert [d.kind for d in validate_instance(bad)] == ["non-finite"]
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -1.0])
+def test_an_epsilon_that_is_not_a_positive_finite_number_is_refused(epsilon):
+    # an infinite epsilon made a grid of 0 points, which ended in a
+    # ZeroDivisionError
+    message = f"epsilon must be a positive finite number, got {epsilon!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        concave_grid_size(2, epsilon)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        as_concave(gen_integrality_gap(2), capacity=1.0, epsilon=epsilon)
 
 
 def test_solution_invariants_on_random_suite():

@@ -1,12 +1,18 @@
 import copy
+import dataclasses
 import json
 import math
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banditlp.bench import as_lagrangean, gen_integrality_gap
+from banditlp.oracle import dp_optimal
+from banditlp.policies import evaluate_plan_exact, make_greedy_plan, monte_carlo_evaluate
+from banditlp.relaxations import extract_single_arm_policies, solve_relaxation
 from banditlp.statespace import (
     ArmStateSpace,
     BanditInstance,
@@ -337,3 +343,93 @@ def test_max_exploration_cost_and_two_level_shape():
     beta = build_beta_bernoulli_arm(1, 1, 2, play_cost=1)
     assert not beta.is_two_level()
     assert beta.max_exploration_cost() == 2.0
+
+
+# ---------------------------------------------------------------------------
+# Numbers that are NaN or infinite
+
+
+def _with_root(arm, **changes):
+    """The arm with its root state's fields changed."""
+    return dataclasses.replace(arm, states={**arm.states, arm.root: dataclasses.replace(arm.states[arm.root], **changes)})
+
+
+@pytest.mark.parametrize(
+    "edit, state, message",
+    [
+        (lambda a: _with_root(a, reward=math.nan), "root", "arm 'a0' state 'root': reward must be a finite number, got nan"),
+        (lambda a: _with_root(a, play_cost=math.inf), "root", "arm 'a0' state 'root': play cost must be a finite number, got inf"),
+        (
+            lambda a: _with_root(a, transitions=(("v0", math.nan), ("v1", 0.5))),
+            "root",
+            "arm 'a0' state 'root': probability to 'v0' must be a finite number, got nan",
+        ),
+        (
+            lambda a: dataclasses.replace(a, states={**a.states, "v1": dataclasses.replace(a.states["v1"], reward=-math.inf)}),
+            "v1",
+            "arm 'a0' state 'v1': reward must be a finite number, got -inf",
+        ),
+        (lambda a: dataclasses.replace(a, switch_cost=math.nan), None, "arm 'a0': switch cost must be a finite number, got nan"),
+    ],
+)
+def test_a_number_that_is_not_finite_is_refused_by_every_reader(edit, state, message):
+    # on the clean instance gamma* = 1 and OPT = 0.75; a NaN root reward
+    # solved to gamma* 1.0 with an OPT of nan, a NaN child probability ran
+    # to a Monte-Carlo mean of 1.0, and validate_instance saw neither
+    clean = gen_integrality_gap(2)
+    solution = solve_relaxation(clean)
+    plan = make_greedy_plan(extract_single_arm_policies(solution, clean), clean, "budgeted")
+    bad = dataclasses.replace(clean, arms=(edit(clean.arms[0]),) + clean.arms[1:])
+    refused = pytest.raises(ValueError, match=re.escape(message))
+    with refused:
+        bad.arms[0].compiled()
+    for variant in (bad, as_lagrangean(bad)):
+        with refused:
+            solve_relaxation(variant)
+        with refused:
+            dp_optimal(variant)
+    with refused:
+        evaluate_plan_exact(bad, plan, solution)
+    with refused:
+        monte_carlo_evaluate(bad, plan, solution, 100, 1)
+    assert [(d.arm_id, d.state_id, d.kind) for d in validate_instance(bad)] == [("a0", state, "non-finite")]
+
+
+def test_a_root_that_is_not_a_state_is_refused_on_compile():
+    # the compile used to end in a KeyError
+    arm = build_two_level_arm([0.0, 1.0], [0.5, 0.5], play_cost=1, arm_id="a0")
+    with pytest.raises(ValueError, match="arm 'a0': root state 'high' not defined"):
+        dataclasses.replace(arm, root="high").compiled()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.__setitem__("objective", "budgeted"), "instance: objective: expected an object, got 'budgeted'"),
+        (lambda d: d.__setitem__("arms", 5), "instance: arms: expected a list, got 5"),
+        (lambda d: d["arms"][0]["states"][1].__setitem__("reward", "high"),
+         "arm 'a0' state 'v0': reward: expected a finite number, got 'high'"),
+        (lambda d: d["arms"][0]["states"][0].__setitem__("reward", math.nan),
+         "arm 'a0' state 'root': reward: expected a finite number, got nan"),
+        (lambda d: d["arms"][1].__setitem__("switch_cost", True), "arm 'a1': switch_cost: expected a finite number, got True"),
+        (lambda d: d["arms"][0]["states"][0]["children"][1].__setitem__("prob", -math.inf),
+         "arm 'a0' state 'root': prob to 'v1': expected a finite number, got -inf"),
+        (lambda d: d["arms"][0].__setitem__("id", 7), "arm 0: id: expected a string, got 7"),
+        (lambda d: d["arms"][0]["states"][0].__setitem__("children", {}), "arm 'a0' state 'root': children: expected a list, got {}"),
+        (lambda d: d["objective"]["sigmas"].__setitem__("a1", None), "concave objective: sigmas['a1']: expected a finite number, got None"),
+        (lambda d: d["objective"]["value_tables"]["a0"]["v1"].__setitem__(2, math.inf),
+         "concave objective: value_tables['a0']['v1'][2]: expected a finite number, got inf"),
+        (lambda d: d["objective"].__setitem__("epsilon", "0.5"), "concave objective: epsilon: expected a finite number, got '0.5'"),
+        (lambda d: d.__setitem__("budget", [2]), "instance: budget: expected a finite number, got [2]"),
+        (lambda d: d.__setitem__("budget", 10**400), "instance: budget: expected a finite number, got 100000000000000000...0000000000000000000"),
+    ],
+)
+def test_a_value_of_the_wrong_type_in_an_instance_file_is_a_value_error(edit, message):
+    # these used to load as NaN or infinite numbers, or end in an
+    # AttributeError, TypeError or a float() error that named no arm
+    doc = _concave_doc()
+    instance_from_json(doc)
+    edit(doc)
+    with pytest.raises(ValueError) as info:
+        instance_from_json(doc)
+    assert str(info.value) == message
