@@ -648,16 +648,10 @@ def instance_to_json(instance: BanditInstance) -> dict:
     }
 
 
-_REQUIRED = object()
-
-
-def _get(doc: Mapping, key: str, where: str, default=_REQUIRED):
-    """doc[key], or the default when given; a missing key without one is a
-    ValueError naming it and where it is missing."""
+def _get(doc: Mapping, key: str, where: str):
+    """doc[key]; a missing key is a ValueError naming it and where it is missing."""
     if key not in doc:
-        if default is _REQUIRED:
-            raise ValueError(f"{where}: missing key {key!r}")
-        return default
+        raise ValueError(f"{where}: missing key {key!r}")
     return doc[key]
 
 
@@ -708,14 +702,14 @@ def instance_from_json(doc: Mapping) -> BanditInstance:
                 raise ValueError(f"{where}: duplicate state id {sid!r}")
             at = f"{where} state {sid!r}"
             children = []
-            for c in _typed(_get(s, "children", at, []), list, "a list", f"{at}: children"):
+            for c in _typed(s.get("children", []), list, "a list", f"{at}: children"):
                 _typed(c, Mapping, "an object", f"{at}: child")
                 child = _typed(_get(c, "state", at), str, "a string", f"{at}: child state")
                 children.append((child, _number(_get(c, "prob", at), f"{at}: prob to {child!r}")))
             states[sid] = BeliefState(
                 id=sid,
                 reward=_number(_get(s, "reward", at), f"{at}: reward"),
-                play_cost=_number(_get(s, "play_cost", at, 0.0), f"{at}: play_cost"),
+                play_cost=_number(s.get("play_cost", 0.0), f"{at}: play_cost"),
                 transitions=tuple(children),
             )
         arms.append(
@@ -723,12 +717,12 @@ def instance_from_json(doc: Mapping) -> BanditInstance:
                 arm_id=arm_id,
                 root=_typed(_get(a, "root", where), str, "a string", f"{where}: root"),
                 states=states,
-                switch_cost=_number(_get(a, "switch_cost", where, 0.0), f"{where}: switch_cost"),
+                switch_cost=_number(a.get("switch_cost", 0.0), f"{where}: switch_cost"),
             )
         )
-    obj_doc = _get(doc, "objective", "instance", None)
+    obj_doc = doc.get("objective")
     obj_doc = {} if obj_doc is None else _typed(obj_doc, Mapping, "an object", "instance: objective")
-    kind = _typed(_get(obj_doc, "type", "objective", "budgeted"), str, "a string", "objective: type")
+    kind = _typed(obj_doc.get("type", "budgeted"), str, "a string", "objective: type")
     concave = None
     if kind == "concave":
         where = "concave objective"
@@ -746,8 +740,8 @@ def instance_from_json(doc: Mapping) -> BanditInstance:
                 entries = enumerate(_typed(tab, list, "a list", f"{at}[{sid!r}]"))
                 tables[arm][sid] = tuple(_number(v, f"{at}[{sid!r}][{l}]") for l, v in entries)
         concave = make_concave_problem(arms, B, eps, sigmas, tables)
-    alpha = _number(_get(obj_doc, "alpha", "objective", 1.0), "objective: alpha")
-    budget = _get(doc, "budget", "instance", None)
+    alpha = _number(obj_doc.get("alpha", 1.0), "objective: alpha")
+    budget = doc.get("budget")
     return BanditInstance(
         arms=tuple(arms),
         budget=None if budget is None else _number(budget, "instance: budget"),

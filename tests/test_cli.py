@@ -374,7 +374,7 @@ def _mutated(draw):
     return doc
 
 
-@settings(max_examples=120, deadline=None, database=None)
+@settings(max_examples=80, deadline=None, database=None)
 @seed(2121)
 @given(_mutated())
 def test_a_mutated_instance_file_never_ends_in_a_traceback(doc):
