@@ -218,8 +218,6 @@ def _tables(instance: BanditInstance, solution: RelaxationSolution) -> dict[str,
     kept = solution.__dict__.setdefault("_step_tables", {})
     out = {}
     for arm in instance.arms:
-        if arm.arm_id in out:
-            raise ValueError(f"duplicate arm id {arm.arm_id!r}")
         tab = kept.get(arm.arm_id)
         if tab is None or tab.arm is not arm:
             tab = kept[arm.arm_id] = _ArmTable(arm, solution.arm_values(arm))

@@ -73,15 +73,13 @@ from .lp import (  # noqa: F401
     LPSolverError,
     solve_lp,
 )
-from .statespace import ArmStateSpace, BanditInstance, CompiledArm, ConcaveProblem
+from .statespace import ArmStateSpace, BanditInstance, CompiledArm, concave_diagnostics
 
 # A solution's cleanup rescales a state's x + z down to its w when they exceed
-# it by at most CLEANUP_SLACK (more is an error).  TABLE_TOL is the slack of the
-# concave value-table checks: non-negative, non-decreasing, concave,
-# super-martingale.  The decomposition stops once g(lambda, mu) - gamma* is at
-# most GAP_TOL * (1 + |gamma*|), and raises LPSolverError past CUT_LIMIT cuts.
+# it by at most CLEANUP_SLACK (more is an error).  The decomposition stops once
+# g(lambda, mu) - gamma* is at most GAP_TOL * (1 + |gamma*|), and raises
+# LPSolverError past CUT_LIMIT cuts.
 CLEANUP_SLACK = 1e-6
-TABLE_TOL = 1e-9
 GAP_TOL = 1e-9
 CUT_LIMIT = 100
 
@@ -118,29 +116,23 @@ def _arm_levels(
 
 def _checked_grid(instance: BanditInstance) -> int | None:
     """Validate the instance for its relaxation and return its weight grid
-    size (None: plain).  Value tables are checked once per (ConcaveProblem,
-    arms tuple), and ids with "|" when an arm compiles."""
+    size (None: plain).  Concave data is checked once per (ConcaveProblem,
+    arms tuple), raising the first of `concave_diagnostics`; an arm's ids and
+    numbers are checked when it compiles."""
     kind = instance.objective.kind
     if kind not in ("budgeted", "lagrangean", "concave"):
         raise ValueError(f"unknown objective kind {kind!r}")
     if kind != "lagrangean" and (instance.budget is None or not math.isfinite(instance.budget)):
         raise ValueError(f"{kind} relaxation needs a finite budget")
-    _check_unique_ids(instance)
     if kind != "concave":
         return None
     prob = instance.objective.concave
-    if prob is None:
-        raise ValueError("concave instance lacks ConcaveProblem data")
-    if prob.__dict__.get("_checked_arms") is not instance.arms:
-        _validate_tables(instance, prob, prob.grid)
+    if prob is None or prob.__dict__.get("_checked_arms") is not instance.arms:
+        diags = concave_diagnostics(instance)
+        if diags:
+            raise ValueError(diags[0].message)
         prob.__dict__["_checked_arms"] = instance.arms  # the problem is frozen; this is a cache
     return prob.grid
-
-
-def _check_unique_ids(instance: BanditInstance) -> None:
-    ids = [arm.arm_id for arm in instance.arms]
-    if len(set(ids)) < len(ids):
-        raise ValueError(f"duplicate arm id {next(a for i, a in enumerate(ids) if a in ids[:i])!r}")
 
 
 def _link_rhs(instance: BanditInstance, grid: int | None) -> float:
@@ -218,49 +210,6 @@ def build_lagrangean_lp(instance: BanditInstance) -> LinearProgram:
     if instance.objective.kind != "lagrangean":
         raise ValueError(f"expected a lagrangean instance, got {instance.objective.kind!r}")
     return _relaxation_lp(instance)
-
-
-def _validate_tables(instance: BanditInstance, prob: ConcaveProblem, grid: int) -> None:
-    """Refuse a capacity or epsilon that is not a finite number, a sigma
-    outside [0, B] (NaN included), and a value table of the wrong length,
-    with an entry that is not a finite number, or that fails the checks of
-    TABLE_TOL."""
-    for name, v in (("capacity", prob.capacity), ("epsilon", prob.epsilon)):
-        if not math.isfinite(v):
-            raise ValueError(f"concave {name} must be a finite number, got {v!r}")
-    for arm in instance.arms:
-        tables = prob.value_tables.get(arm.arm_id)
-        if tables is None:
-            raise ValueError(f"missing value tables for arm {arm.arm_id!r}")
-        sigma = prob.sigmas.get(arm.arm_id)
-        if sigma is None or not 0 <= sigma <= prob.capacity:
-            raise ValueError(f"arm {arm.arm_id!r}: sigma must lie in [0, B], got {sigma!r}")
-        ca = arm.compiled()  # the reachable states and their known children, once the arm's numbers are checked
-        for sid in ca.sids:
-            zeta = tables.get(sid)
-            if zeta is None or len(zeta) != grid + 1:
-                raise ValueError(
-                    f"arm {arm.arm_id!r} state {sid!r}: value table must have {grid + 1} entries"
-                )
-            if not all(map(math.isfinite, zeta)):
-                raise ValueError(f"arm {arm.arm_id!r} state {sid!r}: value table entries must be finite numbers")
-            if zeta[0] < -TABLE_TOL:
-                raise ValueError(f"arm {arm.arm_id!r} state {sid!r}: value table must be non-negative")
-            for l in range(grid):
-                if zeta[l + 1] < zeta[l] - TABLE_TOL:
-                    raise ValueError(f"arm {arm.arm_id!r} state {sid!r}: value table must be non-decreasing")
-            for l in range(1, grid):
-                if zeta[l + 1] - 2 * zeta[l] + zeta[l - 1] > TABLE_TOL:
-                    raise ValueError(f"arm {arm.arm_id!r} state {sid!r}: value table fails concavity")
-        for sid, kids in zip(ca.sids, ca.kids):
-            if not kids:
-                continue
-            for l in range(grid + 1):
-                mean = sum(p * tables[ca.sids[c]][l] for c, p in kids)
-                if tables[sid][l] < mean - TABLE_TOL:
-                    raise ValueError(
-                        f"arm {arm.arm_id!r} state {sid!r}: value table fails the super-martingale check at l={l}"
-                    )
 
 
 def build_concave_lp(instance: BanditInstance) -> LinearProgram:

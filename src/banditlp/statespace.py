@@ -26,6 +26,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 MODEL_TOL = 1e-9
+TABLE_TOL = 1e-9  # concave value tables: non-negative, non-decreasing, concave, super-martingale
 
 
 @dataclass(frozen=True)
@@ -107,22 +108,18 @@ class ArmStateSpace:
 
         Built on first use and kept on the arm, like the topological order,
         so every solve, evaluation and oracle call on the arm reads the same
-        one.  Raises ``ValueError`` on a cycle, as `topo_order` does, on an
-        id with "|", on a root that is not a state, and on a reward, play
-        cost, switch cost or transition probability that is not a finite
-        number.
+        one.  Raises ``ValueError`` on a cycle, as `topo_order` does, and
+        with the first of `_compile_faults` (an id with "|", a root that is
+        not a state, a number that is not finite), which `validate_instance`
+        reports whole.
         """
         return self._compiled
 
     @functools.cached_property
     def _compiled(self) -> "CompiledArm":
-        if "|" in self.arm_id or any("|" in s for s in self.states):
-            raise ValueError("arm/state ids may not contain '|'")
-        if self.root not in self.states:
-            raise ValueError(f"arm {self.arm_id!r}: root state {self.root!r} not defined")
-        for sid, what, v in _non_finite(self):
-            at = f"arm {self.arm_id!r}" if sid is None else f"arm {self.arm_id!r} state {sid!r}"
-            raise ValueError(f"{at}: {what} must be a finite number, got {v!r}")
+        faults = _compile_faults(self)
+        if faults:
+            raise ValueError(faults[0].message)
         order = self.topo_order()
         index = {sid: u for u, sid in enumerate(order)}
         states = [self.states[sid] for sid in order]
@@ -186,21 +183,6 @@ class ArmStateSpace:
     def structural_key(self) -> tuple:
         """Hashable fingerprint; arms with equal keys are interchangeable copies."""
         return self.compiled().structural_key
-
-
-def _non_finite(arm: ArmStateSpace) -> list[tuple[str | None, str, float]]:
-    """Every number of the arm that is NaN or infinite, as (state id, or
-    None for the switch cost; what it is; its value)."""
-    out: list[tuple[str | None, str, float]] = []
-    if not math.isfinite(arm.switch_cost):
-        out.append((None, "switch cost", arm.switch_cost))
-    for s in arm.states.values():
-        if not math.isfinite(s.reward):
-            out.append((s.id, "reward", s.reward))
-        if not math.isfinite(s.play_cost):
-            out.append((s.id, "play cost", s.play_cost))
-        out += [(s.id, f"probability to {c!r}", p) for c, p in s.transitions if not math.isfinite(p)]
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,6 +315,13 @@ class BanditInstance:
     budget: float | None = None
     objective: Objective = BUDGETED
 
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for a in self.arms:
+            if a.arm_id in seen:
+                raise ValueError(f"duplicate arm id {a.arm_id!r}")
+            seen.add(a.arm_id)
+
     def arm(self, arm_id: str) -> ArmStateSpace:
         for a in self.arms:
             if a.arm_id == arm_id:
@@ -394,12 +383,6 @@ def make_concave_problem(
 # Builders
 
 
-def _check_id(state_id: str) -> str:
-    if "|" in state_id:
-        raise ValueError(f"state/arm ids may not contain '|': {state_id!r}")
-    return state_id
-
-
 def build_two_level_arm(
     values: Sequence[float],
     probs: Sequence[float],
@@ -425,7 +408,6 @@ def build_two_level_arm(
         raise ValueError(f"probabilities sum to {sum(probs)!r}, not 1")
     if play_cost < 0 or switch_cost < 0:
         raise ValueError("costs must be non-negative")
-    _check_id(arm_id)
 
     mean = float(sum(p * v for v, p in zip(values, probs)))
     leaves = {
@@ -461,7 +443,6 @@ def build_beta_bernoulli_arm(
         raise ValueError("depth must be non-negative")
     if play_cost < 0 or switch_cost < 0:
         raise ValueError("costs must be non-negative")
-    _check_id(arm_id)
 
     def name(a: int, b: int) -> str:
         return f"B({a},{b})"
@@ -503,18 +484,99 @@ class Diagnostic:
     message: str
 
 
+def _compile_faults(arm: ArmStateSpace) -> list[Diagnostic]:
+    """What keeps the arm from compiling, in the order `compiled` checks it:
+    each id with "|", a root that is not a state, and each switch cost,
+    reward, play cost or transition probability that is NaN or infinite."""
+    out = [Diagnostic(arm.arm_id, sid, "id", 1.0, "arm/state ids may not contain '|'")
+           for sid in (None, *arm.states) if "|" in (arm.arm_id if sid is None else sid)]
+    at = f"arm {arm.arm_id!r}"
+    if arm.root not in arm.states:
+        out.append(Diagnostic(arm.arm_id, None, "missing-root", 1.0, f"{at}: root state {arm.root!r} not defined"))
+    bad = [] if math.isfinite(arm.switch_cost) else [(None, "switch cost", arm.switch_cost)]
+    for s in arm.states.values():
+        if not math.isfinite(s.reward):
+            bad.append((s.id, "reward", s.reward))
+        if not math.isfinite(s.play_cost):
+            bad.append((s.id, "play cost", s.play_cost))
+        bad += [(s.id, f"probability to {c!r}", p) for c, p in s.transitions if not math.isfinite(p)]
+    for sid, what, v in bad:
+        where = at if sid is None else f"{at} state {sid!r}"
+        out.append(Diagnostic(arm.arm_id, sid, "non-finite", 1.0, f"{where}: {what} must be a finite number, got {v!r}"))
+    return out
+
+
+def concave_diagnostics(instance: BanditInstance) -> list[Diagnostic]:
+    """What the concave solve refuses of the instance's concave data, in the
+    order it checks it (it raises the first): the ConcaveProblem, capacity
+    and epsilon, then per arm its value tables and sigma in [0, B], each
+    reachable state's table (grid + 1 finite entries, TABLE_TOL's rules) and
+    last the super-martingale rule.  A number that is NaN or infinite is
+    reported alone, since the other rules read it.  An arm that does not
+    compile is left to `_compile_faults`."""
+    prob = instance.objective.concave
+    if prob is None:
+        return [Diagnostic(None, None, "concave", 1.0, "concave instance lacks ConcaveProblem data")]
+    grid = prob.grid
+    out: list[Diagnostic] = []
+
+    def table(arm_id, sid, kind, magnitude, what):
+        out.append(Diagnostic(arm_id, sid, kind, float(magnitude), f"arm {arm_id!r} state {sid!r}: value table {what}"))
+
+    for name, v in (("capacity", prob.capacity), ("epsilon", prob.epsilon)):
+        if not math.isfinite(v):
+            out.append(Diagnostic(None, None, "non-finite", 1.0, f"concave {name} must be a finite number, got {v!r}"))
+    for arm in instance.arms:
+        try:
+            ca = arm.compiled()  # the reachable states and their known children
+        except ValueError:
+            continue
+        a, tables, sigma = arm.arm_id, prob.value_tables.get(arm.arm_id), prob.sigmas.get(arm.arm_id)
+        if tables is None:
+            out.append(Diagnostic(a, None, "concave", 1.0, f"missing value tables for arm {a!r}"))
+        if sigma is None or not 0 <= sigma <= prob.capacity:
+            kind = "concave" if sigma is None or math.isfinite(sigma) else "non-finite"
+            out.append(Diagnostic(a, None, kind, 1.0, f"arm {a!r}: sigma must lie in [0, B], got {sigma!r}"))
+        sized = tables is not None  # every reachable state's table has grid + 1 entries
+        for sid in ca.sids if sized else ():
+            zeta = tables.get(sid)
+            if zeta is None or len(zeta) != grid + 1:
+                table(a, sid, "concave", 1.0, f"must have {grid + 1} entries")
+                sized = False
+                continue
+            if not all(map(math.isfinite, zeta)):
+                table(a, sid, "non-finite", 1.0, "entries must be finite numbers")
+                continue
+            if zeta[0] < -TABLE_TOL:
+                table(a, sid, "concave", -zeta[0], "must be non-negative")
+            for l in range(grid):
+                if zeta[l + 1] < zeta[l] - TABLE_TOL:
+                    table(a, sid, "concave", zeta[l] - zeta[l + 1], "must be non-decreasing")
+                    break
+            for l in range(1, grid):
+                if zeta[l + 1] - 2 * zeta[l] + zeta[l - 1] > TABLE_TOL:
+                    table(a, sid, "concave", zeta[l + 1] - 2 * zeta[l] + zeta[l - 1], "fails concavity")
+                    break
+        if not sized:
+            continue
+        for sid, kids in zip(ca.sids, ca.kids):
+            for l in range(grid + 1) if kids else ():
+                mean = sum(p * tables[ca.sids[c]][l] for c, p in kids)
+                if tables[sid][l] < mean - TABLE_TOL:
+                    table(a, sid, "concave", mean - tables[sid][l], f"fails the super-martingale check at l={l}")
+                    break
+    non_finite = [d for d in out if d.kind == "non-finite"]
+    return non_finite or out
+
+
 def _validate_arm(arm: ArmStateSpace, out: list[Diagnostic]) -> None:
     def add(state_id, kind, magnitude, message):
         out.append(Diagnostic(arm.arm_id, state_id, kind, float(magnitude), message))
 
-    if arm.root not in arm.states:
-        add(None, "missing-root", 1.0, f"root state {arm.root!r} not defined")
-        return
-    bad = _non_finite(arm)
-    for state_id, what, value in bad:
-        add(state_id, "non-finite", 1.0, f"{what} is {value!r}, not a finite number")
-    if bad:
-        return  # every check below reads these numbers
+    faults = _compile_faults(arm)
+    out += faults
+    if faults:
+        return  # every check below reads what these refuse
     if arm.switch_cost < 0:
         add(None, "negative-value", -arm.switch_cost, "switch cost is negative")
 
@@ -554,23 +616,20 @@ def _validate_arm(arm: ArmStateSpace, out: list[Diagnostic]) -> None:
 
 
 def validate_instance(instance: BanditInstance) -> list[Diagnostic]:
-    """Model diagnostics; empty iff every arm is a reward-martingale DAG.
+    """Model diagnostics; empty iff every arm is a reward-martingale DAG and
+    every data rule a reader checks holds.
 
-    Reports DAG violations, probability normalization and martingale errors
-    beyond 1e-9, negative quantities, numbers that are NaN or infinite (an
-    arm with one is reported for those alone, since its other checks read
-    them; in a concave objective the capacity, epsilon, sigmas and value
-    tables too), and instance-level problems (duplicate arm ids,
-    missing/invalid budget for budgeted/concave objectives).
+    Reports DAG violations, normalization and martingale errors beyond
+    MODEL_TOL, negative quantities, `_compile_faults` (an arm with one is
+    reported for those alone, since its other checks read them), a missing
+    or invalid budget for budgeted and concave objectives, and
+    `concave_diagnostics`; a reader raises the first message of the rule set
+    it checks.  `BanditInstance` itself refuses duplicate arm ids.
     Non-integer costs are not flagged here; the exact evaluator and the DP
     oracle enforce integrality themselves.
     """
     out: list[Diagnostic] = []
-    seen: set[str] = set()
     for arm in instance.arms:
-        if arm.arm_id in seen:
-            out.append(Diagnostic(arm.arm_id, None, "duplicate-arm", 1.0, "duplicate arm id"))
-        seen.add(arm.arm_id)
         _validate_arm(arm, out)
 
     kind = instance.objective.kind
@@ -581,29 +640,7 @@ def validate_instance(instance: BanditInstance) -> list[Diagnostic]:
         if b is None or not math.isfinite(b) or b < 0:
             out.append(Diagnostic(None, None, "budget", 1.0, f"{kind} objective requires a finite budget >= 0, got {b!r}"))
     if kind == "concave":
-        prob = instance.objective.concave
-        if prob is None:
-            out.append(Diagnostic(None, None, "concave", 1.0, "concave objective without ConcaveProblem data"))
-        else:
-            for name, v in (("capacity", prob.capacity), ("epsilon", prob.epsilon)):
-                if not math.isfinite(v):
-                    message = f"concave {name} is {v!r}, not a finite number"
-                    out.append(Diagnostic(None, None, "non-finite", 1.0, message))
-            for arm in instance.arms:
-                sigma = prob.sigmas.get(arm.arm_id)
-                if sigma is None:
-                    out.append(Diagnostic(arm.arm_id, None, "concave", 1.0, "missing sigma"))
-                elif not math.isfinite(sigma):
-                    message = f"sigma is {sigma!r}, not a finite number"
-                    out.append(Diagnostic(arm.arm_id, None, "non-finite", 1.0, message))
-                elif sigma < 0 or sigma > prob.capacity:
-                    out.append(
-                        Diagnostic(arm.arm_id, None, "concave", abs(sigma), f"sigma {sigma!r} outside [0, B]")
-                    )
-                for sid, table in prob.value_tables.get(arm.arm_id, {}).items():
-                    if not all(map(math.isfinite, table)):
-                        message = "value table has an entry that is not a finite number"
-                        out.append(Diagnostic(arm.arm_id, sid, "non-finite", 1.0, message))
+        out += concave_diagnostics(instance)
     return out
 
 

@@ -218,13 +218,17 @@ def test_a_negative_budget_is_one_json_error(tmp_path, capsys):
 
 def test_duplicate_arm_ids_are_one_json_error(tmp_path, capsys):
     # two arms under one id solved to gamma* 0.7333 with 9 (arm, state) keys
-    # for their 12 states
-    arms = tuple(build_beta_bernoulli_arm(a, 1, 2, play_cost=1, arm_id="a") for a in (1, 2))
-    path = str(tmp_path / "duplicate.json")
-    save_instance(BanditInstance(arms, budget=2.0), path)
-    code, out = run_cli(capsys, "solve", path)
-    assert code == 2
-    assert json.loads(out) == {"error": "duplicate arm id 'a'"}
+    # for their 12 states, and validate passed them; the loader now refuses
+    # them, as BanditInstance does
+    arms = tuple(build_beta_bernoulli_arm(a, 1, 2, play_cost=1, arm_id=i) for a, i in ((1, "a"), (2, "b")))
+    doc = instance_to_json(BanditInstance(arms, budget=2.0))
+    doc["arms"][1]["id"] = "a"
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(doc))
+    for command in ("solve", "validate"):
+        code, out = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert json.loads(out) == {"error": "duplicate arm id 'a'"}
 
 
 def test_a_negative_cost_is_one_json_error_from_the_oracle(tmp_path, capsys):
