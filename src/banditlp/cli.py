@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import reprlib
 import sys
 
 from . import bench, oracle, policies, relaxations, statespace
@@ -161,10 +162,24 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _reject_unknown(doc: dict, known: set[str], what: str) -> None:
-    for key in doc:
+def _check_spec(doc, known: set[str], what: str) -> None:
+    """Refuse, saying where, a spec that is not an object, an unknown key, or
+    a value not of its JSON type: family, variant and rule are strings, B,
+    epsilon and alpha finite numbers, options an object, and every other
+    value an integer (n and budget_cap may be null); a boolean is none of
+    these."""
+    statespace._typed(doc, dict, "an object", what)
+    for key, value in doc.items():
+        where = f"{what}: {key}"
         if key not in known:
             raise ValueError(f"unknown key {key!r} in the {what}; expected one of {sorted(known)}")
+        if key in ("family", "variant", "rule"):
+            statespace._typed(value, str, "a string", where)
+        elif key in ("B", "epsilon", "alpha"):
+            statespace._number(value, where)
+        elif key != "options" and not (value is None and key in ("n", "budget_cap")):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{where}: expected an integer, got {reprlib.repr(value)}")
 
 
 def cmd_suite(args) -> int:
@@ -172,8 +187,8 @@ def cmd_suite(args) -> int:
         doc = json.load(fh)
     spec_fields = {f.name for f in dataclasses.fields(bench.GeneratorSpec)}
     opt_fields = {f.name for f in dataclasses.fields(bench.SuiteOptions)}
-    _reject_unknown(doc, spec_fields | {"variant", "B", "epsilon", "options"}, "suite spec")
-    _reject_unknown(doc.get("options", {}), opt_fields, "suite options")
+    _check_spec(doc, spec_fields | {"variant", "B", "epsilon", "options"}, "suite spec")
+    _check_spec(doc.get("options", {}), opt_fields, "suite options")
     spec = bench.GeneratorSpec(**{k: v for k, v in doc.items() if k in spec_fields})
     suite = bench.gen_random_suite(spec)
     variant = doc.get("variant", "budgeted")

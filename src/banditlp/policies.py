@@ -54,13 +54,13 @@ import math
 import operator
 import threading
 from dataclasses import dataclass, field
-from itertools import accumulate, product as iter_product
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from .relaxations import ArmValues, RelaxationSolution, SingleArmPolicy, solve_relaxation
-from .statespace import ArmStateSpace, BanditInstance
+from .statespace import ArmStateSpace, BanditInstance, alpha_diagnostics
 
 # A state with occupancy w below UNREACHABLE_W is never entered: its step is a
 # dead stop.  AUDIT_TOL is the slack of every float comparison of a spend with
@@ -142,8 +142,9 @@ def make_greedy_plan(
     """
     if variant is None:
         variant = instance.objective.kind
-    if alpha < 1.0:
-        raise ValueError("bicriteria factor alpha must be >= 1")
+    bad_alpha = alpha_diagnostics(alpha)
+    if bad_alpha:
+        raise ValueError(bad_alpha[0].message)
     ranked = []
     for pol in policies:
         if variant == "budgeted":
@@ -1041,27 +1042,31 @@ def nonadaptive_two_level(
 
 
 def _two_level_rule_value(instance: BanditInstance, probe_set: tuple[str, ...]) -> float:
-    """Exact value of: probe S, then pick max(observed values, unprobed priors)."""
+    """Exact value of: probe S, then pick max(observed values, unprobed priors).
+
+    The probed arms' leaf rewards are independent, so P(max <= t) is the
+    product of their leaf CDFs at t; the value sums t * P(max = t) over the
+    sorted distinct rewards t from b, the best unprobed prior, up.
+    """
     probed = [instance.arm(a) for a in probe_set]
-    unprobed_best = max(
+    best = max(
         (a.states[a.root].reward for a in instance.arms if a.arm_id not in probe_set),
         default=0.0,
     )
-    supports = []
-    size = 1
-    for arm in probed:
-        root = arm.states[arm.root]
-        supports.append([(arm.states[c].reward, p) for c, p in root.transitions if p > 0.0])
-        size *= max(len(supports[-1]), 1)
-    if size > 1_000_000:
-        raise ValueError("probe set too large for exhaustive outcome enumeration")
-    value = 0.0
-    for combo in iter_product(*supports):
-        pr = 1.0
-        best = unprobed_best
-        for leaf_reward, p in combo:
-            pr *= p
-            if leaf_reward > best:
-                best = leaf_reward
-        value += pr * best
+    leaves = sorted(
+        (arm.states[c].reward, i, p)
+        for i, arm in enumerate(probed)
+        for c, p in arm.states[arm.root].transitions
+        if p > 0.0
+    )
+    cdf = [0.0] * len(probed)  # P(arm i's leaf reward <= t)
+    value = below = 0.0  # below: P(max < t)
+    k = 0
+    for t in sorted({best, *(v for v, _, _ in leaves if v > best)}):
+        while k < len(leaves) and leaves[k][0] <= t:
+            cdf[leaves[k][1]] += leaves[k][2]
+            k += 1
+        at_most = math.prod(cdf)
+        value += t * (at_most - below)
+        below = at_most
     return value

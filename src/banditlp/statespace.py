@@ -304,7 +304,6 @@ class Objective:
 
 
 BUDGETED = Objective("budgeted")
-LAGRANGEAN = Objective("lagrangean")
 
 
 @dataclass(frozen=True)
@@ -569,6 +568,14 @@ def concave_diagnostics(instance: BanditInstance) -> list[Diagnostic]:
     return non_finite or out
 
 
+def alpha_diagnostics(alpha: float) -> list[Diagnostic]:
+    """[] when alpha is a bicriteria factor, a finite number >= 1; else the
+    diagnostic whose message `make_greedy_plan` raises."""
+    if 1.0 <= alpha < math.inf:
+        return []
+    return [Diagnostic(None, None, "alpha", 1.0, f"bicriteria factor alpha must be a finite number >= 1, got {alpha!r}")]
+
+
 def _validate_arm(arm: ArmStateSpace, out: list[Diagnostic]) -> None:
     def add(state_id, kind, magnitude, message):
         out.append(Diagnostic(arm.arm_id, state_id, kind, float(magnitude), message))
@@ -622,9 +629,10 @@ def validate_instance(instance: BanditInstance) -> list[Diagnostic]:
     Reports DAG violations, normalization and martingale errors beyond
     MODEL_TOL, negative quantities, `_compile_faults` (an arm with one is
     reported for those alone, since its other checks read them), a missing
-    or invalid budget for budgeted and concave objectives, and
-    `concave_diagnostics`; a reader raises the first message of the rule set
-    it checks.  `BanditInstance` itself refuses duplicate arm ids.
+    or invalid budget for budgeted and concave objectives,
+    `concave_diagnostics`, and an objective alpha that `alpha_diagnostics`
+    refuses (`plan` and `run` take it as their default); a reader raises the
+    first message of the rule set it checks.  `BanditInstance` itself refuses duplicate arm ids.
     Non-integer costs are not flagged here; the exact evaluator and the DP
     oracle enforce integrality themselves.
     """
@@ -641,7 +649,7 @@ def validate_instance(instance: BanditInstance) -> list[Diagnostic]:
             out.append(Diagnostic(None, None, "budget", 1.0, f"{kind} objective requires a finite budget >= 0, got {b!r}"))
     if kind == "concave":
         out += concave_diagnostics(instance)
-    return out
+    return out + alpha_diagnostics(instance.objective.alpha)
 
 
 # ---------------------------------------------------------------------------

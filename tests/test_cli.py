@@ -247,6 +247,49 @@ def test_a_negative_cost_is_one_json_error_from_the_oracle(tmp_path, capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"count": "3"}, "suite spec: count: expected an integer, got '3'"),
+        ({"count": True}, "suite spec: count: expected an integer, got True"),
+        ({"options": {"alpha": "x"}}, "suite options: alpha: expected a finite number, got 'x'"),
+        ({"variant": "concave", "B": "1"}, "suite spec: B: expected a finite number, got '1'"),
+    ],
+)
+def test_a_suite_spec_value_of_the_wrong_type_is_one_json_error(tmp_path, capsys, spec, message):
+    # the strings ended in TypeError tracebacks ("'<' not supported between
+    # instances of 'str' and 'int'"), and a count of true ran one instance
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"family": "random-beta", "count": 3, "seed": 4, **spec}))
+    code, out = run_cli(capsys, "suite", "--spec", str(spec_path))
+    assert code == 2
+    assert json.loads(out) == {"error": message}
+
+
+def test_a_bicriteria_alpha_that_is_not_a_finite_number_of_at_least_one_is_one_json_error(tmp_path, capsys):
+    # --alpha nan made a plan that explored nothing: mean 0.5 and cost 0.0,
+    # the prior best, where alpha 1 reports a mean of 0.64
+    path = str(tmp_path / "gap2.json")
+    save_instance(gen_integrality_gap(2), path)
+    for alpha in ("nan", "inf", "0.5"):
+        code, out = run_cli(capsys, "run", path, "--seed", "1", "--reps", "50", "--alpha", alpha)
+        assert code == 2
+        message = f"bicriteria factor alpha must be a finite number >= 1, got {float(alpha)!r}"
+        assert json.loads(out) == {"error": message}
+    # validate reports an instance alpha that plan and run would refuse
+    doc = instance_to_json(gen_integrality_gap(2))
+    doc["objective"]["alpha"] = 0.5
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    code, out = run_cli(capsys, "validate", path)
+    assert code == 1
+    assert [d["message"] for d in json.loads(out)["diagnostics"]] == [
+        "bicriteria factor alpha must be a finite number >= 1, got 0.5"
+    ]
+    code, out = run_cli(capsys, "plan", path)
+    assert (code, json.loads(out)) == (2, {"error": "bicriteria factor alpha must be a finite number >= 1, got 0.5"})
+
+
 def test_suite_runs_a_fractional_bicriteria_budget(tmp_path, capsys):
     # alpha * C is fractional for every odd budget: the exact pass needs
     # integer costs only

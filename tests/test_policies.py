@@ -1,7 +1,9 @@
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
+import re
 from fractions import Fraction
 from itertools import accumulate
 
@@ -47,6 +49,7 @@ from banditlp.statespace import (
     Objective,
     build_beta_bernoulli_arm,
     build_two_level_arm,
+    validate_instance,
 )
 import reference_exact
 # budgeted instances of 1-3 arms with integer costs; instances of one variant on them
@@ -417,6 +420,20 @@ def test_bicriteria_execution_and_bound():
             value, cost = evaluate_plan_exact(inst, plan, sol)
             assert cost <= plan.budget + 1e-9
             assert value >= (alpha / (2 * (1 + alpha))) * sol.gamma_star - 1e-6
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.5])
+def test_an_alpha_that_is_not_a_finite_number_of_at_least_one_is_refused(alpha):
+    # alpha nan passed the check alpha < 1.0 and made a plan of budget nan,
+    # whose exact value on this instance was (0.25, 0.0), the prior best
+    inst = gen_integrality_gap(4)
+    sol = solve_relaxation(inst)
+    message = f"bicriteria factor alpha must be a finite number >= 1, got {alpha!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_greedy_plan(extract_single_arm_policies(sol, inst), inst, "budgeted", alpha=alpha)
+    # plan and run take the instance's alpha as their default
+    bad = dataclasses.replace(inst, objective=Objective("budgeted", alpha=alpha))
+    assert [d.message for d in validate_instance(bad)] == [message]
 
 
 def test_exact_evaluates_a_fractional_bicriteria_budget():
@@ -1627,6 +1644,36 @@ def test_nonadaptive_gap_instance_probe_set():
     assert res.probe_cost <= inst.budget
     assert res.expected_value == pytest.approx(37 / 64, abs=1e-9)
     assert res.expected_value >= sol.gamma_star / 7 - 1e-6
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_nonadaptive_probe_set_value_on_a_large_gap_instance(n):
+    # the rule's value enumerated every joint outcome of the probed arms,
+    # 2^|S| of them: 333 ms at n = 40, and at n = 50 "probe set too large
+    # for exhaustive outcome enumeration"
+    inst = gen_integrality_gap(n)
+    sol = solve_relaxation(inst)
+    res = nonadaptive_two_level(inst, sol)
+    assert res.case == "probe-set"
+    assert res.expected_value == pytest.approx(1 - (1 - 1 / n) ** (len(res.probe_set) + 1), abs=1e-12)
+    assert res.expected_value >= sol.gamma_star / 7 - 1e-6
+
+
+def test_two_level_rule_value_equals_the_outcome_enumeration():
+    # the reference enumerates the probed arms' joint outcomes; the rule
+    # value sums over the product of their leaf CDFs, in another order
+    suite = gen_random_suite(GeneratorSpec(family="random-two-level", count=30, seed=55, max_arms=6))
+    for inst in suite:
+        ids = [a.arm_id for a in inst.arms]
+        for k in range(len(ids) + 1):
+            probed = [inst.arm(a) for a in ids[:k]]
+            best = max((a.states[a.root].reward for a in inst.arms[k:]), default=0.0)
+            supports = [[(a.states[c].reward, p) for c, p in a.states[a.root].transitions if p > 0.0] for a in probed]
+            expected = sum(
+                math.prod(p for _, p in combo) * max([best, *(v for v, _ in combo)])
+                for combo in itertools.product(*supports)
+            )
+            assert policies._two_level_rule_value(inst, tuple(ids[:k])) == pytest.approx(expected, abs=1e-12)
 
 
 def test_nonadaptive_boundary_arm_case():

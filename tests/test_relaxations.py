@@ -3,6 +3,8 @@ import math
 import re
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from banditlp.bench import as_concave, as_lagrangean, gen_integrality_gap, gen_random_suite, GeneratorSpec
 from banditlp.lp import solve_lp
@@ -20,9 +22,13 @@ from banditlp.statespace import (
     Objective,
     build_two_level_arm,
     concave_grid_size,
+    instance_from_json,
+    instance_to_json,
     make_concave_problem,
     validate_instance,
 )
+import reference_tables
+from test_decomposition import instances
 
 
 def _single_arm_budgeted(budget=0.0, reward=0.7):
@@ -224,6 +230,124 @@ def test_a_concave_number_that_is_not_finite_is_refused(edit, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         solve_relaxation(bad)
     assert [d.kind for d in validate_instance(bad)] == ["non-finite"]
+
+
+def _with_tables(inst, edit):
+    """The concave instance with edit(tables) as its value tables, where
+    tables is a copy of them, arm id -> state id -> table."""
+    tables = {arm: dict(per_state) for arm, per_state in inst.objective.concave.value_tables.items()}
+    edit(tables)
+    prob = dataclasses.replace(inst.objective.concave, value_tables=tables)
+    return BanditInstance(inst.arms, inst.budget, Objective("concave", concave=prob))
+
+
+def _with_state_renamed(inst, arm_id, old, new):
+    """The instance with state `old` of the arm renamed `new`, in its
+    parents' transitions and, when concave, in its value tables."""
+    arms = []
+    for arm in inst.arms:
+        if arm.arm_id == arm_id:
+            states = {}
+            for sid, s in arm.states.items():
+                sid = new if sid == old else sid
+                states[sid] = dataclasses.replace(s, id=sid, transitions=tuple((new if c == old else c, p) for c, p in s.transitions))
+            arm = dataclasses.replace(arm, root=new if arm.root == old else arm.root, states=states)
+        arms.append(arm)
+    renamed = BanditInstance(tuple(arms), inst.budget, inst.objective)
+    if inst.objective.kind != "concave":
+        return renamed
+    return _with_tables(renamed, lambda t: t[arm_id].__setitem__(new, t[arm_id].pop(old)))
+
+
+def _epsilon_edited_in_the_file(inst):
+    doc = instance_to_json(inst)
+    doc["objective"]["epsilon"] = 2.0
+    return instance_from_json(doc)
+
+
+_CONCAVE_GAP = as_concave(gen_integrality_gap(2), capacity=1.0, epsilon=0.5)  # grid 4: tables r * l / 4
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        # epsilon 0.5 -> 2.0 in the file: grid 1, tables of 5 entries
+        (_epsilon_edited_in_the_file(_CONCAVE_GAP), "arm 'a0' state 'root': value table must have 2 entries"),
+        (
+            _with_tables(_CONCAVE_GAP, lambda t: t["a0"].__setitem__("v1", tuple((l / 4) ** 2 for l in range(5)))),
+            "arm 'a0' state 'v1': value table fails concavity",
+        ),
+        (
+            _with_tables(_CONCAVE_GAP, lambda t: t["a0"].__setitem__("root", tuple(0.1 * l / 4 for l in range(5)))),
+            "arm 'a0' state 'root': value table fails the super-martingale check at l=1",
+        ),
+        (_with_tables(_CONCAVE_GAP, lambda t: t["a1"].pop("v0")), "arm 'a1' state 'v0': value table must have 5 entries"),
+        (_with_tables(_CONCAVE_GAP, lambda t: t.pop("a1")), "missing value tables for arm 'a1'"),
+        (_with_state_renamed(gen_integrality_gap(2), "a0", "v1", "v|1"), "arm/state ids may not contain '|'"),
+        (_with_state_renamed(_CONCAVE_GAP, "a0", "v1", "v|1"), "arm/state ids may not contain '|'"),
+    ],
+    ids=["epsilon-edit", "non-concave", "super-martingale", "missing-table", "missing-tables", "pipe", "pipe-concave"],
+)
+def test_validate_reports_what_the_solve_refuses(bad, message):
+    # validate_instance passed each of these ("valid": true from banditlp
+    # validate) while the solve refused it
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_relaxation(bad)
+    assert message in [d.message for d in validate_instance(bad)]
+
+
+@st.composite
+def _mutated_concave(draw):
+    """A valid concave instance (linear or sqrt tables), or the same with one
+    edit that may break a data rule: a state's table one entry short or
+    long, one entry moved by 0.5 or its last by 1e-3, a sigma outside
+    [0, B], a state id with "|", or a state's or an arm's tables missing."""
+    inst = draw(instances("concave"))
+    prob = inst.objective.concave
+    arm = draw(st.sampled_from(inst.arms))
+    sid = draw(st.sampled_from(arm.topo_order()))
+    zeta = list(prob.value_tables[arm.arm_id][sid])
+    kind = draw(st.sampled_from(["none", "length", "entry", "last entry", "sigma", "pipe", "missing"]))
+    if kind == "length":
+        zeta = zeta[:-1] if draw(st.booleans()) else zeta + zeta[-1:]
+    elif kind == "entry":
+        zeta[draw(st.integers(0, len(zeta) - 1))] += draw(st.sampled_from([-0.5, 0.5]))
+    elif kind == "last entry":  # lowered at a state with children, only the super-martingale rule breaks
+        zeta[-1] += draw(st.sampled_from([-1e-3, 1e-3]))
+    if kind in ("length", "entry", "last entry"):
+        return _with_tables(inst, lambda t: t[arm.arm_id].__setitem__(sid, tuple(zeta)))
+    if kind == "sigma":
+        sigma = draw(st.sampled_from([-0.1, prob.capacity + 0.1]))
+        prob = dataclasses.replace(prob, sigmas={**prob.sigmas, arm.arm_id: sigma})
+        return BanditInstance(inst.arms, inst.budget, Objective("concave", concave=prob))
+    if kind == "pipe":
+        return _with_state_renamed(inst, arm.arm_id, sid, f"{sid}|1")
+    if kind == "missing":
+        return _with_tables(inst, lambda t: t[arm.arm_id].pop(sid) if draw(st.booleans()) else t.pop(arm.arm_id))
+    return inst
+
+
+def _refusal(check, *args) -> str | None:
+    """The message of the ValueError check(*args) raises, or None."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@seed(2201)
+@given(_mutated_concave())
+def test_validate_is_empty_exactly_when_the_solve_accepts(inst):
+    # the solve refuses what the table checks as first written refuse, with
+    # their message, and validate_instance reports that message
+    prob = inst.objective.concave
+    refused = _refusal(solve_relaxation, inst)
+    assert refused == _refusal(reference_tables._validate_tables, inst, prob, prob.grid)
+    diags = validate_instance(inst)
+    assert (diags == []) == (refused is None)
+    assert refused is None or refused in [d.message for d in diags]
 
 
 @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 0.0, -1.0])
