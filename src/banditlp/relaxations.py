@@ -51,6 +51,11 @@ itself (a leaf never plays).  Its minimum is gamma*.
   optimal LP point, written into `RelaxationSolution` by compiled index.
   Only the states that a cut with theta_k > 0 reached are cleaned; the rest
   are 0.  The final gap is the solution's certificate, `duality_gap`.
+
+The data rules live in `statespace`: a solve raises the first of
+`concave_diagnostics` on a concave instance, and an arm's ids and numbers are
+refused when it compiles (`_compile_faults`); `validate_instance` reports
+every one of them with the same message.
 """
 
 from __future__ import annotations

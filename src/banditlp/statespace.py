@@ -308,7 +308,12 @@ BUDGETED = Objective("budgeted")
 
 @dataclass(frozen=True)
 class BanditInstance:
-    """A set of arms plus a budget and an objective variant."""
+    """A set of arms plus a budget and an objective variant.
+
+    Arm ids are unique: construction raises ValueError("duplicate arm id
+    'a'") otherwise, so the loader, every reader and every lookup by id see
+    one arm per id.
+    """
 
     arms: tuple[ArmStateSpace, ...]
     budget: float | None = None

@@ -250,7 +250,8 @@ def _with_state_renamed(inst, arm_id, old, new):
             states = {}
             for sid, s in arm.states.items():
                 sid = new if sid == old else sid
-                states[sid] = dataclasses.replace(s, id=sid, transitions=tuple((new if c == old else c, p) for c, p in s.transitions))
+                kids = tuple((new if c == old else c, p) for c, p in s.transitions)
+                states[sid] = dataclasses.replace(s, id=sid, transitions=kids)
             arm = dataclasses.replace(arm, root=new if arm.root == old else arm.root, states=states)
         arms.append(arm)
     renamed = BanditInstance(tuple(arms), inst.budget, inst.objective)
