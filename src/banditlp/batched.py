@@ -66,9 +66,7 @@ def _walk_lockstep(arr: _ArmArrays, rows, draws, ptr, spent, avail: float | None
     dead stop, -inf for a budget stop, so that the cuts give levels 0 and -1)
     and position into chunk-wide arrays; a play adds its charge to spent in
     place.  At the end ptr advances in place, and the rows' final states and
-    levels are returned in the order of `rows`.  The root is state 0 and no
-    state leads back to it, so a row played the root, paying its switch, if
-    and only if it ends elsewhere.
+    levels are returned in the order of `rows`.
     """
     state, q_end, f_end = np.empty(len(ptr), dtype=np.intp), np.empty(len(ptr)), np.empty(len(ptr), dtype=np.intp)
     limit = None if avail is None else avail + AUDIT_TOL
@@ -112,18 +110,16 @@ def _walk_lockstep(arr: _ArmArrays, rows, draws, ptr, spent, avail: float | None
 
 def batched_runs(plan, tables, rules, seed_key: int, reps: int):
     """`policies._scalar_runs` with the replications of a chunk in lockstep:
-    per replication, its value, its spend, whether its walked arms broke the
-    plan order and whether it paid one arm's switch twice."""
+    per replication, its value, its spend and whether its walked arms broke
+    the plan order."""
     base, start, capped, _, _, after_rows, finish_rows = rules
     values = np.full(reps, base, dtype=float)
     spent = np.zeros(reps)
     off_plan = np.zeros(reps, dtype=bool)
-    multi_switch = np.zeros(reps, dtype=bool)
     if not start:
-        return values, spent, off_plan, multi_switch
+        return values, spent, off_plan
     (start_key,) = start
     arms = [_ArmArrays(tables[ra.arm_id]) for ra in plan.order]
-    ids = [ra.arm_id for ra in plan.order]
     avail = plan.budget if capped else None
     for lo, draws in _window_chunks(seed_key, reps, _draw_width(plan, tables)):
         n = len(draws)
@@ -131,15 +127,11 @@ def batched_runs(plan, tables, rules, seed_key: int, reps: int):
         ptr = np.zeros(n, dtype=np.intp)
         key = tuple(np.full(n, k, dtype=float) for k in start_key)
         walked = np.zeros((n, len(arms)), dtype=bool)
-        # root plays per arm id over the run: only an arm listed twice is walked twice
-        switches = {a: np.zeros(n, dtype=np.intp) for a in ids if ids.count(a) > 1}
         live = np.arange(n)
         for j, arr in enumerate(arms):
             walked[live, j] = True
             before = sp[live]
             state, level = _walk_lockstep(arr, live, draws, ptr, sp, avail)
-            if ids[j] in switches:
-                switches[ids[j]][live] += state != 0
             gain, key, go = after_rows(arr.tab, key, state, level, sp[live] - before)
             vals[live] += gain
             live, key = live[go], tuple(k[go] for k in key)
@@ -147,8 +139,6 @@ def batched_runs(plan, tables, rules, seed_key: int, reps: int):
                 break
         else:
             vals[live] += finish_rows(key)
-        for count in switches.values():
-            multi_switch[lo : lo + n] |= count > 1
         # a run's walked arms must be a prefix of the plan order
         off_plan[lo : lo + n] = (walked[:, 1:] & ~walked[:, :-1]).any(axis=1)
-    return values, spent, off_plan, multi_switch
+    return values, spent, off_plan

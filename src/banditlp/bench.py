@@ -244,18 +244,18 @@ def corrupt_instance(
 # gamma* less SUITE_SLACK, and gamma* at least OPT less SUITE_SLACK: the
 # acceptance gate's slack.  A spec cannot widen it.
 SUITE_SLACK = 1e-6
+# The DP oracle's joint-state limit in a suite: it runs on every budgeted and
+# Lagrangean instance with alpha 1 within it.  A spec cannot change it.
+SUITE_ORACLE_LIMIT = 2_000_000
 
 
 @dataclass
 class SuiteOptions:
-    """How a suite runs: the bicriteria alpha, the budgeted rule, and the
-    oracle's joint-state limit.  The DP oracle runs on every budgeted and
-    Lagrangean instance with alpha 1 within that limit; no option skips it
-    or loosens a bound."""
+    """How a suite runs: the bicriteria alpha and the budgeted rule.  No
+    option skips the oracle or loosens a bound."""
 
     alpha: float = 1.0
     rule: str = "order"
-    oracle_limit: int = 2_000_000
 
 
 @dataclass
@@ -382,7 +382,7 @@ def run_guarantee_suite(
         opt = None
         if variant in ("budgeted", "lagrangean") and options.alpha == 1.0:
             try:
-                opt, _ = dp_optimal(instance, limits=options.oracle_limit)
+                opt, _ = dp_optimal(instance, limits=SUITE_ORACLE_LIMIT)
                 if solution.gamma_star < opt - SUITE_SLACK:
                     flags.append(f"gamma* {solution.gamma_star:.6g} < OPT {opt:.6g}")
             except (OracleGuardError, ValueError):

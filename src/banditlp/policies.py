@@ -60,7 +60,7 @@ from typing import Sequence
 import numpy as np
 
 from .relaxations import ArmValues, RelaxationSolution, SingleArmPolicy, solve_relaxation
-from .statespace import ArmStateSpace, BanditInstance, alpha_diagnostics
+from .statespace import ArmStateSpace, BanditInstance, _objective_faults, alpha_diagnostics
 
 # A state with occupancy w below UNREACHABLE_W is never entered: its step is a
 # dead stop.  AUDIT_TOL is the slack of every float comparison of a spend with
@@ -139,34 +139,30 @@ def make_greedy_plan(
                 bicriteria variant, executed with budget alpha*C)
     lagrangean: nu = R - C_phi, mu = P
     concave:    nu = R,       mu = (sigma/B)*P + C_phi/C
+
+    Raises ValueError, before any policy is read, on a variant, an alpha or
+    a budget that `_check_variant`, `alpha_diagnostics` or the objective rule refuses.
     """
     if variant is None:
         variant = instance.objective.kind
-    bad_alpha = alpha_diagnostics(alpha)
-    if bad_alpha:
-        raise ValueError(bad_alpha[0].message)
-    ranked = []
+    _check_variant(instance, variant)
+    bad = alpha_diagnostics(alpha) + _objective_faults(variant, instance.budget)
+    if bad:
+        raise ValueError(bad[0].message)
+    ranked, prob = [], instance.objective.concave
     for pol in policies:
         if variant == "budgeted":
-            nu = pol.reward
-            mu = alpha * pol.explore_prob + _cost_share(pol.cost, instance.budget)
+            nu, mu = pol.reward, alpha * pol.explore_prob + _cost_share(pol.cost, instance.budget)
         elif variant == "lagrangean":
-            nu = pol.reward - pol.cost
-            mu = pol.explore_prob
-        elif variant == "concave":
-            prob = instance.objective.concave
-            sigma = prob.sigmas[pol.arm_id]
-            nu = pol.reward
-            mu = (sigma / prob.capacity) * pol.explore_prob + _cost_share(pol.cost, instance.budget)
+            nu, mu = pol.reward - pol.cost, pol.explore_prob
         else:
-            raise ValueError(f"unknown plan variant {variant!r}")
+            sigma = prob.sigmas[pol.arm_id]
+            nu, mu = pol.reward, (sigma / prob.capacity) * pol.explore_prob + _cost_share(pol.cost, instance.budget)
         ranked.append(RankedArm(pol.arm_id, nu, mu, _ratio(nu, mu)))
     ranked.sort(key=lambda r: (-r.ratio, r.arm_id))
-    budget = None
+    budget = None if variant == "lagrangean" else instance.budget
     if variant == "budgeted":
-        budget = alpha * instance.budget
-    elif variant == "concave":
-        budget = instance.budget
+        budget = alpha * budget
     return GreedyPlan(variant=variant, order=tuple(ranked), budget=budget, alpha=alpha)
 
 
@@ -348,7 +344,6 @@ class ExecutionTrace:
     weight_numerators: dict[str, int] | None = None
     grid: int | None = None
     visited: list[str] = field(default_factory=list)
-    switches: dict[str, int] = field(default_factory=dict)
 
 
 def trace_to_jsonl(trace: ExecutionTrace) -> str:
@@ -377,13 +372,12 @@ def trace_to_jsonl(trace: ExecutionTrace) -> str:
 class _Run:
     """Mutable per-trace scratch; collects events only when recording."""
 
-    __slots__ = ("record", "events", "visited", "switches", "spent")
+    __slots__ = ("record", "events", "visited", "spent")
 
     def __init__(self, record: bool):
         self.record = record
         self.events: list[TraceEvent] = []
         self.visited: list[str] = []
-        self.switches: dict[str, int] = {}
         self.spent = 0.0
 
     def event(self, arm, state, action, cost, q):
@@ -423,7 +417,6 @@ def _walk_arm(tab: _ArmTable, rng: _Window, run: _Run, avail: float | None):
             return u, None
         if u == 0:  # the root; no state leads back to it
             run.event(arm_id, sids[0], "switch", ca.switch_cost, None)
-            run.switches[arm_id] = run.switches.get(arm_id, 0) + 1
         run.event(arm_id, sids[u], "play", ca.costs[u], q)
         run.spent += charge
         draw, cum = rng.random(), 0.0
@@ -537,13 +530,33 @@ def _spend_cap(instance: BanditInstance, plan: GreedyPlan, rule: str) -> float |
     return plan.budget + instance.max_single_arm_cost() if rule == "violate" else plan.budget
 
 
-def _check_rule(plan: GreedyPlan, rule: str) -> None:
-    if plan.variant not in _RULES:
-        raise ValueError(f"unknown plan variant {plan.variant!r}")
+def _check_variant(instance: BanditInstance, variant: str) -> None:
+    """A plan variant is one of `_RULES`; a concave one needs concave data."""
+    if variant not in _RULES:
+        raise ValueError(f"unknown plan variant {variant!r}")
+    if variant == "concave" and instance.objective.concave is None:
+        raise ValueError("a concave plan needs an instance with concave data")
+
+
+def _check_plan(instance: BanditInstance, plan: GreedyPlan, rule: str, variant: str | None = None) -> None:
+    """The plan rule, which every plan reader applies first: `_check_variant`,
+    the reader's own variant if it names one, the rule "order" or "violate"
+    (on a plain budgeted plan only), and each entry an arm of the instance
+    named once, as the paper's plans explore each arm at most once."""
+    _check_variant(instance, plan.variant)
+    if variant is not None and plan.variant != variant:
+        raise ValueError(f"expected a {variant} plan, got {plan.variant!r}")
     if rule not in ("order", "violate"):
         raise ValueError(f"unknown budget rule {rule!r}; expected 'order' or 'violate'")
     if rule == "violate" and (plan.variant != "budgeted" or plan.alpha != 1.0):
         raise ValueError("the violate rule applies to plain budgeted plans only")
+    ids, named = {a.arm_id for a in instance.arms}, set()
+    for ra in plan.order:
+        if ra.arm_id in named:
+            raise ValueError(f"the plan names arm {ra.arm_id!r} twice")
+        if ra.arm_id not in ids:
+            raise ValueError(f"the plan names arm {ra.arm_id!r}, which the instance does not have")
+        named.add(ra.arm_id)
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +589,8 @@ def _sample_run(plan, tables, rules, rng, run: _Run, walked: list | None = None)
     return value + finish(key), False
 
 
-def _execute(instance, plan, solution, rng_seed, rule="order") -> ExecutionTrace:
+def _execute(instance, plan, solution, rng_seed, rule, variant) -> ExecutionTrace:
+    _check_plan(instance, plan, rule, variant)
     tables = _tables(instance, solution)
     run, walked = _Run(True), []
     rules = _RULES[plan.variant](instance, plan, solution, rule)
@@ -590,7 +604,6 @@ def _execute(instance, plan, solution, rng_seed, rule="order") -> ExecutionTrace
         total_cost=run.spent,
         value=value,
         visited=run.visited,
-        switches=run.switches,
     )
     if plan.variant == "concave":
         L = solution.grid
@@ -616,34 +629,26 @@ def execute_greedy_order(
     instance: BanditInstance, plan: GreedyPlan, solution: RelaxationSolution, rng_seed: int
 ) -> ExecutionTrace:
     """One sampled run of the budget-respecting greedy policy."""
-    if plan.variant != "budgeted":
-        raise ValueError("execute_greedy_order needs a budgeted (or bicriteria) plan")
-    return _execute(instance, plan, solution, rng_seed, "order")
+    return _execute(instance, plan, solution, rng_seed, "order", "budgeted")
 
 
 def execute_greedy_violate(
     instance: BanditInstance, plan: GreedyPlan, solution: RelaxationSolution, rng_seed: int
 ) -> ExecutionTrace:
     """One sampled run of the analysis twin that checks the budget only between arms."""
-    if plan.variant != "budgeted" or plan.alpha != 1.0:
-        raise ValueError("execute_greedy_violate needs a plain budgeted plan")
-    return _execute(instance, plan, solution, rng_seed, "violate")
+    return _execute(instance, plan, solution, rng_seed, "violate", "budgeted")
 
 
 def execute_lagrangean_greedy(
     instance: BanditInstance, plan: GreedyPlan, solution: RelaxationSolution, rng_seed: int
 ) -> ExecutionTrace:
-    if plan.variant != "lagrangean":
-        raise ValueError("execute_lagrangean_greedy needs a lagrangean plan")
-    return _execute(instance, plan, solution, rng_seed)
+    return _execute(instance, plan, solution, rng_seed, "order", "lagrangean")
 
 
 def execute_concave_greedy(
     instance: BanditInstance, plan: GreedyPlan, solution: RelaxationSolution, rng_seed: int
 ) -> ExecutionTrace:
-    if plan.variant != "concave":
-        raise ValueError("execute_concave_greedy needs a concave plan")
-    return _execute(instance, plan, solution, rng_seed)
+    return _execute(instance, plan, solution, rng_seed, "order", "concave")
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +658,9 @@ def execute_concave_greedy(
 def verify_trace(
     trace: ExecutionTrace, instance: BanditInstance, plan: GreedyPlan, rule: str = "order"
 ) -> list[str]:
-    """Event-level invariant audit; returns human-readable violations."""
-    _check_rule(plan, rule)
+    """Event-level invariant audit; returns human-readable violations.  A
+    trace may come from outside the program, so all of them are checked."""
+    _check_plan(instance, plan, rule)
     out: list[str] = []
     blocks: list[str] = []
     for e in trace.events:
@@ -719,7 +725,7 @@ def monte_carlo_evaluate(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    _check_rule(plan, rule)
+    _check_plan(instance, plan, rule)
     tables = _tables(instance, solution)
     rules = _RULES[plan.variant](instance, plan, solution, rule)
     if reps >= _BATCH_MIN_REPS:
@@ -731,22 +737,23 @@ def monte_carlo_evaluate(
 
 
 # The run audits, in the order a run is checked: its spend against the cap,
-# its walked arms against the plan order, its switch charges per arm.
+# its walked arms against the plan order.  `_check_plan` lets each arm be
+# walked once, and a walk starts at the root, to which no state leads back, so
+# no run pays an arm's switch twice.
 _AUDITS = (
     "trace cost exceeds the allowed cap",
     "visited arms do not form a plan-order prefix",
-    "multiple switch charges on one arm",
 )
 
 
 def _mc_report(runs, cap: float | None) -> MonteCarloReport:
-    """Summarise (values, spend, off-plan flags, multi-switch flags) per replication.
+    """Summarise (values, spend, off-plan flags) per replication.
 
     The mean and the standard error are what ``values.mean()`` and
     ``values.std(ddof=1)`` compute, from a few ufunc calls instead of their
     Python-level wrappers, whose fixed cost dominates a small call.
     """
-    values, spent, off_plan, multi_switch = runs
+    values, spent, off_plan = runs
     reps = len(values)
     over = spent > cap + AUDIT_TOL if cap is not None else np.zeros(reps, dtype=bool)
     mean = float(np.add.reduce(values)) / reps
@@ -759,7 +766,7 @@ def _mc_report(runs, cap: float | None) -> MonteCarloReport:
         stderr = 0.0
     # each audit counts the runs that fail it; audits are listed in the order
     # of their first failure, by replication and then in _AUDITS order
-    flags = (over, off_plan, multi_switch)
+    flags = (over, off_plan)
     failed = sorted((int(bad.argmax()), i, int(bad.sum())) for i, bad in enumerate(flags) if bad.any())
     return MonteCarloReport(
         mean=mean,
@@ -775,11 +782,10 @@ def _mc_report(runs, cap: float | None) -> MonteCarloReport:
 
 def _scalar_runs(plan, tables, rules, seed_key: int, reps: int):
     """Replications 0..reps-1, one `_sample_run` each: their values, spends,
-    and whether each broke the plan order or paid one arm's switch twice."""
+    and whether each broke the plan order."""
     values = np.empty(reps)
     spent = np.empty(reps)
     off_plan = np.zeros(reps, dtype=bool)
-    multi_switch = np.zeros(reps, dtype=bool)
     plan_ids = [ra.arm_id for ra in plan.order]
     for lo, windows in _window_chunks(seed_key, reps, _draw_width(plan, tables)):
         for k, window in enumerate(windows.tolist(), lo):
@@ -787,8 +793,7 @@ def _scalar_runs(plan, tables, rules, seed_key: int, reps: int):
             values[k], _ = _sample_run(plan, tables, rules, _Window(window), run)
             spent[k] = run.spent
             off_plan[k] = run.visited != plan_ids[: len(run.visited)]
-            multi_switch[k] = any(c > 1 for c in run.switches.values())
-    return values, spent, off_plan, multi_switch
+    return values, spent, off_plan
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +851,7 @@ def evaluate_plan_exact(
     RuntimeError if a reachable run breaks the budget or packs more than 2B
     before halving.
     """
-    _check_rule(plan, rule)
+    _check_plan(instance, plan, rule)
     if plan.budget is not None and not instance.has_integer_costs():
         raise ValueError("exact evaluation under a budget requires integer costs")
     tables = _tables(instance, solution)
@@ -895,8 +900,7 @@ class GreedyOrderProcess:
     """
 
     def __init__(self, instance: BanditInstance, plan: GreedyPlan, solution: RelaxationSolution):
-        if plan.variant != "budgeted":
-            raise ValueError("only budgeted plans compile to a joint-state process")
+        _check_plan(instance, plan, "order", "budgeted")
         if plan.alpha != 1.0:
             raise ValueError("GreedyOrderProcess needs a plain budgeted plan (alpha 1)")
         self.instance = instance

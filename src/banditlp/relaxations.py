@@ -53,6 +53,7 @@ itself (a leaf never plays).  Its minimum is gamma*.
   are 0.  The final gap is the solution's certificate, `duality_gap`.
 
 The data rules live in `statespace`: a solve raises the first of
+`objective_diagnostics` (the kind and the budget), then of
 `concave_diagnostics` on a concave instance, and an arm's ids and numbers are
 refused when it compiles (`_compile_faults`); `validate_instance` reports
 every one of them with the same message.
@@ -78,7 +79,7 @@ from .lp import (  # noqa: F401
     LPSolverError,
     solve_lp,
 )
-from .statespace import ArmStateSpace, BanditInstance, CompiledArm, concave_diagnostics
+from .statespace import ArmStateSpace, BanditInstance, CompiledArm, concave_diagnostics, objective_diagnostics
 
 # A solution's cleanup rescales a state's x + z down to its w when they exceed
 # it by at most CLEANUP_SLACK (more is an error).  The decomposition stops once
@@ -121,15 +122,14 @@ def _arm_levels(
 
 def _checked_grid(instance: BanditInstance) -> int | None:
     """Validate the instance for its relaxation and return its weight grid
-    size (None: plain).  Concave data is checked once per (ConcaveProblem,
-    arms tuple), raising the first of `concave_diagnostics`; an arm's ids and
-    numbers are checked when it compiles."""
-    kind = instance.objective.kind
-    if kind not in ("budgeted", "lagrangean", "concave"):
-        raise ValueError(f"unknown objective kind {kind!r}")
-    if kind != "lagrangean" and (instance.budget is None or not math.isfinite(instance.budget)):
-        raise ValueError(f"{kind} relaxation needs a finite budget")
-    if kind != "concave":
+    size (None: plain).  Raises the first of `objective_diagnostics`, then,
+    once per (ConcaveProblem, arms tuple), the first of
+    `concave_diagnostics`; an arm's ids and numbers are checked when it
+    compiles."""
+    bad = objective_diagnostics(instance)
+    if bad:
+        raise ValueError(bad[0].message)
+    if instance.objective.kind != "concave":
         return None
     prob = instance.objective.concave
     if prob is None or prob.__dict__.get("_checked_arms") is not instance.arms:
@@ -149,8 +149,9 @@ def _link_rhs(instance: BanditInstance, grid: int | None) -> float:
     return prob.capacity * grid * (1.0 + prob.epsilon)
 
 
-def _relaxation_lp(instance: BanditInstance) -> LinearProgram:
-    """The relaxation of the instance's kind on its weight grid.
+def _relaxation_lp(instance: BanditInstance, kind: str) -> LinearProgram:
+    """The relaxation of the instance's kind, which must be the builder's
+    kind, on its weight grid.
 
     Rows: the cost row (except for lagrangean plays, which pay charge * z in
     the objective), one linking row (exploit-mass sum x <= 1 on the one-level
@@ -159,8 +160,9 @@ def _relaxation_lp(instance: BanditInstance) -> LinearProgram:
     are declared (root w = 1, leaf z = 0); the flow and cap rows keep every
     other w, z and x within [0, 1].
     """
+    if instance.objective.kind != kind:
+        raise ValueError(f"expected a {kind} instance, got {instance.objective.kind!r}")
     grid = _checked_grid(instance)
-    kind = instance.objective.kind
     prob = instance.objective.concave
     lp_vars: list[tuple[str, float, float]] = []
     core: list[LinearConstraint] = []
@@ -205,23 +207,17 @@ def _relaxation_lp(instance: BanditInstance) -> LinearProgram:
 
 def build_budgeted_lp(instance: BanditInstance) -> LinearProgram:
     """Relaxation with the exploration-cost budget row and unit exploit mass."""
-    if instance.objective.kind != "budgeted":
-        raise ValueError(f"expected a budgeted instance, got {instance.objective.kind!r}")
-    return _relaxation_lp(instance)
+    return _relaxation_lp(instance, "budgeted")
 
 
 def build_lagrangean_lp(instance: BanditInstance) -> LinearProgram:
     """Profit relaxation: exploit reward minus play and switch cost, no budget."""
-    if instance.objective.kind != "lagrangean":
-        raise ValueError(f"expected a lagrangean instance, got {instance.objective.kind!r}")
-    return _relaxation_lp(instance)
+    return _relaxation_lp(instance, "lagrangean")
 
 
 def build_concave_lp(instance: BanditInstance) -> LinearProgram:
     """Discretized concave-utility relaxation over the weight grid {0..L}/L."""
-    if instance.objective.kind != "concave":
-        raise ValueError(f"expected a concave instance, got {instance.objective.kind!r}")
-    return _relaxation_lp(instance)
+    return _relaxation_lp(instance, "concave")
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +385,9 @@ class RelaxationSolution:
 
 def build_relaxation(instance: BanditInstance) -> tuple[LinearProgram, int | None]:
     """The variant LP for the instance and its concave grid size (None otherwise)."""
-    kind = instance.objective.kind
-    if kind == "budgeted":
-        return build_budgeted_lp(instance), None
-    if kind == "lagrangean":
-        return build_lagrangean_lp(instance), None
-    if kind == "concave":
-        return build_concave_lp(instance), instance.objective.concave.grid
-    raise ValueError(f"unknown objective kind {kind!r}")
+    grid = _checked_grid(instance)  # refuses an unknown kind
+    build = {"budgeted": build_budgeted_lp, "lagrangean": build_lagrangean_lp, "concave": build_concave_lp}
+    return build[instance.objective.kind](instance), grid
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +631,9 @@ def solve_relaxation(instance: BanditInstance, exploit_at_roots: bool = True) ->
     drops the roots' exploit options from the pricing, which is the
     relaxation with root x fixed at 0 (`policies.nonadaptive_two_level`).
 
-    Raises ValueError before the first cut when the budget or the concave
-    packing capacity B * L * (1 + eps) is negative (the paper's budget is
-    non-negative, and `validate_instance` flags one below 0), and
+    Raises ValueError before the first cut on what `_checked_grid` refuses
+    (a budget below 0 among it) and when the concave packing capacity
+    B * L * (1 + eps) is negative, since the master has no phase 1, and
     LPSolverError when the gap is still open after CUT_LIMIT cuts.
     """
     grid = _checked_grid(instance)

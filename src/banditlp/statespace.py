@@ -530,6 +530,10 @@ def concave_diagnostics(instance: BanditInstance) -> list[Diagnostic]:
     for name, v in (("capacity", prob.capacity), ("epsilon", prob.epsilon)):
         if not math.isfinite(v):
             out.append(Diagnostic(None, None, "non-finite", 1.0, f"concave {name} must be a finite number, got {v!r}"))
+    try:
+        concave_grid_size(0, prob.epsilon)  # the epsilon rule
+    except ValueError as exc:
+        out.append(Diagnostic(None, None, "concave", 1.0, str(exc)))
     for arm in instance.arms:
         try:
             ca = arm.compiled()  # the reachable states and their known children
@@ -571,6 +575,21 @@ def concave_diagnostics(instance: BanditInstance) -> list[Diagnostic]:
                     break
     non_finite = [d for d in out if d.kind == "non-finite"]
     return non_finite or out
+
+
+def objective_diagnostics(instance: BanditInstance) -> list[Diagnostic]:
+    """What every relaxation refuses of the objective, and raises: an unknown
+    kind, or a budgeted or concave one whose budget is not a finite number
+    >= 0.  `make_greedy_plan` applies `_objective_faults` to a plan variant."""
+    return _objective_faults(instance.objective.kind, instance.budget)
+
+
+def _objective_faults(kind: str, budget: float | None) -> list[Diagnostic]:
+    if kind not in ("budgeted", "lagrangean", "concave"):
+        return [Diagnostic(None, None, "objective", 1.0, f"unknown objective kind {kind!r}")]
+    if kind != "lagrangean" and (budget is None or not 0 <= budget < math.inf):
+        return [Diagnostic(None, None, "budget", 1.0, f"{kind} objective requires a finite budget >= 0, got {budget!r}")]
+    return []
 
 
 def alpha_diagnostics(alpha: float) -> list[Diagnostic]:
@@ -645,14 +664,8 @@ def validate_instance(instance: BanditInstance) -> list[Diagnostic]:
     for arm in instance.arms:
         _validate_arm(arm, out)
 
-    kind = instance.objective.kind
-    if kind not in ("budgeted", "lagrangean", "concave"):
-        out.append(Diagnostic(None, None, "objective", 1.0, f"unknown objective kind {kind!r}"))
-    if kind in ("budgeted", "concave"):
-        b = instance.budget
-        if b is None or not math.isfinite(b) or b < 0:
-            out.append(Diagnostic(None, None, "budget", 1.0, f"{kind} objective requires a finite budget >= 0, got {b!r}"))
-    if kind == "concave":
+    out += objective_diagnostics(instance)
+    if instance.objective.kind == "concave":
         out += concave_diagnostics(instance)
     return out + alpha_diagnostics(instance.objective.alpha)
 

@@ -3,14 +3,16 @@
 remaining budget, cached by (arm, budget) and clamped at the arm's largest
 exploration cost.  The library reads every budget off one unbudgeted list of
 outcomes per arm, and must reproduce this pass's value and cost bit for bit
-(`test_policies.py`).  The one edit: the arm's largest exploration cost is
+(`test_policies.py`).  Two edits: the arm's largest exploration cost is
 read from `ArmStateSpace.max_exploration_cost()`, which computes the same
-float as the compiled arm's field that this pass first read.
+float as the compiled arm's field that this pass first read, and the plan is
+checked by `_check_plan`, the one plan rule, which took the place of the
+`_check_rule` this pass first called.
 """
 
 from __future__ import annotations
 
-from banditlp.policies import AUDIT_TOL, _RULES, GreedyPlan, _ArmTable, _check_rule, _tables
+from banditlp.policies import AUDIT_TOL, _RULES, GreedyPlan, _ArmTable, _check_plan, _tables
 from banditlp.relaxations import RelaxationSolution
 from banditlp.statespace import BanditInstance
 
@@ -62,7 +64,7 @@ def evaluate_plan_exact(
     RuntimeError if a reachable run breaks the budget or packs more than 2B
     before halving.
     """
-    _check_rule(plan, rule)
+    _check_plan(instance, plan, rule)
     if plan.budget is not None and not instance.has_integer_costs():
         raise ValueError("exact evaluation under a budget requires integer costs")
     tables = _tables(instance, solution)

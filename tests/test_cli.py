@@ -206,14 +206,31 @@ def test_concave_instance_file_is_checked_on_load(tmp_path, capsys):
 
 
 def test_a_negative_budget_is_one_json_error(tmp_path, capsys):
-    # the solve rejects a budget below 0 before its first cut
+    # the solve rejects a budget below 0 before its first cut, with the
+    # objective rule's message
     path = str(tmp_path / "negative.json")
     save_instance(dataclasses.replace(gen_integrality_gap(2), budget=-1.0), path)
     code, out = run_cli(capsys, "solve", path)
     assert code == 2
-    doc = json.loads(out)
-    assert set(doc) == {"error"}
-    assert "non-negative budget" in doc["error"]
+    assert json.loads(out) == {"error": "budgeted objective requires a finite budget >= 0, got -1.0"}
+
+
+def test_validate_and_solve_say_the_same_of_a_null_budget(tmp_path, capsys):
+    # validate reported "budgeted objective requires a finite budget >= 0,
+    # got None" where solve answered "budgeted relaxation needs a finite
+    # budget": the objective rule is now written once
+    path = str(tmp_path / "null.json")
+    doc = instance_to_json(gen_integrality_gap(2))
+    doc["budget"] = None
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    message = "budgeted objective requires a finite budget >= 0, got None"
+    code, out = run_cli(capsys, "validate", path)
+    assert code == 1
+    assert [d["message"] for d in json.loads(out)["diagnostics"]] == [message]
+    for command in ("solve", "plan"):
+        code, out = run_cli(capsys, command, path)
+        assert (code, json.loads(out)) == (2, {"error": message})
 
 
 def test_duplicate_arm_ids_are_one_json_error(tmp_path, capsys):
@@ -442,10 +459,11 @@ def test_a_mutated_instance_file_never_ends_in_a_traceback(doc):
                 json.loads(line, parse_constant=_refuse)
 
 
-@pytest.mark.parametrize("options", [{"tolerance": 1.0}, {"use_oracle": False}])
+@pytest.mark.parametrize("options", [{"tolerance": 1.0}, {"use_oracle": False}, {"oracle_limit": 5}])
 def test_a_suite_spec_cannot_loosen_its_gates(tmp_path, capsys, options):
     # a tolerance of 1.0 lowered every bound below 0 and use_oracle false
-    # skipped the OPT <= gamma* check, and the suite reported all_ok
+    # skipped the OPT <= gamma* check, and the suite reported all_ok; the
+    # oracle's limit is the constant bench.SUITE_ORACLE_LIMIT
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"family": "random-beta", "count": 3, "seed": 4, "options": options}))
     code, out = run_cli(capsys, "suite", "--spec", str(spec_path))

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import math
 import operator
+import re
 from operator import mul
 from types import SimpleNamespace
 from unittest import mock
@@ -177,6 +178,20 @@ def test_permuting_arms_leaves_gamma(inst, rnd):
 _NEGATIVE = "relaxation needs a non-negative budget and capacity"
 
 
+def _budget_message(inst, budget):
+    """The objective rule's refusal of a budget below 0 (`objective_diagnostics`)."""
+    return re.escape(f"{inst.objective.kind} objective requires a finite budget >= 0, got {budget!r}")
+
+
+def _lp_with_budget(inst, budget):
+    """The instance's relaxation LP built at budget 0, with budget as the
+    cost row's right-hand side: the builders refuse a budget below 0."""
+    lp, _ = build_relaxation(dataclasses.replace(inst, budget=0.0))
+    (row,) = [c for c in lp.constraints if c.name == "cost"]
+    row.rhs = budget
+    return lp
+
+
 @contextlib.contextmanager
 def _up_front():
     """Forbid the tableau and the master: the solve must stop before either."""
@@ -189,19 +204,24 @@ def _up_front():
 @given(st.one_of(instances("budgeted"), instances("concave")), st.sampled_from([-1e-3, -1.0, -5.0]))
 def test_a_negative_budget_is_infeasible(inst, budget):
     negative = dataclasses.replace(inst, budget=budget)
-    assert solve_lp(build_relaxation(negative)[0]).status == "infeasible"
-    with _up_front(), pytest.raises(ValueError, match=_NEGATIVE):
+    assert solve_lp(_lp_with_budget(inst, budget)).status == "infeasible"
+    with _up_front(), pytest.raises(ValueError, match=_budget_message(inst, budget)):
         solve_relaxation(negative)
 
 
-@pytest.mark.parametrize("arms, capacity, epsilon", [(0, -1.0, 0.5), (3, 1.0, -2.0)])
-def test_a_negative_concave_capacity_is_rejected_up_front(arms, capacity, epsilon):
+@pytest.mark.parametrize(
+    "arms, capacity, epsilon, message",
+    [(0, -1.0, 0.5, _NEGATIVE), (3, 1.0, -2.0, re.escape("epsilon must be a positive finite number, got -2.0"))],
+    ids=["0--1.0-0.5", "3-1.0--2.0"],
+)
+def test_a_negative_concave_capacity_is_rejected_up_front(arms, capacity, epsilon, message):
     # B * L * (1 + eps) < 0: a negative capacity (an armless instance, since
-    # any arm's sigma in [0, B] rejects it first) or eps below -1
+    # any arm's sigma in [0, B] rejects it first) or eps below -1, which the
+    # epsilon rule of concave_diagnostics refuses first
     inst = as_concave(gen_integrality_gap(3), 1.0, 0.5)
     prob = dataclasses.replace(inst.objective.concave, capacity=capacity, epsilon=epsilon)
     negative = BanditInstance(inst.arms[:arms], inst.budget, Objective("concave", concave=prob))
-    with _up_front(), pytest.raises(ValueError, match=_NEGATIVE):
+    with _up_front(), pytest.raises(ValueError, match=message):
         solve_relaxation(negative)
 
 
@@ -239,8 +259,8 @@ def test_a_negative_budget_met_by_a_negative_switch_cost():
     a = dataclasses.replace(build_two_level_arm([0.0, 1.0], [0.5, 0.5], play_cost=1, arm_id="a"), switch_cost=-2.0)
     b = build_two_level_arm([0.3, 0.7], [0.5, 0.5], play_cost=2, arm_id="b")
     inst = BanditInstance(arms=(a, b), budget=-0.5, objective=Objective("budgeted"))
-    assert solve_lp(build_relaxation(inst)[0]).status == "optimal"
-    with _up_front(), pytest.raises(ValueError, match=_NEGATIVE):
+    assert solve_lp(_lp_with_budget(inst, -0.5)).status == "optimal"
+    with _up_front(), pytest.raises(ValueError, match=_budget_message(inst, -0.5)):
         solve_relaxation(inst)
 
 

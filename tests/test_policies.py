@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 import pickle
@@ -21,6 +22,7 @@ from banditlp.bench import (
 )
 from banditlp import batched, oracle, policies
 from banditlp.policies import (
+    ExecutionTrace,
     GreedyPlan,
     RankedArm,
     evaluate_plan_exact,
@@ -112,6 +114,25 @@ def test_plan_alpha_below_one_rejected():
     pols = extract_single_arm_policies(sol, inst)
     with pytest.raises(ValueError):
         make_greedy_plan(pols, inst, "budgeted", alpha=0.5)
+
+
+def test_make_greedy_plan_refuses_a_bad_variant_or_budget_up_front():
+    # with no policies, variant "bogus" returned a plan, since the check ran
+    # only in the per-policy loop; a budgeted variant on a Lagrangean
+    # instance ended in "TypeError: unsupported operand type(s) for *:
+    # 'float' and 'NoneType'", and a concave one in an AttributeError
+    inst = gen_integrality_gap(2)
+    with pytest.raises(ValueError, match="unknown plan variant 'bogus'"):
+        make_greedy_plan([], inst, "bogus")
+    lagrangean = as_lagrangean(inst)
+    pols = extract_single_arm_policies(solve_relaxation(lagrangean), lagrangean)
+    with pytest.raises(ValueError, match=re.escape("budgeted objective requires a finite budget >= 0, got None")):
+        make_greedy_plan(pols, lagrangean, "budgeted")
+    with pytest.raises(ValueError, match="a concave plan needs an instance with concave data"):
+        make_greedy_plan(pols, lagrangean, "concave")
+    concave = dataclasses.replace(as_concave(inst, capacity=1.0, epsilon=0.5), budget=math.inf)
+    with pytest.raises(ValueError, match=re.escape("concave objective requires a finite budget >= 0, got inf")):
+        make_greedy_plan(pols, concave, "concave", alpha=1.0)
 
 
 def test_plan_order_invariant_under_reward_scaling():
@@ -485,16 +506,17 @@ def test_duplicate_arm_ids_are_rejected():
     arms = tuple(build_beta_bernoulli_arm(a, 1, 2, play_cost=1, arm_id="a") for a in (1, 2))
     with pytest.raises(ValueError, match="duplicate arm id 'a'"):
         BanditInstance(arms, budget=2.0, objective=Objective("budgeted"))
-    # a plan that names one arm twice on a valid instance walks it twice:
-    # the evaluators accept it, and the Monte-Carlo audit flags the runs
-    # that play its root twice
+    # a plan that names one arm twice on a valid instance walked it twice
+    # from its root: the exact pass valued it at (0.58, 1.76) and
+    # Monte-Carlo flagged the runs that played its root twice.  Every plan
+    # reader now refuses it (test_every_plan_reader_refuses_an_arm_named_twice_or_unknown)
     renamed = BanditInstance((arms[0], dataclasses.replace(arms[1], arm_id="b")), 2.0, Objective("budgeted"))
     sol, plan = _pipeline(renamed)
     plan = dataclasses.replace(plan, order=tuple(dataclasses.replace(ra, arm_id="a") for ra in plan.order))
-    value, cost = evaluate_plan_exact(renamed, plan, sol)
-    assert 0.0 <= value <= 1.0 and 0.0 <= cost <= plan.budget
-    report = monte_carlo_evaluate(renamed, plan, sol, reps=4, seed=0)
-    assert [v.split(" (")[0] for v in report.violations] == ["multiple switch charges on one arm"]
+    with pytest.raises(ValueError, match="the plan names arm 'a' twice"):
+        evaluate_plan_exact(renamed, plan, sol)
+    with pytest.raises(ValueError, match="the plan names arm 'a' twice"):
+        monte_carlo_evaluate(renamed, plan, sol, reps=4, seed=0)
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -1328,33 +1350,86 @@ def test_runs_read_exactly_their_window(monkeypatch):
         return out
 
     monkeypatch.setattr(batched, "_walk_lockstep", spy)
-    values, _, _, _ = batched.batched_runs(plan, tables, rules, 3, 300)
+    values, _, _ = batched.batched_runs(plan, tables, rules, 3, 300)
     assert [p.tolist() for p in ptrs] == [[d] * 300 for d in (3, 8, 17, 20)]
     assert values.tobytes() == policies._scalar_runs(plan, tables, rules, 3, 300)[0].tobytes()
 
 
-def test_both_runners_audit_an_arm_walked_twice():
-    # a plan that lists a0 twice walks it twice, and a run pays its switch
-    # twice when both walks play the root, each with probability 1/2 (a draw
-    # past z = 0.5 stops dead there).  Both runners count an arm's root plays
-    # over the whole run, not per walk, and flag the same runs.
-    arms = tuple(build_beta_bernoulli_arm(1, 1, 2, play_cost=1, switch_cost=1, arm_id=f"a{i}") for i in range(2))
-    inst = BanditInstance(arms, None, Objective("lagrangean"))
-    sol = _play_through_solution(arms)
-    for arm in arms:
-        sol.z[(arm.arm_id, arm.root)], sol.x[(arm.arm_id, arm.root)] = 0.5, (0.5, 0.0)
-    plan = GreedyPlan("lagrangean", tuple(RankedArm(a, 1.0, 1.0, 1.0) for a in ("a0", "a0", "a1")), budget=None)
-    tables = policies._tables(inst, sol)
-    rules = policies._RULES["lagrangean"](inst, plan, sol, "order")
-    for reps in (1, policies._BATCH_MIN_REPS - 1, policies._BATCH_MIN_REPS, 300):
-        scalar = policies._scalar_runs(plan, tables, rules, 3, reps)
-        batch = batched.batched_runs(plan, tables, rules, 3, reps)
-        assert [a.tobytes() for a in batch] == [a.tobytes() for a in scalar]
-        twice = int(scalar[3].sum())
-        assert monte_carlo_evaluate(inst, plan, sol, reps, 3).violations == (
-            [f"multiple switch charges on one arm (x{twice})"] if twice else []
-        )
-    assert 0 < twice < 300
+def _plan_readers(variant):
+    """Every reader of a plan of the variant, as name -> call(instance,
+    plan, solution): the exact pass, both Monte-Carlo runners, the trace
+    audit, the variant's executors and, for a budgeted plan, the joint-state
+    process."""
+    readers = {
+        "exact": evaluate_plan_exact,
+        "mc scalar": lambda inst, plan, sol: monte_carlo_evaluate(inst, plan, sol, reps=3, seed=1),
+        "mc batched": lambda inst, plan, sol: monte_carlo_evaluate(inst, plan, sol, policies._BATCH_MIN_REPS, 1),
+        "verify_trace": lambda inst, plan, sol: verify_trace(ExecutionTrace(variant, 0, [], None, 0.0, 0.0), inst, plan),
+        "executor": lambda inst, plan, sol: _EXECUTORS[variant](inst, plan, sol, rng_seed=0),
+    }
+    if variant == "budgeted":
+        readers["violate executor"] = lambda inst, plan, sol: execute_greedy_violate(inst, plan, sol, rng_seed=0)
+        readers["process"] = policies.GreedyOrderProcess
+    return readers
+
+
+@pytest.mark.parametrize("variant", ["budgeted", "lagrangean", "concave"])
+def test_every_plan_reader_refuses_an_arm_named_twice_or_unknown(variant):
+    # a plan that listed a0 twice walked it twice, and a run paid its switch
+    # twice when both walks played the root: Monte-Carlo flagged "multiple
+    # switch charges on one arm" and the exact pass valued the plan; an
+    # unknown arm ended in a KeyError.  Every reader now applies the plan
+    # rule, so no run walks an arm twice and the multi-switch audit is gone.
+    inst = {"budgeted": gen_integrality_gap(3), "lagrangean": as_lagrangean(gen_integrality_gap(3)),
+            "concave": as_concave(gen_integrality_gap(3), capacity=1.0, epsilon=0.5)}[variant]
+    sol, plan = _pipeline(inst)
+    first = plan.order[0]
+    for order, message in (
+        ((first, *plan.order), "the plan names arm 'a0' twice"),
+        ((*plan.order, dataclasses.replace(first, arm_id="zz")), "the plan names arm 'zz', which the instance does not have"),
+    ):
+        bad = dataclasses.replace(plan, order=order)
+        for name, read in _plan_readers(variant).items():
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read(inst, bad, sol)
+            read(inst, plan, sol)  # the plan itself is read
+
+
+def _crossed_plans():
+    """Plans of every variant on integrality-gap arms, the bicriteria one and
+    three bad ones: an unknown variant, an arm named twice, an unknown arm."""
+    base = gen_integrality_gap(3)
+    kinds = {"budgeted": base, "lagrangean": as_lagrangean(base), "concave": as_concave(base, 1.0, 0.5)}
+    plans = {kind: _pipeline(inst)[1] for kind, inst in kinds.items()}
+    plans["bicriteria"] = _pipeline(base, alpha=1.5)[1]
+    plan = plans["budgeted"]
+    plans["bogus"] = dataclasses.replace(plan, variant="bogus")
+    plans["twice"] = dataclasses.replace(plan, order=plan.order + plan.order[:1])
+    plans["unknown"] = dataclasses.replace(plan, order=(dataclasses.replace(plan.order[0], arm_id="zz"),))
+    return kinds, plans
+
+
+def test_every_plan_variant_on_every_instance_kind_is_read_or_refused():
+    # a concave plan on a budgeted instance ended in an AttributeError, an
+    # unknown arm in a KeyError; the plan rule refuses each with a
+    # ValueError, and any other exception fails the test
+    kinds, plans = _crossed_plans()
+    solutions = {kind: solve_relaxation(inst) for kind, inst in kinds.items()}
+    readers = {f"{v} {name}": read for v in ("budgeted", "lagrangean", "concave") for name, read in _plan_readers(v).items()}
+    for rule in ("order", "violate"):
+        readers[f"exact {rule}"] = functools.partial(evaluate_plan_exact, rule=rule)
+        readers[f"mc {rule}"] = functools.partial(monte_carlo_evaluate, reps=3, seed=1, rule=rule)
+    outcome = {}
+    for (kind, inst), (label, plan), (name, read) in itertools.product(kinds.items(), plans.items(), readers.items()):
+        try:
+            read(inst, plan, solutions[kind])
+            outcome[kind, label, name] = "read"
+        except ValueError:
+            outcome[kind, label, name] = "refused"
+    for kind in kinds:  # a plan on its own instance is read by its own readers
+        assert all(outcome[kind, kind, f"{kind} {name}"] == "read" for name in _plan_readers(kind))
+    assert {outcome[key] for key in outcome if key[1] in ("bogus", "twice", "unknown")} == {"refused"}
+    assert outcome["budgeted", "concave", "concave exact"] == "refused"  # no concave data
 
 
 @st.composite

@@ -266,6 +266,12 @@ def _epsilon_edited_in_the_file(inst):
     return instance_from_json(doc)
 
 
+def _with_problem(inst, **changes):
+    """The concave instance with its ConcaveProblem's fields changed."""
+    prob = dataclasses.replace(inst.objective.concave, **changes)
+    return BanditInstance(inst.arms, inst.budget, Objective("concave", concave=prob))
+
+
 _CONCAVE_GAP = as_concave(gen_integrality_gap(2), capacity=1.0, epsilon=0.5)  # grid 4: tables r * l / 4
 
 
@@ -286,8 +292,11 @@ _CONCAVE_GAP = as_concave(gen_integrality_gap(2), capacity=1.0, epsilon=0.5)  # 
         (_with_tables(_CONCAVE_GAP, lambda t: t.pop("a1")), "missing value tables for arm 'a1'"),
         (_with_state_renamed(gen_integrality_gap(2), "a0", "v1", "v|1"), "arm/state ids may not contain '|'"),
         (_with_state_renamed(_CONCAVE_GAP, "a0", "v1", "v|1"), "arm/state ids may not contain '|'"),
+        # the solve refused it with "right-hand sides [2.0, -4.0]"
+        (_with_problem(_CONCAVE_GAP, epsilon=-2.0), "epsilon must be a positive finite number, got -2.0"),
     ],
-    ids=["epsilon-edit", "non-concave", "super-martingale", "missing-table", "missing-tables", "pipe", "pipe-concave"],
+    ids=["epsilon-edit", "non-concave", "super-martingale", "missing-table", "missing-tables", "pipe", "pipe-concave",
+         "negative-epsilon"],
 )
 def test_validate_reports_what_the_solve_refuses(bad, message):
     # validate_instance passed each of these ("valid": true from banditlp
@@ -302,13 +311,32 @@ def _mutated_concave(draw):
     """A valid concave instance (linear or sqrt tables), or the same with one
     edit that may break a data rule: a state's table one entry short or
     long, one entry moved by 0.5 or its last by 1e-3, a sigma outside
-    [0, B], a state id with "|", or a state's or an arm's tables missing."""
+    [0, B], a state id with "|", a state's or an arm's tables missing, an
+    unknown objective kind, a budget None, -1 or inf, or an epsilon <= 0.
+    Drawn as (instance, the message of the objective or epsilon rule it
+    breaks, else None)."""
     inst = draw(instances("concave"))
+    prob = inst.objective.concave
+    kind = draw(st.sampled_from(["none", "length", "entry", "last entry", "sigma", "pipe", "missing",
+                                 "kind", "budget", "epsilon"]))
+    if kind == "kind":
+        return BanditInstance(inst.arms, inst.budget, Objective("convex", concave=prob)), "unknown objective kind 'convex'"
+    if kind == "budget":
+        budget = draw(st.sampled_from([None, -1.0, math.inf]))
+        return dataclasses.replace(inst, budget=budget), f"concave objective requires a finite budget >= 0, got {budget!r}"
+    if kind == "epsilon":
+        epsilon = draw(st.sampled_from([0.0, -0.5, -2.0]))
+        return _with_problem(inst, epsilon=epsilon), f"epsilon must be a positive finite number, got {epsilon!r}"
+    return _mutated_tables(draw, inst, kind), None
+
+
+def _mutated_tables(draw, inst, kind):
+    """The instance with the edit of `_mutated_concave` of that kind to its
+    value tables, a sigma or a state id."""
     prob = inst.objective.concave
     arm = draw(st.sampled_from(inst.arms))
     sid = draw(st.sampled_from(arm.topo_order()))
     zeta = list(prob.value_tables[arm.arm_id][sid])
-    kind = draw(st.sampled_from(["none", "length", "entry", "last entry", "sigma", "pipe", "missing"]))
     if kind == "length":
         zeta = zeta[:-1] if draw(st.booleans()) else zeta + zeta[-1:]
     elif kind == "entry":
@@ -319,8 +347,7 @@ def _mutated_concave(draw):
         return _with_tables(inst, lambda t: t[arm.arm_id].__setitem__(sid, tuple(zeta)))
     if kind == "sigma":
         sigma = draw(st.sampled_from([-0.1, prob.capacity + 0.1]))
-        prob = dataclasses.replace(prob, sigmas={**prob.sigmas, arm.arm_id: sigma})
-        return BanditInstance(inst.arms, inst.budget, Objective("concave", concave=prob))
+        return _with_problem(inst, sigmas={**prob.sigmas, arm.arm_id: sigma})
     if kind == "pipe":
         return _with_state_renamed(inst, arm.arm_id, sid, f"{sid}|1")
     if kind == "missing":
@@ -340,12 +367,17 @@ def _refusal(check, *args) -> str | None:
 @settings(max_examples=100, deadline=None, database=None)
 @seed(2201)
 @given(_mutated_concave())
-def test_validate_is_empty_exactly_when_the_solve_accepts(inst):
+def test_validate_is_empty_exactly_when_the_solve_accepts(case):
     # the solve refuses what the table checks as first written refuse, with
-    # their message, and validate_instance reports that message
+    # their message, or what the objective and epsilon rules refuse, with
+    # theirs, and validate_instance reports that message
+    inst, rule_message = case
     prob = inst.objective.concave
     refused = _refusal(solve_relaxation, inst)
-    assert refused == _refusal(reference_tables._validate_tables, inst, prob, prob.grid)
+    if rule_message is None:
+        assert refused == _refusal(reference_tables._validate_tables, inst, prob, prob.grid)
+    else:
+        assert refused == rule_message
     diags = validate_instance(inst)
     assert (diags == []) == (refused is None)
     assert refused is None or refused in [d.message for d in diags]
