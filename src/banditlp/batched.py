@@ -1,8 +1,8 @@
 """Batched Monte-Carlo: the replications of one call walked in lockstep.
 
 `batched_runs` is the twin of `policies._scalar_runs` for large calls.  It
-returns the same per-replication values, spends and audit flags, bit for bit,
-from the same draw windows:
+returns the same per-replication values and spends, bit for bit, from the
+same draw windows:
 
 * Draws.  Replication k reads window k of the call's one Philox4x64-10 stream
   (Salmon et al. 2011; `policies._windows`), so a chunk's draw matrix, one
@@ -110,14 +110,12 @@ def _walk_lockstep(arr: _ArmArrays, rows, draws, ptr, spent, avail: float | None
 
 def batched_runs(plan, tables, rules, seed_key: int, reps: int):
     """`policies._scalar_runs` with the replications of a chunk in lockstep:
-    per replication, its value, its spend and whether its walked arms broke
-    the plan order."""
+    per replication, its value and its spend."""
     base, start, capped, _, _, after_rows, finish_rows = rules
     values = np.full(reps, base, dtype=float)
     spent = np.zeros(reps)
-    off_plan = np.zeros(reps, dtype=bool)
     if not start:
-        return values, spent, off_plan
+        return values, spent
     (start_key,) = start
     arms = [_ArmArrays(tables[ra.arm_id]) for ra in plan.order]
     avail = plan.budget if capped else None
@@ -126,10 +124,8 @@ def batched_runs(plan, tables, rules, seed_key: int, reps: int):
         vals, sp = values[lo : lo + n], spent[lo : lo + n]  # views: the chunk writes through
         ptr = np.zeros(n, dtype=np.intp)
         key = tuple(np.full(n, k, dtype=float) for k in start_key)
-        walked = np.zeros((n, len(arms)), dtype=bool)
         live = np.arange(n)
-        for j, arr in enumerate(arms):
-            walked[live, j] = True
+        for arr in arms:
             before = sp[live]
             state, level = _walk_lockstep(arr, live, draws, ptr, sp, avail)
             gain, key, go = after_rows(arr.tab, key, state, level, sp[live] - before)
@@ -139,6 +135,4 @@ def batched_runs(plan, tables, rules, seed_key: int, reps: int):
                 break
         else:
             vals[live] += finish_rows(key)
-        # a run's walked arms must be a prefix of the plan order
-        off_plan[lo : lo + n] = (walked[:, 1:] & ~walked[:, :-1]).any(axis=1)
-    return values, spent, off_plan
+    return values, spent

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import NamedTuple
 
-from .statespace import BanditInstance
+from .statespace import BanditInstance, objective_diagnostics
 
 ORACLE_GUARD = 10_000_000
 # dp_optimal plays an arm only if its value beats the best action so far
@@ -95,23 +95,29 @@ def estimate_joint_states(instance: BanditInstance, with_budget: bool) -> int:
     return count
 
 
-def _check_joint_space(instance: BanditInstance, with_budget: bool, limits: int) -> None:
-    """Reject what the joint-state walk cannot represent or afford.
-
-    Integrality matters only when the remaining budget is a DP dimension.
-    """
+def _check_joint_space(instance: BanditInstance, limits: int) -> bool:
+    """Reject what the joint-state walk cannot represent or afford, the kind
+    and then the objective rule (`objective_diagnostics`) first.  Returns
+    whether the remaining budget is a DP dimension, where integrality matters."""
+    kind = instance.objective.kind
+    if kind not in ("budgeted", "lagrangean"):
+        raise ValueError(f"the DP oracle handles budgeted/lagrangean objectives, not {kind!r}")
+    bad = objective_diagnostics(instance)
+    if bad:
+        raise ValueError(bad[0].message)
+    with_budget = kind == "budgeted"
     for arm in instance.arms:
         if arm.switch_cost < 0 or min(arm.compiled().costs, default=0.0) < 0:
             raise ValueError(f"the DP oracle requires play and switch costs >= 0; arm {arm.arm_id!r} has one below 0")
     if with_budget:
         if not instance.has_integer_costs():
             raise ValueError("the DP oracle requires integer play and switch costs")
-        b = instance.budget
-        if b is None or not float(b).is_integer() or b < 0:
-            raise ValueError(f"the DP oracle requires a non-negative integer budget, got {b!r}")
+        if not float(instance.budget).is_integer():
+            raise ValueError(f"the DP oracle requires a non-negative integer budget, got {instance.budget!r}")
     est = estimate_joint_states(instance, with_budget)
     if est > limits:
         raise OracleGuardError(f"estimated joint-state count {est} exceeds the limit {limits}")
+    return with_budget
 
 
 class DecisionTable:
@@ -172,11 +178,7 @@ def dp_optimal(
     unbounded DP's bits.  Budgeted plays stay unbounded: they spend budget,
     not value, and U is never below the value of stopping.
     """
-    kind = instance.objective.kind
-    if kind not in ("budgeted", "lagrangean"):
-        raise ValueError(f"the DP oracle handles budgeted/lagrangean objectives, not {kind!r}")
-    with_budget = kind == "budgeted"
-    _check_joint_space(instance, with_budget, limits)
+    with_budget = _check_joint_space(instance, limits)
 
     arms = instance.arms
     compiled = [a.compiled() for a in arms]
@@ -293,9 +295,7 @@ def enumerate_policy_statistics(
     ``branches(joint, aux) -> [(prob, action, next_aux)]`` where actions may
     additionally be ("noop",) for internal transitions.
     """
-    kind = instance.objective.kind
-    with_budget = kind == "budgeted"
-    _check_joint_space(instance, with_budget, limits)
+    with_budget = _check_joint_space(instance, limits)
 
     arms = instance.arms
     n = len(arms)

@@ -42,9 +42,9 @@ numpy `Generator.random` call, and results are reproducible regardless of
 scheduling.  A call with at least `_BATCH_MIN_REPS` replications takes the
 batched runner (`banditlp.batched`): it walks all replications in lockstep,
 arm by arm, with the float operations of `_walk_arm` in the same order, then
-applies the rule's array form to all of them at once.  Its values, costs and
-audits are bit-identical to the loop over `_sample_run`, which smaller calls
-keep and which drives every trace.
+applies the rule's array form to all of them at once.  Its values and costs
+are bit-identical to the loop over `_sample_run`, which smaller calls keep and
+which drives every trace.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import json
 import math
 import operator
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
@@ -141,7 +141,9 @@ def make_greedy_plan(
     concave:    nu = R,       mu = (sigma/B)*P + C_phi/C
 
     Raises ValueError, before any policy is read, on a variant, an alpha or
-    a budget that `_check_variant`, `alpha_diagnostics` or the objective rule refuses.
+    a budget that `_check_variant`, `alpha_diagnostics` or the objective rule
+    refuses, and then, before any is ranked, on policies that do not name
+    each arm of the instance once (`_check_arms`).
     """
     if variant is None:
         variant = instance.objective.kind
@@ -149,6 +151,7 @@ def make_greedy_plan(
     bad = alpha_diagnostics(alpha) + _objective_faults(variant, instance.budget)
     if bad:
         raise ValueError(bad[0].message)
+    _check_arms(instance, [pol.arm_id for pol in policies], "the policy list")
     ranked, prob = [], instance.objective.concave
     for pol in policies:
         if variant == "budgeted":
@@ -343,7 +346,6 @@ class ExecutionTrace:
     weights: dict[str, float] | None = None
     weight_numerators: dict[str, int] | None = None
     grid: int | None = None
-    visited: list[str] = field(default_factory=list)
 
 
 def trace_to_jsonl(trace: ExecutionTrace) -> str:
@@ -372,12 +374,11 @@ def trace_to_jsonl(trace: ExecutionTrace) -> str:
 class _Run:
     """Mutable per-trace scratch; collects events only when recording."""
 
-    __slots__ = ("record", "events", "visited", "spent")
+    __slots__ = ("record", "events", "spent")
 
     def __init__(self, record: bool):
         self.record = record
         self.events: list[TraceEvent] = []
-        self.visited: list[str] = []
         self.spent = 0.0
 
     def event(self, arm, state, action, cost, q):
@@ -395,7 +396,6 @@ def _walk_arm(tab: _ArmTable, rng: _Window, run: _Run, avail: float | None):
     to right) is above the next draw, else to the last child.
     """
     arm_id, ca, sids = tab.arm_id, tab.ca, tab.ca.sids
-    run.visited.append(arm_id)
     u = 0
     while True:
         w = tab.w[u]
@@ -538,11 +538,28 @@ def _check_variant(instance: BanditInstance, variant: str) -> None:
         raise ValueError("a concave plan needs an instance with concave data")
 
 
+def _check_arms(instance: BanditInstance, arm_ids: list[str], what: str) -> None:
+    """Each arm of the instance named exactly once by arm_ids, which `what`
+    ("the plan", "the policy list") lists; an arm named twice or unknown to
+    the instance is reported at its entry, before an arm left out."""
+    ids, named = {a.arm_id for a in instance.arms}, set()
+    for arm_id in arm_ids:
+        if arm_id in named:
+            raise ValueError(f"{what} names arm {arm_id!r} twice")
+        if arm_id not in ids:
+            raise ValueError(f"{what} names arm {arm_id!r}, which the instance does not have")
+        named.add(arm_id)
+    if len(named) < len(ids):
+        missing = next(a.arm_id for a in instance.arms if a.arm_id not in named)
+        raise ValueError(f"{what} does not name arm {missing!r}")
+
+
 def _check_plan(instance: BanditInstance, plan: GreedyPlan, rule: str, variant: str | None = None) -> None:
     """The plan rule, which every plan reader applies first: `_check_variant`,
     the reader's own variant if it names one, the rule "order" or "violate"
-    (on a plain budgeted plan only), and each entry an arm of the instance
-    named once, as the paper's plans explore each arm at most once."""
+    (on a plain budgeted plan only), and an order that names each arm of the
+    instance exactly once (`_check_arms`), as the paper's plans order all the
+    arms and explore them without revisiting any."""
     _check_variant(instance, plan.variant)
     if variant is not None and plan.variant != variant:
         raise ValueError(f"expected a {variant} plan, got {plan.variant!r}")
@@ -550,13 +567,7 @@ def _check_plan(instance: BanditInstance, plan: GreedyPlan, rule: str, variant: 
         raise ValueError(f"unknown budget rule {rule!r}; expected 'order' or 'violate'")
     if rule == "violate" and (plan.variant != "budgeted" or plan.alpha != 1.0):
         raise ValueError("the violate rule applies to plain budgeted plans only")
-    ids, named = {a.arm_id for a in instance.arms}, set()
-    for ra in plan.order:
-        if ra.arm_id in named:
-            raise ValueError(f"the plan names arm {ra.arm_id!r} twice")
-        if ra.arm_id not in ids:
-            raise ValueError(f"the plan names arm {ra.arm_id!r}, which the instance does not have")
-        named.add(ra.arm_id)
+    _check_arms(instance, [ra.arm_id for ra in plan.order], "the plan")
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +614,6 @@ def _execute(instance, plan, solution, rng_seed, rule, variant) -> ExecutionTrac
         exploited=None,
         total_cost=run.spent,
         value=value,
-        visited=run.visited,
     )
     if plan.variant == "concave":
         L = solution.grid
@@ -736,26 +746,23 @@ def monte_carlo_evaluate(
     return _mc_report(runs, _spend_cap(instance, plan, rule))
 
 
-# The run audits, in the order a run is checked: its spend against the cap,
-# its walked arms against the plan order.  `_check_plan` lets each arm be
-# walked once, and a walk starts at the root, to which no state leads back, so
-# no run pays an arm's switch twice.
-_AUDITS = (
-    "trace cost exceeds the allowed cap",
-    "visited arms do not form a plan-order prefix",
-)
+# The one run audit: a run's spend against the cap.  Under `_check_plan` a run
+# walks a prefix of the plan order and each arm once, and a walk starts at the
+# root, to which no state leads back, so no run leaves the plan order or pays
+# an arm's switch twice.
+_CAP_AUDIT = "trace cost exceeds the allowed cap"
 
 
 def _mc_report(runs, cap: float | None) -> MonteCarloReport:
-    """Summarise (values, spend, off-plan flags) per replication.
+    """Summarise (values, spend) per replication and audit each spend against the cap.
 
     The mean and the standard error are what ``values.mean()`` and
     ``values.std(ddof=1)`` compute, from a few ufunc calls instead of their
     Python-level wrappers, whose fixed cost dominates a small call.
     """
-    values, spent, off_plan = runs
+    values, spent = runs
     reps = len(values)
-    over = spent > cap + AUDIT_TOL if cap is not None else np.zeros(reps, dtype=bool)
+    over = 0 if cap is None else int(np.count_nonzero(spent > cap + AUDIT_TOL))
     mean = float(np.add.reduce(values)) / reps
     # equal values have no spread; np.std would report the mean's rounding error
     if values.min() < values.max():
@@ -764,10 +771,6 @@ def _mc_report(runs, cap: float | None) -> MonteCarloReport:
         stderr = math.sqrt(float(np.add.reduce(dev)) / (reps - 1)) / math.sqrt(reps)
     else:
         stderr = 0.0
-    # each audit counts the runs that fail it; audits are listed in the order
-    # of their first failure, by replication and then in _AUDITS order
-    flags = (over, off_plan)
-    failed = sorted((int(bad.argmax()), i, int(bad.sum())) for i, bad in enumerate(flags) if bad.any())
     return MonteCarloReport(
         mean=mean,
         stderr=stderr,
@@ -776,24 +779,20 @@ def _mc_report(runs, cap: float | None) -> MonteCarloReport:
         max_cost=max(0.0, float(spent.max())),
         # accumulate adds left to right, as a running total does (sum is pairwise)
         mean_cost=float(np.add.accumulate(spent)[-1]) / reps,
-        violations=[f"{_AUDITS[i]} (x{count})" for _, i, count in failed],
+        violations=[f"{_CAP_AUDIT} (x{over})"] if over else [],
     )
 
 
 def _scalar_runs(plan, tables, rules, seed_key: int, reps: int):
-    """Replications 0..reps-1, one `_sample_run` each: their values, spends,
-    and whether each broke the plan order."""
+    """Replications 0..reps-1, one `_sample_run` each: their values and spends."""
     values = np.empty(reps)
     spent = np.empty(reps)
-    off_plan = np.zeros(reps, dtype=bool)
-    plan_ids = [ra.arm_id for ra in plan.order]
     for lo, windows in _window_chunks(seed_key, reps, _draw_width(plan, tables)):
         for k, window in enumerate(windows.tolist(), lo):
             run = _Run(False)
             values[k], _ = _sample_run(plan, tables, rules, _Window(window), run)
             spent[k] = run.spent
-            off_plan[k] = run.visited != plan_ids[: len(run.visited)]
-    return values, spent, off_plan
+    return values, spent
 
 
 # ---------------------------------------------------------------------------
@@ -892,11 +891,13 @@ class GreedyOrderProcess:
     Implements the `branches` protocol of
     ``oracle.enumerate_policy_statistics``: at each decision point the active
     arm's step splits into play / exploit / dead branches with the step
-    table's pz, px and pn, with the budget gate and the argmax fallback
-    mirrored from the executor.  The aux value is the index of the active arm
-    in plan order (or "pre" before the affordability pre-check resolves).
-    The gate reads the joint state's remaining budget, which starts at the
-    instance's C, so a bicriteria plan (budget alpha * C) is refused.
+    table's pz, px and pn, with the budget gate mirrored from the executor.
+    The aux value is the index of the active arm in plan order; past the last
+    arm, or from the start when no first play is affordable, the process
+    stops and the oracle exploits the best current arm, the first in instance
+    order on a tie, as the executor does.  The gate reads the joint state's
+    remaining budget, which starts at the instance's C, so a bicriteria plan
+    (budget alpha * C) is refused.
     """
 
     def __init__(self, instance: BanditInstance, plan: GreedyPlan, solution: RelaxationSolution):
@@ -910,24 +911,11 @@ class GreedyOrderProcess:
         self.arm_index = {a.arm_id: i for i, a in enumerate(instance.arms)}
 
     def initial_aux(self):
-        return "pre"
-
-    def _fallback(self, joint) -> tuple:
-        best_arm, best_r = None, -1.0
-        for i, arm in enumerate(self.instance.arms):
-            r = arm.states[joint.states[i]].reward
-            if r > best_r:
-                best_arm, best_r = arm.arm_id, r
-        return ("stop", best_arm)
+        return 0 if _affordable_first_play(self.instance, self.plan.budget) else len(self.order)
 
     def branches(self, joint, aux):
-        if aux == "pre":
-            if not _affordable_first_play(self.instance, self.plan.budget):
-                arm_id, _, _ = _argmax_root(self.instance)
-                return [(1.0, ("stop", arm_id), None)]
-            aux = 0
         if aux >= len(self.order):
-            return [(1.0, self._fallback(joint), None)]
+            return [(1.0, ("stop",), None)]
         tab = self.order[aux]
         u = tab.ca.index[joint.states[self.arm_index[tab.arm_id]]]
         pz, out = tab.pz[u], []

@@ -218,7 +218,8 @@ def test_a_negative_budget_is_one_json_error(tmp_path, capsys):
 def test_validate_and_solve_say_the_same_of_a_null_budget(tmp_path, capsys):
     # validate reported "budgeted objective requires a finite budget >= 0,
     # got None" where solve answered "budgeted relaxation needs a finite
-    # budget": the objective rule is now written once
+    # budget", and oracle "the DP oracle requires a non-negative integer
+    # budget, got None": the objective rule is now written once
     path = str(tmp_path / "null.json")
     doc = instance_to_json(gen_integrality_gap(2))
     doc["budget"] = None
@@ -228,7 +229,7 @@ def test_validate_and_solve_say_the_same_of_a_null_budget(tmp_path, capsys):
     code, out = run_cli(capsys, "validate", path)
     assert code == 1
     assert [d["message"] for d in json.loads(out)["diagnostics"]] == [message]
-    for command in ("solve", "plan"):
+    for command in ("solve", "plan", "oracle"):
         code, out = run_cli(capsys, command, path)
         assert (code, json.loads(out)) == (2, {"error": message})
 

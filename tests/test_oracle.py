@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import types
 from itertools import product
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banditlp import oracle
-from banditlp.bench import as_lagrangean, gen_integrality_gap, gen_random_suite, GeneratorSpec
+from banditlp.bench import as_concave, as_lagrangean, gen_integrality_gap, gen_random_suite, GeneratorSpec
 from banditlp.lp import check_feasibility, objective_value
 from banditlp.oracle import (
     JointState,
@@ -192,6 +193,21 @@ def test_greedy_process_statistics_match_exact_evaluation():
         values = stats.as_lp_values()
         assert check_feasibility(lp, values, tol=1e-7) == []
         assert all(0.0 <= v <= 1.0 + 1e-7 for v in values.values())
+
+
+def test_the_oracle_refuses_a_concave_instance_by_its_kind():
+    # a budgeted plan on a concave instance, walked by the joint-state
+    # process, ended in "TypeError: '>' not supported between instances of
+    # 'float' and 'NoneType'": the statistics walk took the concave budget
+    # for no budget.  Both entry points now check the kind first.
+    conc = as_concave(gen_integrality_gap(2), 1.0, 0.5)
+    sol = solve_relaxation(conc)
+    plan = make_greedy_plan(extract_single_arm_policies(sol, conc), conc, "budgeted")
+    refused = pytest.raises(ValueError, match=re.escape("the DP oracle handles budgeted/lagrangean objectives, not 'concave'"))
+    with refused:
+        enumerate_policy_statistics(conc, GreedyOrderProcess(conc, plan, sol))
+    with refused:
+        dp_optimal(conc)
 
 
 def test_symmetry_reduction_matches_distinct_arm_encoding():

@@ -135,6 +135,46 @@ def test_make_greedy_plan_refuses_a_bad_variant_or_budget_up_front():
         make_greedy_plan(pols, concave, "concave", alpha=1.0)
 
 
+@pytest.mark.parametrize("kind", ["budgeted", "concave"])
+def test_make_greedy_plan_refuses_policies_that_do_not_name_each_arm_once(kind):
+    # a policy for an unknown arm 'zz' ended in "KeyError: 'zz'" on a concave
+    # instance and ranked 'zz' into a budgeted plan; a missing or repeated
+    # policy gave a plan without that arm or with it twice.  The policies
+    # are checked by the plan rule's arm check before any is ranked.
+    inst = gen_integrality_gap(3)
+    if kind == "concave":
+        inst = as_concave(inst, capacity=1.0, epsilon=0.5)
+    pols = extract_single_arm_policies(solve_relaxation(inst), inst)
+    assert [p.arm_id for p in pols] == ["a0", "a1", "a2"]
+    for bad, message in (
+        (pols + [dataclasses.replace(pols[0], arm_id="zz")], "the policy list names arm 'zz', which the instance does not have"),
+        (pols[1:], "the policy list does not name arm 'a0'"),
+        (pols + pols[:1], "the policy list names arm 'a0' twice"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make_greedy_plan(bad, inst, kind)
+    assert sorted(ra.arm_id for ra in make_greedy_plan(pols[::-1], inst, kind).order) == ["a0", "a1", "a2"]
+
+
+def test_a_plan_that_leaves_an_arm_out_is_refused_by_every_reader():
+    # a0 ends at reward 0 or 1 for a play of cost 1, a1 is a sure 0.8 at
+    # cost 5, and the budget is 1.  The greedy plan without a1 was valued 0.5
+    # by the exact pass, 0.5225 by 400 Monte-Carlo runs and 0.9 by the
+    # joint-state process, and its traces exploited a1, which the plan never
+    # reached, at value 0.0, with verify_trace passing them
+    arms = (
+        build_two_level_arm([0.0, 1.0], [0.5, 0.5], play_cost=1, arm_id="a0"),
+        build_two_level_arm([0.8], [1.0], play_cost=5, arm_id="a1"),
+    )
+    inst = BanditInstance(arms, 1.0, Objective("budgeted"))
+    sol, plan = _pipeline(inst)
+    bad = dataclasses.replace(plan, order=tuple(ra for ra in plan.order if ra.arm_id != "a1"))
+    for name, read in _plan_readers("budgeted").items():
+        with pytest.raises(ValueError, match=re.escape("the plan does not name arm 'a1'")):
+            read(inst, bad, sol)
+        read(inst, plan, sol)  # the whole plan is read
+
+
 def test_plan_order_invariant_under_reward_scaling():
     suite = gen_random_suite(GeneratorSpec(family="random-two-level", count=8, seed=77, budget_cap=5))
     for inst in suite:
@@ -350,7 +390,7 @@ def test_order_all_dead_stops_exploit_best_final_state():
     for seed in range(5):
         trace = execute_greedy_order(inst, plan, sol, rng_seed=seed)
         assert [e.action for e in trace.events] == ["switch", "play", "stop-null"] * 3
-        assert trace.visited == ["a2", "a1", "a0"]
+        assert [e.arm for e in trace.events] == ["a2"] * 3 + ["a1"] * 3 + ["a0"] * 3
         assert trace.exploited == ("a0", "v0")
         assert trace.value == 0.6 and trace.total_cost == 3.0
         assert verify_trace(trace, inst, plan) == []
@@ -1336,9 +1376,9 @@ def test_runs_read_exactly_their_window(monkeypatch):
     rules = policies._RULES["lagrangean"](inst, plan, sol, "order")
     for seed in range(20):
         window = policies._Window(policies._windows(seed, 0, 1, width)[0].tolist())
-        run = policies._Run(False)
+        run = policies._Run(True)
         policies._sample_run(plan, tables, rules, window, run)
-        assert run.visited == [a.arm_id for a in arms]
+        assert [arm for arm, _ in itertools.groupby(e.arm for e in run.events)] == [a.arm_id for a in arms]
         with pytest.raises(StopIteration):
             window.random()  # the run read the whole window
     walk, ptrs = batched._walk_lockstep, []
@@ -1350,7 +1390,7 @@ def test_runs_read_exactly_their_window(monkeypatch):
         return out
 
     monkeypatch.setattr(batched, "_walk_lockstep", spy)
-    values, _, _ = batched.batched_runs(plan, tables, rules, 3, 300)
+    values, _ = batched.batched_runs(plan, tables, rules, 3, 300)
     assert [p.tolist() for p in ptrs] == [[d] * 300 for d in (3, 8, 17, 20)]
     assert values.tobytes() == policies._scalar_runs(plan, tables, rules, 3, 300)[0].tobytes()
 
@@ -1380,13 +1420,16 @@ def test_every_plan_reader_refuses_an_arm_named_twice_or_unknown(variant):
     # switch charges on one arm" and the exact pass valued the plan; an
     # unknown arm ended in a KeyError.  Every reader now applies the plan
     # rule, so no run walks an arm twice and the multi-switch audit is gone.
+    # A plan that leaves an arm out is refused too: a plan is a permutation
+    # of the instance's arms.
     inst = {"budgeted": gen_integrality_gap(3), "lagrangean": as_lagrangean(gen_integrality_gap(3)),
             "concave": as_concave(gen_integrality_gap(3), capacity=1.0, epsilon=0.5)}[variant]
     sol, plan = _pipeline(inst)
-    first = plan.order[0]
+    first, last = plan.order[0], plan.order[-1]
     for order, message in (
         ((first, *plan.order), "the plan names arm 'a0' twice"),
         ((*plan.order, dataclasses.replace(first, arm_id="zz")), "the plan names arm 'zz', which the instance does not have"),
+        (plan.order[:-1], f"the plan does not name arm {last.arm_id!r}"),
     ):
         bad = dataclasses.replace(plan, order=order)
         for name, read in _plan_readers(variant).items():
@@ -1397,7 +1440,8 @@ def test_every_plan_reader_refuses_an_arm_named_twice_or_unknown(variant):
 
 def _crossed_plans():
     """Plans of every variant on integrality-gap arms, the bicriteria one and
-    three bad ones: an unknown variant, an arm named twice, an unknown arm."""
+    four bad ones: an unknown variant, an arm named twice, an unknown arm and
+    an arm left out."""
     base = gen_integrality_gap(3)
     kinds = {"budgeted": base, "lagrangean": as_lagrangean(base), "concave": as_concave(base, 1.0, 0.5)}
     plans = {kind: _pipeline(inst)[1] for kind, inst in kinds.items()}
@@ -1406,6 +1450,7 @@ def _crossed_plans():
     plans["bogus"] = dataclasses.replace(plan, variant="bogus")
     plans["twice"] = dataclasses.replace(plan, order=plan.order + plan.order[:1])
     plans["unknown"] = dataclasses.replace(plan, order=(dataclasses.replace(plan.order[0], arm_id="zz"),))
+    plans["left out"] = dataclasses.replace(plan, order=plan.order[1:])
     return kinds, plans
 
 
@@ -1428,7 +1473,7 @@ def test_every_plan_variant_on_every_instance_kind_is_read_or_refused():
             outcome[kind, label, name] = "refused"
     for kind in kinds:  # a plan on its own instance is read by its own readers
         assert all(outcome[kind, kind, f"{kind} {name}"] == "read" for name in _plan_readers(kind))
-    assert {outcome[key] for key in outcome if key[1] in ("bogus", "twice", "unknown")} == {"refused"}
+    assert {outcome[key] for key in outcome if key[1] in ("bogus", "twice", "unknown", "left out")} == {"refused"}
     assert outcome["budgeted", "concave", "concave exact"] == "refused"  # no concave data
 
 
@@ -1449,8 +1494,8 @@ def _mc_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(_mc_cases(), st.integers(0, 2**64 - 1))
 def test_batched_runs_equal_scalar_runs_on_random_plans(case, seed):
-    # values, spends and both audit flags, to the byte, for one replication
-    # and for 128 and 300 in one chunk
+    # values and spends, to the byte, for one replication and for 128 and 300
+    # in one chunk
     inst, sol, plan, rule = case
     tables = policies._tables(inst, sol)
     rules = policies._RULES[plan.variant](inst, plan, sol, rule)

@@ -37,8 +37,10 @@ def digest(workload: str, seed: int, size: str) -> str:
         while out is not None:
             sol = out.solution
             h.update(repr((sol.gamma_star, sol.w, sol.x, sol.z, out.plan, out.exact, out.opt, out.stats)).encode())
-            if out.mc is not None:
-                h.update(out.mc.values.tobytes())
+            mc = out.mc
+            if mc is not None:
+                h.update(mc.values.tobytes())
+                h.update(repr((mc.mean, mc.stderr, mc.mean_cost, mc.max_cost, mc.violations)).encode())
             for trace in out.traces:
                 h.update(banditlp.trace_to_jsonl(trace).encode())
             out = out.twin
