@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -193,6 +194,24 @@ def test_greedy_process_statistics_match_exact_evaluation():
         values = stats.as_lp_values()
         assert check_feasibility(lp, values, tol=1e-7) == []
         assert all(0.0 <= v <= 1.0 + 1e-7 for v in values.values())
+
+
+def test_greedy_process_exploits_the_best_root_when_no_play_is_affordable():
+    # no first play fits the budget, so the executor exploits the best prior
+    # mean; the process stops at once and the oracle exploits the same arm,
+    # whichever arm the plan lists first
+    arms = (
+        build_two_level_arm([0.0, 1.0], [0.5, 0.5], play_cost=2, arm_id="a0"),
+        build_two_level_arm([0.8], [1.0], play_cost=3, arm_id="a1"),
+    )
+    inst = BanditInstance(arms, 1.0, Objective("budgeted"))
+    sol = solve_relaxation(inst)
+    plan = make_greedy_plan(extract_single_arm_policies(sol, inst), inst, "budgeted")
+    for order in (plan.order, plan.order[::-1]):
+        reordered = dataclasses.replace(plan, order=order)
+        stats = enumerate_policy_statistics(inst, GreedyOrderProcess(inst, reordered, sol))
+        assert stats.expected_reward == evaluate_plan_exact(inst, reordered, sol)[0] == 0.8
+        assert stats.x[("a1", "root")] == 1.0
 
 
 def test_the_oracle_refuses_a_concave_instance_by_its_kind():

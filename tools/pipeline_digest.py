@@ -7,7 +7,8 @@ Runs one round of each pipebench workload (`make_cases` and `run_case` of
 `pipebench/workloads.py`, read-only) on the library in this checkout's
 `src/`, and prints one digest per (workload, seed) over the bytes of every
 gamma*, every solution's w, x and z, every plan, exact value, Monte-Carlo
-`values` array, trace (`trace_to_jsonl`), OPT and policy statistics, twins
+report (its `values` array, mean, stderr, mean and max cost and
+violations), trace (`trace_to_jsonl`), OPT and policy statistics, twins
 included; a float enters as its repr, which round-trips its bits.  Two
 revisions that print the same digests computed the same outputs to the bit.
 The script runs itself with PYTHONHASHSEED=0, as the benchmark runs its
